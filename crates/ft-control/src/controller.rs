@@ -18,6 +18,7 @@ use crate::plan::{plan_transition, ReconfigPlan};
 use crate::routing::{EcmpRoutes, KspRoutes};
 use crate::zones::{zones_to_mode, Zone, ZoneError};
 use ft_core::{ConverterStates, FlatTree, FlatTreeConfig, FlatTreeError, Mode};
+use ft_graph::GraphError;
 use ft_topo::Network;
 
 /// Routing appropriate for the active mode.
@@ -142,12 +143,13 @@ impl Controller {
     }
 
     /// Routing for the current topology: ECMP in Clos mode, 8-shortest
-    /// paths otherwise (§2.6).
-    pub fn routing(&self) -> ActiveRouting {
-        match self.mode {
-            Mode::Clos => ActiveRouting::Ecmp(EcmpRoutes::compute(&self.network)),
+    /// paths otherwise (§2.6). Fails only when the fabric has too many
+    /// switches for ECMP's `u16` distance rows.
+    pub fn routing(&self) -> Result<ActiveRouting, GraphError> {
+        Ok(match self.mode {
+            Mode::Clos => ActiveRouting::Ecmp(EcmpRoutes::compute(&self.network)?),
             _ => ActiveRouting::Ksp(KspRoutes::new(&self.network, 8)),
-        }
+        })
     }
 }
 
@@ -224,9 +226,9 @@ mod tests {
     #[test]
     fn routing_kind_follows_mode() {
         let mut c = controller();
-        assert!(matches!(c.routing(), ActiveRouting::Ecmp(_)));
+        assert!(matches!(c.routing(), Ok(ActiveRouting::Ecmp(_))));
         c.convert(Mode::GlobalRandom).unwrap();
-        assert!(matches!(c.routing(), ActiveRouting::Ksp(_)));
+        assert!(matches!(c.routing(), Ok(ActiveRouting::Ksp(_))));
     }
 
     #[test]

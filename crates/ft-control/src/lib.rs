@@ -11,8 +11,8 @@
 //! * [`controller`] — the [`Controller`] façade tying everything together.
 //! * [`plan`] — reconfiguration planning: which converters flip, which
 //!   logical links appear/disappear (the physical-layer "rewiring").
-//! * [`routing`] — ECMP next-hop tables and cached k-shortest-path sets,
-//!   plus deterministic flow-level path selection.
+//! * [`routing`] — ECMP on lazily filled distance rows and cached
+//!   k-shortest-path sets, plus deterministic flow-level path selection.
 //! * [`rules`] — SDN-style per-switch forwarding rule compilation
 //!   ("program the routing decisions via SDN", §2.6).
 //! * [`zones`] — named Pod ranges with per-zone modes (§3.4 hybrid

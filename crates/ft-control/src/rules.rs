@@ -29,14 +29,14 @@ impl RuleTable {
     }
 }
 
-/// Compiles ECMP next-hop tables into one [`RuleTable`] per switch.
+/// Compiles ECMP next hops into one [`RuleTable`] per switch.
 pub fn compile_rules(net: &Network, routes: &EcmpRoutes) -> Vec<RuleTable> {
     let s = net.num_switches();
     (0..s)
         .map(|v| {
             let sw = NodeId(v as u32);
             let out: Vec<Vec<(NodeId, EdgeId)>> = (0..s)
-                .map(|dst| routes.next_hops(sw, NodeId(dst as u32)).to_vec())
+                .map(|dst| routes.next_hops(sw, NodeId(dst as u32)))
                 .collect();
             RuleTable { switch: sw, out }
         })
@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn compiled_rules_cover_all_destinations() {
         let net = fat_tree(4).unwrap();
-        let routes = EcmpRoutes::compute(&net);
+        let routes = EcmpRoutes::compute(&net).unwrap();
         let tables = compile_rules(&net, &routes);
         assert_eq!(tables.len(), net.num_switches());
         for t in &tables {
@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn forwarding_reaches_destination_shortest() {
         let net = fat_tree(4).unwrap();
-        let routes = EcmpRoutes::compute(&net);
+        let routes = EcmpRoutes::compute(&net).unwrap();
         let tables = compile_rules(&net, &routes);
         for hash in 0..8u64 {
             let p = forward(&tables, NodeId(4), NodeId(16), hash).unwrap();
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn forward_to_self_trivial() {
         let net = fat_tree(4).unwrap();
-        let routes = EcmpRoutes::compute(&net);
+        let routes = EcmpRoutes::compute(&net).unwrap();
         let tables = compile_rules(&net, &routes);
         assert_eq!(
             forward(&tables, NodeId(3), NodeId(3), 0).unwrap(),
@@ -132,7 +132,7 @@ mod tests {
         b.add_link(h0, s0).unwrap();
         b.add_link(h1, s1).unwrap();
         let net = b.build().unwrap();
-        let tables = compile_rules(&net, &EcmpRoutes::compute(&net));
+        let tables = compile_rules(&net, &EcmpRoutes::compute(&net).unwrap());
         assert!(forward(&tables, NodeId(0), NodeId(1), 0).is_none());
     }
 }

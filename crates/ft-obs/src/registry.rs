@@ -243,8 +243,18 @@ pub fn expose() -> String {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that register or render metrics: the registry
+    /// is process-global, and one test's registrations would otherwise
+    /// change another's repeat render mid-comparison.
+    static REGISTRY_TESTS: Mutex<()> = Mutex::new(());
+
+    fn serialize() -> MutexGuard<'static, ()> {
+        REGISTRY_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn counter_handles_are_stable() {
+        let _serial = serialize();
         let a = counter("ft_obs_test_counter_total");
         let b = counter("ft_obs_test_counter_total");
         assert!(std::ptr::eq(a, b), "same name must return the same cell");
@@ -255,6 +265,7 @@ mod tests {
 
     #[test]
     fn labels_separate_cells() {
+        let _serial = serialize();
         let a = counter_with("ft_obs_test_labelled_total", "kind=\"a\"");
         let b = counter_with("ft_obs_test_labelled_total", "kind=\"b\"");
         assert!(!std::ptr::eq(a, b));
@@ -266,6 +277,7 @@ mod tests {
 
     #[test]
     fn exposition_covers_all_kinds() {
+        let _serial = serialize();
         counter("ft_obs_test_expose_total").add(3);
         gauge("ft_obs_test_expose_gauge").set(9);
         histogram("ft_obs_test_expose_us").record_us(100);

@@ -2,12 +2,21 @@
 //! age-out through the registry tick, `_window` exposition lines, and
 //! prefix-filtered determinism of the exposition text (this binary's tests
 //! run in parallel threads, so whole-text comparisons would race other
-//! tests' metrics — each test owns a unique name prefix instead).
+//! tests' metrics — each test owns a unique name prefix instead, and the
+//! tests that tick or render the global registry hold one lock, since a
+//! tick ages out every test's windows).
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use ft_obs::{registry, WindowedHistogram, WINDOW_EPOCHS};
+use std::sync::{Mutex, MutexGuard};
 use std::thread;
+
+static REGISTRY_TESTS: Mutex<()> = Mutex::new(());
+
+fn serialize() -> MutexGuard<'static, ()> {
+    REGISTRY_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn window_hammer_without_ticks_loses_no_updates() {
@@ -89,6 +98,7 @@ fn window_rotation_under_concurrent_recording_is_sound() {
 
 #[test]
 fn registry_windowed_metrics_render_window_lines_and_age_out() {
+    let _serial = serialize();
     let h = registry::windowed_histogram("wintest_lat_us");
     let c = registry::windowed_counter("wintest_events");
     h.record_us(100);
@@ -114,6 +124,7 @@ fn registry_windowed_metrics_render_window_lines_and_age_out() {
 
 #[test]
 fn exposition_is_deterministic_and_sorted() {
+    let _serial = serialize();
     registry::counter("dettest_total").add(7);
     registry::windowed_histogram("dettest_us").record_us(300);
     let filtered = |text: &str| {

@@ -28,7 +28,7 @@ use crate::simulator::{FlowSpec, RouterPolicy};
 use ft_control::routing::{EcmpRoutes, KspRoutes, ServerPath};
 use ft_control::ReconfigPlan;
 use ft_des::{Component, ComponentId, Context, Engine, ScheduleError};
-use ft_graph::{EdgeId, Graph, NodeId};
+use ft_graph::{EdgeId, Graph, GraphError, NodeId};
 use ft_topo::Network;
 use std::fmt;
 use std::fmt::Write as _;
@@ -139,6 +139,9 @@ pub enum DesError {
     /// A handler scheduled an invalid follow-up event mid-run
     /// (indicates a simulator bug; surfaced rather than swallowed).
     Schedule(ScheduleError),
+    /// The routing policy cannot cover the fabric: ECMP's `u16`
+    /// distance rows overflow at `u16::MAX` switches.
+    Routing(GraphError),
 }
 
 impl fmt::Display for DesError {
@@ -146,6 +149,7 @@ impl fmt::Display for DesError {
         match self {
             DesError::Seed(e) => write!(f, "invalid seeded event: {e}"),
             DesError::Schedule(e) => write!(f, "invalid follow-up event: {e}"),
+            DesError::Routing(e) => write!(f, "routing: {e}"),
         }
     }
 }
@@ -292,11 +296,13 @@ enum DesRouter {
 impl DesRouter {
     /// Builds routing state over the switch view (id-preserving, so
     /// path edge ids index the full graph's liveness table directly).
-    fn build(view: &Graph, policy: RouterPolicy) -> DesRouter {
-        match policy {
-            RouterPolicy::Ecmp => DesRouter::Ecmp(EcmpRoutes::compute_on(view)),
+    /// Every topology change rebuilds: ECMP refills its distance rows on
+    /// demand, KSP refills its path cache.
+    fn build(view: &Graph, policy: RouterPolicy) -> Result<DesRouter, GraphError> {
+        Ok(match policy {
+            RouterPolicy::Ecmp => DesRouter::Ecmp(EcmpRoutes::compute_on(view)?),
             RouterPolicy::Ksp(k) => DesRouter::Ksp(KspRoutes::new_on(view.clone(), k)),
-        }
+        })
     }
 
     fn route(&self, src: NodeId, dst: NodeId, hash: u64) -> Option<ServerPath> {
@@ -340,7 +346,7 @@ struct World {
     conv_obs: Option<ConvObs>,
     topo_id: ComponentId,
     alloc_id: ComponentId,
-    error: Option<ScheduleError>,
+    error: Option<DesError>,
 }
 
 impl World {
@@ -349,7 +355,18 @@ impl World {
     fn sched(&mut self, ctx: &mut Context<'_, Ev>, at: f64, target: ComponentId, ev: Ev) {
         if self.error.is_none() {
             if let Err(e) = ctx.schedule(at, target, ev) {
-                self.error = Some(e);
+                self.error = Some(DesError::Schedule(e));
+            }
+        }
+    }
+
+    /// Rebuilds the router over the current view, recording the first
+    /// failure as [`DesError::Routing`].
+    fn rebuild_router(&mut self) {
+        match DesRouter::build(&self.view, self.policy) {
+            Ok(r) => self.router = r,
+            Err(e) => {
+                self.error.get_or_insert(DesError::Routing(e));
             }
         }
     }
@@ -548,7 +565,7 @@ impl World {
                     self.links_removed += 1;
                 }
                 if self.view.remove_edge(e) {
-                    self.refresh_router_removed(&[e]);
+                    self.rebuild_router();
                 }
                 self.reroute_stale(false);
                 self.request_realloc(ctx);
@@ -556,7 +573,7 @@ impl World {
             TopoEvent::LinkUp(_, e) => {
                 self.net.graph_mut().restore_edge(e);
                 if self.view.restore_edge(e) {
-                    self.router = DesRouter::build(&self.view, self.policy);
+                    self.rebuild_router();
                 }
                 self.reroute_stale(false);
                 self.request_realloc(ctx);
@@ -567,7 +584,7 @@ impl World {
                 // attachments); those don't exist in the switch view.
                 let mut obs_span = ft_obs::span!("des.conversion_drain", t = ctx.now());
                 let removed_before = self.links_removed;
-                let mut view_removed = Vec::new();
+                let mut view_changed = false;
                 for &(a, b) in &ev.removed {
                     let (a, b) = (NodeId(a), NodeId(b));
                     let e = self
@@ -583,12 +600,10 @@ impl World {
                     };
                     self.net.graph_mut().remove_edge(e);
                     self.links_removed += 1;
-                    if self.view.remove_edge(e) {
-                        view_removed.push(e);
-                    }
+                    view_changed |= self.view.remove_edge(e);
                 }
-                if !view_removed.is_empty() {
-                    self.refresh_router_removed(&view_removed);
+                if view_changed {
+                    self.rebuild_router();
                 }
                 let drained = self.links_removed - removed_before;
                 self.conv_obs = Some(ConvObs {
@@ -628,23 +643,13 @@ impl World {
         // New edge ids extend the shared id space; rebuild the view so
         // the router sees them.
         self.view = self.net.switch_view();
-        self.router = DesRouter::build(&self.view, self.policy);
+        self.rebuild_router();
         self.conversions += 1;
         if let Some(obs) = self.conv_obs.as_mut() {
             obs.phase = ConvPhase::Post;
         }
         self.reroute_stale(true);
         self.request_realloc(ctx);
-    }
-
-    /// Incremental ECMP repair after pure removals; everything else
-    /// rebuilds from scratch.
-    fn refresh_router_removed(&mut self, removed: &[EdgeId]) {
-        if let DesRouter::Ecmp(r) = &mut self.router {
-            r.repair(&self.view, removed);
-        } else {
-            self.router = DesRouter::build(&self.view, self.policy);
-        }
     }
 
     /// Re-resolves every active flow whose attachment drifted or whose
@@ -784,7 +789,7 @@ impl DesSimulator {
         let mut span = ft_obs::span!("sim.des", flows = specs.len(), topo = topo.len());
         let net = self.net.clone();
         let view = net.switch_view();
-        let router = DesRouter::build(&view, self.policy);
+        let router = DesRouter::build(&view, self.policy).map_err(DesError::Routing)?;
 
         let mut engine: Engine<World, Ev> = Engine::new();
         let flow_id = engine.register(Box::new(FlowSource));
@@ -851,7 +856,7 @@ impl DesSimulator {
             None => engine.run(&mut world, horizon),
         };
         if let Some(e) = world.error {
-            return Err(DesError::Schedule(e));
+            return Err(e);
         }
 
         let mut makespan = engine.now();

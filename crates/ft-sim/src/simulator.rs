@@ -120,32 +120,17 @@ pub struct Simulator {
 enum Router {
     Ecmp(EcmpRoutes),
     Ksp(KspRoutes),
+    /// ECMP on a fabric too large for its `u16` distance rows: every
+    /// flow stays parked.
+    Unroutable,
 }
 
 impl Router {
+    /// Builds routing state from scratch; every topology event rebuilds.
     fn build(net: &Network, policy: RouterPolicy) -> Router {
         match policy {
-            RouterPolicy::Ecmp => Router::Ecmp(EcmpRoutes::compute(net)),
+            RouterPolicy::Ecmp => EcmpRoutes::compute(net).map_or(Router::Unroutable, Router::Ecmp),
             RouterPolicy::Ksp(k) => Router::Ksp(KspRoutes::new(net, k)),
-        }
-    }
-
-    /// Refreshes routing after topology events. Pure link *removals* under
-    /// ECMP use the incremental repair (only affected destinations are
-    /// recomputed); restorations and KSP caches rebuild from scratch.
-    fn refresh(
-        self,
-        net: &Network,
-        policy: RouterPolicy,
-        removed: &[ft_graph::EdgeId],
-        any_restored: bool,
-    ) -> Router {
-        match (self, any_restored) {
-            (Router::Ecmp(mut routes), false) => {
-                routes.repair(&net.switch_graph(), removed);
-                Router::Ecmp(routes)
-            }
-            _ => Router::build(net, policy),
         }
     }
 
@@ -153,6 +138,7 @@ impl Router {
         match self {
             Router::Ecmp(r) => r.path(src, dst, hash),
             Router::Ksp(r) => r.path(src, dst, hash),
+            Router::Unroutable => None,
         }
     }
 }
@@ -293,23 +279,22 @@ impl Simulator {
                 }
             }
             // Apply due events.
-            let mut removed_now = Vec::new();
-            let mut any_restored = false;
+            let mut topology_changed = false;
             while next_event < events.len() && events[next_event].time() <= now {
                 match events[next_event] {
                     NetworkEvent::LinkDown(_, e) => {
                         self.net.graph_mut().remove_edge(e);
-                        removed_now.push(e);
+                        topology_changed = true;
                     }
                     NetworkEvent::LinkUp(_, e) => {
                         self.net.graph_mut().restore_edge(e);
-                        any_restored = true;
+                        topology_changed = true;
                     }
                 }
                 next_event += 1;
             }
-            if !removed_now.is_empty() || any_restored {
-                router = router.refresh(&self.net, self.policy, &removed_now, any_restored);
+            if topology_changed {
+                router = Router::build(&self.net, self.policy);
                 for f in active.iter_mut() {
                     let still_valid = f
                         .path

@@ -114,7 +114,7 @@ fn crosscheck(net: &Network, router: &Router, label: &str) {
 #[test]
 fn fat_tree_ecmp_max_min_below_fptas_bound() {
     let net = fat_tree(4).unwrap();
-    let router = Router::Ecmp(EcmpRoutes::compute(&net));
+    let router = Router::Ecmp(EcmpRoutes::compute(&net).unwrap());
     crosscheck(&net, &router, "fat-tree k=4 ECMP");
 }
 

@@ -26,7 +26,7 @@ fn conversion_cycle_preserves_routability() {
             (servers[0], servers[servers.len() - 1]),
             (servers[3], servers[servers.len() / 2]),
         ];
-        match ctl.routing() {
+        match ctl.routing().unwrap() {
             ActiveRouting::Ecmp(r) => {
                 for (a, b) in pairs {
                     let p = r
@@ -58,7 +58,7 @@ fn forwarding_tables_work_after_zone_reorganization() {
     let net = ctl.network();
     // ECMP-style rules still route the hybrid topology (shortest paths are
     // well-defined on any connected graph)
-    let routes = EcmpRoutes::compute(net);
+    let routes = EcmpRoutes::compute(net).unwrap();
     let tables = compile_rules(net, &routes);
     let s = net.num_switches() as u32;
     for (src, dst) in [(0u32, s - 1), (5, s / 2), (s - 3, 2)] {

@@ -106,12 +106,12 @@ fn des_reproduces_legacy_on_event_free_trace() {
 }
 
 /// Under mid-run failures the two engines are *not* expected to agree on
-/// per-flow times: the legacy simulator repairs ECMP tables against a
-/// freshly built `Network::switch_graph()`, which renumbers edge ids once
-/// any link is dead, while the `removed` list (and later liveness checks)
-/// stay in network edge-id space. The DES engine routes on the
-/// id-preserving `Network::switch_view()` instead, so its repairs are
-/// consistent by construction. This test therefore pins the robust
+/// per-flow times: the legacy simulator rebuilds its router from a fresh
+/// `Network::switch_graph()`, which renumbers edge ids once any link is
+/// dead, so its paths then carry renumbered ids while its liveness checks
+/// and rate allocation read them as network edge ids. The DES engine
+/// routes on the id-preserving `Network::switch_view()` instead, so its
+/// ids are consistent by construction. This test therefore pins the robust
 /// invariants both engines must satisfy — every flow still completes, the
 /// failures actually force re-routes, and restoring a link never strands a
 /// flow — rather than bitwise parity (which DESIGN.md §14 only requires on
