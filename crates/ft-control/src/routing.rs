@@ -11,7 +11,7 @@
 //! use so the flow-level simulator can query paths in hot loops.
 
 use ft_graph::{
-    k_shortest_paths, Csr, EdgeId, Graph, GraphError, NodeId, UNREACHABLE, UNREACHABLE16,
+    k_shortest_paths_csr, Csr, EdgeId, Graph, GraphError, NodeId, UNREACHABLE, UNREACHABLE16,
 };
 use ft_topo::Network;
 use parking_lot::RwLock;
@@ -174,8 +174,12 @@ impl EcmpRoutes {
 }
 
 /// Lazily computed, cached k-shortest-path sets (Yen) per switch pair.
+///
+/// Holds a [`Csr`] of the switch graph frozen once per router; every
+/// pair's Yen call runs its spur searches on it. A topology change means
+/// building a new router.
 pub struct KspRoutes {
-    sg: Graph,
+    csr: Csr,
     k: usize,
     lengths: Vec<f64>,
     cache: RwLock<HashMap<(u32, u32), Vec<ServerPath>>>,
@@ -185,25 +189,17 @@ impl KspRoutes {
     /// Creates a router over the network's switch graph keeping `k` paths
     /// per pair (the paper/Jellyfish use 8).
     pub fn new(net: &Network, k: usize) -> Self {
-        let sg = net.switch_graph();
-        let lengths = vec![1.0; sg.edge_id_bound()];
-        KspRoutes {
-            sg,
-            k,
-            lengths,
-            cache: RwLock::new(HashMap::new()),
-        }
+        Self::new_on(&net.switch_graph(), k)
     }
 
     /// Creates a router over an explicit switch graph — e.g. the
     /// id-preserving `Network::switch_view()` used by the DES simulator,
     /// where path edge ids must name the network's own edges.
-    pub fn new_on(sg: Graph, k: usize) -> Self {
-        let lengths = vec![1.0; sg.edge_id_bound()];
+    pub fn new_on(sg: &Graph, k: usize) -> Self {
         KspRoutes {
-            sg,
+            csr: Csr::from_graph(sg),
             k,
-            lengths,
+            lengths: vec![1.0; sg.edge_id_bound()],
             cache: RwLock::new(HashMap::new()),
         }
     }
@@ -213,31 +209,37 @@ impl KspRoutes {
         self.k
     }
 
+    /// Applies `f` to the cached k-path set of a switch pair, computing
+    /// and caching it on first use.
+    fn with_paths<R>(&self, src: NodeId, dst: NodeId, f: impl FnOnce(&[ServerPath]) -> R) -> R {
+        if let Some(hit) = self.cache.read().get(&(src.0, dst.0)) {
+            return f(hit);
+        }
+        let paths: Vec<ServerPath> =
+            k_shortest_paths_csr(&self.csr, src, dst, self.k, &self.lengths)
+                .into_iter()
+                .map(|p| ServerPath {
+                    switches: p.nodes,
+                    edges: p.edges,
+                })
+                .collect();
+        let out = f(&paths);
+        self.cache.write().insert((src.0, dst.0), paths);
+        out
+    }
+
     /// The k shortest loopless switch-level paths between two switches,
     /// computed on first use and cached.
     pub fn paths(&self, src: NodeId, dst: NodeId) -> Vec<ServerPath> {
-        if let Some(hit) = self.cache.read().get(&(src.0, dst.0)) {
-            return hit.clone();
-        }
-        let paths = k_shortest_paths(&self.sg, src, dst, self.k, &self.lengths);
-        let out: Vec<ServerPath> = paths
-            .into_iter()
-            .map(|p| ServerPath {
-                switches: p.nodes,
-                edges: p.edges,
-            })
-            .collect();
-        self.cache.write().insert((src.0, dst.0), out.clone());
-        out
+        self.with_paths(src, dst, <[ServerPath]>::to_vec)
     }
 
     /// Deterministic per-flow path selection among the k paths.
     pub fn path(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Option<ServerPath> {
-        let paths = self.paths(src, dst);
-        if paths.is_empty() {
-            return None;
-        }
-        Some(paths[(flow_hash % paths.len() as u64) as usize].clone())
+        self.with_paths(src, dst, |paths| {
+            let n = paths.len() as u64;
+            (n > 0).then(|| paths[(flow_hash % n) as usize].clone())
+        })
     }
 
     /// Cached pair count (for memory instrumentation).

@@ -76,9 +76,9 @@ impl DijkstraResult {
 /// Min-heap entry ordered by distance. `f64` distances are never NaN here
 /// (lengths are validated), so the total order is safe.
 #[derive(PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+pub(crate) struct HeapEntry {
+    pub(crate) dist: f64,
+    pub(crate) node: NodeId,
 }
 
 impl Eq for HeapEntry {}
@@ -109,20 +109,10 @@ impl PartialOrd for HeapEntry {
 /// Panics (debug assertions) on negative or NaN lengths encountered during
 /// relaxation.
 pub fn dijkstra(g: &Graph, src: NodeId, length: &[f64]) -> DijkstraResult {
-    dijkstra_filtered(g, src, length, |_, _| true)
-}
-
-/// Dijkstra restricted to edges/nodes accepted by `allow(node, edge)`:
-/// relaxation from `v` over edge `e` to `u` happens only when
-/// `allow(u, e)` is true. Used by Yen's algorithm to ban spur-path prefixes.
-pub fn dijkstra_filtered<F>(g: &Graph, src: NodeId, length: &[f64], allow: F) -> DijkstraResult
-where
-    F: Fn(NodeId, EdgeId) -> bool,
-{
-    // One-shot calls pay a CSR freeze; repeated callers (Yen's, benchmarks)
-    // build the view once and use `dijkstra_csr_filtered` directly. The CSR
-    // preserves `Graph::neighbors` order, so results are bit-identical.
-    dijkstra_csr_filtered(&Csr::from_graph(g), src, length, allow)
+    // One-shot calls pay a CSR freeze; repeated callers build the view
+    // once and use `dijkstra_csr` directly. The CSR preserves
+    // `Graph::neighbors` order, so results are bit-identical.
+    dijkstra_csr(&Csr::from_graph(g), src, length)
 }
 
 /// [`dijkstra`] over a pre-built [`Csr`] view.
@@ -130,9 +120,11 @@ pub fn dijkstra_csr(csr: &Csr, src: NodeId, length: &[f64]) -> DijkstraResult {
     dijkstra_csr_filtered(csr, src, length, |_, _| true)
 }
 
-/// [`dijkstra_filtered`] over a pre-built [`Csr`] view: the hot-path variant
-/// that traverses the contiguous `offsets`/`targets`/`edge_ids` arrays
-/// instead of the pointer-chasing `Vec<Vec<…>>` adjacency.
+/// Dijkstra over a pre-built [`Csr`] view, restricted to edges/nodes
+/// accepted by `allow(node, edge)`: relaxation from `v` over edge `e` to
+/// `u` happens only when `allow(u, e)` is true. Traverses the contiguous
+/// `offsets`/`targets`/`edge_ids` arrays instead of the pointer-chasing
+/// `Vec<Vec<…>>` adjacency.
 pub fn dijkstra_csr_filtered<F>(csr: &Csr, src: NodeId, length: &[f64], allow: F) -> DijkstraResult
 where
     F: Fn(NodeId, EdgeId) -> bool,
@@ -232,7 +224,8 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         // ban the direct 0-2 edge (id 2)
         let len = vec![1.0; 3];
-        let d = dijkstra_filtered(&g, NodeId(0), &len, |_, e| e.index() != 2);
+        let csr = Csr::from_graph(&g);
+        let d = dijkstra_csr_filtered(&csr, NodeId(0), &len, |_, e| e.index() != 2);
         assert_eq!(d.dist[2], 2.0);
     }
 

@@ -65,7 +65,7 @@ pub use error::GraphError;
 pub use graph::{id32, try_id32, EdgeId, Graph, NodeId};
 pub use maxflow::FlowNetwork;
 pub use stats::{degree_histogram, diameter, is_connected};
-pub use yen::{k_shortest_paths, Path};
+pub use yen::{k_shortest_paths, k_shortest_paths_csr, Path};
 
 /// Distance value used by unweighted searches for unreachable nodes.
 pub const UNREACHABLE: u32 = u32::MAX;

@@ -4,11 +4,16 @@
 //! routing (§2.6), following Jellyfish \[Singla et al., NSDI'12\] which uses
 //! 8-shortest-paths. `ft-control` compiles per-destination path sets with
 //! this module.
+//!
+//! Every spur search of one call runs on the same [`Csr`] and the same
+//! `SpurSearch` scratch: distances, parents and bans live in arrays
+//! stamped with a generation counter, so starting a search or a new ban
+//! set costs O(1) instead of a reset or a hash set (DESIGN.md §14.3).
 
 use crate::csr::Csr;
-use crate::dijkstra::{dijkstra_csr_filtered, DijkstraResult};
+use crate::dijkstra::HeapEntry;
 use crate::graph::{EdgeId, Graph, NodeId};
-use std::collections::HashSet;
+use std::collections::{BinaryHeap, HashSet};
 
 /// A loopless path: node sequence, the edges between them, and total length.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,19 +27,137 @@ pub struct Path {
 }
 
 impl Path {
-    fn from_result(res: &DijkstraResult, t: NodeId) -> Option<Path> {
-        let nodes = res.node_path_to(t)?;
-        let edges = res.edge_path_to(t)?;
-        Some(Path {
-            length: res.dist[t.index()],
-            nodes,
-            edges,
-        })
-    }
-
     /// Number of hops (edges) on the path.
     pub fn hops(&self) -> usize {
         self.edges.len()
+    }
+}
+
+/// Reusable Dijkstra scratch for the spur searches of one Yen call.
+///
+/// `dist[v]` and `parent[v]` are meaningful only while `reached[v]` holds
+/// the current search generation; a node or edge is banned while its entry
+/// in `banned_nodes`/`banned_edges` holds the current ban generation.
+struct SpurSearch {
+    dist: Vec<f64>,
+    parent: Vec<(NodeId, EdgeId)>,
+    reached: Vec<u32>,
+    search: u32,
+    banned_nodes: Vec<u32>,
+    banned_edges: Vec<u32>,
+    ban: u32,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl SpurSearch {
+    fn new(nodes: usize, edges: usize) -> Self {
+        SpurSearch {
+            dist: vec![f64::INFINITY; nodes],
+            parent: vec![(NodeId(0), EdgeId(0)); nodes],
+            reached: vec![0; nodes],
+            search: 0,
+            banned_nodes: vec![0; nodes],
+            banned_edges: vec![0; edges],
+            ban: 1,
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Lifts every ban: starts a new, empty ban generation.
+    fn clear_bans(&mut self) {
+        if self.ban == u32::MAX {
+            self.banned_nodes.fill(0);
+            self.banned_edges.fill(0);
+            self.ban = 0;
+        }
+        self.ban += 1;
+    }
+
+    fn ban_node(&mut self, v: NodeId) {
+        self.banned_nodes[v.index()] = self.ban;
+    }
+
+    fn ban_edge(&mut self, e: EdgeId) {
+        self.banned_edges[e.index()] = self.ban;
+    }
+
+    /// Current tentative distance of `v` (infinite until reached).
+    fn dist(&self, v: usize) -> f64 {
+        if self.reached[v] == self.search {
+            self.dist[v]
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// Shortest `src → dst` path avoiding the banned nodes and edges, or
+    /// `None` when `dst` is unreachable.
+    ///
+    /// Relaxes exactly like [`crate::dijkstra::dijkstra_csr_filtered`]
+    /// (same heap order, same strict `<`) but stops once `dst` is popped:
+    /// with non-negative lengths a popped node's distance and parent never
+    /// change again, and every node on its parent chain was popped
+    /// before it, so the path and its length are those of the full run.
+    fn shortest(&mut self, csr: &Csr, src: NodeId, dst: NodeId, length: &[f64]) -> Option<Path> {
+        if self.search == u32::MAX {
+            self.reached.fill(0);
+            self.search = 0;
+        }
+        self.search += 1;
+        self.heap.clear();
+        self.reached[src.index()] = self.search;
+        self.dist[src.index()] = 0.0;
+        self.heap.push(HeapEntry {
+            dist: 0.0,
+            node: src,
+        });
+        let mut found = false;
+        while let Some(HeapEntry { dist: d, node: v }) = self.heap.pop() {
+            if d > self.dist(v.index()) {
+                continue; // stale entry
+            }
+            if v == dst {
+                found = true;
+                break;
+            }
+            for (&t, &e) in csr.targets(v.index()).iter().zip(csr.edge_ids(v.index())) {
+                let u = t as usize;
+                if self.banned_edges[e as usize] == self.ban || self.banned_nodes[u] == self.ban {
+                    continue;
+                }
+                let w = length[e as usize];
+                debug_assert!(w >= 0.0 && !w.is_nan(), "invalid edge length {w}");
+                let nd = d + w;
+                if nd < self.dist(u) {
+                    self.reached[u] = self.search;
+                    self.dist[u] = nd;
+                    self.parent[u] = (v, EdgeId(e));
+                    self.heap.push(HeapEntry {
+                        dist: nd,
+                        node: NodeId(t),
+                    });
+                }
+            }
+        }
+        if !found {
+            return None;
+        }
+        let mut nodes = vec![dst];
+        let mut edges = Vec::new();
+        let mut cur = dst;
+        while cur != src {
+            let (p, e) = self.parent[cur.index()];
+            nodes.push(p);
+            edges.push(e);
+            cur = p;
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some(Path {
+            nodes,
+            edges,
+            length: self.dist[dst.index()],
+        })
     }
 }
 
@@ -47,9 +170,26 @@ impl Path {
 ///
 /// This is classic Yen: the i-th candidate spur paths are generated by
 /// banning, at each spur node, the outgoing edges used by already-accepted
-/// paths sharing the same prefix, plus all prefix nodes.
+/// paths sharing the same prefix, plus all prefix nodes. Callers that ask
+/// for many pairs on one graph should freeze it once and call
+/// [`k_shortest_paths_csr`].
 pub fn k_shortest_paths(
     g: &Graph,
+    src: NodeId,
+    dst: NodeId,
+    k: usize,
+    length: &[f64],
+) -> Vec<Path> {
+    k_shortest_paths_csr(&Csr::from_graph(g), src, dst, k, length)
+}
+
+/// [`k_shortest_paths`] over a pre-built [`Csr`] view of the graph.
+///
+/// `length` is indexed by edge id and must cover every edge of the view.
+/// Returns an empty vector when `src` or `dst` is not a node of the view
+/// (unless `src == dst`, which is the single empty path).
+pub fn k_shortest_paths_csr(
+    csr: &Csr,
     src: NodeId,
     dst: NodeId,
     k: usize,
@@ -65,12 +205,13 @@ pub fn k_shortest_paths(
             length: 0.0,
         }];
     }
+    let n = csr.node_count();
+    if src.index() >= n || dst.index() >= n {
+        return Vec::new();
+    }
 
-    // Freeze the adjacency once; every spur computation below traverses the
-    // same CSR view (identical neighbor order → identical paths as before).
-    let csr = Csr::from_graph(g);
-    let first = dijkstra_csr_filtered(&csr, src, length, |_, _| true);
-    let Some(p0) = Path::from_result(&first, dst) else {
+    let mut search = SpurSearch::new(n, length.len());
+    let Some(p0) = search.shortest(csr, src, dst, length) else {
         return Vec::new();
     };
 
@@ -81,7 +222,7 @@ pub fn k_shortest_paths(
     seen.insert(accepted[0].edges.clone());
 
     while accepted.len() < k {
-        let Some(prev) = accepted.last().cloned() else {
+        let Some(prev) = accepted.last() else {
             break; // unreachable: `accepted` starts with p0 and only grows
         };
         // Spur from every node of the previous path except the destination.
@@ -93,20 +234,19 @@ pub fn k_shortest_paths(
 
             // Ban: edges leaving the spur node along any accepted path with
             // the same root, and all root nodes except the spur node itself.
-            let mut banned_edges: HashSet<EdgeId> = HashSet::new();
+            search.clear_bans();
             for p in &accepted {
                 if p.nodes.len() > spur_idx && p.nodes[..=spur_idx] == *root_nodes {
                     if let Some(&e) = p.edges.get(spur_idx) {
-                        banned_edges.insert(e);
+                        search.ban_edge(e);
                     }
                 }
             }
-            let banned_nodes: HashSet<NodeId> = root_nodes[..spur_idx].iter().copied().collect();
+            for &v in &root_nodes[..spur_idx] {
+                search.ban_node(v);
+            }
 
-            let res = dijkstra_csr_filtered(&csr, spur_node, length, |u, e| {
-                !banned_edges.contains(&e) && !banned_nodes.contains(&u)
-            });
-            if let Some(spur) = Path::from_result(&res, dst) {
+            if let Some(spur) = search.shortest(csr, spur_node, dst, length) {
                 let mut nodes = root_nodes.to_vec();
                 nodes.extend_from_slice(&spur.nodes[1..]);
                 let mut edges = root_edges.to_vec();

@@ -93,6 +93,11 @@ pub struct ConversionEvent {
 
 impl ConversionEvent {
     /// Builds a conversion event from a reconfiguration plan.
+    ///
+    /// # Panics
+    /// Panics when `latency` is negative or not finite; input from
+    /// outside the program (scenario files) is checked before it gets
+    /// here.
     pub fn from_plan(
         at: f64,
         latency: f64,
@@ -142,6 +147,8 @@ pub enum DesError {
     /// The routing policy cannot cover the fabric: ECMP's `u16`
     /// distance rows overflow at `u16::MAX` switches.
     Routing(GraphError),
+    /// A per-direction link capacity that is not finite and positive.
+    InvalidCapacity(f64),
 }
 
 impl fmt::Display for DesError {
@@ -150,6 +157,9 @@ impl fmt::Display for DesError {
             DesError::Seed(e) => write!(f, "invalid seeded event: {e}"),
             DesError::Schedule(e) => write!(f, "invalid follow-up event: {e}"),
             DesError::Routing(e) => write!(f, "routing: {e}"),
+            DesError::InvalidCapacity(c) => {
+                write!(f, "link capacity must be finite and positive, got {c}")
+            }
         }
     }
 }
@@ -301,7 +311,7 @@ impl DesRouter {
     fn build(view: &Graph, policy: RouterPolicy) -> Result<DesRouter, GraphError> {
         Ok(match policy {
             RouterPolicy::Ecmp => DesRouter::Ecmp(EcmpRoutes::compute_on(view)?),
-            RouterPolicy::Ksp(k) => DesRouter::Ksp(KspRoutes::new_on(view.clone(), k)),
+            RouterPolicy::Ksp(k) => DesRouter::Ksp(KspRoutes::new_on(view, k)),
         })
     }
 
@@ -750,10 +760,15 @@ impl DesSimulator {
     }
 
     /// Overrides the per-direction link capacity.
-    pub fn with_capacity(mut self, capacity: f64) -> Self {
-        assert!(capacity > 0.0);
+    ///
+    /// Fails with [`DesError::InvalidCapacity`] unless `capacity` is
+    /// finite and positive.
+    pub fn with_capacity(mut self, capacity: f64) -> Result<Self, DesError> {
+        if !(capacity.is_finite() && capacity > 0.0) {
+            return Err(DesError::InvalidCapacity(capacity));
+        }
         self.capacity = capacity;
-        self
+        Ok(self)
     }
 
     /// Runs the scenario to completion or `horizon`, whichever comes
@@ -1227,5 +1242,23 @@ mod tests {
             .run(&specs, &[], 1e9)
             .unwrap_err();
         assert_eq!(err, DesError::Seed(ScheduleError::NotANumber));
+    }
+
+    #[test]
+    fn bad_capacity_is_a_typed_error() {
+        let net = k4();
+        for bad in [0.0, -1.0, f64::INFINITY] {
+            let err = DesSimulator::new(&net, RouterPolicy::Ecmp)
+                .with_capacity(bad)
+                .err();
+            assert_eq!(err, Some(DesError::InvalidCapacity(bad)));
+        }
+        let err = DesSimulator::new(&net, RouterPolicy::Ecmp)
+            .with_capacity(f64::NAN)
+            .err();
+        assert!(matches!(err, Some(DesError::InvalidCapacity(c)) if c.is_nan()));
+        assert!(DesSimulator::new(&net, RouterPolicy::Ecmp)
+            .with_capacity(2.5)
+            .is_ok());
     }
 }

@@ -6,17 +6,25 @@
 //! uniformly, freezes the flows crossing the first saturating link at their
 //! fair share, removes that capacity, and repeats — the textbook max-min
 //! allocation that per-flow-fair transport (TCP-ish) approximates.
+//!
+//! The filling loop runs on flat arrays indexed by the directed-link
+//! *slot* `2·edge + forward` (DESIGN.md §14.2): remaining capacity and a
+//! count of unfrozen crossings per slot, a CSR of member flows per slot
+//! filled in flow order, and an ascending list of the slots that still
+//! carry unfrozen flows. Slot order is [`DirectedLink`]'s `Ord`, so the
+//! bottleneck scan meets links in the order a `BTreeMap` keyed by
+//! `DirectedLink` would.
 
 use ft_graph::EdgeId;
-use std::collections::BTreeMap;
 
 /// A directed traversal of an undirected link: the edge id plus the
 /// direction (`forward` = from the lower node id to the higher).
 ///
-/// Ordered so link maps can be `BTreeMap`s: the progressive-filling loop
-/// breaks fair-share ties by iteration order, and that order must not
-/// depend on a hash seed (bit-identical rates across runs and
-/// `FT_THREADS`, DESIGN.md §10).
+/// The derived `Ord` (edge, then `false < true`) is the order of the
+/// allocator's slots `2·edge + forward`: the progressive-filling loop
+/// breaks fair-share ties by that order, which never depends on a hash
+/// seed (bit-identical rates across runs and `FT_THREADS`, DESIGN.md
+/// §10).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct DirectedLink {
     /// Underlying undirected edge.
@@ -25,65 +33,93 @@ pub struct DirectedLink {
     pub forward: bool,
 }
 
+impl DirectedLink {
+    /// Dense index of this link direction: `2·edge + forward`, ascending
+    /// in the derived `Ord`.
+    fn slot(self) -> usize {
+        2 * self.edge.index() + usize::from(self.forward)
+    }
+}
+
 /// Computes max-min fair rates.
 ///
 /// `paths[f]` is the directed-link list of flow `f` (empty = same-switch
 /// flow, which gets `f64::INFINITY`). `capacity` is per link direction.
 /// Returns one rate per flow.
+///
+/// A path that lists the same directed link more than once is charged per
+/// crossing: each crossing counts toward the link's fair-share divisor and
+/// takes the flow's rate from its capacity, so `[a, a]` alone on `a` gets
+/// half the capacity.
+///
+/// Ties between equal fair shares go to the lowest [`DirectedLink`]; the
+/// flows on the bottleneck freeze in flow order. Memory is linear in the
+/// largest edge id named plus the number of crossings.
+///
+/// # Panics
+/// Panics when `capacity` is not positive.
 pub fn max_min_rates(paths: &[Vec<DirectedLink>], capacity: f64) -> Vec<f64> {
     assert!(capacity > 0.0, "capacity must be positive");
-    let n = paths.len();
-    let mut rate = vec![f64::INFINITY; n];
+    let mut rate = vec![f64::INFINITY; paths.len()];
+    let slots = paths
+        .iter()
+        .flatten()
+        .map(|l| l.slot() + 1)
+        .max()
+        .unwrap_or(0);
 
-    // Link occupancy: flows crossing each directed link. BTreeMaps keep
-    // the bottleneck scan's tie-break independent of any hash seed.
-    let mut link_flows: BTreeMap<DirectedLink, Vec<usize>> = BTreeMap::new();
+    // Unfrozen crossings per slot, then the member flows of each slot as
+    // a CSR (`members[start[s]..start[s + 1]]`), filled in flow order.
+    let mut unfrozen = vec![0u32; slots];
+    for l in paths.iter().flatten() {
+        unfrozen[l.slot()] += 1;
+    }
+    let mut start = Vec::with_capacity(slots + 1);
+    let mut total = 0usize;
+    start.push(0);
+    for &c in &unfrozen {
+        total += c as usize;
+        start.push(total);
+    }
+    let mut cursor = start.clone();
+    let mut members = vec![0usize; total];
     for (f, path) in paths.iter().enumerate() {
-        for &dl in path {
-            link_flows.entry(dl).or_default().push(f);
+        for l in path {
+            let s = l.slot();
+            members[cursor[s]] = f;
+            cursor[s] += 1;
         }
     }
-    let mut remaining_cap: BTreeMap<DirectedLink, f64> =
-        link_flows.keys().map(|&l| (l, capacity)).collect();
-    let mut frozen = vec![false; n];
-    let mut active_on_link: BTreeMap<DirectedLink, usize> =
-        link_flows.iter().map(|(&l, fs)| (l, fs.len())).collect();
+    let mut remaining = vec![capacity; slots];
+    let mut live: Vec<usize> = (0..slots).filter(|&s| unfrozen[s] > 0).collect();
+    let mut frozen = vec![false; paths.len()];
 
-    loop {
-        // Find the bottleneck: the link with the smallest fair share among
-        // links still carrying unfrozen flows.
-        let mut bottleneck: Option<(DirectedLink, f64)> = None;
-        for (&l, &cnt) in &active_on_link {
-            if cnt == 0 {
+    while !live.is_empty() {
+        // The bottleneck: the smallest fair share among slots still
+        // carrying unfrozen flows; the first (lowest) slot wins ties.
+        let mut bottleneck = live[0];
+        let mut share = remaining[bottleneck] / f64::from(unfrozen[bottleneck]);
+        for &s in &live[1..] {
+            let x = remaining[s] / f64::from(unfrozen[s]);
+            if x < share {
+                (bottleneck, share) = (s, x);
+            }
+        }
+        // Freeze every unfrozen flow on the bottleneck at `share`, and
+        // charge that rate to every link those flows cross.
+        for &f in &members[start[bottleneck]..start[bottleneck + 1]] {
+            if frozen[f] {
                 continue;
             }
-            let share = remaining_cap[&l] / cnt as f64;
-            if bottleneck.is_none_or(|(_, s)| share < s) {
-                bottleneck = Some((l, share));
-            }
-        }
-        let Some((link, share)) = bottleneck else {
-            break; // all flows frozen (or only same-switch flows remain)
-        };
-        // Freeze every unfrozen flow on the bottleneck at `share`, and
-        // charge that rate to every other link those flows cross.
-        let flows: Vec<usize> = link_flows[&link]
-            .iter()
-            .copied()
-            .filter(|&f| !frozen[f])
-            .collect();
-        for f in flows {
             frozen[f] = true;
             rate[f] = share;
-            for &dl in &paths[f] {
-                if let Some(cap) = remaining_cap.get_mut(&dl) {
-                    *cap = (*cap - share).max(0.0);
-                }
-                if let Some(cnt) = active_on_link.get_mut(&dl) {
-                    *cnt -= 1;
-                }
+            for l in &paths[f] {
+                let s = l.slot();
+                remaining[s] = (remaining[s] - share).max(0.0);
+                unfrozen[s] -= 1;
             }
         }
+        live.retain(|&s| unfrozen[s] > 0);
     }
     rate
 }
@@ -219,6 +255,33 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = max_min_rates(&[vec![dl(0, true)]], 0.0);
+    }
+
+    #[test]
+    fn repeated_link_is_charged_per_crossing() {
+        // a path naming one link twice counts two crossings: the link's
+        // fair share halves and the flow pays its rate on both
+        let rates = max_min_rates(&[vec![dl(0, true), dl(0, true)]], 1.0);
+        assert_eq!(rates, vec![0.5]);
+        let rates = max_min_rates(&[vec![dl(0, true), dl(0, true)], vec![dl(0, true)]], 1.0);
+        assert_eq!(rates, vec![1.0 / 3.0, 1.0 / 3.0]);
+    }
+
+    #[test]
+    fn slot_order_is_directed_link_order() {
+        // the bottleneck scan walks slots upward; that must be the
+        // derived `Ord`, which the tie-break is specified against
+        let mut links = vec![
+            dl(3, true),
+            dl(0, true),
+            dl(3, false),
+            dl(1, false),
+            dl(0, false),
+        ];
+        let mut by_slot = links.clone();
+        links.sort();
+        by_slot.sort_by_key(|l| l.slot());
+        assert_eq!(links, by_slot);
     }
 
     #[test]

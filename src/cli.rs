@@ -674,6 +674,30 @@ fn parse_scenario(text: &str) -> Result<Scenario, CliError> {
             }
         }
     }
+    // Values the simulator would assert on are refused here, where the
+    // file is read, rather than panicking mid-run.
+    for (key, v) in [
+        ("capacity", sc.capacity),
+        ("size", sc.size),
+        ("rate", sc.rate),
+    ] {
+        if !(v.is_finite() && v > 0.0) {
+            return Err(CliError(format!(
+                "scenario key {key}: must be finite and positive, got {v}"
+            )));
+        }
+    }
+    if sc.workload.cluster_size == 0 {
+        return Err(CliError(
+            "scenario key cluster-size: must be at least 1".into(),
+        ));
+    }
+    if !(sc.latency.is_finite() && sc.latency >= 0.0) {
+        return Err(CliError(format!(
+            "scenario key latency: must be finite and >= 0, got {}",
+            sc.latency
+        )));
+    }
     Ok(sc)
 }
 
@@ -783,7 +807,9 @@ fn cmd_sim(inv: &Invocation) -> Result<String, CliError> {
 
     let tm = generate(&net, &sc.workload, sc.seed);
     let flows = flows_with_arrivals(&tm, sc.size, sc.rate, sc.rounds, sc.seed);
-    let sim = DesSimulator::new(&net, sc.policy).with_capacity(sc.capacity);
+    let sim = DesSimulator::new(&net, sc.policy)
+        .with_capacity(sc.capacity)
+        .map_err(|e| CliError(e.to_string()))?;
     let events_path = inv.options.get("events");
     let rep = if events_path.is_some() {
         sim.run_traced(&flows, &topo, sc.horizon)
@@ -1964,6 +1990,32 @@ mod tests {
         let sc = parse_scenario("# hello\n\nk = 8 # trailing\npolicy = ksp:4\n").unwrap();
         assert_eq!(sc.k, 8);
         assert_eq!(sc.policy, RouterPolicy::Ksp(4));
+    }
+
+    #[test]
+    fn sim_scenario_parser_rejects_values_the_simulator_asserts_on() {
+        for text in [
+            "capacity = 0\n",
+            "capacity = -2\n",
+            "capacity = inf\n",
+            "capacity = NaN\n",
+            "latency = -1\n",
+            "latency = inf\n",
+            "latency = NaN\n",
+            "size = 0\n",
+            "rate = -1\n",
+            "rate = inf\n",
+            "cluster-size = 0\n",
+        ] {
+            let err = parse_scenario(text).err().map(|e| e.to_string());
+            assert!(
+                err.as_deref()
+                    .is_some_and(|e| e.starts_with("scenario key")),
+                "{text:?} accepted or mislabelled: {err:?}"
+            );
+        }
+        let sc = parse_scenario("capacity = 0.25\nlatency = 0\n").unwrap();
+        assert_eq!((sc.capacity, sc.latency), (0.25, 0.0));
     }
 
     #[test]

@@ -1,0 +1,56 @@
+//! `ftctl sim` on scenario values that used to crash or slip through:
+//! a zero or infinite link capacity and a negative converter latency must
+//! each end in an `error:` line and exit code 2, never a panic (exit 101)
+//! or a run.
+
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use std::process::Command;
+
+/// Runs `ftctl sim` on a one-off scenario file with `extra` appended to a
+/// small conversion scenario; returns (exit code, stderr).
+fn sim_with(name: &str, extra: &str) -> (Option<i32>, String) {
+    let path = std::env::temp_dir().join(format!("ftctl_sim_values_{name}.scn"));
+    let text = format!("k = 4\nto = global-rg\nrounds = 1\n{extra}\n");
+    std::fs::write(&path, text).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_ftctl"))
+        .args(["sim", "--scenario", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+fn assert_rejected(name: &str, extra: &str, key: &str) {
+    let (code, stderr) = sim_with(name, extra);
+    assert_eq!(code, Some(2), "{extra:?}: exit {code:?}, stderr {stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: scenario key {key}")),
+        "{extra:?}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+}
+
+#[test]
+fn zero_capacity_is_an_error() {
+    assert_rejected("cap0", "capacity = 0", "capacity");
+}
+
+#[test]
+fn infinite_capacity_is_an_error() {
+    assert_rejected("capinf", "capacity = inf", "capacity");
+}
+
+#[test]
+fn negative_latency_is_an_error() {
+    assert_rejected("latneg", "latency = -1", "latency");
+}
+
+#[test]
+fn valid_values_still_run() {
+    let (code, stderr) = sim_with("valid", "capacity = 2\nlatency = 0");
+    assert_eq!(code, Some(0), "{stderr}");
+}
