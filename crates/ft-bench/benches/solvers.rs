@@ -7,10 +7,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ft_core::{FlatTree, FlatTreeConfig, Mode};
 use ft_mcf::{
-    aggregate_commodities, max_concurrent_flow, max_concurrent_flow_exact,
-    max_concurrent_flow_sharded, CapGraph, Commodity, FptasOptions, ShardConfig,
+    aggregate_commodities, max_concurrent_flow, max_concurrent_flow_exact, CapGraph, Commodity,
+    FptasOptions,
 };
-use ft_metrics::path_length::SwitchDistances;
 use ft_metrics::throughput::{throughput_all_to_all, SolverKind, ThroughputOptions};
 use ft_topo::{fat_tree, Network};
 use ft_workload::{generate, Locality, TrafficPattern, WorkloadSpec};
@@ -74,11 +73,9 @@ fn bench_fptas(c: &mut Criterion) {
     g.finish();
 }
 
-/// The fig7 hot-spot point through the three FPTAS engines: the batched
-/// baseline, the round-sharded engine (cold and warm-started from the
-/// switch distance table), and — on the symmetric Clos layout — the
-/// orbit-aggregated all-to-all solve whose cost is dominated by the
-/// distance/symmetry preprocessing, not the quotient FPTAS itself.
+/// The fig7 hot-spot point through the batched FPTAS, and — on the
+/// symmetric Clos layout — the orbit-aggregated all-to-all solve end to
+/// end (distance table, symmetry classes and the quotient FPTAS).
 fn bench_fptas_engines(c: &mut Criterion) {
     let mut g = c.benchmark_group("fptas-engines");
     g.sample_size(10);
@@ -92,25 +89,6 @@ fn bench_fptas_engines(c: &mut Criterion) {
     let opts = FptasOptions::with_epsilon(0.2);
     g.bench_with_input(BenchmarkId::new("batched", k), &(), |b, ()| {
         b.iter(|| black_box(max_concurrent_flow(&cg, &cs, opts)))
-    });
-    g.bench_with_input(BenchmarkId::new("sharded-cold", k), &(), |b, ()| {
-        b.iter(|| {
-            black_box(max_concurrent_flow_sharded(
-                &cg,
-                &cs,
-                opts,
-                &ShardConfig::default(),
-            ))
-        })
-    });
-    let dist = SwitchDistances::compute(&flat);
-    let oracle = move |a: usize, b: usize| dist.switch_distance(a, b);
-    let cfg = ShardConfig {
-        threads: 0,
-        warm: Some(&oracle),
-    };
-    g.bench_with_input(BenchmarkId::new("sharded-warm", k), &(), |b, ()| {
-        b.iter(|| black_box(max_concurrent_flow_sharded(&cg, &cs, opts, &cfg)))
     });
     let clos = FlatTree::new(FlatTreeConfig::for_fat_tree_k(k).unwrap())
         .unwrap()

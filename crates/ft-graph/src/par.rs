@@ -176,86 +176,6 @@ where
     out
 }
 
-/// [`map_with`] with a per-worker scratch value created by `init` — the
-/// map-shaped sibling of [`fill_rows_with`]'s `(init, fill)` pair, for
-/// item computations that reuse an expensive buffer (the sharded FPTAS
-/// builds one shortest-path tree per item and keeps one `DijkstraScratch`
-/// per worker alive across all the items that worker claims).
-///
-/// The determinism contract is the same as [`map_with`]: results land in
-/// input-order slots, so the output is bit-identical for every worker
-/// count **provided** `f`'s result does not depend on the scratch's
-/// history — `init` must produce interchangeable scratches and `f` must
-/// treat the scratch as reusable buffers, not as an accumulator.
-pub fn map_init_with<T, S, R, G, F>(threads: usize, items: &[T], init: G, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = threads.min(n).max(1);
-    let c = obs();
-    c.maps.incr();
-    c.tasks.add(n as u64);
-    c.workers.set(workers as u64);
-    let _span = ft_obs::span!("par.map_init", items = n, workers = workers);
-    if workers <= 1 {
-        let mut scratch = init();
-        return items.iter().map(|it| f(&mut scratch, it)).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let f = &f;
-    let init = &init;
-    let cursor_ref = &cursor;
-    // Same worker-local (index, result) accumulation as map_with; the only
-    // difference is the per-worker scratch threaded through `f`.
-    let locals: Vec<Vec<(usize, R)>> = match crossbeam::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move |_| {
-                    let mut scratch = init();
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(&mut scratch, &items[i])));
-                    }
-                    if ft_obs::enabled() {
-                        // See map_with: drain before the scope joins.
-                        ft_obs::flush();
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(local) => local,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    }) {
-        Ok(v) => v,
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
-
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for (i, r) in locals.into_iter().flatten() {
-        // bounds: every recorded index came from a cursor claim < n
-        slots[i] = Some(r);
-    }
-    let out: Vec<R> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(out.len(), n);
-    out
-}
-
 /// Fills `out`, viewed as consecutive rows of `row_len` elements, in
 /// parallel: `fill(row_index, row_slice, scratch)` is called exactly once
 /// per row, with a per-worker `scratch` created by `init`.
@@ -419,27 +339,6 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 7] {
             assert_eq!(map_with(threads, &items, |x| x * x), expect);
-        }
-    }
-
-    #[test]
-    fn map_init_matches_map_at_any_worker_count() {
-        let items: Vec<u64> = (0..193).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for threads in [1, 2, 5] {
-            // scratch used as a reusable buffer (its content never leaks
-            // into the result), per the map_init_with contract
-            let got = map_init_with(
-                threads,
-                &items,
-                || Vec::<u64>::new(),
-                |buf, x| {
-                    buf.clear();
-                    buf.push(*x);
-                    buf[0] * 3 + 1
-                },
-            );
-            assert_eq!(got, expect, "threads={threads}");
         }
     }
 

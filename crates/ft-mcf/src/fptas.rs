@@ -43,6 +43,18 @@
 //! the Fleischer–Garg–Könemann analysis guarantees it is ≥ (1 − 3ε) · OPT
 //! at convergence.
 //!
+//! # Arc classes
+//!
+//! The loop packs flow into *elements* given by an `ArcModel`: one element
+//! per arc for a full instance, or one per (tail class, head class) arc
+//! class for a symmetry quotient ([`crate::shard`]). Lengths, flows, the
+//! dual and δ then live on elements: a class of `q` arcs has capacity
+//! `q·cap`, a path's length sums its arcs' class lengths, and a push raises
+//! a class's length once per arc of the path in that class. On the
+//! identity model the loop is the plain per-arc scheme, bit for bit, and
+//! pays nothing for the indirection (the model is a compile-time parameter
+//! of the routing loop).
+//!
 //! # Budget semantics
 //!
 //! A step budget ([`FptasOptions::max_steps`]) bounds the number of
@@ -76,6 +88,7 @@
 
 use crate::bounds::node_cut_upper_bound;
 use crate::digraph::{CapGraph, DijkstraScratch, ReverseIndex};
+use crate::shard::ArcModel;
 use crate::{Commodity, McfError};
 use std::sync::OnceLock;
 
@@ -91,6 +104,8 @@ pub(crate) struct McfCounters {
     pub(crate) deferrals: &'static ft_obs::Counter,
     pub(crate) rescue_armed: &'static ft_obs::Counter,
     pub(crate) budget_exhausted: &'static ft_obs::Counter,
+    pub(crate) aggregated_runs: &'static ft_obs::Counter,
+    pub(crate) aggregated_commodities: &'static ft_obs::Gauge,
 }
 
 pub(crate) fn obs() -> &'static McfCounters {
@@ -103,6 +118,8 @@ pub(crate) fn obs() -> &'static McfCounters {
         deferrals: ft_obs::registry::counter("ft_mcf_stale_deferrals_total"),
         rescue_armed: ft_obs::registry::counter("ft_mcf_rescue_armed_total"),
         budget_exhausted: ft_obs::registry::counter("ft_mcf_budget_exhausted_total"),
+        aggregated_runs: ft_obs::registry::counter("ft_mcf_aggregated_runs_total"),
+        aggregated_commodities: ft_obs::registry::gauge("ft_mcf_aggregated_commodities"),
     })
 }
 
@@ -176,7 +193,7 @@ pub fn max_concurrent_flow(
     commodities: &[Commodity],
     opts: FptasOptions,
 ) -> Result<McfSolution, McfError> {
-    solve(g, commodities, opts, true)
+    solve(g, commodities, &ArcModel::identity(g), None, opts, true)
 }
 
 /// The original per-commodity Garg–Könemann routing loop: one shortest
@@ -194,7 +211,7 @@ pub fn max_concurrent_flow_reference(
     commodities: &[Commodity],
     opts: FptasOptions,
 ) -> Result<McfSolution, McfError> {
-    solve(g, commodities, opts, false)
+    solve(g, commodities, &ArcModel::identity(g), None, opts, false)
 }
 
 /// One batch of commodities served by a single shortest-path tree: a
@@ -210,6 +227,27 @@ pub(crate) struct Group {
     pub(crate) reversed: bool,
     /// Commodity indices, in input order.
     pub(crate) members: Vec<usize>,
+}
+
+impl Group {
+    /// The member's endpoint away from the tree root.
+    fn far(&self, c: &Commodity) -> usize {
+        if self.reversed {
+            c.src
+        } else {
+            c.dst
+        }
+    }
+
+    /// Builds this group's shortest-path tree under `lengths` into
+    /// `scratch`.
+    fn tree(&self, g: &CapGraph, rev: &ReverseIndex, lengths: &[f64], s: &mut DijkstraScratch) {
+        if self.reversed {
+            g.shortest_path_tree_to_with(rev, self.root, lengths, s);
+        } else {
+            g.shortest_path_tree_with(self.root, lengths, s);
+        }
+    }
 }
 
 /// Partitions commodity indices into tree batches, each commodity joining
@@ -266,31 +304,28 @@ fn all_reachable(
     scratch: &mut DijkstraScratch,
 ) -> bool {
     let ones = vec![1.0f64; g.arc_count()];
-    for grp in groups {
-        if grp.reversed {
-            g.shortest_path_tree_to_with(rev, grp.root, &ones, scratch);
-        } else {
-            g.shortest_path_tree_with(grp.root, &ones, scratch);
-        }
-        for &j in &grp.members {
-            let far = if grp.reversed {
-                commodities[j].src
-            } else {
-                commodities[j].dst
-            };
-            if !scratch.reached(far) {
-                return false;
-            }
-        }
-    }
-    true
+    groups.iter().all(|grp| {
+        grp.tree(g, rev, &ones, scratch);
+        grp.members
+            .iter()
+            .all(|&j| scratch.reached(grp.far(&commodities[j])))
+    })
 }
 
-/// Shared frame of both solvers: validation, reachability pre-check,
-/// adaptive demand scaling around [`run_once`].
-fn solve(
+/// The one solve frame of every FPTAS entry point: validation, the
+/// reachability pre-check, the cut bound, and adaptive demand scaling
+/// around [`run_once`].
+///
+/// `quotient_ub` is `None` for a full instance, which gets the node-cut
+/// bound and the reachability pre-check. A symmetry quotient passes its
+/// class-cut and distance-volume bound instead; its builder already
+/// verified every pair reachable. `batched == false` selects the
+/// per-commodity reference loop (identity model only).
+pub(crate) fn solve(
     g: &CapGraph,
     commodities: &[Commodity],
+    model: &ArcModel,
+    quotient_ub: Option<f64>,
     opts: FptasOptions,
     batched: bool,
 ) -> Result<McfSolution, McfError> {
@@ -321,7 +356,7 @@ fn solve(
     }
     let groups = group_commodities(commodities);
     let rev = g.reverse_index();
-    let ub = node_cut_upper_bound(g, commodities);
+    let ub = quotient_ub.unwrap_or_else(|| node_cut_upper_bound(g, commodities));
 
     // One Dijkstra scratch for the whole solve: the pre-check below, plus
     // every tree/path computation of every run_once call, reuse its buffers
@@ -330,7 +365,7 @@ fn solve(
 
     // A disconnected commodity pins λ to 0 — that is a converged answer,
     // not a budget artifact.
-    if !all_reachable(g, commodities, &groups, &rev, &mut scratch) {
+    if quotient_ub.is_none() && !all_reachable(g, commodities, &groups, &rev, &mut scratch) {
         return Ok(McfSolution {
             lambda: 0.0,
             upper_bound: ub,
@@ -343,24 +378,18 @@ fn solve(
 
     // Adaptive demand scaling. The solver runs on demands `d/scale`; the
     // scaled instance's optimum is `OPT·scale`, so `scale = 1/OPT_est`
-    // puts it near 1. The node cut gives OPT_est = ub; refine adaptively
-    // from the certified result when the cut is loose.
+    // puts it near 1. The cut gives OPT_est = ub; refine adaptively from
+    // the certified result when the cut is loose.
     let mut scale = if ub.is_finite() && ub > 0.0 {
         1.0 / ub
     } else {
         1.0
     };
-    let mut last = run_once(
-        g,
-        commodities,
-        &groups,
-        &rev,
-        scale,
-        ub,
-        opts,
-        &mut scratch,
-        batched,
-    );
+    let mut run = |scale: f64| {
+        let st = RunState::new(g, model, commodities, scale, ub, opts);
+        run_once(st, &groups, &rev, &mut scratch, batched)
+    };
+    let mut last = run(scale);
     for _ in 0..4 {
         let scaled_lambda = last.lambda * scale; // λ' of the scaled instance
         if (0.2..=5.0).contains(&scaled_lambda) {
@@ -374,39 +403,38 @@ fn solve(
         } else {
             scale /= scaled_lambda; // new scale ≈ 1/OPT
         }
-        last = run_once(
-            g,
-            commodities,
-            &groups,
-            &rev,
-            scale,
-            ub,
-            opts,
-            &mut scratch,
-            batched,
-        );
+        last = run(scale);
     }
     last.upper_bound = last.upper_bound.min(ub);
     Ok(last)
 }
 
 /// Mutable state of one Garg–Könemann run, shared by both routing loops.
+/// Lengths and flows live on the model's elements (arcs, or arc classes of
+/// a quotient).
 struct RunState<'a> {
     g: &'a CapGraph,
+    model: &'a ArcModel,
     commodities: &'a [Commodity],
     eps: f64,
     scale: f64,
     max_steps: Option<usize>,
-    /// Current per-arc length l(a).
+    /// Current per-element length l(e).
     length: Vec<f64>,
-    /// Accumulated (capacity-violating) per-arc flow.
+    /// Per-arc copy of `length` that a quotient's trees read, refreshed
+    /// before each build; empty on the identity model, whose trees read
+    /// `length` itself.
+    arc_len: Vec<f64>,
+    /// The class lengths `arc_len` was last refreshed with (NaN = never).
+    spread_len: Vec<f64>,
+    /// Accumulated (capacity-violating) per-element flow.
     flow: Vec<f64>,
     /// Accumulated routed amount per commodity (scaled units).
     routed: Vec<f64>,
-    /// Dual value D(l) = Σ cap(a)·l(a); termination at ≥ 1.
+    /// Dual value D(l) = Σ cap(e)·l(e); termination at ≥ 1.
     dual: f64,
-    /// Best upper bound on the scaled optimum: seeded with the node-cut
-    /// bound in scaled units, then tightened by `D(l)/α(l)` each phase.
+    /// Best upper bound on the scaled optimum: seeded with the cut bound
+    /// in scaled units, then tightened by `D(l)/α(l)` each phase.
     dual_ub: f64,
     /// Certificate snapshot from before the primal reset:
     /// `(λ_scaled, flow)`. The final answer never drops below it even if
@@ -426,16 +454,82 @@ struct RunState<'a> {
     deferrals: u64,
 }
 
-impl RunState<'_> {
+impl<'a> RunState<'a> {
+    /// A fresh run on demands divided by `scale` (so that the scaled
+    /// optimum is ≈ 1 when `scale` ≈ 1/OPT). `ub_caller` is the cut upper
+    /// bound in *caller* units; `ub_caller · scale` bounds the scaled
+    /// optimum and seeds the dual upper bound, so the gap test can fire as
+    /// soon as the primal is good instead of waiting for `D(l)/α(l)` to
+    /// tighten from ∞.
+    fn new(
+        g: &'a CapGraph,
+        model: &'a ArcModel,
+        commodities: &'a [Commodity],
+        scale: f64,
+        ub_caller: f64,
+        opts: FptasOptions,
+    ) -> RunState<'a> {
+        let eps = opts.epsilon;
+        // δ from the element count of the packing instance: on a quotient
+        // the classes, not the arcs, are the capacitated elements.
+        let delta = (model.elements() as f64 / (1.0 - eps)).powf(-1.0 / eps);
+        let length: Vec<f64> = model.caps().iter().map(|&cap| delta / cap).collect();
+        let dual = length
+            .iter()
+            .zip(model.caps())
+            .map(|(&l, &cap)| cap * l)
+            .sum();
+        let (arc_len, spread_len) = if model.is_identity() {
+            (Vec::new(), Vec::new())
+        } else {
+            (vec![0.0; g.arc_count()], vec![f64::NAN; length.len()])
+        };
+        RunState {
+            g,
+            model,
+            commodities,
+            eps,
+            scale,
+            max_steps: opts.max_steps,
+            flow: vec![0.0f64; length.len()],
+            length,
+            arc_len,
+            spread_len,
+            routed: vec![0.0; commodities.len()],
+            dual,
+            dual_ub: if ub_caller.is_finite() && ub_caller > 0.0 {
+                ub_caller * scale
+            } else {
+                f64::INFINITY
+            },
+            primal_floor: None,
+            best_hist: Vec::new(),
+            phases: 0,
+            steps: 0,
+            budget_exhausted: false,
+            pushes: 0,
+            deferrals: 0,
+        }
+    }
+
+    /// Worst element overload `μ = max_e flow(e)/cap(e)` of `flow`, at
+    /// least 1 (a flow that overloads nothing is already feasible). On a
+    /// quotient a class overloads exactly when its arcs do, since the
+    /// symmetric flow spreads a class equally.
+    fn overload(&self, flow: &[f64]) -> f64 {
+        flow.iter()
+            .zip(self.model.caps())
+            .map(|(&f, &cap)| f / cap)
+            .fold(0.0f64, f64::max)
+            .max(1.0)
+    }
+
     /// The certified concurrent flow rate of the *scaled* instance for the
     /// currently accumulated flow: worst-served commodity over worst
     /// overload, exactly the value [`max_concurrent_flow`] reports (before
     /// mapping back to caller units).
     fn lambda_scaled(&self) -> f64 {
-        let mu = (0..self.g.arc_count())
-            .map(|a| self.flow[a] / self.g.arc(a).cap)
-            .fold(0.0f64, f64::max)
-            .max(1.0);
+        let mu = self.overload(&self.flow);
         let served = self
             .commodities
             .iter()
@@ -462,6 +556,35 @@ impl RunState<'_> {
     fn gap_rescue_armed(&self) -> bool {
         self.max_steps
             .is_some_and(|max| self.steps.saturating_mul(2) >= max)
+    }
+
+    /// Counts one shortest-path computation against the step budget;
+    /// `false` (with the budget flagged) once the budget is spent.
+    fn take_step(&mut self) -> bool {
+        if let Some(max) = self.max_steps {
+            if self.steps >= max {
+                self.budget_exhausted = true;
+                return false;
+            }
+        }
+        self.steps += 1;
+        true
+    }
+
+    /// Builds `grp`'s tree under the current lengths as one budgeted step;
+    /// `false` once the budget is spent.
+    fn tree(&mut self, grp: &Group, rev: &ReverseIndex, scratch: &mut DijkstraScratch) -> bool {
+        if !self.take_step() {
+            return false;
+        }
+        if self.model.is_identity() {
+            grp.tree(self.g, rev, &self.length, scratch);
+        } else {
+            self.model
+                .spread(&self.length, &mut self.spread_len, &mut self.arc_len);
+            grp.tree(self.g, rev, &self.arc_len, scratch);
+        }
+        true
     }
 
     /// Phase-end bookkeeping for the plateau half of the gap test: record
@@ -497,17 +620,6 @@ impl RunState<'_> {
         }
         self.dual_ub = self.dual_ub.min(self.dual / alpha);
         let lambda_scaled = self.lambda_scaled();
-        if std::env::var_os("FT_FPTAS_TRACE").is_some() {
-            eprintln!(
-                "phase={} steps={} dual={:.4} lam={:.5} ub={:.5} ratio={:.3}",
-                self.phases,
-                self.steps,
-                self.dual,
-                lambda_scaled,
-                self.dual_ub,
-                lambda_scaled / self.dual_ub
-            );
-        }
         let contract =
             lambda_scaled > 0.0 && lambda_scaled >= (1.0 - 3.0 * self.eps) * self.dual_ub;
         let n = self.best_hist.len();
@@ -532,65 +644,32 @@ impl RunState<'_> {
     }
 }
 
-/// One Garg–Könemann run on demands divided by `scale` (so that the scaled
-/// optimum is ≈ 1 when `scale` ≈ 1/OPT). `ub_caller` is the node-cut upper
-/// bound in *caller* units; `ub_caller · scale` bounds the scaled optimum
-/// and seeds the dual upper bound, so the gap test can fire as soon as the
-/// primal is good instead of waiting for `D(l)/α(l)` to tighten from ∞.
-/// The returned λ is already mapped back to the caller's demand units.
-#[allow(clippy::too_many_arguments)]
+/// Runs one Garg–Könemann run to termination and reports its certified
+/// solution, with λ and the upper bound mapped back to the caller's
+/// demand units and the per-arc utilization of the certified flow.
 fn run_once(
-    g: &CapGraph,
-    commodities: &[Commodity],
+    mut st: RunState<'_>,
     groups: &[Group],
     rev: &ReverseIndex,
-    scale: f64,
-    ub_caller: f64,
-    opts: FptasOptions,
     scratch: &mut DijkstraScratch,
     batched: bool,
 ) -> McfSolution {
-    let eps = opts.epsilon;
-    let m = g.arc_count();
-    let delta = (m as f64 / (1.0 - eps)).powf(-1.0 / eps);
-    let seed_ub = if ub_caller.is_finite() && ub_caller > 0.0 {
-        ub_caller * scale
-    } else {
-        f64::INFINITY
-    };
-    let mut st = RunState {
-        g,
-        commodities,
-        eps,
-        scale,
-        max_steps: opts.max_steps,
-        length: (0..m).map(|a| delta / g.arc(a).cap).collect(),
-        flow: vec![0.0f64; m],
-        routed: vec![0.0; commodities.len()],
-        dual: 0.0,
-        dual_ub: seed_ub,
-        primal_floor: None,
-        best_hist: Vec::new(),
-        phases: 0,
-        steps: 0,
-        budget_exhausted: false,
-        pushes: 0,
-        deferrals: 0,
-    };
-    st.dual = (0..m).map(|a| g.arc(a).cap * st.length[a]).sum();
-
+    let (model, scale) = (st.model, st.scale);
     let mut run_span = ft_obs::span!(
         "fptas.run",
-        commodities = commodities.len(),
+        commodities = st.commodities.len(),
         groups = groups.len(),
+        classes = model.elements(),
         batched = batched,
         scale = scale,
     );
 
-    if batched {
-        route_batched(&mut st, groups, rev, scratch);
-    } else {
+    if !batched {
         route_reference(&mut st, scratch);
+    } else if model.is_identity() {
+        route_batched::<false>(&mut st, groups, rev, scratch);
+    } else {
+        route_batched::<true>(&mut st, groups, rev, scratch);
     }
 
     // Certified feasible λ: scale the accumulated flow down by its worst
@@ -605,11 +684,15 @@ fn run_once(
             best_flow = flow;
         }
     }
-    let mu = (0..m)
-        .map(|a| best_flow[a] / g.arc(a).cap)
-        .fold(0.0f64, f64::max)
-        .max(1.0); // if nothing overloads, the flow is already feasible
-    let utilization: Vec<f64> = (0..m).map(|a| best_flow[a] / g.arc(a).cap / mu).collect();
+    let mu = st.overload(best_flow);
+    // On a quotient, the symmetric solution spreads a class's flow equally
+    // over its arcs, loading each at class flow / class capacity.
+    let utilization: Vec<f64> = (0..st.g.arc_count())
+        .map(|a| {
+            let e = model.element(a);
+            best_flow[e] / model.caps()[e] / mu
+        })
+        .collect();
 
     // Flush the run's plain-field tallies into the global registry (O(1)
     // atomics per run) and close the run span with its outcome.
@@ -657,6 +740,10 @@ fn run_once(
 /// Garg–Könemann analysis needs. Once a needed path drifts past the band,
 /// the tree is recomputed.
 ///
+/// `CLASSES` selects the quotient model, where a tree path can cross one
+/// arc class several times; on the identity model (`false`) an arc is its
+/// own element and a tree path never repeats one.
+///
 /// Beyond the textbook `D(l) ≥ 1` termination, the batched loop can stop
 /// as soon as the certified primal value meets the advertised guarantee
 /// against a *dual* upper bound: any length function `l` proves
@@ -671,13 +758,16 @@ fn run_once(
 /// certified answer from a run that would otherwise trip its budget,
 /// while unbudgeted (or comfortably budgeted) runs keep the fully
 /// converged λ of the `D(l) ≥ 1` termination.
-fn route_batched(
+fn route_batched<const CLASSES: bool>(
     st: &mut RunState<'_>,
     groups: &[Group],
     rev: &ReverseIndex,
     scratch: &mut DijkstraScratch,
 ) {
     let one_plus_eps = 1.0 + st.eps;
+    let model = st.model;
+    let element = |a: usize| if CLASSES { model.class(a) } else { a };
+    let cap = model.caps();
     // Remaining (scaled) demand of the current group's members this phase.
     let mut rem: Vec<f64> = Vec::new();
     // Arc path of the member being routed (root-ward order; direction is
@@ -700,33 +790,18 @@ fn route_batched(
             rem.clear();
             rem.extend(members.iter().map(|&j| st.commodities[j].demand / st.scale));
             while rem.iter().any(|&r| r > 0.0) {
-                if let Some(max) = st.max_steps {
-                    if st.steps >= max {
-                        st.budget_exhausted = true;
-                        break 'outer;
-                    }
-                }
-                st.steps += 1;
-                if grp.reversed {
-                    st.g.shortest_path_tree_to_with(rev, grp.root, &st.length, scratch);
-                } else {
-                    st.g.shortest_path_tree_with(grp.root, &st.length, scratch);
+                if !st.tree(grp, rev, scratch) {
+                    break 'outer;
                 }
                 for (i, &j) in members.iter().enumerate() {
                     'member: while rem[i] > 0.0 {
-                        // the member's endpoint away from the tree root
-                        let far = if grp.reversed {
-                            st.commodities[j].src
-                        } else {
-                            st.commodities[j].dst
-                        };
-                        if !scratch.reached(far) {
-                            break 'outer; // cannot happen after the pre-check
-                        }
+                        let far = grp.far(&st.commodities[j]);
                         // Distance at tree-build time: a lower bound on the
                         // current shortest-path distance (lengths only grow).
                         let Some(tree_dist) = scratch.distance(far) else {
-                            break 'outer; // unreachable: reached() was true
+                            // cannot happen: the pre-check, or a quotient's
+                            // builder, saw every pair reachable
+                            break 'outer;
                         };
                         path.clear();
                         if grp.reversed {
@@ -737,8 +812,19 @@ fn route_batched(
                         let mut bottleneck = f64::INFINITY;
                         let mut path_len = 0.0f64;
                         for &a in &path {
-                            bottleneck = bottleneck.min(st.g.arc(a).cap);
-                            path_len += st.length[a];
+                            let e = element(a);
+                            // a class met h times on the path saturates at
+                            // cap/h per unit of path flow
+                            let room = if CLASSES {
+                                let h = path
+                                    .iter()
+                                    .fold(0u32, |h, &b| h + u32::from(element(b) == e));
+                                cap[e] / f64::from(h)
+                            } else {
+                                cap[e]
+                            };
+                            bottleneck = bottleneck.min(room);
+                            path_len += st.length[e];
                         }
                         if path_len > one_plus_eps * tree_dist {
                             // this member's tree path is no longer a
@@ -756,11 +842,11 @@ fn route_batched(
                         st.routed[j] += f;
                         st.pushes += 1;
                         for &a in &path {
-                            let cap = st.g.arc(a).cap;
-                            st.flow[a] += f;
-                            let old = st.length[a];
-                            st.length[a] = old * (1.0 + st.eps * f / cap);
-                            st.dual += cap * (st.length[a] - old);
+                            let e = element(a);
+                            st.flow[e] += f;
+                            let old = st.length[e];
+                            st.length[e] = old * (1.0 + st.eps * f / cap[e]);
+                            st.dual += cap[e] * (st.length[e] - old);
                         }
                         if st.dual >= 1.0 {
                             break 'outer;
@@ -789,29 +875,16 @@ fn route_batched(
         }
         if st.gap_rescue_armed() {
             for (gi, grp) in groups.iter().enumerate() {
-                if let Some(max) = st.max_steps {
-                    if st.steps >= max {
-                        st.budget_exhausted = true;
-                        break 'outer;
-                    }
-                }
-                st.steps += 1;
-                if grp.reversed {
-                    st.g.shortest_path_tree_to_with(rev, grp.root, &st.length, scratch);
-                } else {
-                    st.g.shortest_path_tree_with(grp.root, &st.length, scratch);
+                if !st.tree(grp, rev, scratch) {
+                    break 'outer;
                 }
                 group_alpha[gi] = grp
                     .members
                     .iter()
                     .map(|&j| {
-                        let far = if grp.reversed {
-                            st.commodities[j].src
-                        } else {
-                            st.commodities[j].dst
-                        };
-                        let d = st.commodities[j].demand / st.scale;
-                        d * scratch.distance(far).unwrap_or(0.0)
+                        let c = &st.commodities[j];
+                        let d = c.demand / st.scale;
+                        d * scratch.distance(grp.far(c)).unwrap_or(0.0)
                     })
                     .sum();
             }
@@ -839,7 +912,7 @@ fn route_batched(
 }
 
 /// The original per-commodity routing loop: one early-exit Dijkstra per
-/// push. Kept verbatim as the oracle behind
+/// push, on the identity model. Kept verbatim as the oracle behind
 /// [`max_concurrent_flow_reference`].
 fn route_reference(st: &mut RunState<'_>, scratch: &mut DijkstraScratch) {
     'outer: while st.dual < 1.0 {
@@ -848,13 +921,9 @@ fn route_reference(st: &mut RunState<'_>, scratch: &mut DijkstraScratch) {
         for (j, c) in st.commodities.iter().enumerate() {
             let mut rem = c.demand / st.scale;
             while rem > 0.0 && st.dual < 1.0 {
-                if let Some(max) = st.max_steps {
-                    if st.steps >= max {
-                        st.budget_exhausted = true;
-                        break 'outer;
-                    }
+                if !st.take_step() {
+                    break 'outer;
                 }
-                st.steps += 1;
                 // allocation-free: path lands in the reused scratch buffers
                 if st
                     .g

@@ -11,7 +11,7 @@
 //! aggregating server-pair demands to their attachment switches before
 //! solving.
 //!
-//! Two solvers are provided:
+//! Solvers provided:
 //!
 //! * [`exact::max_concurrent_flow_exact`] — the edge-based LP solved with
 //!   `ft-lp`'s simplex. Exact, used for small instances and as the oracle
@@ -29,6 +29,9 @@
 //!   [`fptas::McfSolution::budget_exhausted`], never as a silent λ = 0.
 //!   [`fptas::max_concurrent_flow_reference`] retains the per-commodity
 //!   routing loop as the validation oracle.
+//! * [`shard::max_concurrent_flow_aggregated`] — the same batched loop on
+//!   a symmetry quotient: orbit representatives as commodities, arc
+//!   classes as the capacitated elements (k = 64/128 all-to-all).
 //! * [`paths::max_concurrent_flow_on_paths`] — the concurrent-flow LP
 //!   restricted to explicit path sets, quantifying what k-shortest-paths
 //!   routing (§2.6) loses relative to the paper's optimal-routing
@@ -62,10 +65,7 @@ pub use digraph::{CapGraph, DijkstraScratch};
 pub use exact::max_concurrent_flow_exact;
 pub use fptas::{max_concurrent_flow, max_concurrent_flow_reference, FptasOptions, McfSolution};
 pub use paths::{k_shortest_arc_paths, max_concurrent_flow_on_paths, ArcPath};
-pub use shard::{
-    max_concurrent_flow_aggregated, max_concurrent_flow_sharded, AggregatedInstance,
-    DistanceOracle, ShardConfig,
-};
+pub use shard::{max_concurrent_flow_aggregated, AggregatedInstance, DistanceOracle};
 
 /// Errors reported by the concurrent-flow solvers.
 ///
@@ -97,6 +97,14 @@ pub enum McfError {
         /// Number of path sets supplied.
         path_sets: usize,
     },
+    /// [`max_concurrent_flow_aggregated`] was given a graph other than the
+    /// one its instance was built from.
+    GraphMismatch {
+        /// `(nodes, arcs)` of the graph the instance was built from.
+        built: (usize, usize),
+        /// `(nodes, arcs)` of the graph passed to the solver.
+        given: (usize, usize),
+    },
     /// The underlying LP reported an outcome the MCF formulation rules out
     /// (the zero flow is always feasible) — an internal solver
     /// inconsistency, typically from numerically hostile capacities.
@@ -120,6 +128,12 @@ impl std::fmt::Display for McfError {
             } => write!(
                 f,
                 "{path_sets} path sets supplied for {commodities} commodities"
+            ),
+            McfError::GraphMismatch { built, given } => write!(
+                f,
+                "aggregated instance was built from a graph with {} nodes and {} arcs, \
+                 solved on one with {} nodes and {} arcs",
+                built.0, built.1, given.0, given.1
             ),
             McfError::Solver(e) => write!(f, "LP solver inconsistency: {e}"),
         }

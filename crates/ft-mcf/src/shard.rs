@@ -1,31 +1,6 @@
-//! Sharded and symmetry-aggregated variants of the batched FPTAS —
-//! the k = 64/128 scaling layer on top of [`crate::fptas`].
-//!
-//! # Sharded tree batches
-//!
-//! [`max_concurrent_flow_sharded`] keeps the Fleischer source/sink-batched
-//! routing loop of [`crate::fptas::max_concurrent_flow`] but builds the
-//! phase's shortest-path trees in *rounds*: every group with pending demand
-//! gets one tree per round, and the round's trees are computed concurrently
-//! on the [`ft_graph::par`] worker pool (one [`DijkstraScratch`] per
-//! worker, worker-local result lists merged back in group order). All trees
-//! of a round read the **same** length snapshot — the live length array,
-//! immutable while the round builds — and their path proposals are applied
-//! sequentially in group order afterwards. A proposal stays valid under
-//! the Fleischer `(1 + ε)` band because lengths only grow: the snapshot
-//! tree distance lower-bounds the live shortest-path distance, so a path
-//! whose *live* length is within `(1 + ε)` of its *snapshot* distance is a
-//! `(1 + ε)`-approximate shortest path. Members that drift out of band are
-//! deferred to the next round (which rebuilds their tree). The schedule is
-//! a pure function of `(graph, commodities, options)`: the worker count
-//! changes which thread computes a tree, never the tree itself or the
-//! apply order, so λ is bit-identical across `FT_THREADS` (DESIGN.md §10).
-//!
-//! The first proposal of every round is applied against exactly the
-//! lengths it was built under, so it always routes at least one push —
-//! each round makes progress and the `D(l) ≥ 1` termination argument of
-//! the batched loop carries over unchanged, as do the budget-rescue gap
-//! certificate, the primal reset, and the certified-λ reporting.
+//! Symmetry-aggregated FPTAS instances — the k = 64/128 scaling layer on
+//! top of [`crate::fptas`]: arc classes, the orbit quotient of a commodity
+//! set, and its class-cut bound.
 //!
 //! # Symmetry-aware commodity aggregation
 //!
@@ -35,14 +10,15 @@
 //! of ft-topo). Commodities whose (source class, destination class,
 //! hop distance) triples coincide form one *orbit*; the orbit is replaced
 //! by its first member with the orbit's total demand. Arcs are likewise
-//! grouped into classes keyed by (tail class, head class), and the solver
-//! runs the Garg–Könemann packing scheme over *arc classes* as the
-//! capacitated elements: a class of `q` unit-capacity arcs has capacity
-//! `q`, a path's cost is the sum of its arcs' class lengths, and a push of
-//! `f` raises the class length once per occurrence. By symmetry, the
-//! averaged orbit of an optimal flow is an optimal *symmetric* flow that
-//! loads every arc of a class equally — the quotient packing LP has the
-//! same optimum λ, at O(classes²) commodities instead of O(n²).
+//! grouped into classes keyed by (tail class, head class), and the one
+//! batched loop of [`crate::fptas`] runs the Garg–Könemann packing scheme
+//! over *arc classes* as the capacitated elements: a class of `q`
+//! unit-capacity arcs has capacity `q`, a path's cost is the sum of its
+//! arcs' class lengths, and a push of `f` raises the class length once per
+//! occurrence. By symmetry, the averaged orbit of an optimal flow is an
+//! optimal *symmetric* flow that loads every arc of a class equally — the
+//! quotient packing LP has the same optimum λ, at O(classes²) commodities
+//! instead of O(n²).
 //!
 //! Soundness does not rest on the caller's class slice alone:
 //! [`AggregatedInstance::from_commodities`] verifies *closure* — every
@@ -52,132 +28,63 @@
 //! the caller falls back to the full instance. With all-singleton classes
 //! (converted or otherwise asymmetric topologies) the aggregation
 //! degenerates to the identity: the instance is solved exactly as
-//! [`max_concurrent_flow_sharded`] would solve the original commodity
-//! list, bit for bit.
+//! [`crate::fptas::max_concurrent_flow`] would solve the original
+//! commodity list, bit for bit.
 //!
-//! # Deduped-distance warm starts
+//! # Distance volume
 //!
-//! Both entry points accept a hop-distance oracle
-//! ([`ShardConfig::warm`]) — in production the shared
-//! `SwitchDistances`/`DedupedApsp` rows computed by ft-metrics. When the
-//! oracle covers every commodity it replaces the per-group reachability
-//! SSSPs with O(1) lookups and contributes the distance-volume upper bound
-//! `λ ≤ Σ cap / Σ_j d_j·hops_j`, which tightens the demand pre-scaling and
-//! seeds the budget-rescue dual bound (the PR 4 gap machinery certifies
-//! the resulting λ exactly as in the batched solver). The oracle is purely
-//! advisory: `None` answers fall back to the cold path, and the certified
-//! λ never depends on oracle values — only the schedule does.
+//! The builders take a hop-distance oracle ([`DistanceOracle`]) — in
+//! production the shared `SwitchDistances`/`DedupedApsp` rows computed by
+//! ft-metrics — and query it for every representative pair. Alongside the
+//! orbits they record the distance volume `Σ_j d_j·hops_j`, which gives
+//! the bound `λ ≤ Σ cap / Σ_j d_j·hops_j`. The quotient solve tightens its
+//! class-cut bound with it (a tighter demand pre-scale and budget-rescue
+//! dual seed) and skips the reachability pre-check, since the builder has
+//! already seen every pair reachable. The certified λ never depends on
+//! oracle values — only the schedule does.
 
-use crate::bounds::node_cut_upper_bound;
-use crate::digraph::{CapGraph, DijkstraScratch, ReverseIndex};
-use crate::fptas::{self, group_commodities, FptasOptions, Group, McfSolution};
+use crate::digraph::CapGraph;
+use crate::fptas::{self, max_concurrent_flow, FptasOptions, McfSolution};
 use crate::{Commodity, McfError};
 use ft_graph::id32;
-use std::sync::OnceLock;
 
 /// Hop-distance oracle: `dist(a, b)` in hops, `Some(u32::MAX)` when `b` is
 /// unreachable from `a`, `None` when the oracle has no data for the pair
-/// (the solver then falls back to its own SSSPs). Backed in production by
-/// the deduped APSP rows of ft-metrics.
+/// (the builders then decline to aggregate). Backed in production by the
+/// deduped APSP rows of ft-metrics.
 pub type DistanceOracle<'a> = &'a (dyn Fn(usize, usize) -> Option<u32> + Sync);
 
-/// Configuration of the sharded solver: worker count and optional
-/// warm-start distance oracle.
-#[derive(Clone, Copy, Default)]
-pub struct ShardConfig<'a> {
-    /// Worker threads for the per-round tree builds; `0` means the
-    /// [`ft_graph::par::thread_count`] pool default. The result is
-    /// bit-identical for every value.
-    pub threads: usize,
-    /// Optional hop-distance oracle for reachability pre-checks and the
-    /// distance-volume upper bound; see [`DistanceOracle`].
-    pub warm: Option<DistanceOracle<'a>>,
-}
-
-impl<'a> ShardConfig<'a> {
-    /// A config pinning the worker count (0 = pool default).
-    pub fn with_threads(threads: usize) -> Self {
-        ShardConfig {
-            threads,
-            warm: None,
-        }
-    }
-
-    /// Resolved worker count.
-    fn workers(&self) -> usize {
-        if self.threads == 0 {
-            ft_graph::par::thread_count()
-        } else {
-            self.threads
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardConfig<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardConfig")
-            .field("threads", &self.threads)
-            .field("warm", &self.warm.is_some())
-            .finish()
-    }
-}
-
-/// Shard-specific registry handles (the shared FPTAS counters — runs,
-/// phases, trees, pushes, deferrals, rescue, budget — are reused from
-/// [`fptas::obs`]).
-struct ShardCounters {
-    rounds: &'static ft_obs::Counter,
-    aggregated_runs: &'static ft_obs::Counter,
-    aggregated_commodities: &'static ft_obs::Gauge,
-}
-
-/// Strictly-positive test that treats NaN as *not* positive, exactly like
-/// the `!(w > 0.0)` guards it replaces — a NaN weight or residual must be
-/// skipped, never routed.
+/// Strictly-positive test that treats NaN as *not* positive: a NaN weight
+/// marks no endpoint.
 fn positive(w: f64) -> bool {
     w > 0.0
 }
 
-fn shard_obs() -> &'static ShardCounters {
-    static CELL: OnceLock<ShardCounters> = OnceLock::new();
-    CELL.get_or_init(|| ShardCounters {
-        rounds: ft_obs::registry::counter("ft_mcf_shard_rounds_total"),
-        aggregated_runs: ft_obs::registry::counter("ft_mcf_aggregated_runs_total"),
-        aggregated_commodities: ft_obs::registry::gauge("ft_mcf_aggregated_commodities"),
-    })
-}
-
 /// Grouping of arcs into capacity classes — the capacitated *elements* of
-/// the packing scheme. The identity model (one class per arc) reproduces
-/// the plain per-arc solver; the node-class model groups arcs by
-/// (tail class, head class) for the symmetry-aggregated solver.
+/// the packing scheme. The identity model (one class per arc) is the plain
+/// per-arc solver; the node-class model groups arcs by
+/// (tail class, head class) for a symmetry quotient.
 #[derive(Clone, Debug)]
-struct ArcModel {
-    /// Class id of each arc.
+pub(crate) struct ArcModel {
+    /// Class id of each arc; empty for the identity model, where arc `a`
+    /// is element `a` (a graph without arcs is the same either way).
     class_of: Vec<u32>,
     /// Total capacity of each class (class size × the uniform arc cap).
-    class_cap: Vec<f64>,
-    /// CSR listing of the arcs in each class (empty for the identity
-    /// model, which never needs per-class refresh).
+    cap: Vec<f64>,
+    /// Arcs listed class by class (CSR; empty for the identity model).
     class_arcs: Vec<u32>,
-    /// CSR offsets into `class_arcs`, length `classes + 1`.
+    /// Offset of each class's first arc in `class_arcs`, then the total.
     class_start: Vec<u32>,
-    /// One class per arc: length refresh is done in-place on push and the
-    /// CSR stays empty.
-    identity: bool,
 }
 
 impl ArcModel {
-    /// One class per arc — the model under which the sharded solver is the
-    /// plain batched FPTAS with a parallel tree schedule.
-    fn identity(g: &CapGraph) -> ArcModel {
-        let m = g.arc_count();
+    /// One class per arc.
+    pub(crate) fn identity(g: &CapGraph) -> ArcModel {
         ArcModel {
-            class_of: (0..m).map(id32).collect(),
-            class_cap: (0..m).map(|a| g.arc(a).cap).collect(),
+            class_of: Vec::new(),
+            cap: g.arcs().iter().map(|a| a.cap).collect(),
             class_arcs: Vec::new(),
             class_start: Vec::new(),
-            identity: true,
         }
     }
 
@@ -191,59 +98,84 @@ impl ArcModel {
             return None;
         }
         let unit = g.uniform_cap()?;
-        let m = g.arc_count();
         let mut key_to_class: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut class_of = Vec::with_capacity(m);
+        let mut class_of = Vec::with_capacity(g.arc_count());
         let mut class_size: Vec<u32> = Vec::new();
-        for a in 0..m {
-            let arc = g.arc(a);
+        for arc in g.arcs() {
             let key = (node_class[arc.from], node_class[arc.to]);
-            let o = match key_to_class.get(&key) {
-                Some(&o) => o,
-                None => {
-                    let o = id32(class_size.len());
-                    key_to_class.insert(key, o);
-                    class_size.push(0);
-                    o
-                }
-            };
+            let o = *key_to_class.entry(key).or_insert_with(|| {
+                class_size.push(0);
+                id32(class_size.len() - 1)
+            });
             class_size[o as usize] += 1;
             class_of.push(o);
         }
-        let classes = class_size.len();
-        let mut class_start = vec![0u32; classes + 1];
-        for &o in &class_of {
-            // bounds: o + 1 <= classes, the offset array's last slot
-            class_start[o as usize + 1] += 1;
-        }
-        for o in 0..classes {
-            // bounds: o + 1 <= classes by the loop range
-            class_start[o + 1] += class_start[o];
-        }
-        let mut cursor: Vec<u32> = class_start[..classes].to_vec();
-        let mut class_arcs = vec![0u32; m];
-        for (a, &o) in class_of.iter().enumerate() {
-            class_arcs[cursor[o as usize] as usize] = id32(a);
-            cursor[o as usize] += 1;
-        }
+        let mut class_arcs: Vec<u32> = (0..g.arc_count()).map(id32).collect();
+        class_arcs.sort_by_key(|&a| class_of[a as usize]);
+        let mut class_start = vec![0u32];
+        class_start.extend(class_size.iter().scan(0u32, |end, &s| {
+            *end += s;
+            Some(*end)
+        }));
         Some(ArcModel {
             class_of,
-            class_cap: class_size.iter().map(|&s| f64::from(s) * unit).collect(),
+            cap: class_size.iter().map(|&s| f64::from(s) * unit).collect(),
             class_arcs,
             class_start,
-            identity: false,
         })
     }
 
-    /// Number of capacity classes.
-    fn classes(&self) -> usize {
-        self.class_cap.len()
+    /// Whether every arc is its own element.
+    pub(crate) fn is_identity(&self) -> bool {
+        self.class_of.is_empty()
+    }
+
+    /// Number of elements (capacity classes).
+    pub(crate) fn elements(&self) -> usize {
+        self.cap.len()
+    }
+
+    /// Capacity of each element.
+    pub(crate) fn caps(&self) -> &[f64] {
+        &self.cap
+    }
+
+    /// Class of arc `a` on a quotient model.
+    #[inline]
+    pub(crate) fn class(&self, a: usize) -> usize {
+        self.class_of[a] as usize
+    }
+
+    /// Element of arc `a` on either model.
+    pub(crate) fn element(&self, a: usize) -> usize {
+        if self.is_identity() {
+            a
+        } else {
+            self.class(a)
+        }
+    }
+
+    /// Brings `arc_len`, the per-arc view a quotient's shortest-path
+    /// trees read, up to date with the class lengths. `spread_len` holds
+    /// the class lengths `arc_len` was last written with; only the arcs of
+    /// classes whose length changed since are rewritten.
+    pub(crate) fn spread(&self, length: &[f64], spread_len: &mut [f64], arc_len: &mut [f64]) {
+        for (o, (&l, s)) in length.iter().zip(spread_len.iter_mut()).enumerate() {
+            if l.to_bits() != s.to_bits() {
+                *s = l;
+                // bounds: class_start has one entry per class plus one
+                let (lo, hi) = (self.class_start[o], self.class_start[o + 1]);
+                for &a in &self.class_arcs[lo as usize..hi as usize] {
+                    arc_len[a as usize] = l;
+                }
+            }
+        }
     }
 }
 
 /// A symmetry-collapsed commodity instance: one representative commodity
 /// per (source class, destination class, hop distance) orbit, with the
-/// orbit's total demand, plus the arc-class model the quotient solver runs
+/// orbit's total demand, plus the arc-class model the quotient solve runs
 /// on. Build with [`AggregatedInstance::from_commodities`] (verified
 /// closure over an explicit commodity list) or
 /// [`AggregatedInstance::all_to_all`] (symbolic uniform all-to-all, for
@@ -253,9 +185,14 @@ impl ArcModel {
 pub struct AggregatedInstance {
     commodities: Vec<Commodity>,
     node_class: Vec<u32>,
-    model: ArcModel,
+    /// Arc count of the graph the instance was built from.
+    arcs: usize,
+    /// The arc classes, or `None` when no orbit merged (identity).
+    model: Option<ArcModel>,
     original: usize,
-    identity: bool,
+    /// `Σ_j demand_j · hops_j` over the representative commodities, in
+    /// commodity order.
+    volume: f64,
 }
 
 impl AggregatedInstance {
@@ -273,19 +210,44 @@ impl AggregatedInstance {
     /// Number of arc classes of the quotient model (equals the arc count
     /// for an identity instance).
     pub fn arc_classes(&self) -> usize {
-        if self.identity {
-            self.model.class_of.len()
-        } else {
-            self.model.classes()
-        }
+        self.model.as_ref().map_or(self.arcs, ArcModel::elements)
     }
 
     /// `true` when no aggregation happened (all orbits are singletons —
     /// e.g. converted/asymmetric topologies where every symmetry class is
     /// a single node). The solver then runs on the original commodity list
-    /// and its λ is bit-identical to [`max_concurrent_flow_sharded`].
+    /// and its λ is bit-identical to [`max_concurrent_flow`].
     pub fn is_identity(&self) -> bool {
-        self.identity
+        self.model.is_none()
+    }
+
+    /// The instance over `commodities` with their hop distances `hops`:
+    /// the quotient model unless every orbit is a singleton.
+    fn new(
+        g: &CapGraph,
+        node_class: &[u32],
+        commodities: Vec<Commodity>,
+        hops: &[u32],
+        original: usize,
+        identity: bool,
+    ) -> Option<AggregatedInstance> {
+        let model = if identity {
+            None
+        } else {
+            Some(ArcModel::from_node_classes(g, node_class)?)
+        };
+        let mut volume = 0.0f64;
+        for (c, &h) in commodities.iter().zip(hops) {
+            volume += c.demand * f64::from(h);
+        }
+        Some(AggregatedInstance {
+            commodities,
+            node_class: node_class.to_vec(),
+            arcs: g.arc_count(),
+            model,
+            original,
+            volume,
+        })
     }
 
     /// Aggregates an explicit commodity list under the given node classes.
@@ -395,12 +357,6 @@ impl AggregatedInstance {
             }
         }
 
-        let identity = buckets.iter().all(|b| b.count == 1);
-        let model = if identity {
-            ArcModel::identity(g)
-        } else {
-            ArcModel::from_node_classes(g, node_class)?
-        };
         let agg: Vec<Commodity> = buckets
             .iter()
             .map(|b| {
@@ -412,13 +368,9 @@ impl AggregatedInstance {
                 }
             })
             .collect();
-        Some(AggregatedInstance {
-            commodities: agg,
-            node_class: node_class.to_vec(),
-            model,
-            original: commodities.len(),
-            identity,
-        })
+        let hops: Vec<u32> = buckets.iter().map(|b| b.hops).collect();
+        let identity = buckets.iter().all(|b| b.count == 1);
+        AggregatedInstance::new(g, node_class, agg, &hops, commodities.len(), identity)
     }
 
     /// Symbolic all-to-all aggregation: every ordered pair of *endpoint*
@@ -461,6 +413,7 @@ impl AggregatedInstance {
         }
         let endpoints: u64 = weights.iter().filter(|&&w| w > 0.0).count() as u64;
         let mut commodities: Vec<Commodity> = Vec::new();
+        let mut hops: Vec<u32> = Vec::new();
         let mut counted: u64 = 0;
         let mut all_singleton = true;
         for c in 0..classes {
@@ -487,6 +440,7 @@ impl AggregatedInstance {
                     None => {
                         slot.insert((node_class[w], h), counts.len());
                         counts.push(1);
+                        hops.push(h);
                         commodities.push(Commodity {
                             src: r,
                             dst: w,
@@ -505,87 +459,51 @@ impl AggregatedInstance {
         if counted != endpoints.saturating_mul(endpoints.saturating_sub(1)) {
             return None;
         }
-        let identity = all_singleton;
         let original = usize::try_from(counted).ok()?;
-        let model = if identity {
-            ArcModel::identity(g)
-        } else {
-            ArcModel::from_node_classes(g, node_class)?
-        };
-        Some(AggregatedInstance {
-            commodities,
-            node_class: node_class.to_vec(),
-            model,
-            original,
-            identity,
-        })
+        AggregatedInstance::new(g, node_class, commodities, &hops, original, all_singleton)
     }
 }
 
-/// The sharded-parallel batched FPTAS: identical certification and budget
-/// semantics to [`crate::fptas::max_concurrent_flow`], with each phase's
-/// tree batches built in parallel rounds on the [`ft_graph::par`] pool.
-/// λ is a deterministic function of `(graph, commodities, opts)` — the
-/// worker count ([`ShardConfig::threads`] / `FT_THREADS`) never changes
-/// the result, only the wall clock.
+/// Solves a symmetry-aggregated instance on its quotient arc-class model,
+/// with the one batched loop of [`crate::fptas`]. The reported λ, upper
+/// bound, and per-arc utilization are for the *original* instance (the
+/// symmetric average of the quotient solution spreads each class's flow
+/// equally over its arcs). Identity instances (no collapse) are solved
+/// exactly as [`max_concurrent_flow`] would solve the original commodity
+/// list.
 ///
 /// # Errors
-/// Same contract as [`crate::fptas::max_concurrent_flow`].
-pub fn max_concurrent_flow_sharded(
-    g: &CapGraph,
-    commodities: &[Commodity],
-    opts: FptasOptions,
-    cfg: &ShardConfig<'_>,
-) -> Result<McfSolution, McfError> {
-    let model = ArcModel::identity(g);
-    solve_core(g, commodities, &model, None, opts, cfg, false)
-}
-
-/// Solves a symmetry-aggregated instance on its quotient arc-class model.
-/// The reported λ, upper bound, and per-arc utilization are for the
-/// *original* instance (the symmetric average of the quotient solution
-/// spreads each class's flow equally over its arcs). Identity instances
-/// (no collapse) are solved exactly as [`max_concurrent_flow_sharded`]
-/// would solve the original commodity list.
-///
-/// # Errors
-/// Same contract as [`crate::fptas::max_concurrent_flow`].
-///
-/// # Panics
-/// When `g` is not the graph the instance was built from (arc/node counts
-/// are cross-checked) — a programmer error, not an input condition.
+/// [`McfError::GraphMismatch`] when `g` is not the graph the instance was
+/// built from (node and arc counts are cross-checked); otherwise the same
+/// contract as [`max_concurrent_flow`].
 pub fn max_concurrent_flow_aggregated(
     g: &CapGraph,
     inst: &AggregatedInstance,
     opts: FptasOptions,
-    cfg: &ShardConfig<'_>,
 ) -> Result<McfSolution, McfError> {
-    assert!(
-        inst.model.class_of.len() == g.arc_count() && inst.node_class.len() == g.node_count(),
-        "aggregated instance was built from a different graph"
-    );
-    let sobs = shard_obs();
-    sobs.aggregated_runs.incr();
-    sobs.aggregated_commodities
-        .set(inst.commodities.len() as u64);
-    if inst.identity {
-        return max_concurrent_flow_sharded(g, &inst.commodities, opts, cfg);
+    let built = (inst.node_class.len(), inst.arcs);
+    let given = (g.node_count(), g.arc_count());
+    if built != given {
+        return Err(McfError::GraphMismatch { built, given });
     }
-    solve_core(
-        g,
-        &inst.commodities,
-        &inst.model,
-        Some(&inst.node_class),
-        opts,
-        cfg,
-        true,
-    )
+    let c = fptas::obs();
+    c.aggregated_runs.incr();
+    c.aggregated_commodities.set(inst.commodities.len() as u64);
+    let Some(model) = &inst.model else {
+        return max_concurrent_flow(g, &inst.commodities, opts);
+    };
+    let mut ub = class_cut_upper_bound(g, &inst.commodities, &inst.node_class);
+    if inst.volume > 0.0 {
+        let total_cap: f64 = model.caps().iter().sum();
+        ub = ub.min(total_cap / inst.volume);
+    }
+    fptas::solve(g, &inst.commodities, model, Some(ub), opts, true)
 }
 
 /// Class-granular cut bound, the quotient analogue of
-/// [`node_cut_upper_bound`]: all demand sourced in a node class must cross
-/// the arcs leaving that class (and symmetrically for sinks). Coincides
-/// with the node cut when every class is a singleton.
+/// [`crate::node_cut_upper_bound`]: all demand sourced in a node class
+/// must cross the arcs leaving that class (and symmetrically for sinks).
+/// Coincides with the node cut when every class is a singleton.
 fn class_cut_upper_bound(g: &CapGraph, commodities: &[Commodity], node_class: &[u32]) -> f64 {
     let classes = node_class
         .iter()
@@ -594,8 +512,7 @@ fn class_cut_upper_bound(g: &CapGraph, commodities: &[Commodity], node_class: &[
         .unwrap_or(0);
     let mut out_cap = vec![0.0f64; classes];
     let mut in_cap = vec![0.0f64; classes];
-    for a in 0..g.arc_count() {
-        let arc = g.arc(a);
+    for arc in g.arcs() {
         out_cap[node_class[arc.from] as usize] += arc.cap;
         in_cap[node_class[arc.to] as usize] += arc.cap;
     }
@@ -617,728 +534,11 @@ fn class_cut_upper_bound(g: &CapGraph, commodities: &[Commodity], node_class: &[
     best
 }
 
-/// Outcome of the warm-oracle scan over the commodity list.
-enum WarmScan {
-    /// Every pair answered with a finite distance; carries
-    /// `Σ_j demand_j · hops_j` for the distance-volume bound.
-    Covered(f64),
-    /// Some pair is unreachable: λ = 0, converged.
-    Disconnected,
-    /// Oracle missing or incomplete — fall back to SSSP pre-checks.
-    Unknown,
-}
-
-fn warm_scan(commodities: &[Commodity], warm: Option<DistanceOracle<'_>>) -> WarmScan {
-    let Some(dist) = warm else {
-        return WarmScan::Unknown;
-    };
-    let mut volume = 0.0f64;
-    for c in commodities {
-        match dist(c.src, c.dst) {
-            Some(u32::MAX) => return WarmScan::Disconnected,
-            Some(h) if h > 0 => volume += c.demand * f64::from(h),
-            _ => return WarmScan::Unknown,
-        }
-    }
-    WarmScan::Covered(volume)
-}
-
-/// Parallel counterpart of the batched solver's reachability pre-check:
-/// one unit-length SSSP per tree batch, fanned over the worker pool.
-fn all_reachable_par(
-    g: &CapGraph,
-    commodities: &[Commodity],
-    groups: &[Group],
-    rev: &ReverseIndex,
-    workers: usize,
-) -> bool {
-    let ones = vec![1.0f64; g.arc_count()];
-    let ok = ft_graph::par::map_init_with(workers, groups, DijkstraScratch::new, |scratch, grp| {
-        if grp.reversed {
-            g.shortest_path_tree_to_with(rev, grp.root, &ones, scratch);
-        } else {
-            g.shortest_path_tree_with(grp.root, &ones, scratch);
-        }
-        grp.members.iter().all(|&j| {
-            let far = if grp.reversed {
-                commodities[j].src
-            } else {
-                commodities[j].dst
-            };
-            scratch.reached(far)
-        })
-    });
-    ok.iter().all(|&b| b)
-}
-
-/// Shared frame of the sharded and aggregated solvers: validation,
-/// reachability, warm bounds, adaptive demand scaling around
-/// [`run_once_sharded`] — the sharded mirror of `fptas::solve`.
-fn solve_core(
-    g: &CapGraph,
-    commodities: &[Commodity],
-    model: &ArcModel,
-    node_class: Option<&[u32]>,
-    opts: FptasOptions,
-    cfg: &ShardConfig<'_>,
-    aggregated: bool,
-) -> Result<McfSolution, McfError> {
-    if !(opts.epsilon > 0.0 && opts.epsilon < 0.5) {
-        return Err(McfError::InvalidEpsilon {
-            epsilon: opts.epsilon,
-        });
-    }
-    let m = g.arc_count();
-    if commodities.is_empty() {
-        return Ok(McfSolution {
-            lambda: f64::INFINITY,
-            upper_bound: f64::INFINITY,
-            phases: 0,
-            steps: 0,
-            budget_exhausted: false,
-            utilization: vec![0.0; m],
-        });
-    }
-    for c in commodities {
-        if c.src == c.dst || c.demand <= 0.0 {
-            return Err(McfError::InvalidCommodity {
-                src: c.src,
-                dst: c.dst,
-                demand: c.demand,
-            });
-        }
-    }
-    let groups = group_commodities(commodities);
-    let rev = g.reverse_index();
-    let workers = cfg.workers();
-    let mut ub = match node_class {
-        Some(nc) => class_cut_upper_bound(g, commodities, nc),
-        None => node_cut_upper_bound(g, commodities),
-    };
-
-    // Warm-start scan: O(1) reachability per commodity plus the
-    // distance-volume bound when the oracle covers the instance; parallel
-    // unit-length SSSPs otherwise. Disconnection is a converged λ = 0.
-    match warm_scan(commodities, cfg.warm) {
-        WarmScan::Disconnected => {
-            return Ok(McfSolution {
-                lambda: 0.0,
-                upper_bound: ub,
-                phases: 0,
-                steps: 0,
-                budget_exhausted: false,
-                utilization: vec![0.0; m],
-            });
-        }
-        WarmScan::Covered(volume) => {
-            if volume > 0.0 {
-                let total_cap: f64 = model.class_cap.iter().sum();
-                ub = ub.min(total_cap / volume);
-            }
-        }
-        WarmScan::Unknown => {
-            if !all_reachable_par(g, commodities, &groups, &rev, workers) {
-                return Ok(McfSolution {
-                    lambda: 0.0,
-                    upper_bound: ub,
-                    phases: 0,
-                    steps: 0,
-                    budget_exhausted: false,
-                    utilization: vec![0.0; m],
-                });
-            }
-        }
-    }
-
-    // Adaptive demand scaling, exactly as in fptas::solve.
-    let mut scale = if ub.is_finite() && ub > 0.0 {
-        1.0 / ub
-    } else {
-        1.0
-    };
-    let mut last = run_once_sharded(
-        g,
-        commodities,
-        &groups,
-        &rev,
-        model,
-        scale,
-        ub,
-        opts,
-        workers,
-        aggregated,
-    );
-    for _ in 0..4 {
-        let scaled_lambda = last.lambda * scale;
-        if (0.2..=5.0).contains(&scaled_lambda) {
-            break;
-        }
-        if last.lambda <= 0.0 {
-            scale *= 16.0;
-        } else {
-            scale /= scaled_lambda;
-        }
-        last = run_once_sharded(
-            g,
-            commodities,
-            &groups,
-            &rev,
-            model,
-            scale,
-            ub,
-            opts,
-            workers,
-            aggregated,
-        );
-    }
-    last.upper_bound = last.upper_bound.min(ub);
-    Ok(last)
-}
-
-/// Mutable state of one sharded Garg–Könemann run. The lengths, flows, and
-/// dual live on *arc classes* (which under the identity model are exactly
-/// the arcs); `arc_len` is the per-arc materialization the Dijkstra trees
-/// read, refreshed from dirty classes between rounds.
-struct ShardState<'a> {
-    g: &'a CapGraph,
-    model: &'a ArcModel,
-    commodities: &'a [Commodity],
-    eps: f64,
-    scale: f64,
-    max_steps: Option<usize>,
-    workers: usize,
-    /// Current per-class length.
-    class_len: Vec<f64>,
-    /// Per-arc view of `class_len` for the tree builds.
-    arc_len: Vec<f64>,
-    /// Accumulated (capacity-violating) per-class flow.
-    class_flow: Vec<f64>,
-    /// Classes whose `arc_len` entries are stale (non-identity model only).
-    dirty: Vec<u32>,
-    dirty_mark: Vec<bool>,
-    /// Accumulated routed amount per commodity (scaled units).
-    routed: Vec<f64>,
-    dual: f64,
-    dual_ub: f64,
-    primal_floor: Option<(f64, Vec<f64>)>,
-    best_hist: Vec<f64>,
-    phases: usize,
-    steps: usize,
-    budget_exhausted: bool,
-    pushes: u64,
-    deferrals: u64,
-    rounds: u64,
-}
-
-impl ShardState<'_> {
-    /// Certified λ of the scaled instance: worst-served commodity over
-    /// worst class overload (see `fptas::RunState::lambda_scaled`; classes
-    /// overload exactly when their member arcs do, since symmetric flow
-    /// spreads a class equally).
-    fn lambda_scaled(&self) -> f64 {
-        let mu = self
-            .class_flow
-            .iter()
-            .zip(&self.model.class_cap)
-            .map(|(&f, &cap)| f / cap)
-            .fold(0.0f64, f64::max)
-            .max(1.0);
-        let served = self
-            .commodities
-            .iter()
-            .enumerate()
-            .map(|(j, c)| self.routed[j] / (c.demand / self.scale))
-            .fold(f64::INFINITY, f64::min);
-        if served.is_finite() {
-            served / mu
-        } else {
-            0.0
-        }
-    }
-
-    /// See `fptas::RunState::gap_rescue_armed`.
-    fn gap_rescue_armed(&self) -> bool {
-        self.max_steps
-            .is_some_and(|max| self.steps.saturating_mul(2) >= max)
-    }
-
-    /// See `fptas::RunState::note_phase_lambda`.
-    fn note_phase_lambda(&mut self) {
-        let best = self
-            .lambda_scaled()
-            .max(self.best_hist.last().copied().unwrap_or(0.0));
-        self.best_hist.push(best);
-    }
-
-    /// See `fptas::RunState::gap_converged` — identical contract+plateau
-    /// rule on the class-granular dual.
-    fn gap_converged(&mut self, group_alpha: &[f64]) -> bool {
-        let alpha: f64 = group_alpha.iter().sum();
-        if alpha <= 0.0 {
-            return false;
-        }
-        self.dual_ub = self.dual_ub.min(self.dual / alpha);
-        let lambda_scaled = self.lambda_scaled();
-        if std::env::var_os("FT_FPTAS_TRACE").is_some() {
-            eprintln!(
-                "shard phase={} steps={} rounds={} dual={:.4} lam={:.5} ub={:.5} ratio={:.3}",
-                self.phases,
-                self.steps,
-                self.rounds,
-                self.dual,
-                lambda_scaled,
-                self.dual_ub,
-                lambda_scaled / self.dual_ub
-            );
-        }
-        let contract =
-            lambda_scaled > 0.0 && lambda_scaled >= (1.0 - 3.0 * self.eps) * self.dual_ub;
-        let n = self.best_hist.len();
-        // `n >= 3` is checked first, so both indices are in bounds
-        let plateau = n >= 3 && self.best_hist[n - 1] <= 1.01 * self.best_hist[n - 3];
-        contract && plateau
-    }
-
-    /// See `fptas::RunState::primal_reset`.
-    fn primal_reset(&mut self) {
-        self.primal_floor = Some((self.lambda_scaled(), self.class_flow.clone()));
-        self.class_flow.iter_mut().for_each(|f| *f = 0.0);
-        self.routed.iter_mut().for_each(|r| *r = 0.0);
-    }
-
-    /// Re-materializes `arc_len` for classes touched since the last round
-    /// (no-op under the identity model, which updates `arc_len` on push).
-    fn refresh_dirty(&mut self) {
-        for &o in &self.dirty {
-            let o = o as usize;
-            let len = self.class_len[o];
-            // bounds: class_start has classes + 1 entries, o < classes
-            let (lo, hi) = (self.model.class_start[o], self.model.class_start[o + 1]);
-            for &a in &self.model.class_arcs[lo as usize..hi as usize] {
-                self.arc_len[a as usize] = len;
-            }
-            self.dirty_mark[o] = false;
-        }
-        self.dirty.clear();
-    }
-}
-
-/// One tree's worth of path proposals from a round build.
-struct MemberPlan {
-    /// Commodity index.
-    j: u32,
-    /// Far endpoint's distance at tree-build time — the Fleischer band's
-    /// lower bound on the live shortest-path distance.
-    tree_dist: f64,
-    /// Arc indices of the tree path (root-ward order).
-    arcs: Vec<u32>,
-}
-
-struct GroupPlan {
-    members: Vec<MemberPlan>,
-    /// A member's far endpoint was unreachable — cannot happen after the
-    /// pre-check; aborts the run defensively like the batched loop.
-    lost: bool,
-}
-
-/// Builds one shortest-path tree per pending group, in parallel, against a
-/// single immutable length snapshot; returns the path proposals in group
-/// order. Worker-count independent: every worker reads the same snapshot
-/// and results are merged in input order.
-#[allow(clippy::too_many_arguments)]
-fn build_round(
-    g: &CapGraph,
-    groups: &[Group],
-    commodities: &[Commodity],
-    round: &[u32],
-    arc_len: &[f64],
-    rem: &[f64],
-    rev: &ReverseIndex,
-    workers: usize,
-) -> Vec<GroupPlan> {
-    ft_graph::par::map_init_with(workers, round, DijkstraScratch::new, |scratch, &gi| {
-        let grp = &groups[gi as usize];
-        if grp.reversed {
-            g.shortest_path_tree_to_with(rev, grp.root, arc_len, scratch);
-        } else {
-            g.shortest_path_tree_with(grp.root, arc_len, scratch);
-        }
-        let mut members = Vec::new();
-        for &j in &grp.members {
-            if !positive(rem[j]) {
-                continue;
-            }
-            let far = if grp.reversed {
-                commodities[j].src
-            } else {
-                commodities[j].dst
-            };
-            let Some(tree_dist) = scratch.distance(far) else {
-                return GroupPlan {
-                    members,
-                    lost: true,
-                };
-            };
-            let mut arcs = Vec::new();
-            if grp.reversed {
-                arcs.extend(g.tree_walk_to(scratch, far).map(id32));
-            } else {
-                arcs.extend(g.tree_walk(scratch, far).map(id32));
-            }
-            members.push(MemberPlan {
-                j: id32(j),
-                tree_dist,
-                arcs,
-            });
-        }
-        GroupPlan {
-            members,
-            lost: false,
-        }
-    })
-}
-
-/// Phase-end α pass for the budget-rescue dual bound, one tree per group,
-/// fanned over the worker pool (see the batched loop's α pass — this is
-/// the same computation against the same length array, just parallel).
-fn build_alpha(
-    g: &CapGraph,
-    groups: &[Group],
-    commodities: &[Commodity],
-    scale: f64,
-    arc_len: &[f64],
-    rev: &ReverseIndex,
-    workers: usize,
-) -> Vec<f64> {
-    ft_graph::par::map_init_with(workers, groups, DijkstraScratch::new, |scratch, grp| {
-        if grp.reversed {
-            g.shortest_path_tree_to_with(rev, grp.root, arc_len, scratch);
-        } else {
-            g.shortest_path_tree_with(grp.root, arc_len, scratch);
-        }
-        grp.members
-            .iter()
-            .map(|&j| {
-                let far = if grp.reversed {
-                    commodities[j].src
-                } else {
-                    commodities[j].dst
-                };
-                let d = commodities[j].demand / scale;
-                d * scratch.distance(far).unwrap_or(0.0)
-            })
-            .sum()
-    })
-}
-
-/// One sharded Garg–Könemann run on demands divided by `scale` — the
-/// sharded mirror of `fptas::run_once`, with the batched routing loop
-/// replaced by [`route_sharded`] and lengths/flows kept per arc class.
-#[allow(clippy::too_many_arguments)]
-fn run_once_sharded(
-    g: &CapGraph,
-    commodities: &[Commodity],
-    groups: &[Group],
-    rev: &ReverseIndex,
-    model: &ArcModel,
-    scale: f64,
-    ub_caller: f64,
-    opts: FptasOptions,
-    workers: usize,
-    aggregated: bool,
-) -> McfSolution {
-    let eps = opts.epsilon;
-    let m = g.arc_count();
-    let classes = model.classes();
-    // δ from the element count of the packing instance — the classes, not
-    // the arcs, are the capacitated elements of the quotient scheme.
-    let delta = (classes as f64 / (1.0 - eps)).powf(-1.0 / eps);
-    let seed_ub = if ub_caller.is_finite() && ub_caller > 0.0 {
-        ub_caller * scale
-    } else {
-        f64::INFINITY
-    };
-    let class_len: Vec<f64> = model.class_cap.iter().map(|&cap| delta / cap).collect();
-    let arc_len: Vec<f64> = model
-        .class_of
-        .iter()
-        .map(|&o| class_len[o as usize])
-        .collect();
-    let mut st = ShardState {
-        g,
-        model,
-        commodities,
-        eps,
-        scale,
-        max_steps: opts.max_steps,
-        workers,
-        dual: class_len
-            .iter()
-            .zip(&model.class_cap)
-            .map(|(&l, &cap)| cap * l)
-            .sum(),
-        class_len,
-        arc_len,
-        class_flow: vec![0.0f64; classes],
-        dirty: Vec::new(),
-        dirty_mark: vec![false; if model.identity { 0 } else { classes }],
-        routed: vec![0.0; commodities.len()],
-        dual_ub: seed_ub,
-        primal_floor: None,
-        best_hist: Vec::new(),
-        phases: 0,
-        steps: 0,
-        budget_exhausted: false,
-        pushes: 0,
-        deferrals: 0,
-        rounds: 0,
-    };
-
-    let mut run_span = ft_obs::span!(
-        "fptas.shard_run",
-        commodities = commodities.len(),
-        groups = groups.len(),
-        classes = classes,
-        workers = workers,
-        aggregated = aggregated,
-        scale = scale,
-    );
-
-    route_sharded(&mut st, groups, rev);
-
-    let mut lambda_scaled = st.lambda_scaled();
-    let mut best_flow = &st.class_flow;
-    if let Some((floor, flow)) = &st.primal_floor {
-        if *floor > lambda_scaled {
-            lambda_scaled = *floor;
-            best_flow = flow;
-        }
-    }
-    let mu = best_flow
-        .iter()
-        .zip(&model.class_cap)
-        .map(|(&f, &cap)| f / cap)
-        .fold(0.0f64, f64::max)
-        .max(1.0);
-    // Per-arc utilization of the symmetric solution: a class's flow spread
-    // equally over its arcs loads each at class_flow/class_cap.
-    let utilization: Vec<f64> = (0..m)
-        .map(|a| {
-            let o = model.class_of[a] as usize;
-            best_flow[o] / model.class_cap[o] / mu
-        })
-        .collect();
-
-    let c = fptas::obs();
-    c.runs.incr();
-    c.phases.add(st.phases as u64);
-    c.trees.add(st.steps as u64);
-    c.pushes.add(st.pushes);
-    c.deferrals.add(st.deferrals);
-    if st.gap_rescue_armed() {
-        c.rescue_armed.incr();
-    }
-    if st.budget_exhausted {
-        c.budget_exhausted.incr();
-    }
-    shard_obs().rounds.add(st.rounds);
-    if let Some(s) = run_span.as_mut() {
-        s.field("lambda", lambda_scaled / scale);
-        s.field("phases", st.phases);
-        s.field("steps", st.steps);
-        s.field("rounds", st.rounds);
-        s.field("pushes", st.pushes);
-        s.field("deferrals", st.deferrals);
-        s.field("budget_exhausted", st.budget_exhausted);
-    }
-
-    McfSolution {
-        lambda: lambda_scaled / scale,
-        upper_bound: st.dual_ub / scale,
-        phases: st.phases,
-        steps: st.steps,
-        budget_exhausted: st.budget_exhausted,
-        utilization,
-    }
-}
-
-/// The round-based routing loop. Each phase repeatedly (a) builds one tree
-/// per still-pending group in parallel against the current length snapshot
-/// ([`build_round`]), then (b) applies the proposals sequentially in group
-/// order, routing each member while its path's *live* length stays within
-/// `(1 + ε)` of its snapshot tree distance. The first proposal of a round
-/// is applied against exactly its build lengths, so every round pushes at
-/// least once — termination and certification mirror the batched loop,
-/// including the budget-rescue α pass (also parallel) and the primal
-/// reset.
-fn route_sharded(st: &mut ShardState<'_>, groups: &[Group], rev: &ReverseIndex) {
-    let one_plus_eps = 1.0 + st.eps;
-    let mut rem: Vec<f64> = vec![0.0; st.commodities.len()];
-    let mut group_alpha = vec![0.0f64; groups.len()];
-    let mut pending: Vec<u32> = Vec::with_capacity(groups.len());
-
-    'outer: while st.dual < 1.0 {
-        let mut phase_span =
-            ft_obs::span!("fptas.shard_phase", phase = st.phases, workers = st.workers);
-        let (steps0, pushes0, deferrals0, rounds0) = (st.steps, st.pushes, st.deferrals, st.rounds);
-        for (j, c) in st.commodities.iter().enumerate() {
-            rem[j] = c.demand / st.scale;
-        }
-        pending.clear();
-        pending.extend((0..groups.len()).map(id32));
-        while !pending.is_empty() {
-            let take = match st.max_steps {
-                Some(max) => {
-                    let allowed = max.saturating_sub(st.steps);
-                    if allowed == 0 {
-                        st.budget_exhausted = true;
-                        break 'outer;
-                    }
-                    pending.len().min(allowed)
-                }
-                None => pending.len(),
-            };
-            st.steps += take;
-            st.rounds += 1;
-            let round = &pending[..take];
-            let plans = build_round(
-                st.g,
-                groups,
-                st.commodities,
-                round,
-                &st.arc_len,
-                &rem,
-                rev,
-                st.workers,
-            );
-            for plan in &plans {
-                for mp in &plan.members {
-                    let j = mp.j as usize;
-                    'member: while rem[j] > 0.0 {
-                        // Live path length under the authoritative class
-                        // lengths (the arc view may be mid-round stale).
-                        let mut path_len = 0.0f64;
-                        for &a in &mp.arcs {
-                            path_len += st.class_len[st.model.class_of[a as usize] as usize];
-                        }
-                        if path_len > one_plus_eps * mp.tree_dist {
-                            st.deferrals += 1;
-                            break 'member;
-                        }
-                        // Element bottleneck: a class occurring h times on
-                        // the path saturates at cap/h per unit of path flow.
-                        let mut bottleneck = f64::INFINITY;
-                        for &a in &mp.arcs {
-                            let o = st.model.class_of[a as usize];
-                            let mut h = 0u32;
-                            for &b in &mp.arcs {
-                                if st.model.class_of[b as usize] == o {
-                                    h += 1;
-                                }
-                            }
-                            bottleneck =
-                                bottleneck.min(st.model.class_cap[o as usize] / f64::from(h));
-                        }
-                        let f = rem[j].min(bottleneck);
-                        rem[j] -= f;
-                        st.routed[j] += f;
-                        st.pushes += 1;
-                        for &a in &mp.arcs {
-                            let o = st.model.class_of[a as usize] as usize;
-                            let cap = st.model.class_cap[o];
-                            st.class_flow[o] += f;
-                            let old = st.class_len[o];
-                            let new = old * (1.0 + st.eps * f / cap);
-                            st.class_len[o] = new;
-                            st.dual += cap * (new - old);
-                            if st.model.identity {
-                                st.arc_len[a as usize] = new;
-                            } else if !st.dirty_mark[o] {
-                                st.dirty_mark[o] = true;
-                                st.dirty.push(id32(o));
-                            }
-                        }
-                        if st.dual >= 1.0 {
-                            break 'outer;
-                        }
-                    }
-                }
-                if plan.lost {
-                    break 'outer; // cannot happen after the pre-check
-                }
-            }
-            st.refresh_dirty();
-            pending.clear();
-            pending.extend(
-                (0..groups.len())
-                    .filter(|&gi| groups[gi].members.iter().any(|&j| rem[j] > 0.0))
-                    .map(id32),
-            );
-        }
-        st.phases += 1;
-        st.note_phase_lambda();
-        if let Some(s) = phase_span.as_mut() {
-            s.field("trees", (st.steps - steps0) as u64);
-            s.field("rounds", st.rounds - rounds0);
-            s.field("pushes", st.pushes - pushes0);
-            s.field("deferrals", st.deferrals - deferrals0);
-            s.field("dual", st.dual);
-            s.field("lambda_scaled", st.best_hist.last().copied().unwrap_or(0.0));
-            s.field("rescue_armed", st.gap_rescue_armed());
-        }
-        if st.gap_rescue_armed() {
-            let take = match st.max_steps {
-                Some(max) => {
-                    let allowed = max.saturating_sub(st.steps);
-                    if allowed == 0 {
-                        st.budget_exhausted = true;
-                        break 'outer;
-                    }
-                    groups.len().min(allowed)
-                }
-                None => groups.len(),
-            };
-            st.steps += take;
-            let alpha = build_alpha(
-                st.g,
-                &groups[..take],
-                st.commodities,
-                st.scale,
-                &st.arc_len,
-                rev,
-                st.workers,
-            );
-            group_alpha[..take].copy_from_slice(&alpha);
-            if take < groups.len() {
-                // partial α pass on a tripping budget, as in the batched
-                // loop: the stale tail only weakens the bound
-                st.budget_exhausted = true;
-                break 'outer;
-            }
-            let converged = st.gap_converged(&group_alpha);
-            if let Some(s) = phase_span.as_mut() {
-                s.field("alpha", group_alpha.iter().sum::<f64>());
-                s.field("dual_ub", st.dual_ub);
-                s.field("converged_by_gap", converged);
-            }
-            if converged {
-                break;
-            }
-        }
-        if st.phases == 2 && st.primal_floor.is_none() && st.dual < 0.25 {
-            st.primal_reset();
-            if let Some(s) = phase_span.as_mut() {
-                s.field("primal_reset", true);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digraph::DijkstraScratch;
     use crate::exact::max_concurrent_flow_exact;
-    use crate::fptas::max_concurrent_flow;
     use ft_graph::Graph;
 
     fn unit(n: usize, edges: &[(u32, u32)]) -> CapGraph {
@@ -1382,130 +582,19 @@ mod tests {
         unit(4, &[(0, 1), (1, 2), (2, 3), (3, 0)])
     }
 
-    #[test]
-    fn sharded_matches_exact_on_fixed_instances() {
-        let eps = 0.05;
-        let cases: Vec<(CapGraph, Vec<Commodity>)> = vec![
-            (
-                unit(3, &[(0, 1), (1, 2)]),
-                vec![Commodity {
-                    src: 0,
-                    dst: 2,
-                    demand: 1.0,
-                }],
-            ),
-            (
-                unit(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]),
-                vec![Commodity {
-                    src: 0,
-                    dst: 3,
-                    demand: 1.0,
-                }],
-            ),
-            (
-                unit(4, &[(0, 2), (1, 2), (2, 3)]),
-                vec![
-                    Commodity {
-                        src: 0,
-                        dst: 3,
-                        demand: 1.0,
-                    },
-                    Commodity {
-                        src: 1,
-                        dst: 3,
-                        demand: 1.0,
-                    },
-                ],
-            ),
-            (ring4(), all_to_all(4)),
-        ];
-        for (g, cs) in &cases {
-            let exact = max_concurrent_flow_exact(g, cs).unwrap();
-            let sol = max_concurrent_flow_sharded(
-                g,
-                cs,
-                FptasOptions::with_epsilon(eps),
-                &ShardConfig::default(),
-            )
-            .unwrap();
-            assert!(sol.lambda <= exact + 1e-6, "{} > {}", sol.lambda, exact);
-            assert!(
-                sol.lambda >= (1.0 - 3.0 * eps) * exact - 1e-9,
-                "{} below guarantee for {}",
-                sol.lambda,
-                exact
-            );
-            assert!(!sol.budget_exhausted);
-            for &u in &sol.utilization {
-                assert!(u <= 1.0 + 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_bit_identical_across_worker_counts() {
+    /// ring4 has two automorphism classes {0,2} and {1,3}; the 12
+    /// all-to-all commodities collapse to 4 orbits.
+    fn ring4_quotient() -> (CapGraph, AggregatedInstance) {
         let g = ring4();
-        let cs = all_to_all(4);
-        let opts = FptasOptions {
-            epsilon: 0.08,
-            max_steps: Some(500),
-        };
-        let base =
-            max_concurrent_flow_sharded(&g, &cs, opts, &ShardConfig::with_threads(1)).unwrap();
-        for threads in [2, 4, 7] {
-            let sol =
-                max_concurrent_flow_sharded(&g, &cs, opts, &ShardConfig::with_threads(threads))
-                    .unwrap();
-            assert_eq!(
-                sol.lambda.to_bits(),
-                base.lambda.to_bits(),
-                "λ differs at {threads} workers"
-            );
-            assert_eq!(sol.steps, base.steps);
-            assert_eq!(sol.phases, base.phases);
-            let same_util = sol
-                .utilization
-                .iter()
-                .zip(&base.utilization)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same_util, "utilization differs at {threads} workers");
-        }
+        let hops = hop_table(&g);
+        let dist = |a: usize, b: usize| Some(hops[a][b]);
+        let inst =
+            AggregatedInstance::from_commodities(&g, &[0, 1, 0, 1], &all_to_all(4), &dist).unwrap();
+        (g, inst)
     }
 
     #[test]
-    fn sharded_within_band_of_batched() {
-        let eps = 0.05;
-        let g = unit(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]);
-        let cs = [
-            Commodity {
-                src: 0,
-                dst: 3,
-                demand: 1.0,
-            },
-            Commodity {
-                src: 0,
-                dst: 2,
-                demand: 1.0,
-            },
-            Commodity {
-                src: 4,
-                dst: 1,
-                demand: 0.5,
-            },
-        ];
-        let opts = FptasOptions::with_epsilon(eps);
-        let b = max_concurrent_flow(&g, &cs, opts).unwrap().lambda;
-        let s = max_concurrent_flow_sharded(&g, &cs, opts, &ShardConfig::default())
-            .unwrap()
-            .lambda;
-        assert!(
-            s >= (1.0 - 3.0 * eps) * b - 1e-9 && b >= (1.0 - 3.0 * eps) * s - 1e-9,
-            "sharded {s} vs batched {b} outside the ε band"
-        );
-    }
-
-    #[test]
-    fn aggregated_identity_bitwise_matches_sharded() {
+    fn aggregated_identity_bitwise_matches_batched() {
         // All-singleton classes: the aggregation must degrade to the exact
         // original instance and produce a bit-identical λ.
         let g = unit(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]);
@@ -1517,29 +606,27 @@ mod tests {
         assert!(inst.is_identity());
         assert_eq!(inst.commodities(), &cs[..]);
         assert_eq!(inst.original_commodities(), cs.len());
+        assert_eq!(inst.arc_classes(), g.arc_count());
         let opts = FptasOptions::with_epsilon(0.08);
-        let agg = max_concurrent_flow_aggregated(&g, &inst, opts, &ShardConfig::default()).unwrap();
-        let full = max_concurrent_flow_sharded(&g, &cs, opts, &ShardConfig::default()).unwrap();
+        let agg = max_concurrent_flow_aggregated(&g, &inst, opts).unwrap();
+        let full = max_concurrent_flow(&g, &cs, opts).unwrap();
         assert_eq!(agg.lambda.to_bits(), full.lambda.to_bits());
+        assert_eq!(agg.upper_bound.to_bits(), full.upper_bound.to_bits());
         assert_eq!(agg.steps, full.steps);
     }
 
     #[test]
     fn aggregated_ring_collapses_and_matches_full() {
-        // ring4 has two automorphism classes {0,2} and {1,3}; the 12
-        // all-to-all commodities collapse to 4 orbits.
-        let g = ring4();
+        let (g, inst) = ring4_quotient();
         let cs = all_to_all(4);
-        let hops = hop_table(&g);
-        let dist = |a: usize, b: usize| Some(hops[a][b]);
-        let node_class = [0u32, 1, 0, 1];
-        let inst = AggregatedInstance::from_commodities(&g, &node_class, &cs, &dist).unwrap();
         assert!(!inst.is_identity());
         assert_eq!(inst.commodities().len(), 4);
         assert_eq!(inst.original_commodities(), 12);
+        // (even, odd) and (odd, even) arcs: two classes of four arcs each
+        assert_eq!(inst.arc_classes(), 2);
         let eps = 0.05;
         let opts = FptasOptions::with_epsilon(eps);
-        let agg = max_concurrent_flow_aggregated(&g, &inst, opts, &ShardConfig::default()).unwrap();
+        let agg = max_concurrent_flow_aggregated(&g, &inst, opts).unwrap();
         let exact = max_concurrent_flow_exact(&g, &cs).unwrap();
         assert!(agg.lambda <= exact + 1e-6, "{} > {}", agg.lambda, exact);
         assert!(
@@ -1548,6 +635,8 @@ mod tests {
             agg.lambda,
             exact
         );
+        assert!(agg.lambda <= agg.upper_bound + 1e-9);
+        assert!(!agg.budget_exhausted);
         for &u in &agg.utilization {
             assert!(u <= 1.0 + 1e-9);
         }
@@ -1566,6 +655,10 @@ mod tests {
         assert_eq!(symbolic.commodities(), explicit.commodities());
         assert_eq!(symbolic.original_commodities(), 12);
         assert!(!symbolic.is_identity());
+        // both builders record the full instance's distance volume: every
+        // node sends to two neighbours at one hop and one node at two
+        assert_eq!(explicit.volume, 4.0 * (1.0 + 1.0 + 2.0));
+        assert_eq!(symbolic.volume.to_bits(), explicit.volume.to_bits());
     }
 
     #[test]
@@ -1597,7 +690,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_oracle_detects_disconnection() {
+    fn oracle_disconnection_rejects_aggregation() {
+        // An unreachable pair never aggregates; the caller's fallback, the
+        // full solve, pins λ to a converged 0.
         let g = unit(3, &[(0, 1)]);
         let cs = [Commodity {
             src: 0,
@@ -1606,78 +701,55 @@ mod tests {
         }];
         let hops = hop_table(&g);
         let dist = move |a: usize, b: usize| Some(hops[a][b]);
-        let cfg = ShardConfig {
-            threads: 1,
-            warm: Some(&dist),
-        };
-        let sol = max_concurrent_flow_sharded(&g, &cs, FptasOptions::default(), &cfg).unwrap();
+        assert!(AggregatedInstance::from_commodities(&g, &[0, 1, 2], &cs, &dist).is_none());
+        let sol = max_concurrent_flow(&g, &cs, FptasOptions::default()).unwrap();
         assert_eq!(sol.lambda, 0.0);
         assert!(!sol.budget_exhausted);
     }
 
     #[test]
-    fn warm_oracle_matches_cold_solve() {
-        // The oracle tightens the upper-bound seed, which may legitimately
-        // change the schedule — but the certified λ must stay in band.
-        let eps = 0.05;
-        let g = ring4();
-        let cs = all_to_all(4);
-        let hops = hop_table(&g);
-        let dist = move |a: usize, b: usize| Some(hops[a][b]);
-        let opts = FptasOptions::with_epsilon(eps);
-        let cold = max_concurrent_flow_sharded(&g, &cs, opts, &ShardConfig::default())
-            .unwrap()
-            .lambda;
-        let cfg = ShardConfig {
-            threads: 0,
-            warm: Some(&dist),
-        };
-        let warm = max_concurrent_flow_sharded(&g, &cs, opts, &cfg)
-            .unwrap()
-            .lambda;
-        assert!(
-            warm >= (1.0 - 3.0 * eps) * cold - 1e-9 && cold >= (1.0 - 3.0 * eps) * warm - 1e-9,
-            "warm {warm} vs cold {cold} outside the ε band"
-        );
-    }
-
-    #[test]
     fn bad_epsilon_rejected() {
-        let g = unit(2, &[(0, 1)]);
-        let cs = [Commodity {
-            src: 0,
-            dst: 1,
-            demand: 1.0,
-        }];
-        let err = max_concurrent_flow_sharded(
-            &g,
-            &cs,
-            FptasOptions::with_epsilon(0.7),
-            &ShardConfig::default(),
-        )
-        .unwrap_err();
+        let (g, inst) = ring4_quotient();
+        let err =
+            max_concurrent_flow_aggregated(&g, &inst, FptasOptions::with_epsilon(0.7)).unwrap_err();
         assert!(matches!(err, McfError::InvalidEpsilon { .. }));
     }
 
     #[test]
     fn budget_respected_and_reported() {
-        let g = ring4();
-        let cs = [Commodity {
-            src: 0,
-            dst: 2,
-            demand: 1.0,
-        }];
-        let sol = max_concurrent_flow_sharded(
+        let (g, inst) = ring4_quotient();
+        let sol = max_concurrent_flow_aggregated(
             &g,
-            &cs,
+            &inst,
             FptasOptions {
                 epsilon: 0.01,
                 max_steps: Some(5),
             },
-            &ShardConfig::default(),
         )
         .unwrap();
-        assert!(sol.steps <= 5 * 5, "rescaling runs are each capped");
+        assert!(sol.steps <= 5, "every run is capped at the budget");
+        // ε = 0.01 needs far more than 5 trees to converge: the budget must
+        // be *reported*, not silently swallowed.
         assert!(sol.budget_exhausted);
+        assert!(sol.lambda <= sol.upper_bound);
+    }
+
+    #[test]
+    fn mismatched_graph_is_an_error() {
+        let (_, inst) = ring4_quotient();
+        for (g, given) in [
+            (unit(5, &[(0, 1), (1, 2), (2, 3), (3, 0)]), (5, 8)),
+            (unit(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]), (4, 10)),
+        ] {
+            let err = max_concurrent_flow_aggregated(&g, &inst, FptasOptions::default())
+                .expect_err("a different graph must be rejected");
+            assert_eq!(
+                err,
+                McfError::GraphMismatch {
+                    built: (4, 8),
+                    given
+                }
+            );
+        }
     }
 }

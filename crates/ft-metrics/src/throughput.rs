@@ -13,29 +13,23 @@
 
 use ft_mcf::{
     aggregate_commodities, max_concurrent_flow, max_concurrent_flow_aggregated,
-    max_concurrent_flow_exact, max_concurrent_flow_sharded, AggregatedInstance, CapGraph,
-    Commodity, FptasOptions, McfError, ShardConfig,
+    max_concurrent_flow_exact, AggregatedInstance, CapGraph, Commodity, FptasOptions, McfError,
 };
 use ft_topo::{Network, SymmetryClasses};
 use ft_workload::TrafficMatrix;
 
 use crate::path_length::SwitchDistances;
 
-/// Which FPTAS routing engine solves instances above the exact-LP
-/// threshold.
+/// Which instance the FPTAS solves above the exact-LP threshold. Both run
+/// the one source-batched Fleischer loop of `ft_mcf::fptas`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SolverKind {
-    /// The sequential source-batched Fleischer loop
-    /// ([`max_concurrent_flow`]) — the PR 4 baseline.
+    /// The full commodity list ([`max_concurrent_flow`]).
     #[default]
     Batched,
-    /// The round-sharded parallel loop
-    /// ([`max_concurrent_flow_sharded`]): same certification, trees built
-    /// on the `ft_graph::par` pool, λ bit-identical across `FT_THREADS`.
-    Sharded,
     /// Symmetry-aggregated quotient solve
     /// ([`max_concurrent_flow_aggregated`]) over
-    /// `ft_topo::SymmetryClasses` orbits; falls back to [`Self::Sharded`]
+    /// `ft_topo::SymmetryClasses` orbits; falls back to [`Self::Batched`]
     /// on the full instance when the commodity set does not aggregate
     /// (asymmetric/converted topologies, incomplete distance data).
     Aggregated,
@@ -51,10 +45,11 @@ pub struct ThroughputOptions {
     pub exact_threshold: usize,
     /// Optional hard cap on FPTAS shortest-path computations.
     pub max_steps: Option<usize>,
-    /// FPTAS routing engine for instances above the threshold.
+    /// Which instance the FPTAS solves above the threshold: the full
+    /// commodity list or its symmetry quotient.
     pub solver: SolverKind,
-    /// Worker threads for the sharded/aggregated engines (0 = the
-    /// `FT_THREADS` pool default). Never affects λ, only the wall clock.
+    /// Unused: the FPTAS is sequential. Kept so that callers building the
+    /// struct field by field still compile.
     pub threads: usize,
 }
 
@@ -145,10 +140,9 @@ pub fn throughput_on_commodities(
 }
 
 /// [`throughput_on_commodities`] with an optional shared distance table.
-/// The table warm-starts the sharded engines (O(1) reachability, the
-/// distance-volume upper bound) and feeds the symmetry aggregation —
-/// `ft-serve` passes the table it already caches per network instead of
-/// recomputing APSP per query.
+/// The table only feeds the symmetry aggregation of
+/// [`SolverKind::Aggregated`] — `ft-serve` passes the table it already
+/// caches per network instead of recomputing APSP per query.
 ///
 /// # Errors
 /// Propagates [`McfError`] from the underlying solver.
@@ -195,22 +189,6 @@ pub fn throughput_on_commodities_with(
     };
     match opts.solver {
         SolverKind::Batched => Ok(wrap(max_concurrent_flow(&cg, commodities, fopts)?, None)),
-        SolverKind::Sharded => {
-            // Only a caller-provided table warm-starts the plain sharded
-            // engine: computing APSP here would hide a whole-table build
-            // behind every solve.
-            let oracle = warm.map(|d| move |a: usize, b: usize| d.switch_distance(a, b));
-            let cfg = ShardConfig {
-                threads: opts.threads,
-                warm: oracle
-                    .as_ref()
-                    .map(|o| o as &(dyn Fn(usize, usize) -> Option<u32> + Sync)),
-            };
-            Ok(wrap(
-                max_concurrent_flow_sharded(&cg, commodities, fopts, &cfg)?,
-                None,
-            ))
-        }
         SolverKind::Aggregated => {
             // Aggregation needs a full distance table; compute one if the
             // caller did not share theirs.
@@ -223,10 +201,6 @@ pub fn throughput_on_commodities_with(
                 }
             };
             let oracle = move |a: usize, b: usize| dist.switch_distance(a, b);
-            let cfg = ShardConfig {
-                threads: opts.threads,
-                warm: Some(&oracle),
-            };
             let classes = SymmetryClasses::compute(net);
             match AggregatedInstance::from_commodities(
                 &cg,
@@ -237,16 +211,13 @@ pub fn throughput_on_commodities_with(
                 Some(inst) => {
                     let aggregated = (!inst.is_identity()).then_some(inst.commodities().len());
                     Ok(wrap(
-                        max_concurrent_flow_aggregated(&cg, &inst, fopts, &cfg)?,
+                        max_concurrent_flow_aggregated(&cg, &inst, fopts)?,
                         aggregated,
                     ))
                 }
                 // non-aggregatable (asymmetric, mixed demands, missing
                 // distance rows): solve the instance as given
-                None => Ok(wrap(
-                    max_concurrent_flow_sharded(&cg, commodities, fopts, &cfg)?,
-                    None,
-                )),
+                None => Ok(wrap(max_concurrent_flow(&cg, commodities, fopts)?, None)),
             }
         }
     }
@@ -266,20 +237,18 @@ pub fn throughput_all_to_all(
     opts: ThroughputOptions,
 ) -> Result<ThroughputResult, McfError> {
     let counts = net.server_counts();
-    if opts.solver == SolverKind::Aggregated {
+    // Only aggregation reads distances; its table is reused by the
+    // fallback below when the instance does not aggregate.
+    let dist = (opts.solver == SolverKind::Aggregated).then(|| SwitchDistances::compute(net));
+    if let Some(dist) = &dist {
         let sg = net.switch_graph();
         let cg = CapGraph::from_graph(&sg, 1.0);
-        let dist = SwitchDistances::compute(net);
         let oracle = move |a: usize, b: usize| dist.switch_distance(a, b);
         let classes = SymmetryClasses::compute(net);
         let weights: Vec<f64> = counts.iter().map(|&c| f64::from(c)).collect();
         if let Some(inst) =
             AggregatedInstance::all_to_all(&cg, classes.class_slice(), &weights, &oracle)
         {
-            let cfg = ShardConfig {
-                threads: opts.threads,
-                warm: Some(&oracle),
-            };
             let sol = max_concurrent_flow_aggregated(
                 &cg,
                 &inst,
@@ -287,7 +256,6 @@ pub fn throughput_all_to_all(
                     epsilon: opts.epsilon,
                     max_steps: opts.max_steps,
                 },
-                &cfg,
             )?;
             let aggregated = (!inst.is_identity()).then_some(inst.commodities().len());
             return Ok(ThroughputResult {
@@ -316,11 +284,7 @@ pub fn throughput_all_to_all(
             }
         }
     }
-    // The sharded engine gets the same warm table the aggregated path
-    // uses, so an identity-degraded aggregation and a direct sharded run
-    // produce bit-identical λ (the symmetry tests byte-compare them).
-    let warm = (opts.solver == SolverKind::Sharded).then(|| SwitchDistances::compute(net));
-    throughput_on_commodities_with(net, &commodities, opts, warm.as_ref())
+    throughput_on_commodities_with(net, &commodities, opts, dist.as_ref())
 }
 
 #[cfg(test)]
@@ -401,11 +365,6 @@ mod tests {
         let eps = 0.08;
         let band = 1.0 - 3.0 * eps;
         let b = throughput_all_to_all(&net, ThroughputOptions::fptas(eps)).unwrap();
-        let s = throughput_all_to_all(
-            &net,
-            ThroughputOptions::fptas_with(eps, SolverKind::Sharded),
-        )
-        .unwrap();
         let a = throughput_all_to_all(
             &net,
             ThroughputOptions::fptas_with(eps, SolverKind::Aggregated),
@@ -421,39 +380,14 @@ mod tests {
             "{collapsed} vs {}",
             a.commodities
         );
-        for (name, r) in [("sharded", &s), ("aggregated", &a)] {
-            assert!(
-                r.lambda >= band * b.lambda - 1e-9 && b.lambda >= band * r.lambda - 1e-9,
-                "{name} {} vs batched {} outside the ε band",
-                r.lambda,
-                b.lambda
-            );
-            assert!(!r.budget_exhausted);
-        }
-    }
-
-    #[test]
-    fn warm_table_keeps_lambda_in_band() {
-        let net = fat_tree(4).unwrap();
-        let spec = WorkloadSpec {
-            pattern: TrafficPattern::AllToAll,
-            cluster_size: 8,
-            locality: Locality::Strong,
-        };
-        let tm = generate(&net, &spec, 1);
-        let commodities: Vec<_> = ft_mcf::aggregate_commodities(tm.switch_triples(&net));
-        let eps = 0.08;
-        let band = 1.0 - 3.0 * eps;
-        let opts = ThroughputOptions::fptas_with(eps, SolverKind::Sharded);
-        let cold = throughput_on_commodities_with(&net, &commodities, opts, None).unwrap();
-        let table = crate::path_length::SwitchDistances::compute(&net);
-        let warm = throughput_on_commodities_with(&net, &commodities, opts, Some(&table)).unwrap();
         assert!(
-            warm.lambda >= band * cold.lambda - 1e-9 && cold.lambda >= band * warm.lambda - 1e-9,
-            "warm {} vs cold {}",
-            warm.lambda,
-            cold.lambda
+            a.lambda >= band * b.lambda - 1e-9 && b.lambda >= band * a.lambda - 1e-9,
+            "aggregated {} vs batched {} outside the ε band",
+            a.lambda,
+            b.lambda
         );
+        assert!(!a.budget_exhausted);
+        assert!(!b.budget_exhausted);
     }
 
     #[test]

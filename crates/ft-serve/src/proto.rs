@@ -147,7 +147,8 @@ pub enum Request {
         locality: Locality,
         /// Workload placement seed.
         seed: u64,
-        /// FPTAS routing engine (batched | sharded | aggregated).
+        /// FPTAS instance: the full commodity list or its symmetry
+        /// quotient (batched | aggregated).
         solver: SolverKind,
     },
     /// Converter-diff preview for a conversion (no state change).
@@ -310,11 +311,10 @@ pub fn parse(line: &str) -> Result<Request, ServeError> {
             };
             let solver = match args.get("solver").map(String::as_str) {
                 None | Some("batched") => SolverKind::Batched,
-                Some("sharded") => SolverKind::Sharded,
                 Some("aggregated") => SolverKind::Aggregated,
                 Some(other) => {
                     return Err(ServeError::BadRequest(format!(
-                        "unknown solver {other:?} (use batched | sharded | aggregated)"
+                        "unknown solver {other:?} (use batched | aggregated)"
                     )))
                 }
             };
@@ -430,6 +430,17 @@ mod tests {
             parse("throughput solver=simplex"),
             Err(ServeError::BadRequest(_))
         ));
+    }
+
+    #[test]
+    fn sharded_solver_is_a_bad_request() {
+        let Err(ServeError::BadRequest(msg)) = parse("throughput solver=sharded") else {
+            panic!("solver=sharded must be rejected as a bad request");
+        };
+        assert_eq!(
+            msg,
+            r#"unknown solver "sharded" (use batched | aggregated)"#
+        );
     }
 
     #[test]

@@ -419,12 +419,12 @@ fn exec_throughput(
     };
     let tm = generate(&entry.network, &wl, seed);
     let commodities = aggregate_commodities(tm.switch_triples(&entry.network));
-    // The sharded/aggregated engines warm-start from the per-network
-    // distance table the cache already shares with the paths verb; the
-    // batched baseline has no warm path, so don't force its computation.
+    // Aggregation reads the per-network distance table the cache already
+    // shares with the paths verb; the full solve needs none, so don't
+    // force its computation.
     let warm = match solver {
         SolverKind::Batched => None,
-        SolverKind::Sharded | SolverKind::Aggregated => Some(entry.switch_distances()),
+        SolverKind::Aggregated => Some(entry.switch_distances()),
     };
     let r = throughput_on_commodities_with(
         &entry.network,
@@ -434,7 +434,6 @@ fn exec_throughput(
     )?;
     let solver_name = match solver {
         SolverKind::Batched => "batched",
-        SolverKind::Sharded => "sharded",
         SolverKind::Aggregated => "aggregated",
     };
     // budget_exhausted is part of the reply contract: λ from a truncated

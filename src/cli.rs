@@ -22,13 +22,10 @@ use crate::graph::bridges::bridges;
 use crate::graph::stats::{diameter, mean_degree};
 use crate::graph::{par, Csr, DistMatrix};
 use crate::mcf::{
-    aggregate_commodities, max_concurrent_flow, max_concurrent_flow_sharded, CapGraph,
-    DijkstraScratch, FptasOptions, ShardConfig,
+    aggregate_commodities, max_concurrent_flow, CapGraph, DijkstraScratch, FptasOptions,
 };
 use crate::metrics::bisection::random_bisection_bandwidth;
-use crate::metrics::path_length::{
-    average_intra_pod_path_length, average_server_path_length, SwitchDistances,
-};
+use crate::metrics::path_length::{average_intra_pod_path_length, average_server_path_length};
 use crate::metrics::throughput::{throughput_all_to_all, SolverKind, ThroughputOptions};
 use crate::serve::{serve_listener, ServeConfig, Service};
 use crate::sim::{flows_with_arrivals, ConversionEvent, DesSimulator, RouterPolicy, TopoEvent};
@@ -119,8 +116,8 @@ of one scenario compare bit-for-bit); --events streams the per-event JSONL
 trace; --quick caps the arrival rounds at 1. See scenarios/*.scn.
 
 bench times the hot-path kernels (CSR BFS-APSP sequential vs parallel,
-Dijkstra with fresh vs reused scratch buffers, the FPTAS throughput solve
-through both the source-batched and the round-sharded engines, and a
+Dijkstra with fresh vs reused scratch buffers, the source-batched FPTAS
+throughput solve, and a
 ft-des event storm reporting engine-only events/s plus solver_ms) on
 fixed seeds at k ∈ {8, 16, 32}, plus scale tiers: the k = 64
 symmetry-aggregated all-to-all FPTAS (quick runs too, release builds
@@ -140,7 +137,7 @@ suppress anything. Violations and stale allow entries exit non-zero.
 
 trace analyzes a span JSONL file produced by --trace: per-name aggregates
 (count, total/self time, p50/p95), the critical path under each root span
-(which FPTAS phase, shard round or DES epoch dominated), and — when the
+(which FPTAS phase or DES epoch dominated), and — when the
 run performed a live conversion — the per-epoch disruption timeline.
 --diff compares an older trace against this one and ranks span names by
 total-time delta (regression attribution); --chrome exports Chrome
@@ -1134,43 +1131,6 @@ fn bench_fptas(
             ("budget_exhausted", sol.budget_exhausted.to_string()),
         ],
     });
-
-    // Same instance through the round-sharded engine, warm-started from
-    // the switch distance table. λ and steps are deterministic and
-    // identical for every FT_THREADS value (the round-snapshot schedule),
-    // so CI byte-compares this entry across thread counts.
-    let dist = SwitchDistances::compute(&net);
-    let oracle = move |a: usize, b: usize| dist.switch_distance(a, b);
-    let cfg = ShardConfig {
-        threads: 0,
-        warm: Some(&oracle),
-    };
-    let rounds0 = crate::obs::registry::counter("ft_mcf_shard_rounds_total").get();
-    let (sol, ms) = time_ms(|| max_concurrent_flow_sharded(&g, &commodities, opts, &cfg));
-    let sol = sol.map_err(|e| CliError(e.to_string()))?;
-    let rounds = crate::obs::registry::counter("ft_mcf_shard_rounds_total").get() - rounds0;
-    if sol.budget_exhausted {
-        warnings.push(crate::metrics::budget_warning(
-            &format!("bench fptas/sharded k={k}"),
-            sol.lambda,
-            max_steps,
-        ));
-    }
-    entries.push(BenchEntry {
-        k,
-        kernel: "fptas",
-        variant: "sharded",
-        ms,
-        extras: vec![
-            ("lambda", format!("{:.6}", sol.lambda)),
-            ("steps", sol.steps.to_string()),
-            ("phases", sol.phases.to_string()),
-            ("rounds", rounds.to_string()),
-            ("workers", par::thread_count().to_string()),
-            ("commodities", commodities.len().to_string()),
-            ("budget_exhausted", sol.budget_exhausted.to_string()),
-        ],
-    });
     Ok(())
 }
 
@@ -1192,11 +1152,8 @@ fn bench_fptas_scale(
         .map_err(|e| CliError(e.to_string()))?;
     let max_steps = 3_000;
     let opts = ThroughputOptions {
-        epsilon: 0.15,
-        exact_threshold: 0,
         max_steps: Some(max_steps),
-        solver: SolverKind::Aggregated,
-        threads: 0,
+        ..ThroughputOptions::fptas_with(0.15, SolverKind::Aggregated)
     };
     let (r, ms) = time_ms(|| throughput_all_to_all(&net, opts));
     let r = r.map_err(|e| CliError(e.to_string()))?;

@@ -1,20 +1,14 @@
-//! Cross-crate coverage for the sharded / symmetry-aggregated FPTAS
-//! stack: the round-sharded engine against the batched baseline at bench
-//! scale, the orbit quotient against the full commodity list across all
-//! four operating modes, the singleton degradation on asymmetric
-//! layouts, and the des solver stopwatch the storm bench relies on.
+//! Cross-crate coverage for the symmetry-aggregated FPTAS: the orbit
+//! quotient against the full commodity list across all four operating
+//! modes, the singleton degradation on asymmetric layouts, and the des
+//! solver stopwatch the storm bench relies on.
 //!
-//! Certification contract used throughout: every engine returns a λ that
+//! Certification contract used throughout: every solve returns a λ that
 //! is primal feasible (a true lower bound) and, at convergence, within
-//! `(1 − 3ε)` of optimal — so two engines on one instance must land
-//! within a `(1 − 3ε)` sandwich of each other.
+//! `(1 − 3ε)` of optimal — so the quotient and the full instance must
+//! land within a `(1 − 3ε)` sandwich of each other.
 
 use flat_tree::core::{FlatTree, FlatTreeConfig, Mode};
-use flat_tree::mcf::{
-    aggregate_commodities, max_concurrent_flow, max_concurrent_flow_sharded, CapGraph, Commodity,
-    FptasOptions, ShardConfig,
-};
-use flat_tree::metrics::path_length::SwitchDistances;
 use flat_tree::metrics::throughput::{throughput_all_to_all, SolverKind, ThroughputOptions};
 use flat_tree::sim::{flows_with_arrivals, DesSimulator, RouterPolicy};
 use flat_tree::topo::Network;
@@ -40,65 +34,12 @@ fn mode_net(k: usize, mode: &Mode) -> Network {
         .unwrap()
 }
 
-/// The `ftctl bench` hot-spot instance (global random graph, seed 1).
-fn bench_instance(k: usize) -> (Network, Vec<Commodity>) {
-    let net = mode_net(k, &Mode::GlobalRandom);
-    let tm = generate(&net, &WorkloadSpec::hotspot(Locality::None), 1);
-    let commodities = aggregate_commodities(tm.switch_triples(&net));
-    (net, commodities)
-}
-
-/// The sharded engine must agree with the batched baseline on the k = 16
-/// bench instance (certified band, both converged) and must return the
-/// exact same bits no matter how many workers built the trees — the
-/// round-snapshot schedule is worker-count-independent by construction.
-#[test]
-fn sharded_matches_batched_at_bench_scale_and_is_thread_invariant() {
-    let (net, commodities) = bench_instance(16);
-    let cg = CapGraph::from_graph(&net.switch_graph(), 1.0);
-    let opts = FptasOptions {
-        epsilon: EPS,
-        max_steps: Some(3_000),
-    };
-    let batched = max_concurrent_flow(&cg, &commodities, opts).unwrap();
-    assert!(!batched.budget_exhausted);
-
-    let dist = SwitchDistances::compute(&net);
-    let oracle = move |a: usize, b: usize| dist.switch_distance(a, b);
-    let mut solutions = Vec::new();
-    for threads in [1usize, 4] {
-        let cfg = ShardConfig {
-            threads,
-            warm: Some(&oracle),
-        };
-        let sol = max_concurrent_flow_sharded(&cg, &commodities, opts, &cfg).unwrap();
-        assert!(
-            !sol.budget_exhausted,
-            "threads={threads} tripped the budget"
-        );
-        assert!(sol.utilization.iter().all(|&u| u <= 1.0 + 1e-9));
-        solutions.push(sol);
-    }
-    assert_eq!(
-        solutions[0].lambda.to_bits(),
-        solutions[1].lambda.to_bits(),
-        "sharded λ must be bit-identical across worker counts"
-    );
-    assert_eq!(solutions[0].steps, solutions[1].steps);
-    assert_eq!(solutions[0].phases, solutions[1].phases);
-    assert_band(
-        solutions[0].lambda,
-        batched.lambda,
-        "sharded vs batched k=16",
-    );
-}
-
-/// Uniform all-to-all through every operating mode, aggregated engine vs
-/// the full-commodity sharded engine. On the Clos layout the symmetry
-/// quotient must actually engage (a real orbit collapse); on the
-/// asymmetric random layouts it degrades to singleton classes and falls
-/// back to the identical sharded solve — either way the λs must sit in
-/// one certified band.
+/// Uniform all-to-all through every operating mode, aggregated quotient vs
+/// the full commodity list. On the Clos layout the symmetry quotient must
+/// actually engage (a real orbit collapse); on the asymmetric random
+/// layouts it degrades to singleton classes and falls back to the
+/// identical full solve — either way the λs must sit in one certified
+/// band.
 #[test]
 fn aggregated_matches_full_across_modes() {
     for k in [4usize, 8] {
@@ -117,7 +58,7 @@ fn aggregated_matches_full_across_modes() {
             .unwrap();
             let full = throughput_all_to_all(
                 &net,
-                ThroughputOptions::fptas_with(EPS, SolverKind::Sharded),
+                ThroughputOptions::fptas_with(EPS, SolverKind::Batched),
             )
             .unwrap();
             assert_eq!(agg.commodities, full.commodities, "k={k} {mode:?}");
@@ -135,9 +76,9 @@ fn aggregated_matches_full_across_modes() {
                 Some(_) => assert_band(
                     agg.lambda,
                     full.lambda,
-                    &format!("aggregated vs sharded k={k} {mode:?}"),
+                    &format!("aggregated vs batched k={k} {mode:?}"),
                 ),
-                // Identity degradation: the very same sharded solve ran,
+                // Identity degradation: the very same full solve ran,
                 // so the bits must match, not just the band.
                 None => assert_eq!(
                     agg.lambda.to_bits(),
@@ -162,17 +103,17 @@ fn aggregated_matches_full_at_k16_clos() {
     .unwrap();
     let full = throughput_all_to_all(
         &net,
-        ThroughputOptions::fptas_with(EPS, SolverKind::Sharded),
+        ThroughputOptions::fptas_with(EPS, SolverKind::Batched),
     )
     .unwrap();
     let reps = agg.aggregated.expect("aggregation must engage at k=16");
     assert!(reps < agg.commodities);
-    assert_band(agg.lambda, full.lambda, "aggregated vs sharded k=16 clos");
+    assert_band(agg.lambda, full.lambda, "aggregated vs batched k=16 clos");
 }
 
 /// A converted (zone-hybrid) layout breaks the fabric's symmetry: the
 /// aggregation must refuse to merge anything rather than produce a wrong
-/// quotient, and the fallback must be the byte-for-byte sharded answer.
+/// quotient, and the fallback must be the byte-for-byte full answer.
 #[test]
 fn converted_layout_degrades_to_singleton_fallback() {
     let net = mode_net(4, &Mode::two_zone(4, 2));
@@ -183,7 +124,7 @@ fn converted_layout_degrades_to_singleton_fallback() {
     .unwrap();
     let full = throughput_all_to_all(
         &net,
-        ThroughputOptions::fptas_with(EPS, SolverKind::Sharded),
+        ThroughputOptions::fptas_with(EPS, SolverKind::Batched),
     )
     .unwrap();
     assert!(
