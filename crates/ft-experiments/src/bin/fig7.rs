@@ -18,7 +18,7 @@
 //! paper reports ≈ 0.002 = (2 uplinks)/999, matching this normalization).
 
 use ft_core::{FlatTree, FlatTreeConfig, Mode};
-use ft_experiments::{parallel_points, print_figure, rel_diff, ShapeChecks, SweepOpts};
+use ft_experiments::{parallel_points, print_figure, rel_diff, GapReport, ShapeChecks, SweepOpts};
 use ft_metrics::throughput::{throughput, ThroughputOptions};
 use ft_metrics::{Series, Table};
 use ft_topo::{fat_tree, jellyfish_matching_fat_tree, Network};
@@ -95,16 +95,17 @@ fn main() {
                 )
             );
         }
-        let lambda = r.lambda;
         // normalize to the nominal 1000-server cluster (see module docs)
         let actual = spec.cluster_size.min(net.num_servers());
-        lambda * (actual as f64 - 1.0) / 999.0
+        (r.lambda * (actual as f64 - 1.0) / 999.0, r)
     });
 
     // average repetitions per (k, curve)
     let mut acc: std::collections::HashMap<(usize, usize), (f64, usize)> =
         std::collections::HashMap::new();
-    for ((k, ci, _), v) in points.iter().zip(&results) {
+    let mut gaps = GapReport::default();
+    for ((k, ci, _), (v, r)) in points.iter().zip(&results) {
+        gaps.add(r);
         let e = acc.entry((*k, *ci)).or_insert((0.0, 0));
         e.0 += v;
         e.1 += 1;
@@ -126,6 +127,7 @@ fn main() {
         &table,
         opts.csv_path.as_deref(),
     );
+    gaps.print();
 
     let at = |ci: usize, k: usize| series[ci].at(k as f64).unwrap();
     let mut checks = ShapeChecks::new();

@@ -13,7 +13,7 @@
 //! the least sensitive.
 
 use ft_core::{FlatTree, FlatTreeConfig, Mode};
-use ft_experiments::{parallel_points, print_figure, rel_diff, ShapeChecks, SweepOpts};
+use ft_experiments::{parallel_points, print_figure, rel_diff, GapReport, ShapeChecks, SweepOpts};
 use ft_metrics::throughput::{throughput, ThroughputOptions};
 use ft_metrics::{Series, Table};
 use ft_topo::{
@@ -98,17 +98,18 @@ fn main() {
                 )
             );
         }
-        let lambda = r.lambda;
         // normalize to the nominal 20-server cluster (only k = 4 hosts
         // fewer; same normalization as Figure 7)
         let actual = spec.cluster_size.min(net.num_servers());
-        lambda * (actual as f64 - 1.0) / 19.0
+        (r.lambda * (actual as f64 - 1.0) / 19.0, r)
     });
 
     // average repetitions per (k, curve)
     let mut acc: std::collections::HashMap<(usize, usize), (f64, usize)> =
         std::collections::HashMap::new();
-    for ((k, ci, _), v) in points.iter().zip(&results) {
+    let mut gaps = GapReport::default();
+    for ((k, ci, _), (v, r)) in points.iter().zip(&results) {
+        gaps.add(r);
         let e = acc.entry((*k, *ci)).or_insert((0.0, 0));
         e.0 += v;
         e.1 += 1;
@@ -130,6 +131,7 @@ fn main() {
         &table,
         opts.csv_path.as_deref(),
     );
+    gaps.print();
 
     let at = |ci: usize, k: usize| series[ci].at(k as f64).unwrap();
     let mut checks = ShapeChecks::new();

@@ -20,7 +20,7 @@
 //! in minutes (`--kmax 30` reproduces the paper's scale).
 
 use ft_core::{FlatTree, FlatTreeConfig, Mode, PodMode};
-use ft_experiments::{parallel_points, print_figure, rel_diff, ShapeChecks, SweepOpts};
+use ft_experiments::{parallel_points, print_figure, rel_diff, GapReport, ShapeChecks, SweepOpts};
 use ft_mcf::{aggregate_commodities, Commodity};
 use ft_metrics::throughput::{throughput_on_commodities, ThroughputOptions};
 use ft_metrics::Table;
@@ -34,6 +34,8 @@ struct Row {
     zone_b: f64,
     ref_b: f64,
     joint: f64,
+    /// Certified gaps of the row's five solves.
+    gaps: GapReport,
 }
 
 fn zone_servers(net: &Network, pods: std::ops::Range<usize>) -> Vec<ft_graph::NodeId> {
@@ -91,34 +93,28 @@ fn main() {
         };
         let com_a = commodities_for(&hybrid, &servers_a, &spec_a, opts.seed);
         let com_b = commodities_for(&hybrid, &servers_b, &spec_b, opts.seed);
-        let zone_a = throughput_on_commodities(&hybrid, &com_a, topts)
-            .unwrap()
-            .lambda;
-        let zone_b = throughput_on_commodities(&hybrid, &com_b, topts)
-            .unwrap()
-            .lambda;
+        let mut gaps = GapReport::default();
+        let mut solve = |net: &Network, com: &[Commodity]| {
+            let r = throughput_on_commodities(net, com, topts).unwrap();
+            gaps.add(&r);
+            r.lambda
+        };
+        let zone_a = solve(&hybrid, &com_a);
+        let zone_b = solve(&hybrid, &com_b);
         let mut joint_com = com_a.clone();
         joint_com.extend_from_slice(&com_b);
-        let joint = throughput_on_commodities(&hybrid, &joint_com, topts)
-            .unwrap()
-            .lambda;
+        let joint = solve(&hybrid, &joint_com);
 
         // complete-network references: same servers, same workload, whole
         // fabric in the zone's mode
-        let ref_a = throughput_on_commodities(
+        let ref_a = solve(
             &full_global,
             &commodities_for(&full_global, &servers_a, &spec_a, opts.seed),
-            topts,
-        )
-        .unwrap()
-        .lambda;
-        let ref_b = throughput_on_commodities(
+        );
+        let ref_b = solve(
             &full_local,
             &commodities_for(&full_local, &servers_b, &spec_b, opts.seed),
-            topts,
-        )
-        .unwrap()
-        .lambda;
+        );
         Row {
             proportion: pct,
             zone_a,
@@ -126,6 +122,7 @@ fn main() {
             zone_b,
             ref_b,
             joint,
+            gaps,
         }
     });
 
@@ -153,6 +150,11 @@ fn main() {
         &table,
         opts.csv_path.as_deref(),
     );
+    let mut gaps = GapReport::default();
+    for r in &rows {
+        gaps.merge(&r.gaps);
+    }
+    gaps.print();
 
     let mut checks = ShapeChecks::new();
     for r in &rows {

@@ -14,6 +14,8 @@
 //!    match the paper (different LP solver, unknown random seeds); shapes
 //!    are.
 
+use ft_mcf::Stop;
+use ft_metrics::throughput::ThroughputResult;
 use ft_metrics::Table;
 
 /// Common sweep options shared by all experiment binaries.
@@ -37,87 +39,110 @@ pub struct SweepOpts {
     pub trace_path: Option<String>,
 }
 
+/// The flags [`SweepOpts::parse`] accepts, as `--help` prints them.
+const USAGE: &str =
+    "flags: --full | --kmax N | --eps X | --seed S | --reps N | --csv PATH | --trace PATH";
+
+/// Largest `--kmax` a sweep accepts (the k = 128 scale tier).
+const KMAX_LIMIT: usize = 128;
+
 impl SweepOpts {
-    /// Parses command-line arguments.
-    ///
-    /// * `--full` — sweep to the paper's k = 32 (default caps at
-    ///   `default_kmax` so the harness finishes in minutes),
-    /// * `--kmax N` — explicit sweep cap,
-    /// * `--eps X` — FPTAS ε (default 0.15; the certified λ is ≥
-    ///   (1 − 3ε)·OPT),
-    /// * `--seed S` — RNG seed (default 1),
-    /// * `--reps N` — seeds averaged per throughput point (default 3),
-    /// * `--csv PATH` — also write the CSV there,
-    /// * `--trace PATH` — enable ft-obs instrumentation and stream spans
-    ///   (one JSON object per line) to PATH. Without it, instrumentation
-    ///   stays off at one relaxed atomic load per site.
+    /// Parses the process's command-line arguments ([`SweepOpts::parse`]).
+    /// `--help` prints the flag list and exits 0; a bad flag prints
+    /// `error: …` and exits 2, like `ftctl`.
     ///
     /// When `--trace` is given the sink is installed and instrumentation
     /// enabled before returning; [`ShapeChecks::finish`] flushes and closes
     /// the sink before exiting (`process::exit` skips TLS destructors, so
     /// the flush cannot be left to them).
     pub fn from_args(default_kmax: usize) -> SweepOpts {
-        let args: Vec<String> = std::env::args().collect();
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            eprintln!("{USAGE}");
+            std::process::exit(0);
+        }
+        let fail = |msg: String| -> ! {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
+        };
+        let opts = SweepOpts::parse(&args, default_kmax).unwrap_or_else(|e| fail(e));
+        if let Some(path) = &opts.trace_path {
+            if let Err(e) = ft_obs::install_file_sink(path) {
+                fail(format!("cannot open trace file {path}: {e}"));
+            }
+            ft_obs::set_enabled(true);
+        }
+        opts
+    }
+
+    /// Parses sweep flags (without the program name) and range-checks
+    /// their values; the error names the offending flag.
+    ///
+    /// * `--full` — sweep to the paper's k = 32 (default caps at
+    ///   `default_kmax` so the harness finishes in minutes),
+    /// * `--kmax N` — explicit sweep cap, 4 ≤ N ≤ 128,
+    /// * `--eps X` — FPTAS ε ∈ (0, 0.5) (default 0.15; the certified λ is
+    ///   ≥ (1 − 3ε)·OPT),
+    /// * `--seed S` — RNG seed (default 1),
+    /// * `--reps N` — seeds averaged per throughput point, ≥ 1 (default 3),
+    /// * `--csv PATH` — also write the CSV there,
+    /// * `--trace PATH` — enable ft-obs instrumentation and stream spans
+    ///   (one JSON object per line) to PATH. Without it, instrumentation
+    ///   stays off at one relaxed atomic load per site.
+    ///
+    /// # Errors
+    /// An unknown flag, a flag without its value, a value that does not
+    /// parse, or one outside its range.
+    pub fn parse(args: &[String], default_kmax: usize) -> Result<SweepOpts, String> {
+        fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+            v.parse()
+                .map_err(|_| format!("{flag} needs a number, got {v:?}"))
+        }
         let mut kmax = default_kmax;
         let mut epsilon = 0.15;
         let mut seed = 1u64;
         let mut csv_path = None;
         let mut reps = 3usize;
         let mut trace_path = None;
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--full" => kmax = 32,
-                "--kmax" => {
-                    i += 1;
-                    kmax = args[i].parse().expect("--kmax needs an integer");
-                }
-                "--eps" => {
-                    i += 1;
-                    epsilon = args[i].parse().expect("--eps needs a float");
-                }
-                "--seed" => {
-                    i += 1;
-                    seed = args[i].parse().expect("--seed needs an integer");
-                }
-                "--csv" => {
-                    i += 1;
-                    csv_path = Some(args[i].clone());
-                }
-                "--reps" => {
-                    i += 1;
-                    reps = args[i].parse().expect("--reps needs an integer");
-                }
-                "--trace" => {
-                    i += 1;
-                    trace_path = Some(args[i].clone());
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --full | --kmax N | --eps X | --seed S | --reps N | --csv PATH \
-                         | --trace PATH"
-                    );
-                    std::process::exit(0);
-                }
-                other => panic!("unknown flag {other}; try --help"),
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            if flag == "--full" {
+                kmax = 32;
+                continue;
             }
-            i += 1;
+            let value = match flag.as_str() {
+                "--kmax" | "--eps" | "--seed" | "--reps" | "--csv" | "--trace" => {
+                    it.next().ok_or_else(|| format!("{flag} needs a value"))?
+                }
+                other => return Err(format!("unknown flag {other:?}; try --help")),
+            };
+            match flag.as_str() {
+                "--kmax" => kmax = number(flag, value)?,
+                "--eps" => epsilon = number(flag, value)?,
+                "--seed" => seed = number(flag, value)?,
+                "--reps" => reps = number(flag, value)?,
+                "--csv" => csv_path = Some(value.clone()),
+                _ => trace_path = Some(value.clone()),
+            }
         }
-        if let Some(path) = &trace_path {
-            ft_obs::install_file_sink(path)
-                .unwrap_or_else(|e| panic!("cannot open trace file {path}: {e}"));
-            ft_obs::set_enabled(true);
+        if !(4..=KMAX_LIMIT).contains(&kmax) {
+            return Err(format!("--kmax {kmax} outside [4, {KMAX_LIMIT}]"));
         }
-        let k_values: Vec<usize> = (4..=kmax).step_by(2).collect();
-        SweepOpts {
-            k_values,
+        if !(epsilon > 0.0 && epsilon < 0.5) {
+            return Err(format!("--eps {epsilon} outside (0, 0.5)"));
+        }
+        if reps == 0 {
+            return Err("--reps must be at least 1".into());
+        }
+        Ok(SweepOpts {
+            k_values: (4..=kmax).step_by(2).collect(),
             epsilon,
             seed,
             max_steps: Some(2_000_000),
             csv_path,
-            reps: reps.max(1),
+            reps,
             trace_path,
-        }
+        })
     }
 }
 
@@ -177,15 +202,63 @@ impl ShapeChecks {
 }
 
 /// Prints a figure header, the aligned table, and its CSV form (also
-/// writing the CSV to `csv_path` when given).
+/// writing the CSV to `csv_path` when given). An unwritable `--csv` path
+/// prints `error: …` and exits 2, like any other bad flag.
 pub fn print_figure(title: &str, paper_note: &str, table: &Table, csv_path: Option<&str>) {
     println!("=== {title} ===");
     println!("{paper_note}\n");
     print!("{}", table.to_aligned_string());
     println!("\nCSV:\n{}", table.to_csv());
     if let Some(path) = csv_path {
-        std::fs::write(path, table.to_csv()).expect("failed to write CSV");
+        if let Err(e) = std::fs::write(path, table.to_csv()) {
+            eprintln!("error: cannot write --csv {path}: {e}");
+            std::process::exit(2);
+        }
         println!("(csv written to {path})");
+    }
+}
+
+/// The certified gaps of a figure's throughput solves: the worst
+/// `(UB − λ)/UB` — how far below its proven upper bound a reported λ may
+/// lie — and how many solves stopped on each rule.
+#[derive(Clone, Debug, Default)]
+pub struct GapReport {
+    worst: f64,
+    solves: usize,
+    gap_stops: usize,
+}
+
+impl GapReport {
+    /// Records one solve.
+    pub fn add(&mut self, r: &ThroughputResult) {
+        let gap = if r.upper_bound.is_finite() && r.upper_bound > 0.0 {
+            (r.upper_bound - r.lambda) / r.upper_bound
+        } else {
+            0.0 // unconstrained: λ = UB = ∞
+        };
+        self.worst = self.worst.max(gap);
+        self.solves += 1;
+        self.gap_stops += usize::from(r.stop == Stop::Gap);
+    }
+
+    /// Folds in another report.
+    pub fn merge(&mut self, other: &GapReport) {
+        self.worst = self.worst.max(other.worst);
+        self.solves += other.solves;
+        self.gap_stops += other.gap_stops;
+    }
+
+    /// Prints the one-line summary the figure binaries end their table
+    /// with.
+    pub fn print(&self) {
+        println!(
+            "certified gap (UB − λ)/UB: worst {:.2} % over {} solves \
+             ({} stopped on the 1 % gap, {} on D(l) ≥ 1 or the budget)\n",
+            100.0 * self.worst,
+            self.solves,
+            self.gap_stops,
+            self.solves - self.gap_stops
+        );
     }
 }
 
@@ -211,6 +284,53 @@ mod tests {
     fn parallel_points_empty() {
         let r: Vec<i32> = parallel_points(Vec::<i32>::new(), |&x| x);
         assert!(r.is_empty());
+    }
+
+    fn parse(args: &[&str]) -> Result<SweepOpts, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        SweepOpts::parse(&args, 12)
+    }
+
+    #[test]
+    fn parse_defaults_and_flags() {
+        let o = parse(&[]).unwrap();
+        assert_eq!(o.k_values, vec![4, 6, 8, 10, 12]);
+        assert_eq!((o.epsilon, o.seed, o.reps), (0.15, 1, 3));
+        let o = parse(&[
+            "--full", "--eps", "0.1", "--seed", "7", "--reps", "2", "--csv", "x.csv",
+        ])
+        .unwrap();
+        assert_eq!(o.k_values.last(), Some(&32));
+        assert_eq!((o.epsilon, o.seed, o.reps), (0.1, 7, 2));
+        assert_eq!(o.csv_path.as_deref(), Some("x.csv"));
+        assert_eq!(parse(&["--kmax", "8"]).unwrap().k_values, vec![4, 6, 8]);
+    }
+
+    #[test]
+    fn parse_rejects_bad_flags() {
+        let rejected = [
+            (&["--bogus"][..], "unknown flag"),
+            (&["--kmax"][..], "--kmax needs a value"),
+            (&["--eps"][..], "--eps needs a value"),
+            (&["--seed", "1", "--csv"][..], "--csv needs a value"),
+            (&["--trace"][..], "--trace needs a value"),
+            (&["--kmax", "big"][..], "--kmax needs a number"),
+            (&["--kmax", "-4"][..], "--kmax needs a number"),
+            (&["--eps", "x"][..], "--eps needs a number"),
+            (&["--seed", "1.5"][..], "--seed needs a number"),
+            (&["--reps", "two"][..], "--reps needs a number"),
+            (&["--kmax", "2"][..], "outside [4, 128]"),
+            (&["--kmax", "1000"][..], "outside [4, 128]"),
+            (&["--eps", "0.7"][..], "outside (0, 0.5)"),
+            (&["--eps", "0.5"][..], "outside (0, 0.5)"),
+            (&["--eps", "0"][..], "outside (0, 0.5)"),
+            (&["--eps", "NaN"][..], "outside (0, 0.5)"),
+            (&["--reps", "0"][..], "at least 1"),
+        ];
+        for (args, want) in rejected {
+            let err = parse(args).expect_err(&format!("{args:?} must be rejected"));
+            assert!(err.contains(want), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Cheap upper bounds on the concurrent-flow rate λ.
 //!
-//! Used for two purposes:
+//! Used for three purposes:
 //!
+//! * **the first upper bound** of the FPTAS gap rule, which the dual
+//!   bound `D(l)/α(l)` then tightens;
 //! * **demand pre-scaling** in the FPTAS — Garg–Könemann's phase count is
 //!   proportional to the optimal λ of the *scaled* instance, so we scale
 //!   demands such that λ ≈ 1 before running. With Fleischer source

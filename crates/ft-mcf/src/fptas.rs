@@ -55,21 +55,28 @@
 //! pays nothing for the indirection (the model is a compile-time parameter
 //! of the routing loop).
 //!
-//! # Budget semantics
+//! # Termination
 //!
-//! A step budget ([`FptasOptions::max_steps`]) bounds the number of
-//! shortest-path computations (source trees in the batched solver,
-//! per-commodity paths in [`max_concurrent_flow_reference`]). Once half of
-//! a finite budget is spent, the batched solver arms a *budget-rescue*
-//! termination: a per-phase primal–dual gap check that stops the run as
-//! soon as the certified λ provably meets the `(1 − 3ε)` guarantee against
-//! a dual upper bound — converged by certificate, before the budget trips.
-//! Only if even that fails does the budget trip, and the run then reports
-//! the certified λ of the flow accumulated *so far* with
-//! [`McfSolution::budget_exhausted`] set: the value is still a true
-//! feasible lower bound, but the `(1 − 3ε)` optimality guarantee no longer
-//! applies. Callers must check the flag instead of treating λ as
-//! converged. Unbudgeted runs always go to the textbook `D(l) ≥ 1`.
+//! Any length function `l` proves `OPT ≤ D(l)/α(l)` with
+//! `α(l) = Σ_j d_j·dist_l(s_j, t_j)`: scaling `l` by `1/α(l)` makes it
+//! feasible for the dual LP. The batched loop keeps the best such bound,
+//! seeded with the node cut (or a quotient's class cut and distance
+//! volume), and checks one rule at the end of every phase: it stops
+//! ([`Stop::Gap`]) as soon as the λ it would return — the best certificate
+//! any phase end produced — is ≥ (1 − [`GAP`])·UB.
+//! α is summed from the *first* tree each group builds in a phase. Those
+//! trees saw older, shorter lengths, so they only under-estimate α and the
+//! bound stays valid at no extra Dijkstra. Failing the gap, the run stops
+//! at the textbook `D(l) ≥ 1` ([`Stop::Dual`]) or when the step budget
+//! ([`FptasOptions::max_steps`]) trips ([`Stop::Budget`]).
+//!
+//! A step budget bounds the number of shortest-path computations (source
+//! trees in the batched solver, per-commodity paths in
+//! [`max_concurrent_flow_reference`], which has no gap rule). A run that
+//! trips it before its λ reaches (1 − 3ε)·UB sets
+//! [`McfSolution::budget_exhausted`]: λ is still a true feasible lower
+//! bound, but the (1 − 3ε) guarantee is not proven, and callers must check
+//! the flag instead of treating λ as converged.
 //!
 //! # Demand pre-scaling
 //!
@@ -102,7 +109,7 @@ pub(crate) struct McfCounters {
     pub(crate) trees: &'static ft_obs::Counter,
     pub(crate) pushes: &'static ft_obs::Counter,
     pub(crate) deferrals: &'static ft_obs::Counter,
-    pub(crate) rescue_armed: &'static ft_obs::Counter,
+    pub(crate) gap_stops: &'static ft_obs::Counter,
     pub(crate) budget_exhausted: &'static ft_obs::Counter,
     pub(crate) aggregated_runs: &'static ft_obs::Counter,
     pub(crate) aggregated_commodities: &'static ft_obs::Gauge,
@@ -116,7 +123,7 @@ pub(crate) fn obs() -> &'static McfCounters {
         trees: ft_obs::registry::counter("ft_mcf_trees_total"),
         pushes: ft_obs::registry::counter("ft_mcf_pushes_total"),
         deferrals: ft_obs::registry::counter("ft_mcf_stale_deferrals_total"),
-        rescue_armed: ft_obs::registry::counter("ft_mcf_rescue_armed_total"),
+        gap_stops: ft_obs::registry::counter("ft_mcf_gap_stops_total"),
         budget_exhausted: ft_obs::registry::counter("ft_mcf_budget_exhausted_total"),
         aggregated_runs: ft_obs::registry::counter("ft_mcf_aggregated_runs_total"),
         aggregated_commodities: ft_obs::registry::gauge("ft_mcf_aggregated_commodities"),
@@ -155,24 +162,57 @@ impl FptasOptions {
     }
 }
 
+/// The certified gap γ at which a batched run stops: once the λ it would
+/// return is ≥ (1 − γ)·UB. A constant, not an option: a point is either
+/// certified within 1 % of OPT or reports why not ([`McfSolution::stop`]).
+/// Below ε = 1/300 the (1 − 3ε) guarantee is the stricter target and
+/// applies instead.
+pub const GAP: f64 = 0.01;
+
+/// Why an FPTAS run stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stop {
+    /// λ is within [`GAP`] of the certified upper bound. Also reported
+    /// when λ is exact: no commodities (∞) or a disconnected pair (0).
+    Gap,
+    /// The textbook Garg–Könemann termination `D(l) ≥ 1`.
+    Dual,
+    /// The step budget ([`FptasOptions::max_steps`]) tripped.
+    Budget,
+}
+
+impl Stop {
+    /// The name spans and FTQ/1 replies report: `gap`, `dual` or `budget`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Stop::Gap => "gap",
+            Stop::Dual => "dual",
+            Stop::Budget => "budget",
+        }
+    }
+}
+
 /// Result of an FPTAS run.
 #[derive(Clone, Debug)]
 pub struct McfSolution {
     /// Certified-feasible concurrent flow rate — always a true lower bound
     /// on OPT; additionally ≥ (1 − 3ε)·OPT when
-    /// [`McfSolution::budget_exhausted`] is `false`.
+    /// [`McfSolution::budget_exhausted`] is `false`, and ≥ (1 − [`GAP`])·OPT
+    /// when [`McfSolution::stop`] is [`Stop::Gap`].
     pub lambda: f64,
-    /// Certified upper bound on OPT: the tighter of the node cut and the
-    /// best dual bound `D(l)/α(l)` observed during the run (∞ if neither
-    /// constrains).
+    /// Certified upper bound on OPT: the tighter of the cut bound (node
+    /// cut, or a quotient's class cut and distance volume) and the best
+    /// dual bound `D(l)/α(l)` the run saw (∞ if neither constrains).
     pub upper_bound: f64,
+    /// Why the run stopped.
+    pub stop: Stop,
     /// Completed phases.
     pub phases: usize,
     /// Total shortest-path computations (source trees when batched).
     pub steps: usize,
-    /// `true` when [`FptasOptions::max_steps`] tripped before the dual
-    /// termination condition: `lambda` is then only the certified lower
-    /// bound of the partial run, not a converged (1 − 3ε)-approximation.
+    /// `true` when [`FptasOptions::max_steps`] tripped before `lambda`
+    /// reached (1 − 3ε)·`upper_bound`: `lambda` is then only the certified
+    /// lower bound of the partial run, not a proven (1 − 3ε)-approximation.
     pub budget_exhausted: bool,
     /// Per-arc utilization of the certified solution (flow/cap ∈ [0, 1]).
     pub utilization: Vec<f64>,
@@ -339,6 +379,7 @@ pub(crate) fn solve(
         return Ok(McfSolution {
             lambda: f64::INFINITY,
             upper_bound: f64::INFINITY,
+            stop: Stop::Gap,
             phases: 0,
             steps: 0,
             budget_exhausted: false,
@@ -363,12 +404,13 @@ pub(crate) fn solve(
     // (zero per-call allocation after the first run warms it up).
     let mut scratch = DijkstraScratch::new();
 
-    // A disconnected commodity pins λ to 0 — that is a converged answer,
-    // not a budget artifact.
+    // A disconnected commodity pins λ to 0 — that is an exact answer, not a
+    // budget artifact.
     if quotient_ub.is_none() && !all_reachable(g, commodities, &groups, &rev, &mut scratch) {
         return Ok(McfSolution {
             lambda: 0.0,
-            upper_bound: ub,
+            upper_bound: 0.0,
+            stop: Stop::Gap,
             phases: 0,
             steps: 0,
             budget_exhausted: false,
@@ -379,20 +421,21 @@ pub(crate) fn solve(
     // Adaptive demand scaling. The solver runs on demands `d/scale`; the
     // scaled instance's optimum is `OPT·scale`, so `scale = 1/OPT_est`
     // puts it near 1. The cut gives OPT_est = ub; refine adaptively from
-    // the certified result when the cut is loose.
+    // the certified result when the cut is loose. A gap stop is final, and
+    // each rerun starts from the best bound so far.
     let mut scale = if ub.is_finite() && ub > 0.0 {
         1.0 / ub
     } else {
         1.0
     };
-    let mut run = |scale: f64| {
-        let st = RunState::new(g, model, commodities, scale, ub, opts);
+    let mut run = |scale: f64, ub: f64| {
+        let st = RunState::new(g, model, commodities, groups.len(), scale, ub, opts);
         run_once(st, &groups, &rev, &mut scratch, batched)
     };
-    let mut last = run(scale);
+    let mut last = run(scale, ub);
     for _ in 0..4 {
         let scaled_lambda = last.lambda * scale; // λ' of the scaled instance
-        if (0.2..=5.0).contains(&scaled_lambda) {
+        if last.stop == Stop::Gap || (0.2..=5.0).contains(&scaled_lambda) {
             break;
         }
         if last.lambda <= 0.0 {
@@ -403,9 +446,8 @@ pub(crate) fn solve(
         } else {
             scale /= scaled_lambda; // new scale ≈ 1/OPT
         }
-        last = run(scale);
+        last = run(scale, last.upper_bound);
     }
-    last.upper_bound = last.upper_bound.min(ub);
     Ok(last)
 }
 
@@ -433,19 +475,22 @@ struct RunState<'a> {
     routed: Vec<f64>,
     /// Dual value D(l) = Σ cap(e)·l(e); termination at ≥ 1.
     dual: f64,
-    /// Best upper bound on the scaled optimum: seeded with the cut bound
-    /// in scaled units, then tightened by `D(l)/α(l)` each phase.
-    dual_ub: f64,
-    /// Certificate snapshot from before the primal reset:
-    /// `(λ_scaled, flow)`. The final answer never drops below it even if
-    /// the budget trips right after the reset.
-    primal_floor: Option<(f64, Vec<f64>)>,
-    /// Best certified λ_scaled seen at each phase end (non-decreasing),
-    /// for the plateau half of the gap termination rule.
-    best_hist: Vec<f64>,
+    /// Per group, `Σ d_j·dist(s_j, t_j)` (caller demand units) from the
+    /// group's latest first-of-phase tree; their sum under-estimates α(l).
+    /// Stays 0 in the reference loop.
+    group_alpha: Vec<f64>,
+    /// Best upper bound on OPT in caller units: the caller's cut (or
+    /// earlier-run) bound, tightened by `D(l)/α(l)` each phase.
+    ub: f64,
+    /// Best certified λ_scaled any phase end produced, and the flow that
+    /// certifies it. The run returns this, so its λ is monotone in the
+    /// work done: neither the primal reset nor a noisy phase can lower it.
+    best: f64,
+    best_flow: Vec<f64>,
     phases: usize,
     steps: usize,
-    budget_exhausted: bool,
+    /// Why the routing loop stopped; `Dual` until something else does.
+    stop: Stop,
     /// Successful path pushes (observability only; flushed to the global
     /// registry once per run, never read by the algorithm).
     pushes: u64,
@@ -455,18 +500,18 @@ struct RunState<'a> {
 }
 
 impl<'a> RunState<'a> {
-    /// A fresh run on demands divided by `scale` (so that the scaled
-    /// optimum is ≈ 1 when `scale` ≈ 1/OPT). `ub_caller` is the cut upper
-    /// bound in *caller* units; `ub_caller · scale` bounds the scaled
-    /// optimum and seeds the dual upper bound, so the gap test can fire as
-    /// soon as the primal is good instead of waiting for `D(l)/α(l)` to
+    /// A fresh run over `groups` tree batches on demands divided by `scale`
+    /// (so that the scaled optimum is ≈ 1 when `scale` ≈ 1/OPT). `ub`
+    /// bounds OPT in *caller* units and seeds the gap rule, so it can fire
+    /// as soon as the primal is good instead of waiting for `D(l)/α(l)` to
     /// tighten from ∞.
     fn new(
         g: &'a CapGraph,
         model: &'a ArcModel,
         commodities: &'a [Commodity],
+        groups: usize,
         scale: f64,
-        ub_caller: f64,
+        ub: f64,
         opts: FptasOptions,
     ) -> RunState<'a> {
         let eps = opts.epsilon;
@@ -497,16 +542,13 @@ impl<'a> RunState<'a> {
             spread_len,
             routed: vec![0.0; commodities.len()],
             dual,
-            dual_ub: if ub_caller.is_finite() && ub_caller > 0.0 {
-                ub_caller * scale
-            } else {
-                f64::INFINITY
-            },
-            primal_floor: None,
-            best_hist: Vec::new(),
+            group_alpha: vec![0.0; groups],
+            ub,
+            best: 0.0,
+            best_flow: vec![0.0; model.elements()],
             phases: 0,
             steps: 0,
-            budget_exhausted: false,
+            stop: Stop::Dual,
             pushes: 0,
             deferrals: 0,
         }
@@ -526,8 +568,7 @@ impl<'a> RunState<'a> {
 
     /// The certified concurrent flow rate of the *scaled* instance for the
     /// currently accumulated flow: worst-served commodity over worst
-    /// overload, exactly the value [`max_concurrent_flow`] reports (before
-    /// mapping back to caller units).
+    /// overload.
     fn lambda_scaled(&self) -> f64 {
         let mu = self.overload(&self.flow);
         let served = self
@@ -543,27 +584,33 @@ impl<'a> RunState<'a> {
         }
     }
 
-    /// Whether the budget-rescue gap termination is armed: only once a
-    /// finite step budget is at least half spent. Unbudgeted runs — and
-    /// budgeted runs still in their first half — terminate at the textbook
-    /// `D(l) ≥ 1` and keep the fully converged λ. The gap certificate
-    /// exists to rescue a *certified* answer before the budget trips, not
-    /// to trade λ quality for speed when steps are not scarce: stopping at
-    /// the (1 − 3ε) contract can leave λ tens of percent below the
-    /// converged value, which downstream consumers comparing λ across
-    /// instances (the hybrid-zone experiment, the ft-sim cross-check)
-    /// would misread as a real throughput difference.
-    fn gap_rescue_armed(&self) -> bool {
-        self.max_steps
-            .is_some_and(|max| self.steps.saturating_mul(2) >= max)
+    /// Keeps the current certificate if it beats the best so far, and
+    /// returns the λ the run would return now, in caller units.
+    fn keep_best(&mut self) -> f64 {
+        let current = self.lambda_scaled();
+        if current > self.best {
+            self.best = current;
+            self.best_flow.copy_from_slice(&self.flow);
+        }
+        self.best / self.scale
+    }
+
+    /// Tightens the upper bound with `D(l)/α`. Each group's α share comes
+    /// from a tree built under lengths no longer than the current ones, so
+    /// the sum under-estimates α(l) and the bound stays valid.
+    fn tighten_ub(&mut self) {
+        let alpha: f64 = self.group_alpha.iter().sum();
+        if alpha > 0.0 {
+            self.ub = self.ub.min(self.dual / alpha);
+        }
     }
 
     /// Counts one shortest-path computation against the step budget;
-    /// `false` (with the budget flagged) once the budget is spent.
+    /// `false` (with the stop recorded) once the budget is spent.
     fn take_step(&mut self) -> bool {
         if let Some(max) = self.max_steps {
             if self.steps >= max {
-                self.budget_exhausted = true;
+                self.stop = Stop::Budget;
                 return false;
             }
         }
@@ -587,47 +634,6 @@ impl<'a> RunState<'a> {
         true
     }
 
-    /// Phase-end bookkeeping for the plateau half of the gap test: record
-    /// the best certified λ seen so far (non-decreasing). Runs every
-    /// phase — armed or not — so the history is already warm when the
-    /// budget rescue arms and the rescue can fire on its first check.
-    fn note_phase_lambda(&mut self) {
-        let best = self
-            .lambda_scaled()
-            .max(self.best_hist.last().copied().unwrap_or(0.0));
-        self.best_hist.push(best);
-    }
-
-    /// Phase-end primal–dual gap test (batched loop only, armed by
-    /// [`Self::gap_rescue_armed`]). Records the dual upper bound
-    /// `D(l)/α(l)` from this phase's trees, then reports converged when
-    /// **both** hold:
-    ///
-    /// * *contract*: the certified primal `λ = (min_j routed_j/d_j)/μ` is
-    ///   ≥ (1 − 3ε) of the best upper bound seen — from this point on,
-    ///   more phases can only improve the constant, never the guarantee;
-    /// * *plateau*: the best certified λ grew < 1% over the last two
-    ///   phases — the primal has stopped paying for further phases.
-    ///
-    /// The contract half alone would stop at the weakest permissible
-    /// answer; the plateau half alone could stop before the guarantee
-    /// holds. Together they rescue a near-converged λ from a run that
-    /// would otherwise trip its budget before `D(l) ≥ 1`.
-    fn gap_converged(&mut self, group_alpha: &[f64]) -> bool {
-        let alpha: f64 = group_alpha.iter().sum();
-        if alpha <= 0.0 {
-            return false;
-        }
-        self.dual_ub = self.dual_ub.min(self.dual / alpha);
-        let lambda_scaled = self.lambda_scaled();
-        let contract =
-            lambda_scaled > 0.0 && lambda_scaled >= (1.0 - 3.0 * self.eps) * self.dual_ub;
-        let n = self.best_hist.len();
-        // `n >= 3` is checked first, so both indices are in bounds
-        let plateau = n >= 3 && self.best_hist[n - 1] <= 1.01 * self.best_hist[n - 3];
-        contract && plateau
-    }
-
     /// One-time primal reset (batched loop only): the first couple of
     /// phases route under near-uniform lengths and pile flow onto paths a
     /// converged run would avoid; that early flow inflates the overload μ
@@ -635,18 +641,17 @@ impl<'a> RunState<'a> {
     /// have absorbed the congestion profile (and the dual is still far from
     /// terminating), dropping the accumulated flow — lengths stay — lets
     /// the certificate re-accumulate purely on informed paths. The
-    /// pre-reset certificate is kept as a floor, so this is monotone: the
-    /// reported λ can only improve.
+    /// pre-reset certificate stays the best one until the new flow beats
+    /// it, so the reported λ can only improve.
     fn primal_reset(&mut self) {
-        self.primal_floor = Some((self.lambda_scaled(), self.flow.clone()));
-        self.flow.iter_mut().for_each(|f| *f = 0.0);
-        self.routed.iter_mut().for_each(|r| *r = 0.0);
+        self.flow.fill(0.0);
+        self.routed.fill(0.0);
     }
 }
 
 /// Runs one Garg–Könemann run to termination and reports its certified
-/// solution, with λ and the upper bound mapped back to the caller's
-/// demand units and the per-arc utilization of the certified flow.
+/// solution, with λ and the upper bound in the caller's demand units and
+/// the per-arc utilization of the certified flow.
 fn run_once(
     mut st: RunState<'_>,
     groups: &[Group],
@@ -671,19 +676,14 @@ fn run_once(
     } else {
         route_batched::<true>(&mut st, groups, rev, scratch);
     }
+    // a run cut short mid-phase still has a valid, if older, α
+    st.tighten_ub();
 
-    // Certified feasible λ: scale the accumulated flow down by its worst
-    // overload, take the worst-served commodity. If the pre-reset snapshot
-    // certifies more (budget tripped shortly after the primal reset), fall
-    // back to it — λ is then monotone in the work done.
-    let mut lambda_scaled = st.lambda_scaled();
-    let mut best_flow = &st.flow;
-    if let Some((floor, flow)) = &st.primal_floor {
-        if *floor > lambda_scaled {
-            lambda_scaled = *floor;
-            best_flow = flow;
-        }
-    }
+    // Certified feasible λ: the accumulated flow scaled down by its worst
+    // overload, worst-served commodity — the best of the final flow and
+    // every phase end's, in caller units (demands were d/scale).
+    let lambda = st.keep_best();
+    let best_flow = &st.best_flow;
     let mu = st.overload(best_flow);
     // On a quotient, the symmetric solution spreads a class's flow equally
     // over its arcs, loading each at class flow / class capacity.
@@ -693,6 +693,7 @@ fn run_once(
             best_flow[e] / model.caps()[e] / mu
         })
         .collect();
+    let budget_exhausted = st.stop == Stop::Budget && lambda < (1.0 - 3.0 * st.eps) * st.ub;
 
     // Flush the run's plain-field tallies into the global registry (O(1)
     // atomics per run) and close the run span with its outcome.
@@ -702,29 +703,30 @@ fn run_once(
     c.trees.add(st.steps as u64);
     c.pushes.add(st.pushes);
     c.deferrals.add(st.deferrals);
-    if st.gap_rescue_armed() {
-        c.rescue_armed.incr();
+    if st.stop == Stop::Gap {
+        c.gap_stops.incr();
     }
-    if st.budget_exhausted {
+    if budget_exhausted {
         c.budget_exhausted.incr();
     }
     if let Some(s) = run_span.as_mut() {
-        s.field("lambda", lambda_scaled / scale);
+        s.field("lambda", lambda);
+        s.field("upper_bound", st.ub);
+        s.field("stop", st.stop.label());
         s.field("phases", st.phases);
         s.field("steps", st.steps);
         s.field("pushes", st.pushes);
         s.field("deferrals", st.deferrals);
-        s.field("budget_exhausted", st.budget_exhausted);
+        s.field("budget_exhausted", budget_exhausted);
     }
 
     McfSolution {
-        // λ in caller units: scaled instance demands were d/scale
-        lambda: lambda_scaled / scale,
-        // dual_ub bounds the *scaled* optimum; map back to caller units
-        upper_bound: st.dual_ub / scale,
+        lambda,
+        upper_bound: st.ub,
+        stop: st.stop,
         phases: st.phases,
         steps: st.steps,
-        budget_exhausted: st.budget_exhausted,
+        budget_exhausted,
         utilization,
     }
 }
@@ -744,20 +746,9 @@ fn run_once(
 /// arc class several times; on the identity model (`false`) an arc is its
 /// own element and a tree path never repeats one.
 ///
-/// Beyond the textbook `D(l) ≥ 1` termination, the batched loop can stop
-/// as soon as the certified primal value meets the advertised guarantee
-/// against a *dual* upper bound: any length function `l` proves
-/// `OPT ≤ D(l)/α(l)` with `α(l) = Σ_j d_j·dist_l(s_j, t_j)` (scaling `l`
-/// by `1/α(l)` makes it feasible for the dual LP). A phase-end tree per
-/// group hands us under-estimates of every `dist_l`, and an
-/// under-estimated α only *weakens* the bound — so the check costs one
-/// tree pass plus an `O(m)` scan per phase and stopping at
-/// `λ_certified ≥ (1 − 3ε)·D(l)/α(l)` delivers exactly the promised
-/// `(1 − 3ε)·OPT`. This early exit is armed only once half of a finite
-/// step budget is spent ([`RunState::gap_rescue_armed`]): it rescues a
-/// certified answer from a run that would otherwise trip its budget,
-/// while unbudgeted (or comfortably budgeted) runs keep the fully
-/// converged λ of the `D(l) ≥ 1` termination.
+/// The first tree of each group in a phase also yields the group's share
+/// of α; at the end of every phase the loop tightens UB with `D(l)/α` and
+/// stops once the λ it would return is ≥ (1 − γ)·UB (see the module docs).
 fn route_batched<const CLASSES: bool>(
     st: &mut RunState<'_>,
     groups: &[Group],
@@ -765,7 +756,8 @@ fn route_batched<const CLASSES: bool>(
     scratch: &mut DijkstraScratch,
 ) {
     let one_plus_eps = 1.0 + st.eps;
-    let model = st.model;
+    let target = (1.0 - GAP).max(1.0 - 3.0 * st.eps);
+    let (model, commodities) = (st.model, st.commodities);
     let element = |a: usize| if CLASSES { model.class(a) } else { a };
     let cap = model.caps();
     // Remaining (scaled) demand of the current group's members this phase.
@@ -773,29 +765,38 @@ fn route_batched<const CLASSES: bool>(
     // Arc path of the member being routed (root-ward order; direction is
     // irrelevant for bottleneck/staleness/push).
     let mut path: Vec<usize> = Vec::new();
-    // Per-group Σ d_j·dist(s_j, t_j) from the phase-end α pass: together a
-    // lower bound on α under the end-of-phase lengths.
-    let mut group_alpha = vec![0.0f64; groups.len()];
 
     'outer: while st.dual < 1.0 {
         // One span per phase (None while tracing is off — the only cost is
         // a relaxed load). End-of-phase trajectory fields (trees, pushes,
-        // deferrals, D(l), certified λ, α, dual bound) are attached before
+        // deferrals, D(l), certified λ, upper bound) are attached before
         // the span drops at the bottom of the iteration; a phase cut short
         // by `break 'outer` still emits its timing event.
         let mut phase_span = ft_obs::span!("fptas.phase", phase = st.phases);
         let (steps0, pushes0, deferrals0) = (st.steps, st.pushes, st.deferrals);
-        for grp in groups {
+        for (gi, grp) in groups.iter().enumerate() {
             let members = &grp.members;
             rem.clear();
-            rem.extend(members.iter().map(|&j| st.commodities[j].demand / st.scale));
+            rem.extend(members.iter().map(|&j| commodities[j].demand / st.scale));
+            let mut first_tree = true;
             while rem.iter().any(|&r| r > 0.0) {
                 if !st.tree(grp, rev, scratch) {
                     break 'outer;
                 }
+                if first_tree {
+                    first_tree = false;
+                    let alpha = members
+                        .iter()
+                        .map(|&j| {
+                            let c = &commodities[j];
+                            c.demand * scratch.distance(grp.far(c)).unwrap_or(0.0)
+                        })
+                        .sum();
+                    st.group_alpha[gi] = alpha;
+                }
                 for (i, &j) in members.iter().enumerate() {
                     'member: while rem[i] > 0.0 {
-                        let far = grp.far(&st.commodities[j]);
+                        let far = grp.far(&commodities[j]);
                         // Distance at tree-build time: a lower bound on the
                         // current shortest-path distance (lengths only grow).
                         let Some(tree_dist) = scratch.distance(far) else {
@@ -855,54 +856,28 @@ fn route_batched<const CLASSES: bool>(
                 }
             }
         }
-        // Budget-rescue gap termination, armed only once half of a finite
-        // step budget is spent: a phase-end α pass — one fresh tree per
-        // group under the current lengths — makes the dual bound D(l)/α(l)
-        // tight, which is what lets gap_converged fire before the budget
-        // trips. The trees are counted against the step budget like any
-        // other; a partial pass only weakens the bound (older entries
-        // under-estimate their group's α contribution). While unarmed the
-        // pass is skipped entirely and the loop runs to `D(l) ≥ 1`.
+        // The one phase-end rule: stop once the λ this run would return is
+        // certified within the gap of the best upper bound.
         st.phases += 1;
-        st.note_phase_lambda();
+        st.tighten_ub();
+        let lambda = st.keep_best();
         if let Some(s) = phase_span.as_mut() {
             s.field("trees", (st.steps - steps0) as u64);
             s.field("pushes", st.pushes - pushes0);
             s.field("deferrals", st.deferrals - deferrals0);
             s.field("dual", st.dual);
-            s.field("lambda_scaled", st.best_hist.last().copied().unwrap_or(0.0));
-            s.field("rescue_armed", st.gap_rescue_armed());
+            s.field("lambda", lambda);
+            s.field("upper_bound", st.ub);
         }
-        if st.gap_rescue_armed() {
-            for (gi, grp) in groups.iter().enumerate() {
-                if !st.tree(grp, rev, scratch) {
-                    break 'outer;
-                }
-                group_alpha[gi] = grp
-                    .members
-                    .iter()
-                    .map(|&j| {
-                        let c = &st.commodities[j];
-                        let d = c.demand / st.scale;
-                        d * scratch.distance(grp.far(c)).unwrap_or(0.0)
-                    })
-                    .sum();
-            }
-            let converged = st.gap_converged(&group_alpha);
-            if let Some(s) = phase_span.as_mut() {
-                s.field("alpha", group_alpha.iter().sum::<f64>());
-                s.field("dual_ub", st.dual_ub);
-                s.field("converged_by_gap", converged);
-            }
-            if converged {
-                break;
-            }
+        if lambda >= target * st.ub {
+            st.stop = Stop::Gap;
+            break;
         }
         // Primal reset (see RunState::primal_reset): once, after the
         // lengths have seen two full phases of traffic, and only when the
         // dual is still far from terminating — runs that are about to
         // converge keep their accumulated flow.
-        if st.phases == 2 && st.primal_floor.is_none() && st.dual < 0.25 {
+        if st.phases == 2 && st.dual < 0.25 {
             st.primal_reset();
             if let Some(s) = phase_span.as_mut() {
                 s.field("primal_reset", true);
@@ -986,6 +961,21 @@ mod tests {
             exact
         );
         assert!(sol.lambda <= sol.upper_bound + 1e-9);
+        // the other side: an over-estimated α would put UB below OPT
+        assert!(
+            exact <= sol.upper_bound * (1.0 + 1e-9),
+            "exact {} above the certified bound {}",
+            exact,
+            sol.upper_bound
+        );
+        if sol.stop == Stop::Gap {
+            assert!(
+                sol.lambda >= (1.0 - GAP) * exact - 1e-9,
+                "gap stop at {} for exact {}",
+                sol.lambda,
+                exact
+            );
+        }
         assert!(!sol.budget_exhausted, "unlimited run reported exhaustion");
         for &u in &sol.utilization {
             assert!(u <= 1.0 + 1e-9, "utilization {u} over capacity");
@@ -1142,12 +1132,14 @@ mod tests {
 
     #[test]
     fn step_budget_respected_and_reported() {
-        let g = unit(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let cs = [Commodity {
-            src: 0,
-            dst: 2,
-            demand: 1.0,
-        }];
+        // all-to-all on an 8-ring forms eight source groups, so one phase
+        // takes at least eight trees: no certificate can exist within a
+        // budget of five, whatever the gap rule does
+        let ring: Vec<(u32, u32)> = (0..8).map(|v| (v, (v + 1) % 8)).collect();
+        let g = unit(8, &ring);
+        let cs =
+            crate::aggregate_commodities((0..8).flat_map(|s| (0..8).map(move |t| (s, t, 1.0))));
+        assert_eq!(group_commodities(&cs).len(), 8);
         let s = max_concurrent_flow(
             &g,
             &cs,
@@ -1158,9 +1150,10 @@ mod tests {
         )
         .unwrap();
         assert!(s.steps <= 5 * 5, "rescaling runs are each capped");
-        // ε = 0.01 needs far more than 5 trees to converge: the budget must
-        // be *reported*, not silently swallowed.
+        // the budget must be *reported*, not silently swallowed
+        assert_eq!(s.stop, Stop::Budget);
         assert!(s.budget_exhausted);
+        assert!(s.lambda <= s.upper_bound);
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //!   O(#commodities). Scales past the paper's k = 32 networks (11 200
 //!   commodities). The returned λ is *certified primal feasible* (we
 //!   rescale the accumulated flow by its worst link overload), so it is a
-//!   true lower bound regardless of floating-point drift, and the theory
-//!   guarantees it is within `(1 − 3ε)` of optimal at convergence; a
-//!   tripped step budget is reported via
+//!   true lower bound regardless of floating-point drift. It comes with a
+//!   certified upper bound and the reason the run stopped
+//!   ([`fptas::Stop`]): a run stops once λ is within 1 % of that bound,
+//!   else at the textbook dual termination, where the theory guarantees
+//!   `(1 − 3ε)` of optimal; a tripped step budget is reported via
 //!   [`fptas::McfSolution::budget_exhausted`], never as a silent λ = 0.
 //!   [`fptas::max_concurrent_flow_reference`] retains the per-commodity
 //!   routing loop as the validation oracle.
@@ -63,7 +65,9 @@ pub mod shard;
 pub use bounds::node_cut_upper_bound;
 pub use digraph::{CapGraph, DijkstraScratch};
 pub use exact::max_concurrent_flow_exact;
-pub use fptas::{max_concurrent_flow, max_concurrent_flow_reference, FptasOptions, McfSolution};
+pub use fptas::{
+    max_concurrent_flow, max_concurrent_flow_reference, FptasOptions, McfSolution, Stop, GAP,
+};
 pub use paths::{k_shortest_arc_paths, max_concurrent_flow_on_paths, ArcPath};
 pub use shard::{max_concurrent_flow_aggregated, AggregatedInstance, DistanceOracle};
 

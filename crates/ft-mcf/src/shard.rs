@@ -38,8 +38,8 @@
 //! ft-metrics — and query it for every representative pair. Alongside the
 //! orbits they record the distance volume `Σ_j d_j·hops_j`, which gives
 //! the bound `λ ≤ Σ cap / Σ_j d_j·hops_j`. The quotient solve tightens its
-//! class-cut bound with it (a tighter demand pre-scale and budget-rescue
-//! dual seed) and skips the reachability pre-check, since the builder has
+//! class-cut bound with it (a tighter demand pre-scale and seed of the
+//! gap rule's upper bound) and skips the reachability pre-check, since the builder has
 //! already seen every pair reachable. The certified λ never depends on
 //! oracle values — only the schedule does.
 
@@ -717,7 +717,18 @@ mod tests {
 
     #[test]
     fn budget_respected_and_reported() {
-        let (g, inst) = ring4_quotient();
+        // A 12-node path under its reflection: six node classes {i, 11 − i}
+        // whose representatives 0..5 each root a source tree, so one phase
+        // takes at least six trees and no certificate exists within five.
+        let line: Vec<(u32, u32)> = (0..11).map(|v| (v, v + 1)).collect();
+        let g = unit(12, &line);
+        let hops = hop_table(&g);
+        let dist = |a: usize, b: usize| Some(hops[a][b]);
+        let node_class: Vec<u32> = (0..12).map(|v: u32| v.min(11 - v)).collect();
+        let inst =
+            AggregatedInstance::from_commodities(&g, &node_class, &all_to_all(12), &dist).unwrap();
+        assert!(!inst.is_identity());
+        assert_eq!(fptas::group_commodities(inst.commodities()).len(), 6);
         let sol = max_concurrent_flow_aggregated(
             &g,
             &inst,
@@ -728,8 +739,8 @@ mod tests {
         )
         .unwrap();
         assert!(sol.steps <= 5, "every run is capped at the budget");
-        // ε = 0.01 needs far more than 5 trees to converge: the budget must
-        // be *reported*, not silently swallowed.
+        // the budget must be *reported*, not silently swallowed
+        assert_eq!(sol.stop, fptas::Stop::Budget);
         assert!(sol.budget_exhausted);
         assert!(sol.lambda <= sol.upper_bound);
     }

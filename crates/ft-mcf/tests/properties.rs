@@ -1,11 +1,12 @@
 //! Property-based validation of the flow solvers: the FPTAS is sandwiched
 //! between feasibility (≤ exact optimum, ≤ cut bounds) and its
-//! approximation guarantee (≥ (1 − 3ε) · exact optimum).
+//! approximation guarantee (≥ (1 − 3ε) · exact optimum), and its certified
+//! upper bound never falls below the exact optimum.
 
 use ft_graph::Graph;
 use ft_mcf::{
     aggregate_commodities, max_concurrent_flow, max_concurrent_flow_exact,
-    max_concurrent_flow_reference, node_cut_upper_bound, CapGraph, FptasOptions,
+    max_concurrent_flow_reference, node_cut_upper_bound, CapGraph, FptasOptions, Stop, GAP,
 };
 use proptest::prelude::*;
 
@@ -56,6 +57,13 @@ proptest! {
                      "approx {} exceeds exact {}", approx.lambda, exact);
         prop_assert!(approx.lambda >= (1.0 - 3.0 * eps) * exact - 1e-9,
                      "approx {} below guarantee of exact {}", approx.lambda, exact);
+        // the certified bound holds from above, and a gap stop is within γ
+        prop_assert!(exact <= approx.upper_bound * (1.0 + 1e-9),
+                     "exact {} above the certified bound {}", exact, approx.upper_bound);
+        if approx.stop == Stop::Gap {
+            prop_assert!(approx.lambda >= (1.0 - GAP) * exact - 1e-9,
+                         "gap stop at {} for exact {}", approx.lambda, exact);
+        }
         // and both respect the node-cut bound
         let cut = node_cut_upper_bound(&g, &cs);
         prop_assert!(exact <= cut + 1e-6);

@@ -14,6 +14,7 @@
 use ft_mcf::{
     aggregate_commodities, max_concurrent_flow, max_concurrent_flow_aggregated,
     max_concurrent_flow_exact, AggregatedInstance, CapGraph, Commodity, FptasOptions, McfError,
+    McfSolution, Stop,
 };
 use ft_topo::{Network, SymmetryClasses};
 use ft_workload::TrafficMatrix;
@@ -97,18 +98,41 @@ pub struct ThroughputResult {
     pub exact: bool,
     /// Commodities after switch-level aggregation.
     pub commodities: usize,
-    /// Node-cut upper bound on λ (∞ when unconstrained / exact path).
+    /// Certified upper bound on the optimal λ: the FPTAS's
+    /// [`ft_mcf::McfSolution::upper_bound`] (cut bound tightened by the
+    /// dual `D(l)/α(l)`), λ itself on the exact-LP path, ∞ when no
+    /// commodity constrains the network.
     pub upper_bound: f64,
+    /// Why the solver stopped. [`Stop::Gap`] certifies
+    /// λ ≥ (1 − [`ft_mcf::GAP`])·`upper_bound`; the exact-LP path reports it
+    /// too (λ equals its bound).
+    pub stop: Stop,
     /// `true` when the FPTAS step budget ([`ThroughputOptions::max_steps`])
-    /// tripped before convergence: `lambda` is then only a lower bound.
-    /// Always `false` on the exact-LP path. Surface this to users (see
-    /// [`crate::report::budget_warning`]) instead of presenting λ as final.
+    /// tripped before λ reached (1 − 3ε)·`upper_bound`: `lambda` is then
+    /// only a lower bound. Always `false` on the exact-LP path. Surface
+    /// this to users (see [`crate::report::budget_warning`]) instead of
+    /// presenting λ as final.
     pub budget_exhausted: bool,
     /// When the symmetry aggregation engaged
     /// ([`SolverKind::Aggregated`], non-identity): the number of
     /// representative commodities actually solved. `None` when the solver
     /// ran on the full commodity list.
     pub aggregated: Option<usize>,
+}
+
+impl ThroughputResult {
+    /// The result of an FPTAS solve over `commodities` switch pairs.
+    fn from_fptas(sol: McfSolution, commodities: usize, aggregated: Option<usize>) -> Self {
+        ThroughputResult {
+            lambda: sol.lambda,
+            exact: false,
+            commodities,
+            upper_bound: sol.upper_bound,
+            stop: sol.stop,
+            budget_exhausted: sol.budget_exhausted,
+            aggregated,
+        }
+    }
 }
 
 /// Evaluates λ for the network under the given server-level matrix.
@@ -160,17 +184,20 @@ pub fn throughput_on_commodities_with(
             exact: true,
             commodities: 0,
             upper_bound: f64::INFINITY,
+            stop: Stop::Gap,
             budget_exhausted: false,
             aggregated: None,
         });
     }
     let lp_vars = commodities.len() * cg.arc_count();
     if lp_vars <= opts.exact_threshold {
+        let lambda = max_concurrent_flow_exact(&cg, commodities)?;
         return Ok(ThroughputResult {
-            lambda: max_concurrent_flow_exact(&cg, commodities)?,
+            lambda,
             exact: true,
             commodities: commodities.len(),
-            upper_bound: f64::INFINITY,
+            upper_bound: lambda,
+            stop: Stop::Gap,
             budget_exhausted: false,
             aggregated: None,
         });
@@ -179,13 +206,8 @@ pub fn throughput_on_commodities_with(
         epsilon: opts.epsilon,
         max_steps: opts.max_steps,
     };
-    let wrap = |sol: ft_mcf::McfSolution, aggregated: Option<usize>| ThroughputResult {
-        lambda: sol.lambda,
-        exact: false,
-        commodities: commodities.len(),
-        upper_bound: sol.upper_bound,
-        budget_exhausted: sol.budget_exhausted,
-        aggregated,
+    let wrap = |sol: McfSolution, aggregated: Option<usize>| {
+        ThroughputResult::from_fptas(sol, commodities.len(), aggregated)
     };
     match opts.solver {
         SolverKind::Batched => Ok(wrap(max_concurrent_flow(&cg, commodities, fopts)?, None)),
@@ -258,14 +280,11 @@ pub fn throughput_all_to_all(
                 },
             )?;
             let aggregated = (!inst.is_identity()).then_some(inst.commodities().len());
-            return Ok(ThroughputResult {
-                lambda: sol.lambda,
-                exact: false,
-                commodities: inst.original_commodities(),
-                upper_bound: sol.upper_bound,
-                budget_exhausted: sol.budget_exhausted,
+            return Ok(ThroughputResult::from_fptas(
+                sol,
+                inst.original_commodities(),
                 aggregated,
-            });
+            ));
         }
     }
     // Materialized fallback: switch-level all-to-all with n_s·n_t demands.
@@ -329,9 +348,13 @@ mod tests {
         )
         .unwrap();
         assert!(exact.exact);
+        // the exact λ is its own certified bound
+        assert_eq!(exact.upper_bound.to_bits(), exact.lambda.to_bits());
+        assert_eq!(exact.stop, Stop::Gap);
         let approx = throughput(&net, &tm, ThroughputOptions::fptas(0.05)).unwrap();
         assert!(!approx.exact);
         assert!(approx.lambda <= exact.lambda + 1e-6);
+        assert!(exact.lambda <= approx.upper_bound * (1.0 + 1e-9));
         assert!(
             approx.lambda >= 0.8 * exact.lambda,
             "approx {} vs exact {}",

@@ -436,17 +436,20 @@ fn exec_throughput(
         SolverKind::Batched => "batched",
         SolverKind::Aggregated => "aggregated",
     };
-    // budget_exhausted is part of the reply contract: λ from a truncated
-    // FPTAS run is a lower bound, and clients must be able to tell.
+    // budget_exhausted, upper_bound and stop are part of the reply
+    // contract: λ from a truncated FPTAS run is a lower bound, and clients
+    // must be able to tell how close to the optimum it is certified.
     Ok(format!(
         "layout={layout} eps={epsilon} solver={solver_name} lambda={:.6} commodities={} \
-         aggregated={} exact={} budget_exhausted={} source={}",
+         aggregated={} exact={} budget_exhausted={} source={} upper_bound={:.6} stop={}",
         r.lambda,
         r.commodities,
         r.aggregated.unwrap_or(0),
         r.exact,
         r.budget_exhausted,
-        source(hit)
+        source(hit),
+        r.upper_bound,
+        r.stop.label()
     ))
 }
 
@@ -700,6 +703,23 @@ mod tests {
         assert!(reply.contains("solver=batched"), "{reply}");
         // an unbounded FPTAS run converges, and the reply must say so
         assert!(reply.contains("budget_exhausted=false"), "{reply}");
+        // with the certified bound and the stop reason after the old tokens
+        let field = |key: &str| {
+            reply
+                .split_whitespace()
+                .find_map(|t| t.strip_prefix(key)?.strip_prefix('='))
+                .unwrap_or_else(|| panic!("no {key} in {reply}"))
+        };
+        let lambda: f64 = field("lambda").parse().unwrap();
+        let upper: f64 = field("upper_bound").parse().unwrap();
+        assert!(lambda <= upper, "{reply}");
+        assert!(["gap", "dual"].contains(&field("stop")), "{reply}");
+        // appended after the old tokens, so key-reading clients keep working
+        let tail = &reply[reply.find(" source=").unwrap()..];
+        assert!(
+            tail.contains(" upper_bound=") && tail.contains(" stop="),
+            "{reply}"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Golden values of the FPTAS on fixed instances: λ and the certified
-//! upper bound as raw bits, plus the step and phase counts and the budget
-//! flag. Any change to the Fleischer loop's arithmetic or schedule shows
+//! upper bound as raw bits, plus the step and phase counts, the budget
+//! flag and the stop reason. Any change to the Fleischer loop's arithmetic or schedule shows
 //! up here as a bit difference, so a refactor of the solver that claims to
 //! keep its behaviour must pass this file unchanged.
 //!
@@ -10,7 +10,7 @@
 use std::sync::Mutex;
 
 use flat_tree::core::{FlatTree, FlatTreeConfig, Mode};
-use flat_tree::mcf::{aggregate_commodities, max_concurrent_flow, CapGraph, FptasOptions};
+use flat_tree::mcf::{aggregate_commodities, max_concurrent_flow, CapGraph, FptasOptions, Stop};
 use flat_tree::metrics::throughput::{throughput_all_to_all, SolverKind, ThroughputOptions};
 use flat_tree::obs::registry::counter;
 use flat_tree::topo::Network;
@@ -18,8 +18,8 @@ use flat_tree::workload::{generate, Locality, TrafficPattern, WorkloadSpec};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// `(λ bits, upper-bound bits, steps, phases, budget_exhausted)`.
-type Golden = (u64, u64, usize, usize, bool);
+/// `(λ bits, upper-bound bits, steps, phases, budget_exhausted, stop)`.
+type Golden = (u64, u64, usize, usize, bool, Stop);
 
 fn mode_net(k: usize, mode: &Mode) -> Network {
     FlatTree::new(FlatTreeConfig::for_fat_tree_k(k).unwrap())
@@ -39,6 +39,7 @@ fn solve(net: &Network, spec: &WorkloadSpec, seed: u64, opts: FptasOptions) -> G
         sol.steps,
         sol.phases,
         sol.budget_exhausted,
+        sol.stop,
     )
 }
 
@@ -56,26 +57,22 @@ fn check(what: &str, got: Golden, want: Golden) {
 
 /// The `ftctl bench` k = 8 instance: global random graph, hot-spot
 /// workload without locality, seed 1, ε = 0.15 under the full-run step
-/// cap (the budget rescue arms half-way) and the tripping `--quick` cap.
+/// cap (the gap rule stops first) and the `--quick` cap (which trips, with
+/// λ already past (1 − 3ε)·UB).
 #[test]
 fn bench_hotspot_k8() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let net = mode_net(8, &Mode::GlobalRandom);
     let spec = WorkloadSpec::hotspot(Locality::None);
+    let ub = 0x3fac_3870_e1c3_870e;
     let pinned = [
         (
             3_000,
-            (
-                0x3fab_e952_6d07_693b,
-                0x3fac_3870_e1c3_870e,
-                1511,
-                130,
-                false,
-            ),
+            (0x3fac_0a8e_83f5_70d8, ub, 908, 87, false, Stop::Gap),
         ),
         (
             500,
-            (0x3fab_7103_f8c7_4f8f, 0x3fac_3870_e1c3_870e, 255, 40, false),
+            (0x3fab_c4fd_6588_3e87, ub, 500, 57, false, Stop::Budget),
         ),
     ];
     for (max_steps, want) in pinned {
@@ -93,8 +90,8 @@ fn bench_hotspot_k8() {
 
 /// The first Fig. 7 placement of the benchmark's seed 1 (one hot spot per
 /// 1000-server cluster, no locality), on the k = 8 flat-tree in each mode:
-/// unbudgeted, under a budget of 16 trees that trips, and under one of 60
-/// that the budget rescue's gap test stops first.
+/// unbudgeted (the gap rule stops), and under budgets of 16 and 60 trees
+/// that trip before the gap closes but after λ passed (1 − 3ε)·UB.
 #[test]
 fn fig7_hotspot_k8_each_mode() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
@@ -106,77 +103,35 @@ fn fig7_hotspot_k8_each_mode() {
     let cases = [
         (
             Mode::Clos,
+            0x3fa0_8421_0842_1084,
             [
-                (
-                    None,
-                    (
-                        0x3fa0_7495_9ddf_f0d2,
-                        0x3fa0_8421_0842_1084,
-                        2033,
-                        273,
-                        false,
-                    ),
-                ),
-                (
-                    Some(16),
-                    (0x3f9e_1e1e_1e1e_1e22, 0x3fa0_8421_0842_1084, 16, 2, true),
-                ),
-                (
-                    Some(60),
-                    (0x3f9e_1e1e_1e1e_1e22, 0x3fa0_8421_0842_1084, 36, 6, false),
-                ),
+                (None, 0x3fa0_5b05_b05b_05b1, 160, 25, Stop::Gap),
+                (Some(16), 0x3f9e_1e1e_1e1e_1e22, 16, 2, Stop::Budget),
+                (Some(60), 0x3f9f_7047_dc11_f70b, 60, 10, Stop::Budget),
             ],
         ),
         (
             Mode::LocalRandom,
+            0x3fa8_6186_1861_8618,
             [
-                (
-                    None,
-                    (
-                        0x3fa8_3d01_16e0_6775,
-                        0x3fa8_6186_1861_8618,
-                        3038,
-                        269,
-                        false,
-                    ),
-                ),
-                (
-                    Some(16),
-                    (0x3f9c_71c7_1c71_c717, 0x3fa8_6186_1861_8618, 16, 3, true),
-                ),
-                (
-                    Some(60),
-                    (0x3fa6_42c8_590b_216e, 0x3fa8_6186_1861_8618, 46, 10, false),
-                ),
+                (None, 0x3fa8_26a4_39f6_56f6, 530, 67, Stop::Gap),
+                (Some(16), 0x3fa0_8421_0842_1081, 16, 4, Stop::Budget),
+                (Some(60), 0x3fa7_c57c_57c5_7c68, 60, 15, Stop::Budget),
             ],
         ),
         (
             Mode::GlobalRandom,
+            0x3fac_3870_e1c3_870e,
             [
-                (
-                    None,
-                    (
-                        0x3fab_f8a3_9f0c_0ab8,
-                        0x3fac_3870_e1c3_870e,
-                        3458,
-                        268,
-                        false,
-                    ),
-                ),
-                (
-                    Some(16),
-                    (0x3fa4_e5e0_a72f_053d, 0x3fac_3870_e1c3_870e, 16, 3, true),
-                ),
-                (
-                    Some(60),
-                    (0x3fa8_e38e_38e3_8e43, 0x3fac_3870_e1c3_870e, 40, 9, false),
-                ),
+                (None, 0x3fab_f056_5b39_765b, 1570, 134, Stop::Gap),
+                (Some(16), 0x3fa4_e5e0_a72f_053d, 16, 4, Stop::Budget),
+                (Some(60), 0x3faa_f286_bca1_af33, 60, 14, Stop::Budget),
             ],
         ),
     ];
-    for (mode, pinned) in cases {
+    for (mode, ub, pinned) in cases {
         let net = mode_net(8, &mode);
-        for (max_steps, want) in pinned {
+        for (max_steps, lambda, steps, phases, stop) in pinned {
             let opts = FptasOptions {
                 epsilon: 0.15,
                 max_steps,
@@ -184,7 +139,7 @@ fn fig7_hotspot_k8_each_mode() {
             check(
                 &format!("fig7 k=8 {} max_steps={max_steps:?}", mode.label()),
                 solve(&net, &spec, 1000, opts),
-                want,
+                (lambda, ub, steps, phases, false, stop),
             );
         }
     }
@@ -213,6 +168,7 @@ fn aggregated_all_to_all(k: usize) -> (Golden, u64, usize, Option<usize>) {
         usize::try_from(trees.get() - before.0).unwrap(),
         usize::try_from(phases.get() - before.1).unwrap(),
         r.budget_exhausted,
+        r.stop,
     );
     (golden, pushes.get() - before.2, r.commodities, r.aggregated)
 }
@@ -221,14 +177,15 @@ fn aggregated_all_to_all(k: usize) -> (Golden, u64, usize, Option<usize>) {
 fn aggregated_all_to_all_clos_k8() {
     let (golden, pushes, commodities, orbits) = aggregated_all_to_all(8);
     let want = (
-        0x3f80_63b0_e5b9_0644,
+        0x3f80_5e48_053c_e3d6,
         0x3f80_8421_0842_1084,
-        363,
-        122,
+        77,
+        27,
         false,
+        Stop::Gap,
     );
     check("all-to-all k=8 clos", golden, want);
-    assert_eq!((pushes, commodities, orbits), (615, 992, Some(2)));
+    assert_eq!((pushes, commodities, orbits), (135, 992, Some(2)));
 }
 
 /// The k = 16 tier needs an optimized build, like the other k = 16 tests.
@@ -237,12 +194,13 @@ fn aggregated_all_to_all_clos_k8() {
 fn aggregated_all_to_all_clos_k16() {
     let (golden, pushes, commodities, orbits) = aggregated_all_to_all(16);
     let want = (
-        0x3f50_0779_cbb0_07e8,
+        0x3f4f_f1ae_24b1_c1ee,
         0x3f50_2040_8102_0408,
-        752,
-        150,
+        302,
+        60,
         false,
+        Stop::Gap,
     );
     check("all-to-all k=16 clos", golden, want);
-    assert_eq!((pushes, commodities, orbits), (1356, 16256, Some(2)));
+    assert_eq!((pushes, commodities, orbits), (540, 16256, Some(2)));
 }
