@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ft_core::{FlatTree, FlatTreeConfig, Mode};
-use ft_sim::{flows_from_matrix, RouterPolicy, Simulator};
+use ft_sim::{flows_from_matrix, DesSimulator, RouterPolicy};
 use ft_workload::{generate, Locality, TrafficPattern, WorkloadSpec};
 use std::hint::black_box;
 
@@ -31,7 +31,8 @@ fn bench_simulation(c: &mut Criterion) {
                 BenchmarkId::new(label, k),
                 &(&net, &flows),
                 |b, (net, flows)| {
-                    b.iter(|| black_box(Simulator::new(net, policy).run(flows, &[], 1e9)))
+                    let sim = DesSimulator::new(net, policy);
+                    b.iter(|| black_box(sim.run(flows, &[], 1e9)))
                 },
             );
         }

@@ -1,20 +1,20 @@
-//! The event-driven simulator: ft-sim rebuilt as a client of the
-//! [`ft_des`] engine.
+//! The event-driven flow simulator, built on the [`ft_des`] engine.
 //!
-//! The legacy [`crate::simulator::Simulator`] advances time with an
-//! inline next-transition loop; this module expresses the same flow
-//! dynamics as three [`ft_des::Component`]s — a flow source, a topology
-//! driver, and a rate allocator — exchanging events through the
-//! deterministic queue. On top of the legacy link failures/repairs it
-//! models **live zone conversion** (the paper's Clos↔random-graph
-//! transitions): a [`ConversionEvent`] drains the links the
+//! Flow dynamics are three [`ft_des::Component`]s — a flow source, a
+//! topology driver, and a rate allocator — exchanging events through the
+//! deterministic queue. Between events, rates are the max-min fair
+//! allocation of [`crate::ratealloc`] over each flow's pinned path. Link
+//! failures and repairs re-route the flows whose paths they break, and a
+//! **live zone conversion** (the paper's Clos↔random-graph transitions)
+//! is a [`ConversionEvent`]: it drains the links the
 //! [`ft_control::ReconfigPlan`] removes, re-routes the flows riding
 //! them, and after the modeled converter reconfiguration latency brings
 //! the new links up and re-derives routing under the new policy.
 //!
 //! Determinism contract (DESIGN.md §14): seeding order is topology
-//! events then flow arrivals, so at equal timestamps the queue replays
-//! the legacy engine's apply-events-before-admission rule; all
+//! events then flow arrivals, so at equal timestamps a failure, repair
+//! or conversion drain is applied before the flows arriving at that
+//! instant are admitted, and they route on the changed topology. All
 //! follow-up events carry strictly larger sequence numbers, and no
 //! handler lets wall-clock time or unordered containers influence the
 //! schedule. A fixed scenario therefore produces bit-identical reports
@@ -24,7 +24,6 @@
 //! checksum, or the deterministic summary.)
 
 use crate::ratealloc::{max_min_rates, DirectedLink};
-use crate::simulator::{FlowSpec, RouterPolicy};
 use ft_control::routing::{EcmpRoutes, KspRoutes, ServerPath};
 use ft_control::ReconfigPlan;
 use ft_des::{Component, ComponentId, Context, Engine, ScheduleError};
@@ -33,10 +32,31 @@ use ft_topo::Network;
 use std::fmt;
 use std::fmt::Write as _;
 
-/// A scheduled topology event for the event-driven simulator.
-///
-/// `LinkDown`/`LinkUp` mirror [`crate::simulator::NetworkEvent`];
-/// `Convert` is new: a whole reconfiguration plan applied live.
+/// Which routing discipline the simulator uses (mirrors `ft-control`'s
+/// per-mode choice: ECMP for Clos, KSP for random-graph modes).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RouterPolicy {
+    /// Hash over equal-cost shortest paths.
+    Ecmp,
+    /// Hash over the k shortest loopless paths.
+    Ksp(usize),
+}
+
+/// A flow to simulate.
+#[derive(Clone, Copy, Debug)]
+pub struct FlowSpec {
+    /// Source server node.
+    pub src: NodeId,
+    /// Destination server node.
+    pub dst: NodeId,
+    /// Volume to transfer (in capacity·time units).
+    pub size: f64,
+    /// Arrival time.
+    pub start: f64,
+}
+
+/// A scheduled topology event: a link failure or repair, or a whole
+/// reconfiguration plan applied live.
 #[derive(Clone, Debug)]
 pub enum TopoEvent {
     /// Link goes down at the given time.
@@ -663,8 +683,9 @@ impl World {
     }
 
     /// Re-resolves every active flow whose attachment drifted or whose
-    /// path crosses a dead link, counting the re-route (even when the
-    /// flow stays unroutable, matching the legacy simulator).
+    /// path crosses a dead link, counting the re-route even when the
+    /// flow stays unroutable: the counter records attempts, so a parked
+    /// flow re-tried at every topology change shows each try.
     fn reroute_stale(&mut self, conversion: bool) {
         for fi in 0..self.active.len() {
             let (idx, hash, old_ends) = {
@@ -812,8 +833,8 @@ impl DesSimulator {
         let alloc_id = engine.register(Box::new(RateAllocator));
 
         // Seeding order is part of the determinism contract: topology
-        // events first, then arrivals, so at equal timestamps the
-        // queue replays the legacy apply-events-before-admission rule.
+        // events first, then arrivals, so at equal timestamps a flow is
+        // admitted (and routed) on the topology the events leave.
         for (i, ev) in topo.iter().enumerate() {
             engine
                 .schedule(ev.time(), topo_id, Ev::Topo(i))
@@ -906,8 +927,11 @@ impl DesSimulator {
     }
 }
 
+/// Path-selection hash of flow `idx`: a Fibonacci multiply of the flow's
+/// index in the submitted list, so its path depends on that index and the
+/// topology alone, never on arrival order or timing. Pinned: changing the
+/// mixing moves every checksum.
 fn flow_hash(idx: usize) -> u64 {
-    // same mixing as the legacy simulator: path choice is identical
     (idx as u64).wrapping_mul(0x9E3779B97F4A7C15) ^ 0xD1B54A32D192ED03
 }
 
@@ -970,7 +994,6 @@ fn trace_line(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::{NetworkEvent, Simulator};
     use ft_core::{FlatTree, FlatTreeConfig, Mode};
     use ft_topo::fat_tree;
 
@@ -982,6 +1005,43 @@ mod tests {
         net.servers().nth(i).unwrap()
     }
 
+    fn ecmp(net: &Network, specs: &[FlowSpec], topo: &[TopoEvent]) -> DesReport {
+        DesSimulator::new(net, RouterPolicy::Ecmp)
+            .run(specs, topo, 1e9)
+            .unwrap()
+    }
+
+    /// Every core–aggregation link, in edge-id order.
+    fn agg_core_links(net: &Network) -> Vec<EdgeId> {
+        use ft_topo::DeviceKind::{Aggregation, Core};
+        net.graph()
+            .edges()
+            .filter(|&(_, a, b)| {
+                matches!(
+                    (net.kind(a), net.kind(b)),
+                    (Core, Aggregation) | (Aggregation, Core)
+                )
+            })
+            .map(|(e, _, _)| e)
+            .collect()
+    }
+
+    /// Checks a run against values recorded before the next-transition
+    /// simulator was retired: each completion within 1e-9 of the one it
+    /// computed on the same input, and the DES checksum bit for bit.
+    fn check_recorded(rep: &DesReport, legacy: &[f64], checksum: u64) {
+        assert_eq!(rep.flows.len(), legacy.len());
+        for (r, &want) in rep.flows.iter().zip(legacy) {
+            let got = r.completion.unwrap();
+            assert!(
+                (got - want).abs() < 1e-9,
+                "flow {}: {got} vs {want}",
+                r.flow
+            );
+        }
+        assert_eq!(rep.completion_checksum(), checksum);
+    }
+
     #[test]
     fn single_flow_fct_matches_legacy() {
         let net = k4();
@@ -991,12 +1051,11 @@ mod tests {
             size: 2.0,
             start: 0.0,
         }];
-        let rep = DesSimulator::new(&net, RouterPolicy::Ecmp)
-            .run(&specs, &[], 1e9)
-            .unwrap();
+        let rep = ecmp(&net, &specs, &[]);
         assert_eq!(rep.flows[0].completion, Some(2.0));
         assert_eq!(rep.unfinished(), 0);
         assert!((rep.mean_fct(&specs) - 2.0).abs() < 1e-9);
+        check_recorded(&rep, &[2.0], 0x0d25_767f_9dce_13f5);
     }
 
     #[test]
@@ -1008,9 +1067,7 @@ mod tests {
             size: 5.0,
             start: 3.0,
         }];
-        let rep = DesSimulator::new(&net, RouterPolicy::Ecmp)
-            .run(&specs, &[], 1e9)
-            .unwrap();
+        let rep = ecmp(&net, &specs, &[]);
         assert_eq!(rep.flows[0].completion, Some(3.0));
         assert_eq!(rep.events, 1); // one arrival, no realloc needed
     }
@@ -1027,31 +1084,107 @@ mod tests {
                 start: (i % 3) as f64 * 0.25,
             })
             .collect();
-        let legacy = Simulator::new(&net, RouterPolicy::Ecmp).run(&specs, &[], 1e9);
-        let des = DesSimulator::new(&net, RouterPolicy::Ecmp)
-            .run(&specs, &[], 1e9)
-            .unwrap();
-        for (a, b) in legacy.flows.iter().zip(&des.flows) {
-            let (ca, cb) = (a.completion.unwrap(), b.completion.unwrap());
-            assert!((ca - cb).abs() < 1e-9, "flow {}: {ca} vs {cb}", a.flow);
-        }
-        assert!((legacy.makespan - des.makespan).abs() < 1e-9);
+        let rep = ecmp(&net, &specs, &[]);
+        let legacy = [
+            1.5, 1.75, 3.0, 2.5, 6.25, 4.0, 7.75, 8.5, 5.5, 5.5, 6.25, 7.0,
+        ];
+        check_recorded(&rep, &legacy, 0x740e_8887_2730_8865);
+        assert!((rep.makespan - 8.5).abs() < 1e-9);
     }
 
     #[test]
     fn matches_legacy_on_link_failures() {
         let net = k4();
-        let agg_core: Vec<EdgeId> = net
-            .graph()
-            .edges()
-            .filter(|&(_, a, b)| {
-                use ft_topo::DeviceKind::*;
-                matches!(
-                    (net.kind(a), net.kind(b)),
-                    (Core, Aggregation) | (Aggregation, Core)
-                )
+        let agg_core = agg_core_links(&net);
+        let specs = [FlowSpec {
+            src: server(&net, 0),
+            dst: server(&net, 8),
+            size: 10.0,
+            start: 0.0,
+        }];
+        let topo = [
+            TopoEvent::LinkDown(2.0, agg_core[0]),
+            TopoEvent::LinkDown(2.0, agg_core[1]),
+            TopoEvent::LinkUp(4.0, agg_core[0]),
+        ];
+        check_recorded(&ecmp(&net, &specs, &topo), &[10.0], 0x3271_767f_9dce_13f5);
+    }
+
+    #[test]
+    fn staggered_arrivals() {
+        let net = k4();
+        let flow = |start| FlowSpec {
+            src: server(&net, 0),
+            dst: server(&net, 8),
+            size: 1.0,
+            start,
+        };
+        let rep = ecmp(&net, &[flow(0.0), flow(10.0)], &[]);
+        assert_eq!(rep.flows[0].completion, Some(1.0));
+        assert_eq!(rep.flows[1].completion, Some(11.0));
+    }
+
+    /// Both servers of one edge switch send to the same remote Pod: the
+    /// flows share an uplink or not, depending on their hashes, so each
+    /// finishes somewhere in [1, 2].
+    #[test]
+    fn contending_flows_share() {
+        let net = k4();
+        let specs = [0, 1].map(|i| FlowSpec {
+            src: server(&net, i),
+            dst: server(&net, 8 + i),
+            size: 1.0,
+            start: 0.0,
+        });
+        for r in &ecmp(&net, &specs, &[]).flows {
+            let c = r.completion.unwrap();
+            assert!((1.0..=2.0 + 1e-9).contains(&c), "completion {c}");
+        }
+    }
+
+    /// One core link fails mid-transfer, each in turn: the flow always
+    /// finishes at full rate, moved to a spare core path when the failed
+    /// link was on its own.
+    #[test]
+    fn link_failure_reroutes() {
+        let net = k4();
+        let specs = [FlowSpec {
+            src: server(&net, 0),
+            dst: server(&net, 8),
+            size: 10.0,
+            start: 0.0,
+        }];
+        let mut rerouted = 0;
+        for e in agg_core_links(&net) {
+            let rep = ecmp(&net, &specs, &[TopoEvent::LinkDown(5.0, e)]);
+            assert_eq!(rep.unfinished(), 0, "flow must survive the failure");
+            assert_eq!(rep.flows[0].completion, Some(10.0));
+            rerouted += rep.reroutes;
+        }
+        assert!(rerouted > 0, "no failure hit the flow's path");
+    }
+
+    /// Severs both core links of one aggregation switch, then restores
+    /// them: the flow still completes.
+    #[test]
+    fn failure_and_repair_cycle() {
+        let net = k4();
+        let agg = net
+            .switches()
+            .find(|&v| net.kind(v) == ft_topo::DeviceKind::Aggregation)
+            .unwrap();
+        let severed: Vec<EdgeId> = agg_core_links(&net)
+            .into_iter()
+            .filter(|&e| {
+                let (a, b) = net.graph().endpoints(e);
+                a == agg || b == agg
             })
-            .map(|(e, _, _)| e)
+            .collect();
+        assert_eq!(severed.len(), 2);
+        let topo: Vec<TopoEvent> = severed
+            .iter()
+            .map(|&e| TopoEvent::LinkDown(1.0, e))
+            .chain(severed.iter().map(|&e| TopoEvent::LinkUp(3.0, e)))
             .collect();
         let specs = [FlowSpec {
             src: server(&net, 0),
@@ -1059,25 +1192,50 @@ mod tests {
             size: 10.0,
             start: 0.0,
         }];
-        let events = [
-            NetworkEvent::LinkDown(2.0, agg_core[0]),
-            NetworkEvent::LinkDown(2.0, agg_core[1]),
-            NetworkEvent::LinkUp(4.0, agg_core[0]),
-        ];
-        let topo = [
-            TopoEvent::LinkDown(2.0, agg_core[0]),
-            TopoEvent::LinkDown(2.0, agg_core[1]),
-            TopoEvent::LinkUp(4.0, agg_core[0]),
-        ];
-        let legacy = Simulator::new(&net, RouterPolicy::Ecmp).run(&specs, &events, 1e9);
-        let des = DesSimulator::new(&net, RouterPolicy::Ecmp)
-            .run(&specs, &topo, 1e9)
+        assert_eq!(ecmp(&net, &specs, &topo).unfinished(), 0);
+    }
+
+    #[test]
+    fn ksp_policy_on_flat_tree_global_mode() {
+        let ftree = FlatTree::new(FlatTreeConfig::for_fat_tree_k(4).unwrap()).unwrap();
+        let net = ftree.materialize(&Mode::GlobalRandom).unwrap();
+        let servers: Vec<NodeId> = net.servers().collect();
+        let specs: Vec<FlowSpec> = (0..6)
+            .map(|i| FlowSpec {
+                src: servers[i],
+                dst: servers[servers.len() - 1 - i],
+                size: 1.0,
+                start: 0.0,
+            })
+            .collect();
+        let rep = DesSimulator::new(&net, RouterPolicy::Ksp(8))
+            .run(&specs, &[], 1e9)
             .unwrap();
-        let (ca, cb) = (
-            legacy.flows[0].completion.unwrap(),
-            des.flows[0].completion.unwrap(),
-        );
-        assert!((ca - cb).abs() < 1e-9, "{ca} vs {cb}");
+        assert_eq!(rep.unfinished(), 0);
+        assert!(rep.makespan >= 1.0);
+    }
+
+    #[test]
+    fn deterministic_repeat() {
+        let net = k4();
+        let servers: Vec<NodeId> = net.servers().collect();
+        let specs: Vec<FlowSpec> = (0..8)
+            .map(|i| FlowSpec {
+                src: servers[i],
+                dst: servers[(i + 5) % servers.len()],
+                size: 1.0 + i as f64,
+                start: 0.0,
+            })
+            .collect();
+        let (r1, r2) = (ecmp(&net, &specs, &[]), ecmp(&net, &specs, &[]));
+        for (a, b) in r1.flows.iter().zip(&r2.flows) {
+            assert_eq!(
+                a.completion.map(f64::to_bits),
+                b.completion.map(f64::to_bits)
+            );
+        }
+        assert_eq!(r1.makespan.to_bits(), r2.makespan.to_bits());
+        assert_eq!(r1.completion_checksum(), r2.completion_checksum());
     }
 
     #[test]
@@ -1096,9 +1254,7 @@ mod tests {
             TopoEvent::LinkDown(2.0, uplink),
             TopoEvent::LinkUp(5.0, uplink),
         ];
-        let rep = DesSimulator::new(&net, RouterPolicy::Ecmp)
-            .run(&specs, &topo, 1e9)
-            .unwrap();
+        let rep = ecmp(&net, &specs, &topo);
         let r = &rep.flows[0];
         assert_eq!(rep.unfinished(), 0);
         // 2s of transfer, 3s parked, 8 more seconds of transfer
@@ -1131,9 +1287,7 @@ mod tests {
                 start: 0.0,
             })
             .collect();
-        let rep = DesSimulator::new(&net, RouterPolicy::Ecmp)
-            .run(&specs, &[TopoEvent::Convert(ev)], 1e9)
-            .unwrap();
+        let rep = ecmp(&net, &specs, &[TopoEvent::Convert(ev)]);
         assert_eq!(rep.conversions, 1);
         assert!(rep.links_removed > 0, "{rep:?}");
         assert!(rep.links_added > 0, "{rep:?}");

@@ -6,7 +6,7 @@
 //! load sweep where the same matrix arrives repeatedly at a configurable
 //! rate (the classic FCT-vs-load methodology).
 
-use crate::simulator::FlowSpec;
+use crate::des::FlowSpec;
 use ft_workload::TrafficMatrix;
 use rand::prelude::*;
 
@@ -29,10 +29,9 @@ pub fn flows_from_matrix(tm: &TrafficMatrix, size_per_unit: f64, start: f64) -> 
 /// whose inter-arrival gaps are exponential with mean `1/rate` (per flow),
 /// deterministic for a given seed. Used by load sweeps.
 ///
-/// Sampling is delegated to `ft_workload::arrivals::exponential_starts`
-/// so the legacy simulator and the ft-des engine replay identical
-/// schedules; one `StdRng` is shared across demands in matrix order, so
-/// the output is bit-identical to the pre-refactor inline loop.
+/// Sampling is delegated to `ft_workload::arrivals::exponential_starts`;
+/// one `StdRng` is shared across demands in matrix order, so a seed fixes
+/// the whole schedule bit for bit.
 pub fn flows_with_arrivals(
     tm: &TrafficMatrix,
     size_per_unit: f64,

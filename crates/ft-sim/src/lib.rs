@@ -4,23 +4,23 @@
 //! The paper measures *optimal-routing* throughput (maximum concurrent
 //! flow). A downstream adopter also wants to know what a real dataplane
 //! with hashed path selection and TCP-like fair sharing would deliver, and
-//! how the network behaves under link failures. This crate simulates
-//! exactly that:
+//! how the network behaves under link failures and live conversions. The
+//! [`des`] module simulates exactly that on the `ft-des` discrete-event
+//! engine:
 //!
-//! * flows are routed once (ECMP or k-shortest-paths, per the active mode's
+//! * flows are routed (ECMP or k-shortest-paths, per the active mode's
 //!   routing from `ft-control`) with deterministic per-flow hashing;
 //! * link bandwidth is shared **max-min fairly** among the flows crossing
 //!   each directed link (the classic fluid approximation of per-flow
-//!   fairness, computed by progressive filling);
-//! * the event loop advances from flow completion to flow completion,
-//!   recording flow completion times;
+//!   fairness, computed by progressive filling in [`ratealloc`]);
+//! * time advances from event to event — arrivals, completions, topology
+//!   changes — recording flow completion times;
 //! * scheduled link failures/repairs re-route affected flows mid-run —
 //!   modeling the paper's §5 "self-recovery of the topology from failures"
 //!   direction;
-//! * the [`des`] module rebuilds the simulator on the `ft-des`
-//!   discrete-event engine and adds **live zone conversion**: a
-//!   `ft-control` reconfiguration plan applied mid-run with modeled
-//!   converter latency (drained links, re-routed and re-rated flows).
+//! * **live zone conversion** applies an `ft-control` reconfiguration plan
+//!   mid-run with modeled converter latency (drained links, re-routed and
+//!   re-rated flows).
 //!
 //! Determinism: identical inputs (network, flows, events) produce identical
 //! schedules; there is no hidden RNG.
@@ -31,9 +31,10 @@
 pub mod des;
 pub mod flows;
 pub mod ratealloc;
-pub mod simulator;
 
-pub use des::{ConversionEvent, DesError, DesFlowRecord, DesReport, DesSimulator, TopoEvent};
+pub use des::{
+    ConversionEvent, DesError, DesFlowRecord, DesReport, DesSimulator, FlowSpec, RouterPolicy,
+    TopoEvent,
+};
 pub use flows::{flows_from_matrix, flows_with_arrivals};
 pub use ratealloc::{max_min_rates, DirectedLink};
-pub use simulator::{FlowRecord, FlowSpec, NetworkEvent, RouterPolicy, SimReport, Simulator};

@@ -1,7 +1,7 @@
-//! Cross-check between the simulator's max-min fair allocation and the
-//! FPTAS throughput certificate.
+//! Cross-check between the DES's max-min fair allocation and the FPTAS
+//! throughput certificate.
 //!
-//! The simulator pins each flow to ONE path and shares links max-min
+//! The DES (`ft_sim::des`) pins each flow to ONE path and shares links max-min
 //! fairly; the FPTAS splits flow over ALL paths optimally. Scaling every
 //! flow down to the worst-served ratio `λ' = min_f rate_f / demand_f`
 //! turns the max-min allocation into a feasible *concurrent* flow, so λ'
@@ -24,9 +24,9 @@ use ft_sim::{max_min_rates, DirectedLink};
 use ft_topo::{fat_tree, Network};
 use ft_workload::{generate, Locality, TrafficPattern, WorkloadSpec};
 
-/// Mirrors the simulator's ServerPath → directed-link conversion (and its
-/// per-flow hash), so the pinned paths are exactly what `Simulator::run`
-/// would use.
+/// Mirrors the DES's ServerPath → directed-link conversion (and its
+/// per-flow hash), so the pinned paths are exactly what
+/// `DesSimulator::run` would use on the unchanged topology.
 fn directed_links(path: &ServerPath) -> Vec<DirectedLink> {
     path.edges
         .iter()

@@ -3,9 +3,8 @@
 //! The FCT-vs-load methodology (Jellyfish, DCTCP) replays a demand matrix
 //! as repeated flow arrivals whose inter-arrival gaps are exponential —
 //! a Poisson process per demand pair. The sampling lives here, next to
-//! the traffic patterns, so every simulator frontend (the legacy batch
-//! simulator and the ft-des event engine) draws the *same* arrival
-//! schedule from the same seed.
+//! the traffic patterns, so every caller that replays a matrix draws the
+//! *same* arrival schedule from the same seed.
 
 use rand::prelude::*;
 

@@ -13,7 +13,7 @@
 //! prescribes) and reports completion times and re-route counts.
 
 use flat_tree::core::{FlatTree, FlatTreeConfig, Mode};
-use flat_tree::sim::{FlowSpec, NetworkEvent, RouterPolicy, Simulator};
+use flat_tree::sim::{DesSimulator, FlowSpec, RouterPolicy, TopoEvent};
 use flat_tree::topo::DeviceKind;
 
 fn main() {
@@ -48,8 +48,8 @@ fn main() {
     let victims = &core_links[..core_links.len() / 10];
     let mut events = Vec::new();
     for &e in victims {
-        events.push(NetworkEvent::LinkDown(2.0, e));
-        events.push(NetworkEvent::LinkUp(12.0, e));
+        events.push(TopoEvent::LinkDown(2.0, e));
+        events.push(TopoEvent::LinkUp(12.0, e));
     }
     println!(
         "injecting {} link failures at t=2.0, repairing at t=12.0\n",
@@ -57,8 +57,9 @@ fn main() {
     );
 
     // Baseline run without failures, then the failure run.
-    let clean = Simulator::new(&net, RouterPolicy::Ksp(8)).run(&flows, &[], 1e9);
-    let faulty = Simulator::new(&net, RouterPolicy::Ksp(8)).run(&flows, &events, 1e9);
+    let sim = DesSimulator::new(&net, RouterPolicy::Ksp(8));
+    let clean = sim.run(&flows, &[], 1e9).unwrap();
+    let faulty = sim.run(&flows, &events, 1e9).unwrap();
 
     println!("{:<22} {:>12} {:>12}", "", "no failures", "with failures");
     println!(
@@ -79,8 +80,10 @@ fn main() {
         format!("{:.3}", clean.makespan),
         format!("{:.3}", faulty.makespan)
     );
-    let reroutes: usize = faulty.flows.iter().map(|f| f.reroutes).sum();
-    println!("{:<22} {:>12} {:>12}", "total re-routes", 0, reroutes);
+    println!(
+        "{:<22} {:>12} {:>12}",
+        "total re-routes", clean.reroutes, faulty.reroutes
+    );
 
     assert_eq!(
         faulty.unfinished(),

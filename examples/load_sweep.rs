@@ -12,7 +12,7 @@
 //! sustains the hot spot visibly deeper into the load range.
 
 use flat_tree::core::{FlatTree, FlatTreeConfig, Mode};
-use flat_tree::sim::{flows_with_arrivals, RouterPolicy, Simulator};
+use flat_tree::sim::{flows_with_arrivals, DesSimulator, RouterPolicy};
 use flat_tree::workload::{generate, Locality, TrafficPattern, WorkloadSpec};
 
 fn main() {
@@ -48,7 +48,9 @@ fn main() {
         let mut fcts = Vec::new();
         for &rate in &rates {
             let flows = flows_with_arrivals(&tm, 5.0, rate, rounds, 13);
-            let report = Simulator::new(&net, policy).run(&flows, &[], 1e9);
+            let report = DesSimulator::new(&net, policy)
+                .run(&flows, &[], 1e9)
+                .unwrap();
             assert_eq!(report.unfinished(), 0);
             let fct = report.mean_fct(&flows);
             fcts.push(fct);

@@ -750,6 +750,13 @@ fn sim_summary_json(
     s
 }
 
+/// Most flows one `ftctl sim` scenario may replay (demands × rounds).
+/// Each flow holds about 150 bytes across its two spec copies, its record
+/// and its queued arrival, so the cap keeps a run near 600 MB. A scenario
+/// past it, or whose product wraps, is refused before
+/// `flows_with_arrivals` would try to allocate for it.
+const MAX_SIM_FLOWS: usize = 1 << 22;
+
 /// `ftctl sim` — runs a scenario file on the ft-des engine: seeded
 /// workload arrivals, optionally one live zone conversion sourced from the
 /// ft-control reconfiguration plan.
@@ -804,6 +811,14 @@ fn cmd_sim(inv: &Invocation) -> Result<String, CliError> {
     }
 
     let tm = generate(&net, &sc.workload, sc.seed);
+    let demands = tm.demands.len();
+    let wanted = demands.checked_mul(sc.rounds);
+    if wanted.is_none_or(|n| n > MAX_SIM_FLOWS) {
+        return Err(CliError(format!(
+            "scenario key rounds: {demands} demands × {} rounds exceeds {MAX_SIM_FLOWS} flows",
+            sc.rounds
+        )));
+    }
     let flows = flows_with_arrivals(&tm, sc.size, sc.rate, sc.rounds, sc.seed);
     let sim = DesSimulator::new(&net, sc.policy)
         .with_capacity(sc.capacity)
@@ -1993,6 +2008,92 @@ mod tests {
         }
         let sc = parse_scenario("capacity = 0.25\nlatency = 0\n").unwrap();
         assert_eq!((sc.capacity, sc.latency), (0.25, 0.0));
+    }
+
+    /// Keys `parse_scenario` knows, for the line soups below.
+    const SOUP_KEYS: &[&str] = &[
+        "k",
+        "policy",
+        "new-policy",
+        "from",
+        "to",
+        "to-zones",
+        "convert-at",
+        "latency",
+        "seed",
+        "size",
+        "rate",
+        "rounds",
+        "capacity",
+        "horizon",
+        "cluster-size",
+        "workload",
+        "locality",
+    ];
+    /// Edge values first, then a few well-formed ones so some soups parse.
+    const SOUP_VALUES: &[&str] = &[
+        "0",
+        "-1",
+        "inf",
+        "NaN",
+        "1e309",
+        "18446744073709551616",
+        "ksp:0",
+        "ksp:",
+        "5..2",
+        "",
+        "z:5..2:clos",
+        "1",
+        "2.5",
+        "ecmp",
+        "ksp:3",
+        "global-rg",
+        "all:0..4:global-rg",
+        "hotspot",
+        "strong",
+    ];
+    const SOUP_NOISE: &[&str] = &["", "=", "#", "==", "  ", "# k = 0"];
+
+    /// One soup line: `key = value`, the same with a trailing comment, a
+    /// bare noise line, or key, noise and value run together.
+    fn soup_line(shape: u8, key: &str, value: &str, noise: &str) -> String {
+        match shape {
+            0 => format!("{key} = {value}\n"),
+            1 => format!("{key}={value} # {noise}\n"),
+            2 => format!("{noise}\n"),
+            _ => format!("{key}{noise}{value}\n"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10_000))]
+        /// No line soup panics the scenario parser, and every soup it
+        /// accepts passes the range checks it promises.
+        #[test]
+        fn parse_scenario_fuzz(
+            lines in proptest::collection::vec(
+                (0u8..4, 0..SOUP_KEYS.len(), 0..SOUP_VALUES.len(), 0..SOUP_NOISE.len()),
+                0..6,
+            )
+        ) {
+            let text: String = lines
+                .iter()
+                .map(|&(shape, k, v, n)| {
+                    soup_line(shape, SOUP_KEYS[k], SOUP_VALUES[v], SOUP_NOISE[n])
+                })
+                .collect();
+            if let Ok(sc) = parse_scenario(&text) {
+                for v in [sc.capacity, sc.size, sc.rate] {
+                    proptest::prop_assert!(v.is_finite() && v > 0.0, "{text:?}: {v}");
+                }
+                proptest::prop_assert!(
+                    sc.latency.is_finite() && sc.latency >= 0.0,
+                    "{text:?}: latency {}",
+                    sc.latency
+                );
+                proptest::prop_assert!(sc.workload.cluster_size >= 1, "{text:?}");
+            }
+        }
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! * [`metrics`] — average path length and throughput evaluation.
 //! * [`des`] — deterministic discrete-event engine: total-order event
 //!   keys, pending-event queue, component handler registry (extension).
-//! * [`sim`] — flow-level max-min fairness simulator (extension); its
-//!   `des` module runs flows, failures, and live zone conversions on the
-//!   [`des`] engine.
+//! * [`sim`] — flow-level max-min fairness simulator (extension) on the
+//!   [`des`] engine: flows, link failures and repairs, and live zone
+//!   conversions.
 //! * [`serve`] — resident FTQ/1 query service: worker pool, materialization
 //!   cache, request metrics (in-process + localhost TCP transports).
 //! * [`obs`] — zero-dependency observability: structured spans (JSONL

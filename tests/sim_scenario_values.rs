@@ -1,7 +1,8 @@
 //! `ftctl sim` on scenario values that used to crash or slip through:
-//! a zero or infinite link capacity and a negative converter latency must
-//! each end in an `error:` line and exit code 2, never a panic (exit 101)
-//! or a run.
+//! a zero or infinite link capacity, a negative converter latency and a
+//! `rounds` whose flow count overflows or cannot be allocated must each
+//! end in an `error:` line and exit code 2, never a panic (exit 101), an
+//! abort or a run.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -47,6 +48,15 @@ fn infinite_capacity_is_an_error() {
 #[test]
 fn negative_latency_is_an_error() {
     assert_rejected("latneg", "latency = -1", "latency");
+}
+
+/// demands × rounds wraps `usize` for the first value (a `capacity
+/// overflow` panic before the check) and asks for ~10¹² flows for the
+/// second (an allocation abort).
+#[test]
+fn overflowing_rounds_is_an_error() {
+    assert_rejected("rounds_wrap", "rounds = 18446744073709551615", "rounds");
+    assert_rejected("rounds_huge", "rounds = 1000000000000", "rounds");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use flat_tree::core::{FlatTree, FlatTreeConfig, Mode};
 use flat_tree::metrics::throughput::{throughput, ThroughputOptions};
-use flat_tree::sim::{flows_from_matrix, FlowSpec, RouterPolicy, Simulator};
+use flat_tree::sim::{flows_from_matrix, DesSimulator, FlowSpec, RouterPolicy};
 use flat_tree::topo::fat_tree;
 use flat_tree::workload::{generate, Locality, TrafficPattern, WorkloadSpec};
 
@@ -35,7 +35,9 @@ fn slowest_simulated_flow_bounded_by_lp() {
             .lambda;
         // simulate the same demands as unit-size flows
         let flows = flows_from_matrix(&tm, 1.0, 0.0);
-        let report = Simulator::new(&net, policy).run(&flows, &[], 1e9);
+        let report = DesSimulator::new(&net, policy)
+            .run(&flows, &[], 1e9)
+            .unwrap();
         assert_eq!(report.unfinished(), 0);
         // makespan ≥ size / λ*  (the slowest flow can't beat the optimum;
         // λ from the FPTAS is a lower bound on λ*, so divide by the upper
@@ -63,7 +65,9 @@ fn single_flow_saturates_path() {
         size: 7.5,
         start: 0.0,
     }];
-    let report = Simulator::new(&net, RouterPolicy::Ecmp).run(&flows, &[], 1e9);
+    let report = DesSimulator::new(&net, RouterPolicy::Ecmp)
+        .run(&flows, &[], 1e9)
+        .unwrap();
     assert_eq!(report.flows[0].completion, Some(7.5));
 }
 
@@ -88,7 +92,9 @@ fn conversion_speeds_up_hotspot_workload() {
         let net = ft.materialize(&mode).unwrap();
         let tm = generate(&net, &spec, 6);
         let flows = flows_from_matrix(&tm, 1.0, 0.0);
-        let report = Simulator::new(&net, policy).run(&flows, &[], 1e9);
+        let report = DesSimulator::new(&net, policy)
+            .run(&flows, &[], 1e9)
+            .unwrap();
         assert_eq!(report.unfinished(), 0, "{mode:?}");
         mean_fcts.push(report.mean_fct(&flows));
     }
