@@ -10,10 +10,14 @@
 //! so this type keeps its own compact arc-indexed adjacency and a Dijkstra
 //! with early exit at the destination, instead of reusing the undirected
 //! `ft-graph` one (whose lengths are per undirected edge).
+//!
+//! A symmetry quotient's trees run over the cells of an equitable
+//! partition (`Cells`) instead of over nodes: see
+//! `CapGraph::cell_tree_with`.
 
-use ft_graph::Graph;
+use ft_graph::{id32, Graph};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 /// A directed arc with capacity.
 #[derive(Clone, Copy, Debug)]
@@ -302,6 +306,185 @@ impl CapGraph {
             cur,
             toward_head: true,
         }
+    }
+
+    /// Dijkstra over the cells of an equitable partition: a source tree
+    /// from `root` (`reversed == false`) or a sink tree into it, where
+    /// `root` must be alone in its cell and every arc's length is
+    /// `len(arc)`, constant over the arcs between any two cells. Afterwards
+    /// the scratch holds one slot per cell: [`DijkstraScratch::distance`]
+    /// of `cells.cell(v)` is exactly the full graph's distance of `v` from
+    /// (or to) the root, and [`CapGraph::cell_walk`] yields the arcs of a
+    /// tree path.
+    ///
+    /// Expanding cell C scans the out-arcs (in-arcs for a sink tree) of
+    /// C's representative only. That suffices because every member of C
+    /// has the same number of neighbours in each cell D, so the cell
+    /// graph's walks from the root are exactly the projections of the full
+    /// graph's walks, arc class for arc class; backwards from any member
+    /// of D, every cell walk lifts to a real walk (DESIGN.md §16.5). Heap
+    /// ties break by (distance, cell index), and parents are arc ids.
+    pub(crate) fn cell_tree_with(
+        &self,
+        rev: &ReverseIndex,
+        cells: &Cells,
+        root: usize,
+        reversed: bool,
+        len: impl Fn(usize) -> f64,
+        scratch: &mut DijkstraScratch,
+    ) {
+        let adj = if reversed { &rev.inn } else { &self.out };
+        let root = cells.cell(root);
+        scratch.begin(cells.len());
+        scratch.settle(root, 0.0, u32::MAX);
+        scratch.heap.push(HeapArc { d: 0.0, v: root });
+        while let Some(HeapArc { d, v }) = scratch.heap.pop() {
+            if d > scratch.dist[v] {
+                continue;
+            }
+            // bounds: rep holds one node per cell, and v is a cell index
+            for &ai in &adj[cells.rep[v] as usize] {
+                let a = self.arcs[ai as usize];
+                let c = cells.cell(if reversed { a.from } else { a.to });
+                let nd = d + len(ai as usize);
+                if nd < scratch.dist_of(c) {
+                    scratch.settle(c, nd, ai);
+                    scratch.heap.push(HeapArc { d: nd, v: c });
+                }
+            }
+        }
+    }
+
+    /// Iterates the arc ids of the cell-tree path to (or, for a sink tree,
+    /// from) `v`'s cell recorded by the last [`CapGraph::cell_tree_with`]
+    /// run, from `v`'s cell to the root. Consecutive arcs need not share a
+    /// node, only a cell; their classes are the classes of a real tree
+    /// path, in the same order. Yields nothing when `v`'s cell was not
+    /// reached or is the root's.
+    pub(crate) fn cell_walk<'a>(
+        &'a self,
+        scratch: &'a DijkstraScratch,
+        cells: &'a Cells,
+        v: usize,
+        reversed: bool,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let mut cur = cells.cell(v);
+        if !scratch.reached(cur) {
+            cur = usize::MAX;
+        }
+        std::iter::from_fn(move || {
+            let ai = *scratch.parent.get(cur)?;
+            if ai == u32::MAX {
+                // reached the tree root
+                cur = usize::MAX;
+                return None;
+            }
+            let a = self.arcs[ai as usize];
+            cur = cells.cell(if reversed { a.to } else { a.from });
+            Some(ai as usize)
+        })
+    }
+}
+
+/// A partition of a graph's nodes into cells, numbered by their smallest
+/// node, which is also each cell's representative.
+///
+/// [`Cells::refine`] makes it *equitable*: every two nodes of a cell have
+/// the same number of out-neighbours, and the same number of
+/// in-neighbours, in every cell (Grohe, Kersting, Mladenov and Selman,
+/// "Dimension Reduction via Colour Refinement", ESA 2014).
+#[derive(Debug)]
+pub(crate) struct Cells {
+    /// Cell of each node.
+    cell_of: Vec<u32>,
+    /// Smallest node of each cell.
+    rep: Vec<u32>,
+}
+
+impl Cells {
+    /// The coarsest equitable partition that refines the node colouring
+    /// `colours` (one entry per node; any values), by colour refinement:
+    /// every pass splits each cell by its members' sorted out- and
+    /// in-neighbour cell lists, until a pass splits nothing.
+    pub(crate) fn refine(g: &CapGraph, rev: &ReverseIndex, colours: &[u32]) -> Cells {
+        let n = g.node_count();
+        // The first pass only renumbers, by smallest node.
+        let mut cells = Cells::split(n, |v, sig| sig.push(colours[v]));
+        // Each node's signature: its cell, its out-neighbours' cells
+        // sorted, a separator, its in-neighbours' cells sorted.
+        loop {
+            let cell_of = &cells.cell_of;
+            let next = Cells::split(n, |v, sig| {
+                // bounds: v < n, and arcs join nodes < n
+                sig.push(cell_of[v]);
+                let out = sig.len();
+                sig.extend(g.out[v].iter().map(|&a| cell_of[g.arcs[a as usize].to]));
+                sig[out..].sort_unstable();
+                sig.push(u32::MAX);
+                let inn = sig.len();
+                sig.extend(rev.inn[v].iter().map(|&a| cell_of[g.arcs[a as usize].from]));
+                sig[inn..].sort_unstable();
+            });
+            // a pass only ever splits cells, so an unchanged count means an
+            // unchanged partition
+            if next.len() == cells.len() {
+                return next;
+            }
+            cells = next;
+        }
+    }
+
+    /// The coarsest equitable partition that refines this one with `v`
+    /// alone in its cell.
+    pub(crate) fn individualize(&self, g: &CapGraph, rev: &ReverseIndex, v: usize) -> Cells {
+        let mut colours = self.cell_of.clone();
+        colours[v] = id32(self.len());
+        Cells::refine(g, rev, &colours)
+    }
+
+    /// Groups the nodes `0..n` by the signature `sign` writes for each,
+    /// numbering the groups by their smallest node.
+    fn split(n: usize, mut sign: impl FnMut(usize, &mut Vec<u32>)) -> Cells {
+        let mut sig: Vec<u32> = Vec::new();
+        let mut start: Vec<usize> = Vec::with_capacity(n + 1);
+        for v in 0..n {
+            start.push(sig.len());
+            sign(v, &mut sig);
+        }
+        start.push(sig.len());
+        let mut id: HashMap<&[u32], u32> = HashMap::new();
+        let mut rep: Vec<u32> = Vec::new();
+        let cell_of = start
+            .windows(2)
+            .enumerate()
+            .map(|(v, w)| {
+                *id.entry(&sig[w[0]..w[1]]).or_insert_with(|| {
+                    rep.push(id32(v));
+                    id32(rep.len() - 1)
+                })
+            })
+            .collect();
+        Cells { cell_of, rep }
+    }
+
+    /// Number of cells.
+    pub(crate) fn len(&self) -> usize {
+        self.rep.len()
+    }
+
+    /// The cell of node `v`.
+    #[inline]
+    pub(crate) fn cell(&self, v: usize) -> usize {
+        self.cell_of[v] as usize
+    }
+
+    /// Member count of every cell.
+    pub(crate) fn sizes(&self) -> Vec<u32> {
+        let mut size = vec![0u32; self.len()];
+        for &c in &self.cell_of {
+            size[c as usize] += 1;
+        }
+        size
     }
 }
 

@@ -52,8 +52,12 @@
 //! `q·cap`, a path's length sums its arcs' class lengths, and a push raises
 //! a class's length once per arc of the path in that class. On the
 //! identity model the loop is the plain per-arc scheme, bit for bit, and
-//! pays nothing for the indirection (the model is a compile-time parameter
-//! of the routing loop).
+//! pays nothing for the indirection (where the trees run is a
+//! compile-time parameter of the routing loop). A quotient's trees run
+//! over cells instead of nodes: the cells of the coarsest equitable
+//! partition that refines the node classes and has the tree root alone in
+//! its cell (`CapGraph::cell_tree_with`). Its distances are the full
+//! graph's, and its tree paths charge the classes of real paths.
 //!
 //! # Termination
 //!
@@ -89,13 +93,14 @@
 //!
 //! Commodity groups are formed in first-appearance order of their source
 //! and scanned in input order within a group; Dijkstra tie-breaking is the
-//! node-index ordering of [`CapGraph::shortest_path_with`]. The result is a
+//! node-index ordering of [`CapGraph::shortest_path_with`] (the cell-index
+//! ordering on a quotient, cells numbered by their smallest node). The result is a
 //! pure function of `(graph, commodities, options)` — no thread count or
 //! scheduling dependence.
 
 use crate::bounds::node_cut_upper_bound;
-use crate::digraph::{CapGraph, DijkstraScratch, ReverseIndex};
-use crate::shard::ArcModel;
+use crate::digraph::{CapGraph, Cells, DijkstraScratch, ReverseIndex};
+use crate::shard::{ArcModel, CellTrees, Quotient};
 use crate::{Commodity, McfError};
 use std::sync::OnceLock;
 
@@ -233,7 +238,7 @@ pub fn max_concurrent_flow(
     commodities: &[Commodity],
     opts: FptasOptions,
 ) -> Result<McfSolution, McfError> {
-    solve(g, commodities, &ArcModel::identity(g), None, opts, true)
+    solve(g, commodities, None, opts, true)
 }
 
 /// The original per-commodity Garg–Könemann routing loop: one shortest
@@ -251,7 +256,7 @@ pub fn max_concurrent_flow_reference(
     commodities: &[Commodity],
     opts: FptasOptions,
 ) -> Result<McfSolution, McfError> {
-    solve(g, commodities, &ArcModel::identity(g), None, opts, false)
+    solve(g, commodities, None, opts, false)
 }
 
 /// One batch of commodities served by a single shortest-path tree: a
@@ -356,16 +361,17 @@ fn all_reachable(
 /// reachability pre-check, the cut bound, and adaptive demand scaling
 /// around [`run_once`].
 ///
-/// `quotient_ub` is `None` for a full instance, which gets the node-cut
-/// bound and the reachability pre-check. A symmetry quotient passes its
-/// class-cut and distance-volume bound instead; its builder already
-/// verified every pair reachable. `batched == false` selects the
-/// per-commodity reference loop (identity model only).
+/// `quotient` is `None` for a full instance, which runs on the identity
+/// model and gets the node-cut bound and the reachability pre-check. A
+/// symmetry quotient passes its arc classes, its class-cut and
+/// distance-volume bound (its builder already verified every pair
+/// reachable), and its node classes, which its trees' cell partitions
+/// refine. `batched == false` selects the per-commodity reference loop
+/// (full instances only).
 pub(crate) fn solve(
     g: &CapGraph,
     commodities: &[Commodity],
-    model: &ArcModel,
-    quotient_ub: Option<f64>,
+    quotient: Option<Quotient<'_>>,
     opts: FptasOptions,
     batched: bool,
 ) -> Result<McfSolution, McfError> {
@@ -397,7 +403,20 @@ pub(crate) fn solve(
     }
     let groups = group_commodities(commodities);
     let rev = g.reverse_index();
-    let ub = quotient_ub.unwrap_or_else(|| node_cut_upper_bound(g, commodities));
+    // A quotient's arc classes come with the cell partitions its trees
+    // run on; a full instance runs on one element per arc, over the nodes.
+    let identity;
+    let (model, cells) = match quotient {
+        None => {
+            identity = ArcModel::identity(g);
+            (&identity, None)
+        }
+        Some(q) => (
+            q.model,
+            Some(CellTrees::new(g, &rev, q.node_class, &groups)),
+        ),
+    };
+    let ub = quotient.map_or_else(|| node_cut_upper_bound(g, commodities), |q| q.ub);
 
     // One Dijkstra scratch for the whole solve: the pre-check below, plus
     // every tree/path computation of every run_once call, reuse its buffers
@@ -406,7 +425,7 @@ pub(crate) fn solve(
 
     // A disconnected commodity pins λ to 0 — that is an exact answer, not a
     // budget artifact.
-    if quotient_ub.is_none() && !all_reachable(g, commodities, &groups, &rev, &mut scratch) {
+    if quotient.is_none() && !all_reachable(g, commodities, &groups, &rev, &mut scratch) {
         return Ok(McfSolution {
             lambda: 0.0,
             upper_bound: 0.0,
@@ -429,8 +448,8 @@ pub(crate) fn solve(
         1.0
     };
     let mut run = |scale: f64, ub: f64| {
-        let st = RunState::new(g, model, commodities, groups.len(), scale, ub, opts);
-        run_once(st, &groups, &rev, &mut scratch, batched)
+        let st = RunState::new(g, model, commodities, scale, ub, opts);
+        run_once(st, &groups, cells.as_ref(), &rev, &mut scratch, batched)
     };
     let mut last = run(scale, ub);
     for _ in 0..4 {
@@ -463,12 +482,6 @@ struct RunState<'a> {
     max_steps: Option<usize>,
     /// Current per-element length l(e).
     length: Vec<f64>,
-    /// Per-arc copy of `length` that a quotient's trees read, refreshed
-    /// before each build; empty on the identity model, whose trees read
-    /// `length` itself.
-    arc_len: Vec<f64>,
-    /// The class lengths `arc_len` was last refreshed with (NaN = never).
-    spread_len: Vec<f64>,
     /// Accumulated (capacity-violating) per-element flow.
     flow: Vec<f64>,
     /// Accumulated routed amount per commodity (scaled units).
@@ -477,7 +490,7 @@ struct RunState<'a> {
     dual: f64,
     /// Per group, `Σ d_j·dist(s_j, t_j)` (caller demand units) from the
     /// group's latest first-of-phase tree; their sum under-estimates α(l).
-    /// Stays 0 in the reference loop.
+    /// Sized by the batched loop; stays empty in the reference loop.
     group_alpha: Vec<f64>,
     /// Best upper bound on OPT in caller units: the caller's cut (or
     /// earlier-run) bound, tightened by `D(l)/α(l)` each phase.
@@ -500,16 +513,14 @@ struct RunState<'a> {
 }
 
 impl<'a> RunState<'a> {
-    /// A fresh run over `groups` tree batches on demands divided by `scale`
-    /// (so that the scaled optimum is ≈ 1 when `scale` ≈ 1/OPT). `ub`
-    /// bounds OPT in *caller* units and seeds the gap rule, so it can fire
-    /// as soon as the primal is good instead of waiting for `D(l)/α(l)` to
-    /// tighten from ∞.
+    /// A fresh run on demands divided by `scale` (so that the scaled
+    /// optimum is ≈ 1 when `scale` ≈ 1/OPT). `ub` bounds OPT in *caller*
+    /// units and seeds the gap rule, so it can fire as soon as the primal
+    /// is good instead of waiting for `D(l)/α(l)` to tighten from ∞.
     fn new(
         g: &'a CapGraph,
         model: &'a ArcModel,
         commodities: &'a [Commodity],
-        groups: usize,
         scale: f64,
         ub: f64,
         opts: FptasOptions,
@@ -524,11 +535,6 @@ impl<'a> RunState<'a> {
             .zip(model.caps())
             .map(|(&l, &cap)| cap * l)
             .sum();
-        let (arc_len, spread_len) = if model.is_identity() {
-            (Vec::new(), Vec::new())
-        } else {
-            (vec![0.0; g.arc_count()], vec![f64::NAN; length.len()])
-        };
         RunState {
             g,
             model,
@@ -538,11 +544,9 @@ impl<'a> RunState<'a> {
             max_steps: opts.max_steps,
             flow: vec![0.0f64; length.len()],
             length,
-            arc_len,
-            spread_len,
             routed: vec![0.0; commodities.len()],
             dual,
-            group_alpha: vec![0.0; groups],
+            group_alpha: Vec::new(),
             ub,
             best: 0.0,
             best_flow: vec![0.0; model.elements()],
@@ -618,22 +622,6 @@ impl<'a> RunState<'a> {
         true
     }
 
-    /// Builds `grp`'s tree under the current lengths as one budgeted step;
-    /// `false` once the budget is spent.
-    fn tree(&mut self, grp: &Group, rev: &ReverseIndex, scratch: &mut DijkstraScratch) -> bool {
-        if !self.take_step() {
-            return false;
-        }
-        if self.model.is_identity() {
-            grp.tree(self.g, rev, &self.length, scratch);
-        } else {
-            self.model
-                .spread(&self.length, &mut self.spread_len, &mut self.arc_len);
-            grp.tree(self.g, rev, &self.arc_len, scratch);
-        }
-        true
-    }
-
     /// One-time primal reset (batched loop only): the first couple of
     /// phases route under near-uniform lengths and pile flow onto paths a
     /// converged run would avoid; that early flow inflates the overload μ
@@ -655,6 +643,7 @@ impl<'a> RunState<'a> {
 fn run_once(
     mut st: RunState<'_>,
     groups: &[Group],
+    cells: Option<&CellTrees>,
     rev: &ReverseIndex,
     scratch: &mut DijkstraScratch,
     batched: bool,
@@ -669,12 +658,10 @@ fn run_once(
         scale = scale,
     );
 
-    if !batched {
-        route_reference(&mut st, scratch);
-    } else if model.is_identity() {
-        route_batched::<false>(&mut st, groups, rev, scratch);
-    } else {
-        route_batched::<true>(&mut st, groups, rev, scratch);
+    match cells {
+        _ if !batched => route_reference(&mut st, scratch),
+        None => route_batched(&mut st, groups, |_| Nodes, rev, scratch),
+        Some(cells) => route_batched(&mut st, groups, |gi| cells.of_group(gi), rev, scratch),
     }
     // a run cut short mid-phase still has a valid, if older, α
     st.tighten_ub();
@@ -731,6 +718,93 @@ fn run_once(
     }
 }
 
+/// Where one group's trees run in [`route_batched`]. The type selects the
+/// routing loop at compile time, so the node loop pays nothing for the
+/// quotient's indirection.
+trait TreeSpace: Copy {
+    /// Whether elements are arc classes, which one tree path can cross
+    /// several times.
+    const CLASSES: bool;
+
+    /// Builds `grp`'s tree under the run's current lengths into
+    /// `scratch`.
+    fn build(self, st: &RunState<'_>, rev: &ReverseIndex, grp: &Group, s: &mut DijkstraScratch);
+
+    /// The scratch slot that holds node `v`'s distance.
+    fn slot(self, v: usize) -> usize;
+
+    /// Appends the arcs of the tree path between `far` and `grp`'s root
+    /// to `path`, root-ward.
+    fn walk(
+        self,
+        g: &CapGraph,
+        scratch: &DijkstraScratch,
+        grp: &Group,
+        far: usize,
+        path: &mut Vec<usize>,
+    );
+}
+
+/// A full instance's trees: Dijkstra over the nodes, on one element per
+/// arc.
+#[derive(Clone, Copy)]
+struct Nodes;
+
+impl TreeSpace for Nodes {
+    const CLASSES: bool = false;
+
+    fn build(self, st: &RunState<'_>, rev: &ReverseIndex, grp: &Group, s: &mut DijkstraScratch) {
+        grp.tree(st.g, rev, &st.length, s);
+    }
+
+    #[inline]
+    fn slot(self, v: usize) -> usize {
+        v
+    }
+
+    fn walk(
+        self,
+        g: &CapGraph,
+        scratch: &DijkstraScratch,
+        grp: &Group,
+        far: usize,
+        path: &mut Vec<usize>,
+    ) {
+        if grp.reversed {
+            path.extend(g.tree_walk_to(scratch, far));
+        } else {
+            path.extend(g.tree_walk(scratch, far));
+        }
+    }
+}
+
+/// A quotient group's trees: Dijkstra over the cells of its partition
+/// ([`CapGraph::cell_tree_with`]), on the quotient's arc classes.
+impl TreeSpace for &Cells {
+    const CLASSES: bool = true;
+
+    fn build(self, st: &RunState<'_>, rev: &ReverseIndex, grp: &Group, s: &mut DijkstraScratch) {
+        let len = |a: usize| st.length[st.model.class(a)];
+        st.g.cell_tree_with(rev, self, grp.root, grp.reversed, len, s);
+    }
+
+    #[inline]
+    fn slot(self, v: usize) -> usize {
+        self.cell(v)
+    }
+
+    fn walk(
+        self,
+        g: &CapGraph,
+        scratch: &DijkstraScratch,
+        grp: &Group,
+        far: usize,
+        path: &mut Vec<usize>,
+    ) {
+        path.extend(g.cell_walk(scratch, self, far, grp.reversed));
+    }
+}
+
 /// Fleischer-style batched routing: one shortest-path tree per
 /// (group, step) — a source tree rooted at the shared source, or a sink
 /// tree rooted at the shared destination for `reversed` groups. Every
@@ -742,29 +816,32 @@ fn run_once(
 /// Garg–Könemann analysis needs. Once a needed path drifts past the band,
 /// the tree is recomputed.
 ///
-/// `CLASSES` selects the quotient model, where a tree path can cross one
-/// arc class several times; on the identity model (`false`) an arc is its
-/// own element and a tree path never repeats one.
+/// `space_of(gi)` is where group `gi`'s trees run ([`TreeSpace`]): the
+/// nodes of a full instance, whose arcs are their own elements and whose
+/// tree paths never repeat one, or the group's cells on a quotient, whose
+/// tree paths can cross one arc class several times.
 ///
 /// The first tree of each group in a phase also yields the group's share
 /// of α; at the end of every phase the loop tightens UB with `D(l)/α` and
 /// stops once the λ it would return is ≥ (1 − γ)·UB (see the module docs).
-fn route_batched<const CLASSES: bool>(
+fn route_batched<S: TreeSpace>(
     st: &mut RunState<'_>,
     groups: &[Group],
+    space_of: impl Fn(usize) -> S,
     rev: &ReverseIndex,
     scratch: &mut DijkstraScratch,
 ) {
     let one_plus_eps = 1.0 + st.eps;
     let target = (1.0 - GAP).max(1.0 - 3.0 * st.eps);
     let (model, commodities) = (st.model, st.commodities);
-    let element = |a: usize| if CLASSES { model.class(a) } else { a };
+    let element = |a: usize| if S::CLASSES { model.class(a) } else { a };
     let cap = model.caps();
     // Remaining (scaled) demand of the current group's members this phase.
     let mut rem: Vec<f64> = Vec::new();
     // Arc path of the member being routed (root-ward order; direction is
     // irrelevant for bottleneck/staleness/push).
     let mut path: Vec<usize> = Vec::new();
+    st.group_alpha = vec![0.0; groups.len()];
 
     'outer: while st.dual < 1.0 {
         // One span per phase (None while tracing is off — the only cost is
@@ -776,20 +853,22 @@ fn route_batched<const CLASSES: bool>(
         let (steps0, pushes0, deferrals0) = (st.steps, st.pushes, st.deferrals);
         for (gi, grp) in groups.iter().enumerate() {
             let members = &grp.members;
+            let space = space_of(gi);
             rem.clear();
             rem.extend(members.iter().map(|&j| commodities[j].demand / st.scale));
             let mut first_tree = true;
             while rem.iter().any(|&r| r > 0.0) {
-                if !st.tree(grp, rev, scratch) {
+                if !st.take_step() {
                     break 'outer;
                 }
+                space.build(st, rev, grp, scratch);
                 if first_tree {
                     first_tree = false;
                     let alpha = members
                         .iter()
                         .map(|&j| {
                             let c = &commodities[j];
-                            c.demand * scratch.distance(grp.far(c)).unwrap_or(0.0)
+                            c.demand * scratch.distance(space.slot(grp.far(c))).unwrap_or(0.0)
                         })
                         .sum();
                     st.group_alpha[gi] = alpha;
@@ -799,24 +878,20 @@ fn route_batched<const CLASSES: bool>(
                         let far = grp.far(&commodities[j]);
                         // Distance at tree-build time: a lower bound on the
                         // current shortest-path distance (lengths only grow).
-                        let Some(tree_dist) = scratch.distance(far) else {
+                        let Some(tree_dist) = scratch.distance(space.slot(far)) else {
                             // cannot happen: the pre-check, or a quotient's
                             // builder, saw every pair reachable
                             break 'outer;
                         };
                         path.clear();
-                        if grp.reversed {
-                            path.extend(st.g.tree_walk_to(scratch, far));
-                        } else {
-                            path.extend(st.g.tree_walk(scratch, far));
-                        }
+                        space.walk(st.g, scratch, grp, far, &mut path);
                         let mut bottleneck = f64::INFINITY;
                         let mut path_len = 0.0f64;
                         for &a in &path {
                             let e = element(a);
                             // a class met h times on the path saturates at
                             // cap/h per unit of path flow
-                            let room = if CLASSES {
+                            let room = if S::CLASSES {
                                 let h = path
                                     .iter()
                                     .fold(0u32, |h, &b| h + u32::from(element(b) == e));

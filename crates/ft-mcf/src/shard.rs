@@ -1,6 +1,6 @@
 //! Symmetry-aggregated FPTAS instances — the k = 64/128 scaling layer on
 //! top of [`crate::fptas`]: arc classes, the orbit quotient of a commodity
-//! set, and its class-cut bound.
+//! set, its class-cut bound, and the cell partitions its trees run on.
 //!
 //! # Symmetry-aware commodity aggregation
 //!
@@ -42,9 +42,20 @@
 //! gap rule's upper bound) and skips the reachability pre-check, since the builder has
 //! already seen every pair reachable. The certified λ never depends on
 //! oracle values — only the schedule does.
+//!
+//! # Cell trees
+//!
+//! A quotient's shortest-path trees never visit every switch. Arc lengths
+//! are tied to arc classes, so within any equitable partition that refines
+//! the node classes and isolates the tree root, all nodes of a cell are
+//! equally far from (and to) the root. Each tree is a Dijkstra over those
+//! cells, a few per node class (3k/2 + 3 for an edge-switch root of the
+//! k-ary fat-tree, against 5k²/4 switches), and returns exactly the full
+//! graph's distances and the arc classes of a real shortest path
+//! (DESIGN.md §16.5).
 
-use crate::digraph::CapGraph;
-use crate::fptas::{self, max_concurrent_flow, FptasOptions, McfSolution};
+use crate::digraph::{CapGraph, Cells, ReverseIndex};
+use crate::fptas::{self, max_concurrent_flow, FptasOptions, Group, McfSolution};
 use crate::{Commodity, McfError};
 use ft_graph::id32;
 
@@ -71,10 +82,6 @@ pub(crate) struct ArcModel {
     class_of: Vec<u32>,
     /// Total capacity of each class (class size × the uniform arc cap).
     cap: Vec<f64>,
-    /// Arcs listed class by class (CSR; empty for the identity model).
-    class_arcs: Vec<u32>,
-    /// Offset of each class's first arc in `class_arcs`, then the total.
-    class_start: Vec<u32>,
 }
 
 impl ArcModel {
@@ -83,8 +90,6 @@ impl ArcModel {
         ArcModel {
             class_of: Vec::new(),
             cap: g.arcs().iter().map(|a| a.cap).collect(),
-            class_arcs: Vec::new(),
-            class_start: Vec::new(),
         }
     }
 
@@ -110,18 +115,9 @@ impl ArcModel {
             class_size[o as usize] += 1;
             class_of.push(o);
         }
-        let mut class_arcs: Vec<u32> = (0..g.arc_count()).map(id32).collect();
-        class_arcs.sort_by_key(|&a| class_of[a as usize]);
-        let mut class_start = vec![0u32];
-        class_start.extend(class_size.iter().scan(0u32, |end, &s| {
-            *end += s;
-            Some(*end)
-        }));
         Some(ArcModel {
             class_of,
             cap: class_size.iter().map(|&s| f64::from(s) * unit).collect(),
-            class_arcs,
-            class_start,
         })
     }
 
@@ -154,22 +150,75 @@ impl ArcModel {
             self.class(a)
         }
     }
+}
 
-    /// Brings `arc_len`, the per-arc view a quotient's shortest-path
-    /// trees read, up to date with the class lengths. `spread_len` holds
-    /// the class lengths `arc_len` was last written with; only the arcs of
-    /// classes whose length changed since are rewritten.
-    pub(crate) fn spread(&self, length: &[f64], spread_len: &mut [f64], arc_len: &mut [f64]) {
-        for (o, (&l, s)) in length.iter().zip(spread_len.iter_mut()).enumerate() {
-            if l.to_bits() != s.to_bits() {
-                *s = l;
-                // bounds: class_start has one entry per class plus one
-                let (lo, hi) = (self.class_start[o], self.class_start[o + 1]);
-                for &a in &self.class_arcs[lo as usize..hi as usize] {
-                    arc_len[a as usize] = l;
-                }
-            }
+/// What a symmetry quotient hands the solve loop.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Quotient<'a> {
+    /// The arc classes, the capacitated elements of the packing.
+    pub(crate) model: &'a ArcModel,
+    /// The node classes the arc classes were built from; every tree's
+    /// cell partition refines them.
+    pub(crate) node_class: &'a [u32],
+    /// The class-cut and distance-volume bound on λ.
+    pub(crate) ub: f64,
+}
+
+/// The cell partition each tree group of a quotient solve runs its trees
+/// on ([`CapGraph::cell_tree_with`]): the root's cell partition is the
+/// coarsest equitable partition that refines the node classes and has the
+/// root alone in its cell.
+///
+/// The *base* partition, the coarsest equitable refinement of the node
+/// classes alone, is computed once. Every group whose root is already
+/// alone in a base cell shares it; only the other roots refine it again,
+/// with the root individualized, one partition per distinct root.
+pub(crate) struct CellTrees {
+    /// The distinct partitions; the base partition is the first.
+    parts: Vec<Cells>,
+    /// Index into `parts` of each group's partition.
+    part_of: Vec<u32>,
+}
+
+impl CellTrees {
+    /// The partitions of `groups` (a quotient solve's tree batches) under
+    /// the node classes `node_class`.
+    pub(crate) fn new(
+        g: &CapGraph,
+        rev: &ReverseIndex,
+        node_class: &[u32],
+        groups: &[Group],
+    ) -> CellTrees {
+        use std::collections::HashMap;
+        let mut span = ft_obs::span!("fptas.cells", groups = groups.len());
+        let base = Cells::refine(g, rev, node_class);
+        let base_size = base.sizes();
+        let mut parts = vec![base];
+        let mut part_of = Vec::with_capacity(groups.len());
+        let mut part_of_root: HashMap<usize, u32> = HashMap::new();
+        for grp in groups {
+            // bounds: base_size has one entry per base cell
+            let p = if base_size[parts[0].cell(grp.root)] == 1 {
+                0
+            } else {
+                *part_of_root.entry(grp.root).or_insert_with(|| {
+                    parts.push(parts[0].individualize(g, rev, grp.root));
+                    id32(parts.len() - 1)
+                })
+            };
+            part_of.push(p);
         }
+        if let Some(s) = span.as_mut() {
+            s.field("partitions", parts.len());
+            s.field("cells", parts.iter().map(Cells::len).max().unwrap_or(0));
+        }
+        CellTrees { parts, part_of }
+    }
+
+    /// The partition of group `gi`.
+    pub(crate) fn of_group(&self, gi: usize) -> &Cells {
+        // bounds: part_of holds valid indices into parts, one per group
+        &self.parts[self.part_of[gi] as usize]
     }
 }
 
@@ -250,6 +299,15 @@ impl AggregatedInstance {
         })
     }
 
+    /// Closes a builder's `fptas.quotient` span with the instance's size.
+    fn traced(self, mut span: Option<ft_obs::Span>) -> AggregatedInstance {
+        if let Some(s) = span.as_mut() {
+            s.field("orbits", self.commodities.len());
+            s.field("arc_classes", self.arc_classes());
+        }
+        self
+    }
+
     /// Aggregates an explicit commodity list under the given node classes.
     ///
     /// `node_class` must assign each graph node its automorphism-class id
@@ -271,6 +329,7 @@ impl AggregatedInstance {
         dist: DistanceOracle<'_>,
     ) -> Option<AggregatedInstance> {
         use std::collections::HashMap;
+        let span = ft_obs::span!("fptas.quotient");
         let n = g.node_count();
         if node_class.len() != n {
             return None;
@@ -371,6 +430,7 @@ impl AggregatedInstance {
         let hops: Vec<u32> = buckets.iter().map(|b| b.hops).collect();
         let identity = buckets.iter().all(|b| b.count == 1);
         AggregatedInstance::new(g, node_class, agg, &hops, commodities.len(), identity)
+            .map(|inst| inst.traced(span))
     }
 
     /// Symbolic all-to-all aggregation: every ordered pair of *endpoint*
@@ -390,6 +450,7 @@ impl AggregatedInstance {
         dist: DistanceOracle<'_>,
     ) -> Option<AggregatedInstance> {
         use std::collections::HashMap;
+        let span = ft_obs::span!("fptas.quotient");
         let n = g.node_count();
         if node_class.len() != n || weights.len() != n {
             return None;
@@ -461,6 +522,7 @@ impl AggregatedInstance {
         }
         let original = usize::try_from(counted).ok()?;
         AggregatedInstance::new(g, node_class, commodities, &hops, original, all_singleton)
+            .map(|inst| inst.traced(span))
     }
 }
 
@@ -497,7 +559,12 @@ pub fn max_concurrent_flow_aggregated(
         let total_cap: f64 = model.caps().iter().sum();
         ub = ub.min(total_cap / inst.volume);
     }
-    fptas::solve(g, &inst.commodities, model, Some(ub), opts, true)
+    let quotient = Quotient {
+        model,
+        node_class: &inst.node_class,
+        ub,
+    };
+    fptas::solve(g, &inst.commodities, Some(quotient), opts, true)
 }
 
 /// Class-granular cut bound, the quotient analogue of
@@ -743,6 +810,165 @@ mod tests {
         assert_eq!(sol.stop, fptas::Stop::Budget);
         assert!(sol.budget_exhausted);
         assert!(sol.lambda <= sol.upper_bound);
+    }
+
+    /// Arc-class lengths of the cell-tree oracle: dyadic, so every path
+    /// sum is exact and equal-length ties are frequent.
+    const DYADIC: [f64; 4] = [0.25, 0.5, 1.0, 2.0];
+
+    /// The cell-tree differential oracle. One source and one sink group
+    /// per root; under 50 seeded class-tied length vectors, every node's
+    /// full-graph Dijkstra distance from (or to) the root must equal its
+    /// cell's distance bit for bit, and every cell walk must be a chain of
+    /// cells that ends at the root, with arc lengths summing to that
+    /// distance. Returns the groups and their partitions.
+    fn check_cell_trees(
+        g: &CapGraph,
+        node_class: &[u32],
+        roots: &[usize],
+    ) -> (Vec<Group>, CellTrees) {
+        use rand::prelude::*;
+        let model = ArcModel::from_node_classes(g, node_class).unwrap();
+        let rev = g.reverse_index();
+        let groups: Vec<Group> = roots
+            .iter()
+            .flat_map(|&root| {
+                [false, true].map(|reversed| Group {
+                    root,
+                    reversed,
+                    members: Vec::new(),
+                })
+            })
+            .collect();
+        let trees = CellTrees::new(g, &rev, node_class, &groups);
+        let mut rng = StdRng::seed_from_u64(22);
+        let (mut full, mut cell) = (DijkstraScratch::new(), DijkstraScratch::new());
+        for trial in 0..50 {
+            let class_len: Vec<f64> = (0..model.elements())
+                .map(|_| DYADIC[rng.random_range(0..DYADIC.len())])
+                .collect();
+            let arc_len: Vec<f64> = (0..g.arc_count())
+                .map(|a| class_len[model.class(a)])
+                .collect();
+            for (gi, grp) in groups.iter().enumerate() {
+                let (root, reversed) = (grp.root, grp.reversed);
+                let cells = trees.of_group(gi);
+                assert_eq!(cells.sizes()[cells.cell(root)], 1, "root {root} not alone");
+                if reversed {
+                    g.shortest_path_tree_to_with(&rev, root, &arc_len, &mut full);
+                } else {
+                    g.shortest_path_tree_with(root, &arc_len, &mut full);
+                }
+                g.cell_tree_with(&rev, cells, root, reversed, |a| arc_len[a], &mut cell);
+                // (end toward the root, end away from it) of a tree arc
+                let ends = |a: usize| {
+                    let arc = g.arc(a);
+                    if reversed {
+                        (arc.to, arc.from)
+                    } else {
+                        (arc.from, arc.to)
+                    }
+                };
+                for v in 0..g.node_count() {
+                    let at = format!("trial {trial}, root {root}, reversed {reversed}, node {v}");
+                    let d = full.distance(v);
+                    let cd = cell.distance(cells.cell(v));
+                    assert_eq!(d.map(f64::to_bits), cd.map(f64::to_bits), "{at}");
+                    let Some(d) = d else { continue };
+                    let walk: Vec<usize> = g.cell_walk(&cell, cells, v, reversed).collect();
+                    let mut here = cells.cell(v);
+                    for &a in &walk {
+                        let (near, far) = ends(a);
+                        assert_eq!(cells.cell(far), here, "{at}: broken cell chain");
+                        here = cells.cell(near);
+                    }
+                    assert_eq!(here, cells.cell(root), "{at}: walk misses the root");
+                    if let Some(&last) = walk.last() {
+                        assert_eq!(ends(last).0, root, "{at}");
+                    }
+                    let sum = walk.iter().rev().fold(0.0, |s, &a| s + arc_len[a]);
+                    assert_eq!(sum.to_bits(), d.to_bits(), "{at}: walk length");
+                }
+            }
+        }
+        (groups, trees)
+    }
+
+    /// Every class representative plus the first node that is none.
+    fn oracle_roots(node_class: &[u32]) -> Vec<usize> {
+        let mut seen = std::collections::HashSet::new();
+        let (mut reps, others): (Vec<usize>, Vec<usize>) =
+            (0..node_class.len()).partition(|&v| seen.insert(node_class[v]));
+        reps.extend(others.first());
+        reps
+    }
+
+    /// Partitions beyond the base: one per distinct root that is not
+    /// alone in its base cell; every other group shares the base.
+    fn assert_base_shared(groups: &[Group], trees: &CellTrees) {
+        let base = &trees.parts[0];
+        let size = base.sizes();
+        let mut others: Vec<usize> = Vec::new();
+        for (gi, grp) in groups.iter().enumerate() {
+            if size[base.cell(grp.root)] == 1 {
+                assert_eq!(trees.part_of[gi], 0, "root {} owns a partition", grp.root);
+            } else {
+                others.push(grp.root);
+            }
+        }
+        others.sort_unstable();
+        others.dedup();
+        assert_eq!(trees.parts.len(), 1 + others.len());
+    }
+
+    #[test]
+    fn cell_distances_match_full_dijkstra_on_fat_trees() {
+        for k in [4, 6, 8] {
+            let net = ft_topo::fat_tree(k).unwrap();
+            let classes = ft_topo::SymmetryClasses::compute(&net);
+            let g = CapGraph::from_graph(&net.switch_graph(), 1.0);
+            let roots = oracle_roots(classes.class_slice());
+            assert_eq!(roots.len(), k + 2, "k = {k}");
+            let (groups, trees) = check_cell_trees(&g, classes.class_slice(), &roots);
+            assert_base_shared(&groups, &trees);
+            // the node classes are already equitable: k + 1 base cells
+            assert_eq!(trees.parts[0].len(), k + 1, "k = {k}");
+            // an edge root: itself, its Pod's other edges, the other
+            // Pods' edges, and per aggregation index its own Pod's
+            // aggregation switch, the other Pods' and the core column
+            let edge = groups
+                .iter()
+                .position(|grp| net.server_counts()[grp.root] > 0)
+                .unwrap();
+            assert_eq!(trees.of_group(edge).len(), 3 * k / 2 + 3, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn cell_distances_match_full_dijkstra_on_jellyfish() {
+        let params = ft_topo::JellyfishParams {
+            switches: 24,
+            ports: 6,
+            servers: 48,
+        };
+        let net = ft_topo::jellyfish(params, 7).unwrap();
+        let g = CapGraph::from_graph(&net.switch_graph(), 1.0);
+        let singletons: Vec<u32> = (0..g.node_count()).map(id32).collect();
+        let (groups, trees) = check_cell_trees(&g, &singletons, &oracle_roots(&singletons));
+        assert_base_shared(&groups, &trees);
+        // every root is alone in the discrete base partition
+        assert_eq!(trees.parts.len(), 1);
+        assert_eq!(trees.parts[0].len(), g.node_count());
+    }
+
+    #[test]
+    fn cell_distances_match_full_dijkstra_on_small_quotients() {
+        let line: Vec<(u32, u32)> = (0..11).map(|v| (v, v + 1)).collect();
+        let reflection: Vec<u32> = (0..12).map(|v: u32| v.min(11 - v)).collect();
+        for (g, node_class) in [(ring4(), vec![0, 1, 0, 1]), (unit(12, &line), reflection)] {
+            let (groups, trees) = check_cell_trees(&g, &node_class, &oracle_roots(&node_class));
+            assert_base_shared(&groups, &trees);
+        }
     }
 
     #[test]

@@ -51,8 +51,8 @@ proptest! {
         let cs = aggregate_commodities(inst.demands.clone());
         prop_assume!(!cs.is_empty());
         let eps = 0.08;
-        let exact = max_concurrent_flow_exact(&g, &cs).unwrap();
-        let approx = max_concurrent_flow(&g, &cs, FptasOptions::with_epsilon(eps)).unwrap();
+        let exact = max_concurrent_flow_exact(&g, &cs).map_err(|e| TestCaseError::Fail(e.to_string()))?;
+        let approx = max_concurrent_flow(&g, &cs, FptasOptions::with_epsilon(eps)).map_err(|e| TestCaseError::Fail(e.to_string()))?;
         prop_assert!(approx.lambda <= exact + 1e-6,
                      "approx {} exceeds exact {}", approx.lambda, exact);
         prop_assert!(approx.lambda >= (1.0 - 3.0 * eps) * exact - 1e-9,
@@ -86,8 +86,8 @@ proptest! {
         prop_assume!(!cs.is_empty());
         let eps = 0.08;
         let opts = FptasOptions::with_epsilon(eps);
-        let batched = max_concurrent_flow(&g, &cs, opts).unwrap();
-        let reference = max_concurrent_flow_reference(&g, &cs, opts).unwrap();
+        let batched = max_concurrent_flow(&g, &cs, opts).map_err(|e| TestCaseError::Fail(e.to_string()))?;
+        let reference = max_concurrent_flow_reference(&g, &cs, opts).map_err(|e| TestCaseError::Fail(e.to_string()))?;
         prop_assert!(!batched.budget_exhausted && !reference.budget_exhausted);
         let (b, r) = (batched.lambda, reference.lambda);
         prop_assert!(b >= (1.0 - 3.0 * eps) * r - 1e-9,
@@ -95,7 +95,7 @@ proptest! {
         prop_assert!(r >= (1.0 - 3.0 * eps) * b - 1e-9,
                      "reference {r} below ε band of batched {b}");
         // and the batched result still sandwiches against the exact LP
-        let exact = max_concurrent_flow_exact(&g, &cs).unwrap();
+        let exact = max_concurrent_flow_exact(&g, &cs).map_err(|e| TestCaseError::Fail(e.to_string()))?;
         prop_assert!(b <= exact + 1e-6, "batched {b} exceeds exact {exact}");
         prop_assert!(b >= (1.0 - 3.0 * eps) * exact - 1e-9,
                      "batched {b} below guarantee of exact {exact}");
@@ -109,8 +109,8 @@ proptest! {
         prop_assume!(!cs.is_empty());
         let scaled = aggregate_commodities(
             inst.demands.iter().map(|&(s, t, d)| (s, t, d * scale as f64)));
-        let l1 = max_concurrent_flow_exact(&g, &cs).unwrap();
-        let l2 = max_concurrent_flow_exact(&g, &scaled).unwrap();
+        let l1 = max_concurrent_flow_exact(&g, &cs).map_err(|e| TestCaseError::Fail(e.to_string()))?;
+        let l2 = max_concurrent_flow_exact(&g, &scaled).map_err(|e| TestCaseError::Fail(e.to_string()))?;
         prop_assert!((l1 - l2 * scale as f64).abs() < 1e-5 * (1.0 + l1),
                      "{l1} vs {} × {scale}", l2);
     }
@@ -123,8 +123,8 @@ proptest! {
         let doubled = CapGraph::from_graph(&Graph::from_edges(inst.n as usize, &inst.edges), 2.0);
         let cs = aggregate_commodities(inst.demands.clone());
         prop_assume!(!cs.is_empty());
-        let l1 = max_concurrent_flow_exact(&base, &cs).unwrap();
-        let l2 = max_concurrent_flow_exact(&doubled, &cs).unwrap();
+        let l1 = max_concurrent_flow_exact(&base, &cs).map_err(|e| TestCaseError::Fail(e.to_string()))?;
+        let l2 = max_concurrent_flow_exact(&doubled, &cs).map_err(|e| TestCaseError::Fail(e.to_string()))?;
         prop_assert!((l2 - 2.0 * l1).abs() < 1e-5 * (1.0 + l2));
     }
 
@@ -134,8 +134,8 @@ proptest! {
         let g = CapGraph::from_graph(&Graph::from_edges(inst.n as usize, &inst.edges), 1.0);
         let cs = aggregate_commodities(inst.demands.clone());
         prop_assume!(cs.len() >= 2);
-        let full = max_concurrent_flow_exact(&g, &cs).unwrap();
-        let reduced = max_concurrent_flow_exact(&g, &cs[..cs.len() - 1]).unwrap();
+        let full = max_concurrent_flow_exact(&g, &cs).map_err(|e| TestCaseError::Fail(e.to_string()))?;
+        let reduced = max_concurrent_flow_exact(&g, &cs[..cs.len() - 1]).map_err(|e| TestCaseError::Fail(e.to_string()))?;
         prop_assert!(reduced >= full - 1e-6);
     }
 }

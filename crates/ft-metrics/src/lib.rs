@@ -41,6 +41,6 @@ pub use path_length::{
 };
 pub use report::{budget_warning, Series, Table};
 pub use throughput::{
-    throughput, throughput_all_to_all, throughput_on_commodities_with, SolverKind,
-    ThroughputOptions, ThroughputResult,
+    throughput, throughput_all_to_all, throughput_on_commodities, SolverKind, ThroughputOptions,
+    ThroughputResult,
 };

@@ -25,15 +25,17 @@
 //! per-call fills, so every reported average is bit-identical.
 
 use ft_graph::{id32, AllPairs, Csr, DistMatrix, Graph, NodeId, UNREACHABLE, UNREACHABLE16};
-use ft_topo::Network;
+use ft_topo::{DedupedApsp, Network, SymmetryClasses};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-/// Cached registry handles: APSP computations and BFS rows filled.
-/// Recorded once per table build, never per row.
+/// Cached registry handles: hosting-switch table computations and BFS
+/// rows filled, and the rows of symmetry-deduplicated tables. Recorded
+/// once per table build, never per row.
 struct ApspCounters {
     computations: &'static ft_obs::Counter,
     rows: &'static ft_obs::Counter,
+    dedup_rows: &'static ft_obs::Counter,
 }
 
 fn obs() -> &'static ApspCounters {
@@ -41,6 +43,7 @@ fn obs() -> &'static ApspCounters {
     CELL.get_or_init(|| ApspCounters {
         computations: ft_obs::registry::counter("ft_metrics_apsp_total"),
         rows: ft_obs::registry::counter("ft_metrics_apsp_rows_total"),
+        dedup_rows: ft_obs::registry::counter("ft_metrics_dedup_apsp_rows_total"),
     })
 }
 
@@ -93,6 +96,28 @@ fn source_table(sg: &Graph, sources: &[usize]) -> Table {
         // enumerating the graph's own switches.
         Err(_) => Table::Wide(AllPairs::compute_from_csr(&csr, &nodes)),
     }
+}
+
+/// The symmetry-deduplicated table of `net`'s switch distances: the
+/// symmetry classes (`metrics.symmetry` span), then one BFS row per class
+/// (`metrics.dedup_apsp` span, `ft_metrics_dedup_apsp_rows_total`
+/// counter). `metrics.apsp` and its counters stay with the hosting-switch
+/// table of [`SwitchDistances`]. `None` only when a hop count would not
+/// fit the table's `u16` entries.
+pub(crate) fn deduped_apsp(net: &Network) -> Option<DedupedApsp> {
+    let nodes = net.num_switches();
+    let classes = {
+        let mut span = ft_obs::span!("metrics.symmetry", switches = nodes);
+        let classes = SymmetryClasses::compute(net);
+        if let Some(s) = span.as_mut() {
+            s.field("classes", classes.class_count());
+        }
+        classes
+    };
+    let rows = classes.class_count();
+    let _span = ft_obs::span!("metrics.dedup_apsp", sources = rows, nodes = nodes);
+    obs().dedup_rows.add(rows as u64);
+    DedupedApsp::with_classes(net, classes, ft_graph::par::thread_count()).ok()
 }
 
 /// Switch-graph distances from every server-hosting switch, computed once

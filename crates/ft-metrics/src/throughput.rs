@@ -11,15 +11,16 @@
 //! The reported λ is the per-flow throughput the paper plots on the y-axes
 //! of Figures 7 and 8.
 
+use ft_graph::UNREACHABLE16;
 use ft_mcf::{
     aggregate_commodities, max_concurrent_flow, max_concurrent_flow_aggregated,
     max_concurrent_flow_exact, AggregatedInstance, CapGraph, Commodity, FptasOptions, McfError,
     McfSolution, Stop,
 };
-use ft_topo::{Network, SymmetryClasses};
+use ft_topo::{DedupedApsp, Network};
 use ft_workload::TrafficMatrix;
 
-use crate::path_length::SwitchDistances;
+use crate::path_length::deduped_apsp;
 
 /// Which instance the FPTAS solves above the exact-LP threshold. Both run
 /// the one source-batched Fleischer loop of `ft_mcf::fptas`.
@@ -160,22 +161,6 @@ pub fn throughput_on_commodities(
     commodities: &[Commodity],
     opts: ThroughputOptions,
 ) -> Result<ThroughputResult, McfError> {
-    throughput_on_commodities_with(net, commodities, opts, None)
-}
-
-/// [`throughput_on_commodities`] with an optional shared distance table.
-/// The table only feeds the symmetry aggregation of
-/// [`SolverKind::Aggregated`] — `ft-serve` passes the table it already
-/// caches per network instead of recomputing APSP per query.
-///
-/// # Errors
-/// Propagates [`McfError`] from the underlying solver.
-pub fn throughput_on_commodities_with(
-    net: &Network,
-    commodities: &[Commodity],
-    opts: ThroughputOptions,
-    warm: Option<&SwitchDistances>,
-) -> Result<ThroughputResult, McfError> {
     let sg = net.switch_graph();
     let cg = CapGraph::from_graph(&sg, 1.0);
     if commodities.is_empty() {
@@ -212,24 +197,13 @@ pub fn throughput_on_commodities_with(
     match opts.solver {
         SolverKind::Batched => Ok(wrap(max_concurrent_flow(&cg, commodities, fopts)?, None)),
         SolverKind::Aggregated => {
-            // Aggregation needs a full distance table; compute one if the
-            // caller did not share theirs.
-            let owned;
-            let dist = match warm {
-                Some(d) => d,
-                None => {
-                    owned = SwitchDistances::compute(net);
-                    &owned
-                }
-            };
-            let oracle = move |a: usize, b: usize| dist.switch_distance(a, b);
-            let classes = SymmetryClasses::compute(net);
-            match AggregatedInstance::from_commodities(
-                &cg,
-                classes.class_slice(),
-                commodities,
-                &oracle,
-            ) {
+            // The builder reads symmetry classes and hop distances, both
+            // from the deduplicated table.
+            let inst = deduped_apsp(net).and_then(|dd| {
+                let classes = dd.classes().class_slice();
+                AggregatedInstance::from_commodities(&cg, classes, commodities, &hops(&dd))
+            });
+            match inst {
                 Some(inst) => {
                     let aggregated = (!inst.is_identity()).then_some(inst.commodities().len());
                     Ok(wrap(
@@ -259,18 +233,16 @@ pub fn throughput_all_to_all(
     opts: ThroughputOptions,
 ) -> Result<ThroughputResult, McfError> {
     let counts = net.server_counts();
-    // Only aggregation reads distances; its table is reused by the
-    // fallback below when the instance does not aggregate.
-    let dist = (opts.solver == SolverKind::Aggregated).then(|| SwitchDistances::compute(net));
-    if let Some(dist) = &dist {
-        let sg = net.switch_graph();
-        let cg = CapGraph::from_graph(&sg, 1.0);
-        let oracle = move |a: usize, b: usize| dist.switch_distance(a, b);
-        let classes = SymmetryClasses::compute(net);
-        let weights: Vec<f64> = counts.iter().map(|&c| f64::from(c)).collect();
-        if let Some(inst) =
-            AggregatedInstance::all_to_all(&cg, classes.class_slice(), &weights, &oracle)
-        {
+    if opts.solver == SolverKind::Aggregated {
+        // the distance table is only a builder input, dropped before the solve
+        let quotient = deduped_apsp(net).and_then(|dd| {
+            let cg = CapGraph::from_graph(&net.switch_graph(), 1.0);
+            let weights: Vec<f64> = counts.iter().map(|&c| f64::from(c)).collect();
+            let classes = dd.classes().class_slice();
+            let inst = AggregatedInstance::all_to_all(&cg, classes, &weights, &hops(&dd))?;
+            Some((cg, inst))
+        });
+        if let Some((cg, inst)) = quotient {
             let sol = max_concurrent_flow_aggregated(
                 &cg,
                 &inst,
@@ -287,7 +259,9 @@ pub fn throughput_all_to_all(
             ));
         }
     }
-    // Materialized fallback: switch-level all-to-all with n_s·n_t demands.
+    // Materialized fallback: switch-level all-to-all with n_s·n_t demands,
+    // solved as given — the symbolic aggregation has just declined the
+    // same pairs.
     let mut commodities = Vec::new();
     for (s, &ns) in counts.iter().enumerate() {
         if ns == 0 {
@@ -303,7 +277,19 @@ pub fn throughput_all_to_all(
             }
         }
     }
-    throughput_on_commodities_with(net, &commodities, opts, dist.as_ref())
+    let opts = ThroughputOptions {
+        solver: SolverKind::Batched,
+        ..opts
+    };
+    throughput_on_commodities(net, &commodities, opts)
+}
+
+/// The quotient builders' hop oracle over a deduplicated table.
+fn hops(dd: &DedupedApsp) -> impl Fn(usize, usize) -> Option<u32> + Sync + '_ {
+    move |a, b| match dd.get(a, b) {
+        UNREACHABLE16 => Some(u32::MAX),
+        d => Some(u32::from(d)),
+    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use ft_mcf::aggregate_commodities;
 use ft_metrics::path_length::{
     average_intra_pod_path_length_with, average_server_path_length_with,
 };
-use ft_metrics::throughput::{throughput_on_commodities_with, SolverKind, ThroughputOptions};
+use ft_metrics::throughput::{throughput_on_commodities, SolverKind, ThroughputOptions};
 use ft_workload::{generate, WorkloadSpec};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -419,18 +419,10 @@ fn exec_throughput(
     };
     let tm = generate(&entry.network, &wl, seed);
     let commodities = aggregate_commodities(tm.switch_triples(&entry.network));
-    // Aggregation reads the per-network distance table the cache already
-    // shares with the paths verb; the full solve needs none, so don't
-    // force its computation.
-    let warm = match solver {
-        SolverKind::Batched => None,
-        SolverKind::Aggregated => Some(entry.switch_distances()),
-    };
-    let r = throughput_on_commodities_with(
+    let r = throughput_on_commodities(
         &entry.network,
         &commodities,
         ThroughputOptions::fptas_with(epsilon, solver),
-        warm.as_deref(),
     )?;
     let solver_name = match solver {
         SolverKind::Batched => "batched",

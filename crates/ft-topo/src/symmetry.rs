@@ -327,7 +327,17 @@ impl DedupedApsp {
 
     /// [`DedupedApsp::compute`] with an explicit worker count.
     pub fn compute_with_threads(net: &Network, threads: usize) -> Result<DedupedApsp, GraphError> {
-        let classes = SymmetryClasses::compute(net);
+        Self::with_classes(net, SymmetryClasses::compute(net), threads)
+    }
+
+    /// One representative BFS row per class of `classes`, which must be
+    /// [`SymmetryClasses::compute`] of this same `net`, on `threads`
+    /// workers: for callers that time or trace the two stages apart.
+    pub fn with_classes(
+        net: &Network,
+        classes: SymmetryClasses,
+        threads: usize,
+    ) -> Result<DedupedApsp, GraphError> {
         let csr = Csr::from_graph(&net.switch_graph());
         let sources: Vec<NodeId> = classes.reps.iter().map(|&r| NodeId(r)).collect();
         let matrix = DistMatrix::compute_from_csr_with_threads(&csr, &sources, threads)?;
