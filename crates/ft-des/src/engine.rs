@@ -283,38 +283,39 @@ mod tests {
             state.push(ctx.now());
             if *event + 1 < self.limit {
                 let me = ComponentId(0);
-                ctx.schedule(ctx.now() + self.period, me, event + 1)
-                    .unwrap();
+                let at = ctx.now() + self.period;
+                assert_eq!(ctx.schedule(at, me, event + 1).err(), None, "tick at {at}");
             }
         }
     }
 
     #[test]
-    fn dispatch_advances_clock_and_drains() {
+    fn dispatch_advances_clock_and_drains() -> Result<(), ScheduleError> {
         let mut eng: Engine<Vec<f64>, u64> = Engine::new();
         let t = eng.register(Box::new(Ticker {
             limit: 4,
             period: 1.5,
         }));
-        eng.schedule(1.0, t, 0).unwrap();
+        eng.schedule(1.0, t, 0)?;
         let mut times = Vec::new();
         let stats = eng.run(&mut times, f64::INFINITY);
         assert_eq!(times, vec![1.0, 2.5, 4.0, 5.5]);
-        assert_eq!(eng.now(), 5.5);
+        assert_eq!(eng.now().to_bits(), 5.5f64.to_bits());
         assert_eq!(stats.processed, 4);
         assert_eq!(stats.scheduled, 3);
         assert!(!stats.truncated);
         assert_eq!(eng.pending(), 0);
+        Ok(())
     }
 
     #[test]
-    fn horizon_truncates_inclusively() {
+    fn horizon_truncates_inclusively() -> Result<(), ScheduleError> {
         let mut eng: Engine<Vec<f64>, u64> = Engine::new();
         let t = eng.register(Box::new(Ticker {
             limit: 100,
             period: 1.0,
         }));
-        eng.schedule(0.0, t, 0).unwrap();
+        eng.schedule(0.0, t, 0)?;
         let mut times = Vec::new();
         let stats = eng.run(&mut times, 3.0);
         // events at 0,1,2,3 run; the one at 4 stays pending
@@ -325,23 +326,25 @@ mod tests {
         let stats2 = eng.run(&mut times, 5.0);
         assert_eq!(times.len(), 6);
         assert!(stats2.truncated);
+        Ok(())
     }
 
     #[test]
-    fn schedule_rejects_past_and_nan() {
+    fn schedule_rejects_past_and_nan() -> Result<(), ScheduleError> {
         let mut eng: Engine<Vec<f64>, u64> = Engine::new();
         let t = eng.register(Box::new(Ticker {
             limit: 1,
             period: 1.0,
         }));
         assert_eq!(eng.schedule(f64::NAN, t, 0), Err(ScheduleError::NotANumber));
-        eng.schedule(2.0, t, 0).unwrap();
+        eng.schedule(2.0, t, 0)?;
         let mut sink = Vec::new();
         eng.run(&mut sink, f64::INFINITY);
-        assert_eq!(eng.now(), 2.0);
-        let err = eng.schedule(1.0, t, 0).unwrap_err();
-        assert_eq!(err, ScheduleError::InPast { at: 1.0, now: 2.0 });
+        assert_eq!(eng.now().to_bits(), 2.0f64.to_bits());
+        let err = ScheduleError::InPast { at: 1.0, now: 2.0 };
+        assert_eq!(eng.schedule(1.0, t, 0), Err(err));
         assert!(err.to_string().contains("precedes"));
+        Ok(())
     }
 
     /// Two components at the same timestamp: dispatch order must be the
@@ -359,13 +362,13 @@ mod tests {
     }
 
     #[test]
-    fn equal_time_events_dispatch_in_seed_order() {
+    fn equal_time_events_dispatch_in_seed_order() -> Result<(), ScheduleError> {
         let mut eng: Engine<Vec<&'static str>, ()> = Engine::new();
         let a = eng.register(Box::new(Tag("alpha")));
         let b = eng.register(Box::new(Tag("beta")));
-        eng.schedule(1.0, b, ()).unwrap();
-        eng.schedule(1.0, a, ()).unwrap();
-        eng.schedule(1.0, b, ()).unwrap();
+        eng.schedule(1.0, b, ())?;
+        eng.schedule(1.0, a, ())?;
+        eng.schedule(1.0, b, ())?;
         let mut seen = Vec::new();
         let mut observed = Vec::new();
         eng.run_observed(&mut seen, f64::INFINITY, |key, name, _| {
@@ -373,17 +376,19 @@ mod tests {
         });
         assert_eq!(seen, vec!["beta", "alpha", "beta"]);
         assert_eq!(observed, vec![(0, "beta"), (1, "alpha"), (2, "beta")]);
+        Ok(())
     }
 
     #[test]
-    fn unknown_component_events_are_dropped() {
+    fn unknown_component_events_are_dropped() -> Result<(), ScheduleError> {
         let mut eng: Engine<Vec<&'static str>, ()> = Engine::new();
         let a = eng.register(Box::new(Tag("only")));
-        eng.schedule(1.0, ComponentId(7), ()).unwrap();
-        eng.schedule(2.0, a, ()).unwrap();
+        eng.schedule(1.0, ComponentId(7), ())?;
+        eng.schedule(2.0, a, ())?;
         let mut seen = Vec::new();
         let stats = eng.run(&mut seen, f64::INFINITY);
         assert_eq!(seen, vec!["only"]);
         assert_eq!(stats.processed, 1);
+        Ok(())
     }
 }

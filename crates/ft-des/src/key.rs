@@ -91,7 +91,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn order_matches_f64_order() {
+    fn order_matches_f64_order() -> Result<(), TimeError> {
         let samples = [
             f64::NEG_INFINITY,
             -1e300,
@@ -107,25 +107,28 @@ mod tests {
         ];
         for (i, &a) in samples.iter().enumerate() {
             for &b in &samples[i + 1..] {
-                let (ka, kb) = (TimePoint::new(a).unwrap(), TimePoint::new(b).unwrap());
+                let (ka, kb) = (TimePoint::new(a)?, TimePoint::new(b)?);
                 assert!(ka < kb, "{a} should order before {b}");
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn negative_zero_orders_below_zero() {
-        let nz = TimePoint::new(-0.0).unwrap();
-        let z = TimePoint::new(0.0).unwrap();
+    fn negative_zero_orders_below_zero() -> Result<(), TimeError> {
+        let nz = TimePoint::new(-0.0)?;
+        let z = TimePoint::new(0.0)?;
         assert!(nz < z);
+        Ok(())
     }
 
     #[test]
-    fn roundtrip_preserves_value() {
+    fn roundtrip_preserves_value() -> Result<(), TimeError> {
         for t in [-1e12, -3.25, 0.0, 0.125, 7.0, 1e100, f64::INFINITY] {
-            let tp = TimePoint::new(t).unwrap();
+            let tp = TimePoint::new(t)?;
             assert_eq!(tp.value().to_bits(), t.to_bits(), "{t}");
         }
+        Ok(())
     }
 
     #[test]
@@ -135,15 +138,16 @@ mod tests {
     }
 
     #[test]
-    fn key_breaks_ties_by_seq() {
-        let t = TimePoint::new(4.0).unwrap();
+    fn key_breaks_ties_by_seq() -> Result<(), TimeError> {
+        let t = TimePoint::new(4.0)?;
         let a = EventKey { time: t, seq: 0 };
         let b = EventKey { time: t, seq: 1 };
         assert!(a < b);
         let later = EventKey {
-            time: TimePoint::new(5.0).unwrap(),
+            time: TimePoint::new(5.0)?,
             seq: 0,
         };
         assert!(b < later, "time dominates seq");
+        Ok(())
     }
 }

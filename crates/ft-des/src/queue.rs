@@ -97,66 +97,69 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pops_in_time_order() {
+    fn pops_in_time_order() -> Result<(), TimeError> {
         let mut q = EventQueue::new();
-        q.push(3.0, "c").unwrap();
-        q.push(1.0, "a").unwrap();
-        q.push(2.0, "b").unwrap();
+        q.push(3.0, "c")?;
+        q.push(1.0, "a")?;
+        q.push(2.0, "b")?;
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, ["a", "b", "c"]);
+        Ok(())
     }
 
     #[test]
-    fn equal_times_pop_fifo() {
+    fn equal_times_pop_fifo() -> Result<(), TimeError> {
         let mut q = EventQueue::new();
         for i in 0..32 {
-            q.push(5.0, i).unwrap();
+            q.push(5.0, i)?;
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, (0..32).collect::<Vec<_>>());
+        Ok(())
     }
 
     #[test]
-    fn nan_rejected_and_queue_unchanged() {
+    fn nan_rejected_and_queue_unchanged() -> Result<(), TimeError> {
         let mut q = EventQueue::new();
-        q.push(1.0, ()).unwrap();
+        q.push(1.0, ())?;
         assert_eq!(q.push(f64::NAN, ()), Err(TimeError::NotANumber));
         assert_eq!(q.len(), 1);
+        Ok(())
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn peek_matches_pop() -> Result<(), TimeError> {
         let mut q = EventQueue::new();
-        q.push(2.0, "later").unwrap();
-        q.push(1.0, "sooner").unwrap();
-        let peeked = q.peek_key().unwrap();
-        let (popped, payload) = q.pop().unwrap();
-        assert_eq!(peeked, popped);
-        assert_eq!(payload, "sooner");
+        q.push(2.0, "later")?;
+        let sooner = q.push(1.0, "sooner")?;
+        assert_eq!(q.peek_key(), Some(sooner));
+        assert_eq!(q.pop(), Some((sooner, "sooner")));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+        Ok(())
     }
 
     #[test]
-    fn keys_are_unique_even_at_equal_times() {
+    fn keys_are_unique_even_at_equal_times() -> Result<(), TimeError> {
         let mut q = EventQueue::new();
-        let a = q.push(1.0, ()).unwrap();
-        let b = q.push(1.0, ()).unwrap();
+        let a = q.push(1.0, ())?;
+        let b = q.push(1.0, ())?;
         assert_ne!(a, b);
         assert!(a < b);
+        Ok(())
     }
 
     #[test]
-    fn interleaved_push_pop_stays_ordered() {
+    fn interleaved_push_pop_stays_ordered() -> Result<(), TimeError> {
         let mut q = EventQueue::new();
-        q.push(10.0, 10).unwrap();
-        q.push(1.0, 1).unwrap();
-        assert_eq!(q.pop().unwrap().1, 1);
-        q.push(5.0, 5).unwrap();
-        q.push(0.5, 0).unwrap(); // earlier than everything left
-        assert_eq!(q.pop().unwrap().1, 0);
-        assert_eq!(q.pop().unwrap().1, 5);
-        assert_eq!(q.pop().unwrap().1, 10);
+        q.push(10.0, 10)?;
+        q.push(1.0, 1)?;
+        assert_eq!(q.pop().map(|(_, p)| p), Some(1));
+        q.push(5.0, 5)?;
+        q.push(0.5, 0)?; // earlier than everything left
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, [0, 5, 10]);
         assert!(q.pop().is_none());
+        Ok(())
     }
 }

@@ -3,7 +3,9 @@
 //! Flow dynamics are three [`ft_des::Component`]s — a flow source, a
 //! topology driver, and a rate allocator — exchanging events through the
 //! deterministic queue. Between events, rates are the max-min fair
-//! allocation of [`crate::ratealloc`] over each flow's pinned path. Link
+//! allocation of [`crate::ratealloc`] over each flow's pinned path, kept
+//! in one [`MaxMin`] per run that re-solves only the link-sharing
+//! components an arrival, completion or re-route reaches. Link
 //! failures and repairs re-route the flows whose paths they break, and a
 //! **live zone conversion** (the paper's Clos↔random-graph transitions)
 //! is a [`ConversionEvent`]: it drains the links the
@@ -19,11 +21,11 @@
 //! handler lets wall-clock time or unordered containers influence the
 //! schedule. A fixed scenario therefore produces bit-identical reports
 //! and traces regardless of `FT_THREADS`. (The allocator keeps a
-//! measurement-only stopwatch around the max-min solve —
+//! measurement-only stopwatch around each re-solve —
 //! [`DesReport::solver_ns`] — which never feeds back into events, the
 //! checksum, or the deterministic summary.)
 
-use crate::ratealloc::{max_min_rates, DirectedLink};
+use crate::ratealloc::{DirectedLink, MaxMin};
 use ft_control::routing::{EcmpRoutes, KspRoutes, ServerPath};
 use ft_control::ReconfigPlan;
 use ft_des::{Component, ComponentId, Context, Engine, ScheduleError};
@@ -214,12 +216,15 @@ pub struct DesReport {
     /// Conversion-plan link removals that matched no live link (plan
     /// drift; should be 0 in a consistent scenario).
     pub missing_links: usize,
-    /// Wall-clock nanoseconds spent inside the max-min rate solver
-    /// across all re-allocations. Measurement only: timing-dependent,
+    /// Wall-clock nanoseconds spent inside [`MaxMin::solve`] across all
+    /// re-allocations: the walk that collects the link-sharing
+    /// components the changes reach, and the filling rounds over them.
+    /// The slot-list updates of admissions, completions and re-routes
+    /// fall outside it. Measurement only: timing-dependent,
     /// excluded from [`DesReport::completion_checksum`] and from the
     /// deterministic `ft-des-sim/1` summary, so byte-comparison gates
     /// are unaffected. Lets benchmarks separate event-loop throughput
-    /// from solver cost (the solver dominates at large k).
+    /// from solver cost.
     pub solver_ns: u64,
     /// JSONL trace lines (one per dispatched event) when the run was
     /// traced, else `None`.
@@ -288,10 +293,11 @@ enum Ev {
     TopoFinish(usize),
 }
 
+/// An active flow; its path and rate live in [`World::alloc`] under the
+/// same index.
 struct Active {
     idx: usize,
     remaining: f64,
-    path: Option<Vec<DirectedLink>>, // None = currently unroutable
     hash: u64,
     ends: Option<(NodeId, NodeId)>, // attachment switches when routable
 }
@@ -348,12 +354,13 @@ struct World {
     net: Network,
     view: Graph,
     policy: RouterPolicy,
-    capacity: f64,
     router: DesRouter,
     specs: Vec<FlowSpec>,
     topo: Vec<TopoEvent>,
     active: Vec<Active>,
-    rates: Vec<f64>, // index-aligned with `active`
+    /// Paths (`None` = unroutable, parked) and max-min rates of the
+    /// active flows, index-aligned with `active`.
+    alloc: MaxMin,
     records: Vec<DesFlowRecord>,
     /// Time up to which flow progress has been applied.
     last: f64,
@@ -362,12 +369,9 @@ struct World {
     /// Bumped per allocation; stale `Harvest` events carry old epochs.
     epoch: u64,
     reallocations: usize,
-    /// Accumulated wall-clock time inside `max_min_rates` (measurement
+    /// Accumulated wall-clock time inside [`MaxMin::solve`] (measurement
     /// only; see [`DesReport::solver_ns`]).
     solver_ns: u64,
-    /// Reused per-reallocation path scratch: inner `Vec`s keep their
-    /// allocations across solves instead of being rebuilt each time.
-    path_buf: Vec<Vec<DirectedLink>>,
     conversions: usize,
     links_removed: usize,
     links_added: usize,
@@ -410,8 +414,9 @@ impl World {
             self.last = now;
             return;
         }
-        for (f, &r) in self.active.iter_mut().zip(&self.rates) {
-            if f.path.is_none() {
+        let alloc = &self.alloc;
+        for (i, (f, &r)) in self.active.iter_mut().zip(alloc.rates()).enumerate() {
+            if alloc.path(i).is_none() {
                 self.records[f.idx].parked_time += dt;
             } else if r > 0.0 && r.is_finite() {
                 f.remaining -= r * dt;
@@ -444,11 +449,10 @@ impl World {
         self.active.push(Active {
             idx,
             remaining: self.specs[idx].size,
-            path,
             hash,
             ends,
         });
-        self.rates.push(0.0);
+        self.alloc.push(path);
         self.request_realloc(ctx);
     }
 
@@ -465,7 +469,7 @@ impl World {
 
     fn finish_flow(&mut self, i: usize, now: f64) {
         let f = self.active.swap_remove(i);
-        self.rates.swap_remove(i);
+        self.alloc.swap_remove(i);
         self.records[f.idx].completion = Some(now);
     }
 
@@ -480,30 +484,17 @@ impl World {
         // those finish instantly, like at admission.
         let mut i = 0;
         while i < self.active.len() {
-            if self.active[i].path.as_deref().is_some_and(|p| p.is_empty()) {
+            if self.alloc.path(i).is_some_and(<[_]>::is_empty) {
                 self.finish_flow(i, ctx.now());
             } else {
                 i += 1;
             }
         }
-        self.path_buf.truncate(self.active.len());
-        self.path_buf.resize_with(self.active.len(), Vec::new);
-        for (buf, f) in self.path_buf.iter_mut().zip(&self.active) {
-            buf.clear();
-            if let Some(p) = f.path.as_deref() {
-                buf.extend_from_slice(p);
-            }
-        }
         let t0 = std::time::Instant::now();
-        self.rates = max_min_rates(&self.path_buf, self.capacity);
+        self.alloc.solve();
         self.solver_ns = self
             .solver_ns
             .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        for (f, r) in self.active.iter().zip(self.rates.iter_mut()) {
-            if f.path.is_none() {
-                *r = 0.0; // unroutable, parked
-            }
-        }
         self.epoch += 1;
         self.arm_harvest(ctx);
         self.emit_timeline(ctx);
@@ -524,7 +515,9 @@ impl World {
         if !ft_obs::enabled() {
             return;
         }
-        let parked = self.active.iter().filter(|f| f.path.is_none()).count();
+        let parked = (0..self.alloc.len())
+            .filter(|&i| self.alloc.path(i).is_none())
+            .count();
         let reroutes: usize = self.records.iter().map(|r| r.reroutes).sum();
         let conversion_reroutes: usize = self.records.iter().map(|r| r.conversion_reroutes).sum();
         let _g = ft_obs::span!(
@@ -549,7 +542,7 @@ impl World {
     /// Schedules the next completion check under the current rates.
     fn arm_harvest(&mut self, ctx: &mut Context<'_, Ev>) {
         let mut dt = f64::INFINITY;
-        for (f, &r) in self.active.iter().zip(&self.rates) {
+        for (f, &r) in self.active.iter().zip(self.alloc.rates()) {
             if r > 0.0 && r.is_finite() {
                 let t = f.remaining / r;
                 if t < dt {
@@ -695,17 +688,16 @@ impl World {
             let ends = self.resolve_ends(idx);
             let path_ok = ends.is_some()
                 && old_ends == ends
-                && self.active[fi]
-                    .path
-                    .as_ref()
+                && self
+                    .alloc
+                    .path(fi)
                     .is_some_and(|p| p.iter().all(|dl| self.view.edge_alive(dl.edge)));
             if path_ok {
                 continue;
             }
             let new_path = ends.and_then(|(a, b)| route_links(&self.router, a, b, hash));
-            let f = &mut self.active[fi];
-            f.ends = ends;
-            f.path = new_path;
+            self.active[fi].ends = ends;
+            self.alloc.set_path(fi, new_path);
             let rec = &mut self.records[idx];
             rec.reroutes += 1;
             if conversion {
@@ -850,12 +842,11 @@ impl DesSimulator {
             net,
             view,
             policy: self.policy,
-            capacity: self.capacity,
             router,
             specs: specs.to_vec(),
             topo: topo.to_vec(),
             active: Vec::new(),
-            rates: Vec::new(),
+            alloc: MaxMin::new(self.capacity),
             records: (0..specs.len())
                 .map(|flow| DesFlowRecord {
                     flow,
@@ -870,7 +861,6 @@ impl DesSimulator {
             epoch: 0,
             reallocations: 0,
             solver_ns: 0,
-            path_buf: Vec::new(),
             conversions: 0,
             links_removed: 0,
             links_added: 0,
@@ -994,7 +984,7 @@ fn trace_line(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_core::{FlatTree, FlatTreeConfig, Mode};
+    use ft_core::{FlatTree, FlatTreeConfig, Mode, PodMode};
     use ft_topo::fat_tree;
 
     fn k4() -> Network {
@@ -1273,6 +1263,76 @@ mod tests {
         let plan = ft_control::plan_transition(&ft, &from, &to).unwrap();
         let ev = ConversionEvent::from_plan(3.0, latency, &plan, Some(RouterPolicy::Ksp(4)));
         (net, ev)
+    }
+
+    /// Pod-local traffic on a k = 8 fat-tree (one link-sharing component
+    /// or more per Pod), a server-uplink failure and repair that parks
+    /// that server's flows, then a conversion of Pods 0–3 to global-RG
+    /// under KSP that merges their components while Pods 4–7 keep theirs.
+    /// Pins the checksum, the re-allocation count and every flow's parked
+    /// time, recorded from the allocator that re-solved every active flow
+    /// on each re-allocation.
+    #[test]
+    fn pinned_pod_local_failure_and_conversion() {
+        let ft = FlatTree::new(FlatTreeConfig::for_fat_tree_k(8).unwrap()).unwrap();
+        let net = ft.materialize(&Mode::Clos).unwrap();
+        let half = [[PodMode::GlobalRandom; 4], [PodMode::Clos; 4]].concat();
+        let plan = ft_control::plan_transition(
+            &ft,
+            &ft.resolve(&Mode::Clos).unwrap(),
+            &ft.resolve(&Mode::Hybrid(half)).unwrap(),
+        )
+        .unwrap();
+        let servers: Vec<NodeId> = net.servers().collect();
+        assert_eq!(servers.len(), 128);
+        // 16 servers per Pod, 4 per edge switch: offsets 4 and 9 land on
+        // another edge switch of the same Pod
+        let specs: Vec<FlowSpec> = (0..servers.len())
+            .flat_map(|i| [4, 9].map(|off| (i, off)))
+            .map(|(i, off)| FlowSpec {
+                src: servers[i],
+                dst: servers[i / 16 * 16 + (i % 16 + off) % 16],
+                size: 1.0 + (i % 7) as f64 * 0.75,
+                start: (i % 5) as f64 * 0.4,
+            })
+            .collect();
+        let uplink = net.graph().neighbors(servers[5]).next().unwrap().1;
+        let topo = [
+            TopoEvent::LinkDown(1.0, uplink),
+            TopoEvent::LinkUp(2.0, uplink),
+            TopoEvent::Convert(ConversionEvent::from_plan(
+                2.5,
+                0.5,
+                &plan,
+                Some(RouterPolicy::Ksp(8)),
+            )),
+        ];
+        let rep = ecmp(&net, &specs, &topo);
+        assert_eq!(rep.unfinished(), 0);
+        assert_eq!(rep.conversions, 1);
+        // every flow's parked-time bits, folded FNV-style in flow order
+        let parked = rep.flows.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, r| {
+            (h ^ r.parked_time.to_bits()).wrapping_mul(0x100_0000_01b3)
+        });
+        let parked_for = |t: f64| {
+            rep.flows
+                .iter()
+                .filter(|r| r.parked_time.to_bits() == t.to_bits())
+                .map(|r| r.flow)
+                .collect::<Vec<_>>()
+        };
+        // the failed uplink's server sends flows 10 and 11 and receives 2
+        // and 25; they park through the failure and the drain
+        assert_eq!(parked_for(1.5), [2, 10, 11, 25]);
+        assert_eq!(parked_for(0.5).len(), 102);
+        assert_eq!(parked_for(0.0).len(), 150);
+        assert_eq!(parked, 0xd48a_c658_736b_b725);
+        assert_eq!(rep.completion_checksum(), 0x8eaf_d614_f354_2a9a);
+        assert_eq!(rep.reallocations, 192);
+        assert_eq!(
+            (rep.events, rep.reroutes, rep.conversion_reroutes),
+            (643, 220, 212)
+        );
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   routing from `ft-control`) with deterministic per-flow hashing;
 //! * link bandwidth is shared **max-min fairly** among the flows crossing
 //!   each directed link (the classic fluid approximation of per-flow
-//!   fairness, computed by progressive filling in [`ratealloc`]);
+//!   fairness, computed by progressive filling in [`ratealloc`], which
+//!   re-solves only the flows that share links with a change);
 //! * time advances from event to event — arrivals, completions, topology
 //!   changes — recording flow completion times;
 //! * scheduled link failures/repairs re-route affected flows mid-run —
@@ -37,4 +38,4 @@ pub use des::{
     TopoEvent,
 };
 pub use flows::{flows_from_matrix, flows_with_arrivals};
-pub use ratealloc::{max_min_rates, DirectedLink};
+pub use ratealloc::{max_min_rates, DirectedLink, MaxMin};

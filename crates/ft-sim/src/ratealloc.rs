@@ -7,12 +7,22 @@
 //! fair share, removes that capacity, and repeats — the textbook max-min
 //! allocation that per-flow-fair transport (TCP-ish) approximates.
 //!
-//! The filling loop runs on flat arrays indexed by the directed-link
-//! *slot* `2·edge + forward` (DESIGN.md §14.2): remaining capacity and a
-//! count of unfrozen crossings per slot, a CSR of member flows per slot
-//! filled in flow order, and an ascending list of the slots that still
-//! carry unfrozen flows. Slot order is [`DirectedLink`]'s `Ord`, so the
-//! bottleneck scan meets links in the order a `BTreeMap` keyed by
+//! [`MaxMin`] keeps the allocation across changes to the flow set
+//! (DESIGN.md §14.2). It owns every flow's path and rate and, per
+//! directed-link *slot* `2·edge + forward`, the list of flows crossing
+//! it. Adding, removing or re-routing a flow marks the slots its old and
+//! new paths cross; [`MaxMin::solve`] collects the flows reachable from
+//! the marked slots through shared slots — the link-sharing components
+//! the changes reach — and runs the filling rounds over those flows only.
+//! Components share no slot, so no bottleneck choice or charge in one
+//! reaches another, and every other flow's rate already equals what a
+//! full re-solve would give it, bit for bit. [`max_min_rates`] is the
+//! one-shot entry point over the same loop.
+//!
+//! The filling rounds run on flat per-slot arrays: remaining capacity and
+//! a count of unfrozen crossings, plus an ascending list of the slots that
+//! still carry unfrozen flows. Slot order is [`DirectedLink`]'s `Ord`, so
+//! the bottleneck scan meets links in the order a `BTreeMap` keyed by
 //! `DirectedLink` would.
 
 use ft_graph::EdgeId;
@@ -52,76 +62,261 @@ impl DirectedLink {
 /// takes the flow's rate from its capacity, so `[a, a]` alone on `a` gets
 /// half the capacity.
 ///
-/// Ties between equal fair shares go to the lowest [`DirectedLink`]; the
-/// flows on the bottleneck freeze in flow order. Memory is linear in the
-/// largest edge id named plus the number of crossings.
+/// Ties between equal fair shares go to the lowest [`DirectedLink`].
+/// Memory is linear in the largest edge id named plus the number of
+/// crossings.
 ///
 /// # Panics
 /// Panics when `capacity` is not positive.
 pub fn max_min_rates(paths: &[Vec<DirectedLink>], capacity: f64) -> Vec<f64> {
-    assert!(capacity > 0.0, "capacity must be positive");
-    let mut rate = vec![f64::INFINITY; paths.len()];
-    let slots = paths
-        .iter()
-        .flatten()
-        .map(|l| l.slot() + 1)
-        .max()
-        .unwrap_or(0);
+    let mut alloc = MaxMin::new(capacity);
+    for p in paths {
+        alloc.push(Some(p.clone()));
+    }
+    alloc.solve();
+    alloc.rates
+}
 
-    // Unfrozen crossings per slot, then the member flows of each slot as
-    // a CSR (`members[start[s]..start[s + 1]]`), filled in flow order.
-    let mut unfrozen = vec![0u32; slots];
-    for l in paths.iter().flatten() {
-        unfrozen[l.slot()] += 1;
+/// Max-min fair rates kept across changes to the flow set.
+///
+/// Flows are numbered `0..len()`. [`MaxMin::push`] appends one,
+/// [`MaxMin::swap_remove`] moves the last into the removed one's place,
+/// and [`MaxMin::set_path`] re-routes one; a `None` path parks the flow
+/// at rate 0. [`MaxMin::rates`] are the rates as of the last
+/// [`MaxMin::solve`]: a flow pushed since reads 0 and a re-routed one
+/// keeps its old rate until then. After every solve each flow's rate
+/// equals, bit for bit, what [`max_min_rates`] gives it on the current
+/// paths (parked flows 0).
+///
+/// Memory is linear in the flow count, the number of crossings and the
+/// largest slot named; a solve touches only the flows it re-solves and
+/// their slots.
+#[derive(Debug)]
+pub struct MaxMin {
+    capacity: f64,
+    /// Each flow's path; `None` = parked.
+    paths: Vec<Option<Vec<DirectedLink>>>,
+    rates: Vec<f64>,
+    /// The flows crossing each slot, once per crossing, in no order.
+    crossing: Vec<Vec<usize>>,
+    /// Slots whose flows changed since the last solve (may repeat).
+    marked: Vec<usize>,
+    /// A flow got a path without slots (parked or empty) since the last
+    /// solve, so its rate is stale.
+    pathless: bool,
+    // Solve scratch, reused across solves. Per flow: reached by the walk
+    // and not yet frozen (all false between solves). Per slot: seen by
+    // the walk, capacity left, unfrozen crossings (all 0 between solves).
+    pending: Vec<bool>,
+    seen: Vec<bool>,
+    remaining: Vec<f64>,
+    unfrozen: Vec<u32>,
+    /// The slots the walk reaches; then the live slots of the rounds.
+    slots: Vec<usize>,
+}
+
+impl MaxMin {
+    /// An empty allocation with `capacity` per link direction.
+    ///
+    /// # Panics
+    /// Panics when `capacity` is not positive.
+    pub fn new(capacity: f64) -> Self {
+        assert!(capacity > 0.0, "capacity must be positive");
+        MaxMin {
+            capacity,
+            paths: Vec::new(),
+            rates: Vec::new(),
+            crossing: Vec::new(),
+            marked: Vec::new(),
+            pathless: false,
+            pending: Vec::new(),
+            seen: Vec::new(),
+            remaining: Vec::new(),
+            unfrozen: Vec::new(),
+            slots: Vec::new(),
+        }
     }
-    let mut start = Vec::with_capacity(slots + 1);
-    let mut total = 0usize;
-    start.push(0);
-    for &c in &unfrozen {
-        total += c as usize;
-        start.push(total);
+
+    /// Number of flows.
+    pub fn len(&self) -> usize {
+        self.paths.len()
     }
-    let mut cursor = start.clone();
-    let mut members = vec![0usize; total];
-    for (f, path) in paths.iter().enumerate() {
+
+    /// True when there are no flows.
+    pub fn is_empty(&self) -> bool {
+        self.paths.is_empty()
+    }
+
+    /// Rate of every flow as of the last [`MaxMin::solve`].
+    pub fn rates(&self) -> &[f64] {
+        &self.rates
+    }
+
+    /// Path of flow `f`; `None` when it is parked.
+    pub fn path(&self, f: usize) -> Option<&[DirectedLink]> {
+        self.paths[f].as_deref()
+    }
+
+    /// Appends a flow at index `len()`, at rate 0 until the next solve.
+    pub fn push(&mut self, path: Option<Vec<DirectedLink>>) {
+        self.paths.push(path);
+        self.rates.push(0.0);
+        self.pending.push(false);
+        self.link(self.paths.len() - 1);
+    }
+
+    /// Re-routes flow `f` (`None` parks it). Its rate is kept until the
+    /// next solve.
+    pub fn set_path(&mut self, f: usize, path: Option<Vec<DirectedLink>>) {
+        self.unlink(f);
+        self.paths[f] = path;
+        self.link(f);
+    }
+
+    /// Removes flow `f`; the last flow takes its index.
+    pub fn swap_remove(&mut self, f: usize) {
+        self.unlink(f);
+        let last = self.paths.len() - 1;
+        if f != last {
+            for l in links(&self.paths[last]) {
+                let on = &mut self.crossing[l.slot()];
+                if let Some(i) = on.iter().position(|&g| g == last) {
+                    on[i] = f;
+                }
+            }
+        }
+        self.paths.swap_remove(f);
+        self.rates.swap_remove(f);
+        self.pending.pop();
+    }
+
+    /// Adds flow `f` to the crossing list of every slot its path names
+    /// and marks them, growing the slot arrays to the largest slot named.
+    fn link(&mut self, f: usize) {
+        let path = links(&self.paths[f]);
+        self.pathless |= path.is_empty();
         for l in path {
             let s = l.slot();
-            members[cursor[s]] = f;
-            cursor[s] += 1;
+            if s >= self.crossing.len() {
+                self.crossing.resize_with(s + 1, Vec::new);
+                self.seen.resize(s + 1, false);
+                self.remaining.resize(s + 1, 0.0);
+                self.unfrozen.resize(s + 1, 0);
+            }
+            self.crossing[s].push(f);
+            self.marked.push(s);
         }
     }
-    let mut remaining = vec![capacity; slots];
-    let mut live: Vec<usize> = (0..slots).filter(|&s| unfrozen[s] > 0).collect();
-    let mut frozen = vec![false; paths.len()];
 
-    while !live.is_empty() {
-        // The bottleneck: the smallest fair share among slots still
-        // carrying unfrozen flows; the first (lowest) slot wins ties.
-        let mut bottleneck = live[0];
-        let mut share = remaining[bottleneck] / f64::from(unfrozen[bottleneck]);
-        for &s in &live[1..] {
-            let x = remaining[s] / f64::from(unfrozen[s]);
-            if x < share {
-                (bottleneck, share) = (s, x);
+    /// Takes flow `f` off the crossing list of every slot its path names
+    /// (one entry per crossing) and marks them.
+    fn unlink(&mut self, f: usize) {
+        for l in links(&self.paths[f]) {
+            let s = l.slot();
+            let on = &mut self.crossing[s];
+            if let Some(i) = on.iter().position(|&g| g == f) {
+                on.swap_remove(i);
             }
+            self.marked.push(s);
         }
-        // Freeze every unfrozen flow on the bottleneck at `share`, and
-        // charge that rate to every link those flows cross.
-        for &f in &members[start[bottleneck]..start[bottleneck + 1]] {
-            if frozen[f] {
-                continue;
-            }
-            frozen[f] = true;
-            rate[f] = share;
-            for l in &paths[f] {
-                let s = l.slot();
-                remaining[s] = (remaining[s] - share).max(0.0);
-                unfrozen[s] -= 1;
-            }
-        }
-        live.retain(|&s| unfrozen[s] > 0);
     }
-    rate
+
+    /// Re-solves the link-sharing components the changes since the last
+    /// solve reach; every other rate stays as it is.
+    pub fn solve(&mut self) {
+        let MaxMin {
+            capacity,
+            paths,
+            rates,
+            crossing,
+            marked,
+            pathless,
+            pending,
+            seen,
+            remaining,
+            unfrozen,
+            slots,
+        } = self;
+        if std::mem::take(pathless) {
+            for (r, p) in rates.iter_mut().zip(paths.iter()) {
+                match p.as_deref() {
+                    None => *r = 0.0,
+                    Some([]) => *r = f64::INFINITY,
+                    Some(_) => {}
+                }
+            }
+        }
+
+        // The walk: from the marked slots through every flow crossing a
+        // reached slot to the slots that flow crosses, counting each
+        // reached flow's crossings on the way.
+        for s in marked.drain(..) {
+            if !seen[s] {
+                seen[s] = true;
+                slots.push(s);
+            }
+        }
+        let mut next = 0;
+        while let Some(&s) = slots.get(next) {
+            next += 1;
+            remaining[s] = *capacity;
+            for &f in &crossing[s] {
+                if pending[f] {
+                    continue;
+                }
+                pending[f] = true;
+                for l in links(&paths[f]) {
+                    let t = l.slot();
+                    unfrozen[t] += 1;
+                    if !seen[t] {
+                        seen[t] = true;
+                        slots.push(t);
+                    }
+                }
+            }
+        }
+        for &s in slots.iter() {
+            seen[s] = false;
+        }
+        slots.sort_unstable();
+        slots.retain(|&s| unfrozen[s] > 0);
+
+        // The filling rounds over the reached slots.
+        while let Some(&first) = slots.first() {
+            // The bottleneck: the smallest fair share among slots still
+            // carrying unfrozen flows; the first (lowest) slot wins ties.
+            let mut bottleneck = first;
+            let mut share = remaining[first] / f64::from(unfrozen[first]);
+            for &s in &slots[1..] {
+                let x = remaining[s] / f64::from(unfrozen[s]);
+                if x < share {
+                    (bottleneck, share) = (s, x);
+                }
+            }
+            // Freeze every unfrozen flow on the bottleneck at `share`, and
+            // charge that rate to every link those flows cross. Every
+            // charge of a round is `share`, so the order flows freeze in
+            // does not change a bit.
+            for &f in &crossing[bottleneck] {
+                if !pending[f] {
+                    continue;
+                }
+                pending[f] = false;
+                rates[f] = share;
+                for l in links(&paths[f]) {
+                    let s = l.slot();
+                    remaining[s] = (remaining[s] - share).max(0.0);
+                    unfrozen[s] -= 1;
+                }
+            }
+            slots.retain(|&s| unfrozen[s] > 0);
+        }
+    }
+}
+
+/// The links of a path; none for a parked flow.
+fn links(path: &Option<Vec<DirectedLink>>) -> &[DirectedLink] {
+    path.as_deref().unwrap_or(&[])
 }
 
 #[cfg(test)]
@@ -265,6 +460,29 @@ mod tests {
         assert_eq!(rates, vec![0.5]);
         let rates = max_min_rates(&[vec![dl(0, true), dl(0, true)], vec![dl(0, true)]], 1.0);
         assert_eq!(rates, vec![1.0 / 3.0, 1.0 / 3.0]);
+    }
+
+    #[test]
+    fn rates_change_only_at_solve() {
+        // a pushed flow reads 0 and a re-routed or parked one keeps its
+        // rate until the next solve (the DES arms harvests between them)
+        let mut a = MaxMin::new(1.0);
+        a.push(Some(vec![dl(0, true)]));
+        a.push(Some(vec![dl(0, true)]));
+        assert_eq!(a.rates(), [0.0, 0.0]);
+        a.solve();
+        assert_eq!(a.rates(), [0.5, 0.5]);
+        a.set_path(0, Some(vec![dl(1, true)]));
+        a.set_path(1, None);
+        assert_eq!(a.rates(), [0.5, 0.5]);
+        assert_eq!(a.path(1), None);
+        a.solve();
+        assert_eq!(a.rates(), [1.0, 0.0]);
+        a.swap_remove(0);
+        a.push(Some(vec![]));
+        a.solve();
+        assert_eq!(a.rates(), [0.0, f64::INFINITY]);
+        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -1,22 +1,28 @@
-//! Differential oracle for the max-min rate allocator.
+//! Differential oracles for the max-min rate allocator.
 //!
-//! `max_min_rates` fills on flat per-slot arrays. The oracle below is the
-//! `BTreeMap` allocator it replaced, kept as the reference: one map entry
-//! per directed link, the bottleneck found by a full ascending scan with a
-//! strict `<`, and the bottleneck's flows frozen in flow order. Both must
-//! produce the same rate bits on every path set. Equal fair shares are
-//! common here, and which link wins them decides whether the other link's
-//! share is recomputed from already-charged capacity, which can move it by
-//! an ulp — so a change to the tie-break shows up as a bit difference long
-//! before it shows in an aggregate.
+//! `max_min_rates` fills on flat per-slot arrays. The first oracle below
+//! is the `BTreeMap` allocator it replaced, kept as the reference: one map
+//! entry per directed link, the bottleneck found by a full ascending scan
+//! with a strict `<`, and the bottleneck's flows frozen in flow order.
+//! Both must produce the same rate bits on every path set. Equal fair
+//! shares are common here, and which link wins them decides whether the
+//! other link's share is recomputed from already-charged capacity, which
+//! can move it by an ulp — so a change to the tie-break shows up as a bit
+//! difference long before it shows in an aggregate.
 //!
-//! The oracle loops forever on a path that repeats a link (its per-link
-//! count wraps), so generated paths cross each link at most once.
+//! The `BTreeMap` oracle loops forever on a path that repeats a link (its
+//! per-link count wraps), so the paths generated for it cross each link at
+//! most once.
+//!
+//! The second oracle is `max_min_rates` itself: the incremental `MaxMin`
+//! is driven through random add / remove / re-route / park sequences and,
+//! after every step, must give each flow the rate bits a one-shot solve
+//! of the current path set gives it.
 
 use ft_control::{EcmpRoutes, KspRoutes, ServerPath};
 use ft_core::{FlatTree, FlatTreeConfig, Mode};
 use ft_graph::{EdgeId, NodeId};
-use ft_sim::{max_min_rates, DirectedLink};
+use ft_sim::{max_min_rates, DirectedLink, MaxMin};
 use ft_topo::{fat_tree, Network};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -236,4 +242,127 @@ fn flat_tree_k8_global_rg_router_paths_match_oracle_bits() {
     check_router("flat-tree k=8 global-RG KSP", &pairs, |a, b, h| {
         ksp.path(a, b, h)
     });
+}
+
+/// One change to the incremental allocator's flow set. Flow picks are
+/// taken modulo the current flow count; a change that needs a flow when
+/// there is none adds one instead.
+#[derive(Clone, Debug)]
+enum Change {
+    Add(Option<Vec<DirectedLink>>),
+    Remove(usize),
+    Reroute(usize, Option<Vec<DirectedLink>>),
+    /// Re-route onto the links the flow already crosses.
+    Same(usize),
+    Park(usize),
+}
+
+/// Paths for the sequences: each draws its 0–4 links (repeats allowed,
+/// empty = same-switch) from one of `groups` disjoint blocks of `span`
+/// edges, so the flows form several link-sharing components; with
+/// `giant`, one path in four draws from every block and merges them.
+fn arb_seq_path(
+    groups: u32,
+    span: u32,
+    giant: bool,
+) -> impl Strategy<Value = Option<Vec<DirectedLink>>> {
+    (
+        0..groups,
+        0u32..4,
+        0u32..8,
+        proptest::collection::vec((0..groups * span, any::<bool>()), 0..5),
+    )
+        .prop_map(move |(group, spread, park, links)| {
+            let all = giant && spread == 0;
+            let path = links
+                .into_iter()
+                .map(|(e, forward)| DirectedLink {
+                    edge: EdgeId(if all { e } else { group * span + e % span }),
+                    forward,
+                })
+                .collect();
+            (park != 0).then_some(path)
+        })
+}
+
+/// Steps of one to four changes each, over a random block layout.
+fn arb_steps() -> impl Strategy<Value = Vec<Vec<Change>>> {
+    (1u32..5, 1u32..4, any::<bool>()).prop_flat_map(|(groups, span, giant)| {
+        let change = (0u32..8, any::<usize>(), arb_seq_path(groups, span, giant)).prop_map(
+            |(kind, pick, path)| match kind {
+                0..=2 => Change::Add(path),
+                3 => Change::Remove(pick),
+                4 | 5 => Change::Reroute(pick, path),
+                6 => Change::Same(pick),
+                _ => Change::Park(pick),
+            },
+        );
+        proptest::collection::vec(proptest::collection::vec(change, 1..5), 1..40)
+    })
+}
+
+/// Applies `change` to the allocator and to the model path list alike.
+fn apply(alloc: &mut MaxMin, model: &mut Vec<Option<Vec<DirectedLink>>>, change: Change) {
+    let n = model.len();
+    match change {
+        Change::Add(p) => {
+            alloc.push(p.clone());
+            model.push(p);
+        }
+        _ if n == 0 => {
+            alloc.push(None);
+            model.push(None);
+        }
+        Change::Remove(f) => {
+            alloc.swap_remove(f % n);
+            model.swap_remove(f % n);
+        }
+        Change::Reroute(f, p) => {
+            alloc.set_path(f % n, p.clone());
+            model[f % n] = p;
+        }
+        Change::Same(f) => {
+            let p = model[f % n].clone();
+            alloc.set_path(f % n, p);
+        }
+        Change::Park(f) => {
+            alloc.set_path(f % n, None);
+            model[f % n] = None;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    #[test]
+    fn incremental_matches_one_shot_bits(steps in arb_steps(), cap in 0usize..4) {
+        let capacity = [1.0, 0.1, 3.0, 10.0 / 3.0][cap];
+        let mut alloc = MaxMin::new(capacity);
+        let mut model: Vec<Option<Vec<DirectedLink>>> = Vec::new();
+        for (step, changes) in steps.into_iter().enumerate() {
+            for change in changes {
+                apply(&mut alloc, &mut model, change);
+            }
+            alloc.solve();
+            let paths: Vec<Vec<DirectedLink>> =
+                model.iter().map(|p| p.clone().unwrap_or_default()).collect();
+            let want = max_min_rates(&paths, capacity);
+            prop_assert_eq!(alloc.len(), model.len());
+            for (f, (p, w)) in model.iter().zip(&want).enumerate() {
+                let w = if p.is_some() { *w } else { 0.0 };
+                prop_assert_eq!(alloc.path(f), p.as_deref());
+                prop_assert_eq!(
+                    alloc.rates()[f].to_bits(),
+                    w.to_bits(),
+                    "step {}, flow {}: {} vs one-shot {} (paths {:?})",
+                    step,
+                    f,
+                    alloc.rates()[f],
+                    w,
+                    model
+                );
+            }
+        }
+    }
 }

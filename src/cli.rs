@@ -1221,10 +1221,11 @@ fn bench_fptas_scale(
 ///
 /// `events_per_sec` is **engine-only**: the max-min solver's wall time
 /// (`DesReport::solver_ns`, reported separately as `solver_ms`) is
-/// subtracted first. The solver is O(active-flows × path-length) per
-/// re-allocation and dominates at large k, which used to invert the
-/// metric — k = 32 looked 12× *slower* per event than k = 16 even
-/// though the event loop itself is size-independent.
+/// subtracted first. The solver re-solves the link-sharing components a
+/// re-allocation's changes reach; when it re-solved every active flow it
+/// dominated at large k, which inverted the metric — k = 32 looked 12×
+/// *slower* per event than k = 16 even though the event loop itself is
+/// size-independent.
 fn bench_des(k: usize, entries: &mut Vec<BenchEntry>) -> Result<(), CliError> {
     let net = fat_tree(k).map_err(|e| CliError(e.to_string()))?;
     let servers: Vec<NodeId> = net.servers().take(32).collect();
