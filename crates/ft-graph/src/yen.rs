@@ -8,12 +8,29 @@
 //! Every spur search of one call runs on the same [`Csr`] and the same
 //! `SpurSearch` scratch: distances, parents and bans live in arrays
 //! stamped with a generation counter, so starting a search or a new ban
-//! set costs O(1) instead of a reset or a hash set (DESIGN.md §14.3).
+//! set costs O(1) instead of a reset or a hash set. Each spur search is
+//! goal-bounded: one Dijkstra from the destination per call gives every
+//! node's unbanned distance to it, an A* pass over those distances finds
+//! the length `U` of a real spur path under the current bans, and the
+//! search proper skips every relaxation that cannot lie on a path of
+//! length ≤ `U`. It keeps the plain search's heap order and tie-breaks,
+//! so it returns the same path bit for bit. An accepted path skips the
+//! spur searches below the index where it left its parent path (Lawler)
+//! whose root no accepted path shares in nodes but not in edges: those
+//! repeat searches already run (DESIGN.md §14.3).
 
 use crate::csr::Csr;
-use crate::dijkstra::HeapEntry;
+use crate::dijkstra::{dijkstra_csr, HeapEntry};
 use crate::graph::{EdgeId, Graph, NodeId};
 use std::collections::{BinaryHeap, HashSet};
+
+/// Relative slack on the spur bound `U`. A relaxation to `u` at distance
+/// `nd` is skipped only when `nd + to_dst[u] > U·(1 + BOUND_SLACK)`. The
+/// search sums lengths forward and `to_dst` sums them back from the
+/// destination, so the two round apart by up to ~2⁻⁵³ per hop, relative;
+/// the slack absorbs that, so no node of the returned path is pruned.
+/// Pruning less is always safe.
+const BOUND_SLACK: f64 = 1e-9;
 
 /// A loopless path: node sequence, the edges between them, and total length.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,6 +55,7 @@ impl Path {
 /// `dist[v]` and `parent[v]` are meaningful only while `reached[v]` holds
 /// the current search generation; a node or edge is banned while its entry
 /// in `banned_nodes`/`banned_edges` holds the current ban generation.
+/// `to_dst[v]` is `v`'s distance to the destination with nothing banned.
 struct SpurSearch {
     dist: Vec<f64>,
     parent: Vec<(NodeId, EdgeId)>,
@@ -47,10 +65,12 @@ struct SpurSearch {
     banned_edges: Vec<u32>,
     ban: u32,
     heap: BinaryHeap<HeapEntry>,
+    to_dst: Vec<f64>,
 }
 
 impl SpurSearch {
-    fn new(nodes: usize, edges: usize) -> Self {
+    fn new(to_dst: Vec<f64>, edges: usize) -> Self {
+        let nodes = to_dst.len();
         SpurSearch {
             dist: vec![f64::INFINITY; nodes],
             parent: vec![(NodeId(0), EdgeId(0)); nodes],
@@ -60,6 +80,7 @@ impl SpurSearch {
             banned_edges: vec![0; edges],
             ban: 1,
             heap: BinaryHeap::new(),
+            to_dst,
         }
     }
 
@@ -81,6 +102,11 @@ impl SpurSearch {
         self.banned_edges[e.index()] = self.ban;
     }
 
+    /// Whether the arc over edge `e` into node `u` is banned.
+    fn banned(&self, u: usize, e: u32) -> bool {
+        self.banned_edges[e as usize] == self.ban || self.banned_nodes[u] == self.ban
+    }
+
     /// Current tentative distance of `v` (infinite until reached).
     fn dist(&self, v: usize) -> f64 {
         if self.reached[v] == self.search {
@@ -88,6 +114,56 @@ impl SpurSearch {
         } else {
             f64::INFINITY
         }
+    }
+
+    /// Starts a new search generation rooted at `src` with an empty heap.
+    fn start(&mut self, src: NodeId) {
+        if self.search == u32::MAX {
+            self.reached.fill(0);
+            self.search = 0;
+        }
+        self.search += 1;
+        self.heap.clear();
+        self.reached[src.index()] = self.search;
+        self.dist[src.index()] = 0.0;
+    }
+
+    /// Length of a real `src → dst` path under the current bans, found by
+    /// A* over `to_dst`, or `None` when the bans cut `dst` off. The path
+    /// A* takes among equal-length ones depends on its `g + h` order, so
+    /// only its length is used: as the bound of [`SpurSearch::shortest`].
+    fn bound(&mut self, csr: &Csr, src: NodeId, dst: NodeId, length: &[f64]) -> Option<f64> {
+        self.start(src);
+        self.heap.push(HeapEntry {
+            dist: self.to_dst[src.index()],
+            node: src,
+        });
+        while let Some(HeapEntry { dist: f, node: v }) = self.heap.pop() {
+            let g = self.dist[v.index()];
+            if f > g + self.to_dst[v.index()] {
+                continue; // stale entry
+            }
+            if v == dst {
+                return Some(g);
+            }
+            for (&t, &e) in csr.targets(v.index()).iter().zip(csr.edge_ids(v.index())) {
+                let u = t as usize;
+                let h = self.to_dst[u];
+                if self.banned(u, e) || h.is_infinite() {
+                    continue;
+                }
+                let ng = g + length[e as usize];
+                if ng < self.dist(u) {
+                    self.reached[u] = self.search;
+                    self.dist[u] = ng;
+                    self.heap.push(HeapEntry {
+                        dist: ng + h,
+                        node: NodeId(t),
+                    });
+                }
+            }
+        }
+        None
     }
 
     /// Shortest `src → dst` path avoiding the banned nodes and edges, or
@@ -98,15 +174,19 @@ impl SpurSearch {
     /// with non-negative lengths a popped node's distance and parent never
     /// change again, and every node on its parent chain was popped
     /// before it, so the path and its length are those of the full run.
-    fn shortest(&mut self, csr: &Csr, src: NodeId, dst: NodeId, length: &[f64]) -> Option<Path> {
-        if self.search == u32::MAX {
-            self.reached.fill(0);
-            self.search = 0;
-        }
-        self.search += 1;
-        self.heap.clear();
-        self.reached[src.index()] = self.search;
-        self.dist[src.index()] = 0.0;
+    /// A relaxation to `u` at distance `nd` is skipped when
+    /// `nd + to_dst[u] > limit`; with `limit` at least the length of a
+    /// real path (plus [`BOUND_SLACK`]) no node of the answer's parent
+    /// chain is skipped, so the answer stays that of the unbounded run.
+    fn shortest(
+        &mut self,
+        csr: &Csr,
+        src: NodeId,
+        dst: NodeId,
+        length: &[f64],
+        limit: f64,
+    ) -> Option<Path> {
+        self.start(src);
         self.heap.push(HeapEntry {
             dist: 0.0,
             node: src,
@@ -122,12 +202,15 @@ impl SpurSearch {
             }
             for (&t, &e) in csr.targets(v.index()).iter().zip(csr.edge_ids(v.index())) {
                 let u = t as usize;
-                if self.banned_edges[e as usize] == self.ban || self.banned_nodes[u] == self.ban {
+                if self.banned(u, e) {
                     continue;
                 }
                 let w = length[e as usize];
                 debug_assert!(w >= 0.0 && !w.is_nan(), "invalid edge length {w}");
                 let nd = d + w;
+                if nd + self.to_dst[u] > limit {
+                    continue; // too long to lie on a path within the bound
+                }
                 if nd < self.dist(u) {
                     self.reached[u] = self.search;
                     self.dist[u] = nd;
@@ -159,6 +242,13 @@ impl SpurSearch {
             length: self.dist[dst.index()],
         })
     }
+
+    /// [`SpurSearch::shortest`] bounded by [`SpurSearch::bound`]: every
+    /// search of a call, the first path's included.
+    fn spur(&mut self, csr: &Csr, src: NodeId, dst: NodeId, length: &[f64]) -> Option<Path> {
+        let bound = self.bound(csr, src, dst, length)?;
+        self.shortest(csr, src, dst, length, bound * (1.0 + BOUND_SLACK))
+    }
 }
 
 /// Computes up to `k` shortest loopless paths from `src` to `dst` under the
@@ -170,8 +260,11 @@ impl SpurSearch {
 ///
 /// This is classic Yen: the i-th candidate spur paths are generated by
 /// banning, at each spur node, the outgoing edges used by already-accepted
-/// paths sharing the same prefix, plus all prefix nodes. Callers that ask
-/// for many pairs on one graph should freeze it once and call
+/// paths sharing the same prefix, plus all prefix nodes. Below the index
+/// where an accepted path left the path it was spurred from, it skips
+/// each spur search that repeats one already run (Lawler), which returns
+/// classic Yen's paths. Callers that ask for many pairs on one graph
+/// should freeze it once and call
 /// [`k_shortest_paths_csr`].
 pub fn k_shortest_paths(
     g: &Graph,
@@ -210,16 +303,23 @@ pub fn k_shortest_paths_csr(
         return Vec::new();
     }
 
-    let mut search = SpurSearch::new(n, length.len());
-    let Some(p0) = search.shortest(csr, src, dst, length) else {
+    // Every node's unbanned distance to `dst`: the view is undirected and
+    // bans only remove arcs, so these are lower bounds under every ban set
+    // of the call.
+    let mut search = SpurSearch::new(dijkstra_csr(csr, dst, length).dist, length.len());
+    let Some(p0) = search.spur(csr, src, dst, length) else {
         return Vec::new();
     };
 
     let mut accepted: Vec<Path> = vec![p0];
-    let mut candidates: Vec<Path> = Vec::new();
+    // Each candidate with the spur index where it leaves the path it was
+    // spurred from.
+    let mut candidates: Vec<(Path, usize)> = Vec::new();
     // Edge sets of candidates already generated, to avoid duplicates.
     let mut seen: HashSet<Vec<EdgeId>> = HashSet::new();
     seen.insert(accepted[0].edges.clone());
+    // Where the last accepted path left its parent (Lawler).
+    let mut deviation = 0;
 
     while accepted.len() < k {
         let Some(prev) = accepted.last() else {
@@ -230,23 +330,34 @@ pub fn k_shortest_paths_csr(
             let spur_node = prev.nodes[spur_idx];
             let root_nodes = &prev.nodes[..=spur_idx];
             let root_edges = &prev.edges[..spur_idx];
+            // Accepted paths with the same root nodes; parallel edges let
+            // one take other root edges.
+            let same_root = || {
+                accepted
+                    .iter()
+                    .filter(|p| p.nodes.len() > spur_idx && p.nodes[..=spur_idx] == *root_nodes)
+            };
+            // Lawler: below the deviation, when every such path also has
+            // the root edges, the root, the bans and so the result are
+            // those of a search already run, whose path is in `seen`.
+            if spur_idx < deviation && same_root().all(|p| p.edges.starts_with(root_edges)) {
+                continue;
+            }
             let root_len: f64 = root_edges.iter().map(|e| length[e.index()]).sum();
 
             // Ban: edges leaving the spur node along any accepted path with
             // the same root, and all root nodes except the spur node itself.
             search.clear_bans();
-            for p in &accepted {
-                if p.nodes.len() > spur_idx && p.nodes[..=spur_idx] == *root_nodes {
-                    if let Some(&e) = p.edges.get(spur_idx) {
-                        search.ban_edge(e);
-                    }
+            for p in same_root() {
+                if let Some(&e) = p.edges.get(spur_idx) {
+                    search.ban_edge(e);
                 }
             }
             for &v in &root_nodes[..spur_idx] {
                 search.ban_node(v);
             }
 
-            if let Some(spur) = search.shortest(csr, spur_node, dst, length) {
+            if let Some(spur) = search.spur(csr, spur_node, dst, length) {
                 let mut nodes = root_nodes.to_vec();
                 nodes.extend_from_slice(&spur.nodes[1..]);
                 let mut edges = root_edges.to_vec();
@@ -257,7 +368,7 @@ pub fn k_shortest_paths_csr(
                     length: root_len + spur.length,
                 };
                 if seen.insert(total.edges.clone()) {
-                    candidates.push(total);
+                    candidates.push((total, spur_idx));
                 }
             }
         }
@@ -265,11 +376,13 @@ pub fn k_shortest_paths_csr(
         let Some((best_idx, _)) = candidates
             .iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| a.length.total_cmp(&b.length))
+            .min_by(|(_, (a, _)), (_, (b, _))| a.length.total_cmp(&b.length))
         else {
             break; // no more loopless paths
         };
-        accepted.push(candidates.swap_remove(best_idx));
+        let (best, spur_idx) = candidates.swap_remove(best_idx);
+        accepted.push(best);
+        deviation = spur_idx;
     }
     accepted
 }

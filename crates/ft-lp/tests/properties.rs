@@ -41,7 +41,9 @@ fn arb_lp() -> impl Strategy<Value = RandomLp> {
     })
 }
 
-fn solve(lp: &RandomLp) -> (f64, Vec<f64>) {
+/// Solves `lp`, which is bounded and feasible by construction: any outcome
+/// but an optimum fails the case.
+fn solve(lp: &RandomLp) -> Result<(f64, Vec<f64>), TestCaseError> {
     let mut p = LpProblem::new();
     let vars: Vec<Var> = lp.c.iter().map(|&ci| p.add_var(ci)).collect();
     for (row, &rhs) in lp.a.iter().zip(&lp.b) {
@@ -49,8 +51,10 @@ fn solve(lp: &RandomLp) -> (f64, Vec<f64>) {
         p.add_le(&terms, rhs);
     }
     match p.solve() {
-        LpOutcome::Optimal(s) => (s.objective, s.values),
-        other => panic!("bounded feasible LP reported {other:?}"),
+        LpOutcome::Optimal(s) => Ok((s.objective, s.values)),
+        other => Err(TestCaseError::Fail(format!(
+            "bounded feasible LP reported {other:?}"
+        ))),
     }
 }
 
@@ -70,7 +74,7 @@ proptest! {
     /// The reported optimum is feasible and its objective matches c·x.
     #[test]
     fn optimum_is_feasible_and_consistent(lp in arb_lp()) {
-        let (obj, x) = solve(&lp);
+        let (obj, x) = solve(&lp)?;
         prop_assert!(feasible(&lp, &x), "infeasible optimum {x:?}");
         let recomputed: f64 = lp.c.iter().zip(&x).map(|(c, v)| c * v).sum();
         prop_assert!((obj - recomputed).abs() < 1e-6);
@@ -83,7 +87,7 @@ proptest! {
         samples in proptest::collection::vec(
             proptest::collection::vec(0.0..4.0f64, 4), 16)
     ) {
-        let (obj, _) = solve(&lp);
+        let (obj, _) = solve(&lp)?;
         for s in samples {
             let x = &s[..lp.c.len().min(s.len())];
             let mut padded = x.to_vec();
@@ -98,12 +102,12 @@ proptest! {
     /// Scaling the objective scales the optimum (for non-negative scale).
     #[test]
     fn objective_scaling(lp in arb_lp(), scale in 0.1..5.0f64) {
-        let (obj, _) = solve(&lp);
+        let (obj, _) = solve(&lp)?;
         let scaled = RandomLp {
             c: lp.c.iter().map(|c| c * scale).collect(),
             ..lp.clone()
         };
-        let (obj2, _) = solve(&scaled);
+        let (obj2, _) = solve(&scaled)?;
         prop_assert!((obj2 - obj * scale).abs() < 1e-5 * (1.0 + obj.abs()),
                      "{obj2} vs {}", obj * scale);
     }
@@ -111,11 +115,11 @@ proptest! {
     /// Adding a constraint never improves the optimum.
     #[test]
     fn adding_constraints_monotone(lp in arb_lp(), rhs in 0.5..6.0f64) {
-        let (obj, _) = solve(&lp);
+        let (obj, _) = solve(&lp)?;
         let mut tightened = lp.clone();
         tightened.a.push(vec![1.0; lp.c.len()]);
         tightened.b.push(rhs);
-        let (obj2, _) = solve(&tightened);
+        let (obj2, _) = solve(&tightened)?;
         prop_assert!(obj2 <= obj + 1e-6);
     }
 }

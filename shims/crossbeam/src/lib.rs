@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn scoped_workers_share_stack_data() {
-        let data = vec![1u32, 2, 3, 4];
+        let data = [1u32, 2, 3, 4];
         let total = std::sync::Mutex::new(0u32);
         crate::scope(|s| {
             for chunk in data.chunks(2) {

@@ -15,7 +15,7 @@
 //! ftctl query   -k 8 --req "paths mode=global-rg; stats"
 //! ```
 
-use crate::control::{plan_transition, plan_zone_transition, Zone};
+use crate::control::{plan_transition, plan_zone_transition, KspRoutes, Zone};
 use crate::core::PodMode;
 use crate::core::{profile_mn, FlatTree, FlatTreeConfig, Mode};
 use crate::graph::bridges::bridges;
@@ -107,8 +107,9 @@ sim runs a seeded scenario on the ft-des discrete-event engine: a workload
 replayed as Poisson flow arrivals over a flat-tree, optionally with one
 live zone conversion (drained links, converter latency, re-routed flows).
 The scenario file is `key = value` lines (# comments): k, policy
-(ecmp | ksp:<n>), from (initial mode), to (target mode) or to-zones
-(name:lo..hi:mode,…), convert-at, latency, new-policy, workload
+(ecmp | ksp:<n> with 1 ≤ n ≤ 64 paths per switch pair; ksp = ksp:8),
+from (initial mode), to (target mode) or to-zones (name:lo..hi:mode,…),
+convert-at, latency, new-policy (as policy), workload
 (hotspot | all-to-all | permutation), cluster-size, locality
 (strong | weak | none), seed, size, rate, rounds, capacity, horizon.
 --json writes the ft-des-sim/1 summary (no wall-clock fields, so two runs
@@ -119,11 +120,12 @@ bench times the hot-path kernels (CSR BFS-APSP sequential vs parallel,
 Dijkstra with fresh vs reused scratch buffers, the source-batched FPTAS
 throughput solve, and a
 ft-des event storm reporting engine-only events/s plus solver_ms) on
-fixed seeds at k ∈ {8, 16, 32}, plus scale tiers: the k = 64
-symmetry-aggregated all-to-all FPTAS (quick runs too, release builds
-only) and the k = 128 aggregated FPTAS and deduplicated APSP (full runs
-only). Optionally writes a JSON report (--quick restricts the classic
-sizes to k = 8 with a shorter FPTAS step cap).
+fixed seeds at k ∈ {8, 16, 32}, Yen's 8 shortest paths between the
+global-RG flat-tree's server switches at k ∈ {8, 16}, plus scale tiers:
+the k = 64 symmetry-aggregated all-to-all FPTAS (quick runs too,
+release builds only) and the k = 128 aggregated FPTAS and deduplicated
+APSP (full runs only). Optionally writes a JSON report (--quick
+restricts the classic sizes to k = 8 with a shorter FPTAS step cap).
 --check compares the run against a previously written report: determinism
 fields (checksums, distance sums, λ at matching step budgets) must match
 exactly and any kernel whose median of 3 timed runs is slower than 1.25×
@@ -534,7 +536,13 @@ enum ScenarioTarget {
     Zones(Vec<Zone>),
 }
 
-fn parse_policy(s: &str) -> Result<RouterPolicy, CliError> {
+/// Most paths a scenario's `ksp:<n>` may keep per switch pair: 8× the
+/// paper's 8 (Jellyfish's choice). Yen's work grows with n, so a larger
+/// count is a typo, not a routing policy.
+const MAX_KSP_PATHS: usize = 64;
+
+/// Parses the value of the scenario key `key` (`policy` or `new-policy`).
+fn parse_policy(key: &str, s: &str) -> Result<RouterPolicy, CliError> {
     if s == "ecmp" {
         return Ok(RouterPolicy::Ecmp);
     }
@@ -544,14 +552,16 @@ fn parse_policy(s: &str) -> Result<RouterPolicy, CliError> {
     if let Some(n) = s.strip_prefix("ksp:") {
         let n: usize = n
             .parse()
-            .map_err(|_| CliError(format!("bad ksp path count {n:?}")))?;
-        if n == 0 {
-            return Err(CliError("ksp path count must be ≥ 1".into()));
+            .map_err(|_| CliError(format!("scenario key {key}: bad ksp path count {n:?}")))?;
+        if !(1..=MAX_KSP_PATHS).contains(&n) {
+            return Err(CliError(format!(
+                "scenario key {key}: ksp path count must be 1..={MAX_KSP_PATHS}, got {n}"
+            )));
         }
         return Ok(RouterPolicy::Ksp(n));
     }
     Err(CliError(format!(
-        "unknown policy {s:?} (use ecmp | ksp:<n>)"
+        "scenario key {key}: unknown policy {s:?} (use ecmp | ksp:<n>)"
     )))
 }
 
@@ -624,8 +634,8 @@ fn parse_scenario(text: &str) -> Result<Scenario, CliError> {
         let bad_num = |k: &str, v: &str| CliError(format!("scenario key {k}: bad number {v:?}"));
         match key {
             "k" => sc.k = value.parse().map_err(|_| bad_num(key, value))?,
-            "policy" => sc.policy = parse_policy(value)?,
-            "new-policy" => sc.new_policy = Some(parse_policy(value)?),
+            "policy" => sc.policy = parse_policy(key, value)?,
+            "new-policy" => sc.new_policy = Some(parse_policy(key, value)?),
             "from" => sc.from = parse_mode(value)?,
             "to" => sc.to = Some(ScenarioTarget::Mode(parse_mode(value)?)),
             "to-zones" => sc.to = Some(ScenarioTarget::Zones(parse_zones(value)?)),
@@ -1266,6 +1276,62 @@ fn bench_des(k: usize, entries: &mut Vec<BenchEntry>) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Yen's k shortest paths as the DES asks for them once a conversion
+/// switches routing to KSP: a fresh [`KspRoutes`] keeping 8 paths per
+/// pair over the id-preserving switch view of the global-RG flat-tree(k),
+/// queried for every ordered pair of the switches the first 32 servers
+/// attach to. Each timed repetition builds a new router, so every pair
+/// runs Yen. `checksum` folds every path's edge ids in order (FNV-1a,
+/// gate-compared exactly: Yen is deterministic).
+fn bench_ksp(k: usize, entries: &mut Vec<BenchEntry>) -> Result<(), CliError> {
+    const PATHS: usize = 8;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let cfg = FlatTreeConfig::for_fat_tree_k(k).map_err(|e| CliError(e.to_string()))?;
+    let ft = FlatTree::new(cfg).map_err(|e| CliError(e.to_string()))?;
+    let net = ft
+        .materialize(&Mode::GlobalRandom)
+        .map_err(|e| CliError(e.to_string()))?;
+    let view = net.switch_view();
+    let mut ends: Vec<NodeId> = net
+        .servers()
+        .take(32)
+        .filter_map(|s| net.try_attachment(s))
+        .collect();
+    ends.sort_unstable();
+    ends.dedup();
+    let pairs: Vec<(NodeId, NodeId)> = ends
+        .iter()
+        .flat_map(|&a| ends.iter().filter(move |&&b| b != a).map(move |&b| (a, b)))
+        .collect();
+    let ((paths, checksum), ms) = time_ms(|| {
+        let router = KspRoutes::new_on(&view, PATHS);
+        let mut paths = 0usize;
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for &(a, b) in &pairs {
+            for p in router.paths(a, b) {
+                paths += 1;
+                for e in &p.edges {
+                    hash = (hash ^ u64::from(e.0)).wrapping_mul(FNV_PRIME);
+                }
+                hash = (hash ^ u64::MAX).wrapping_mul(FNV_PRIME); // path boundary
+            }
+        }
+        (paths, hash)
+    });
+    entries.push(BenchEntry {
+        k,
+        kernel: "ksp",
+        variant: "yen",
+        ms,
+        extras: vec![
+            ("pairs", pairs.len().to_string()),
+            ("paths", paths.to_string()),
+            ("checksum", checksum.to_string()),
+        ],
+    });
+    Ok(())
+}
+
 /// Extracts the value of `"key":` from a single-line JSON object of the
 /// bench schema, quotes stripped. Values never contain `,` or `}` (numbers,
 /// booleans, and plain identifiers only), so no real parser is needed.
@@ -1373,6 +1439,10 @@ fn cmd_bench(inv: &Invocation) -> Result<String, CliError> {
         bench_dijkstra(k, &mut entries)?;
         bench_fptas(k, quick, &mut entries, &mut warnings)?;
         bench_des(k, &mut entries)?;
+        // the DES runs KSP on k = 8 fabrics; k = 16 shows how Yen scales
+        if k <= 16 {
+            bench_ksp(k, &mut entries)?;
+        }
     }
     // Scaling tiers: k = 64 full APSP table and the k = 64 aggregated
     // all-to-all FPTAS ride the quick run so CI gates both the bitset
@@ -1817,15 +1887,13 @@ mod tests {
     fn bench_quick_reports_all_kernels() {
         let dir = std::env::temp_dir();
         let json = dir.join("ftctl_bench_test.json");
-        let out = run(&inv(&[
-            "bench",
-            "--quick",
-            "--json",
-            json.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let rerun = dir.join("ftctl_bench_test_rerun.json");
+        let path = json.to_str().unwrap();
+        // the run checks its entries against the file it just wrote
+        let out = run(&inv(&["bench", "--quick", "--json", path, "--check", path])).unwrap();
         for token in [
-            "apsp", "dijkstra", "fptas", "des", "seq", "par", "scratch", "batched", "storm",
+            "apsp", "dijkstra", "fptas", "des", "ksp", "seq", "par", "scratch", "batched", "storm",
+            "yen",
         ] {
             assert!(out.contains(token), "missing {token} in: {out}");
         }
@@ -1837,17 +1905,38 @@ mod tests {
         assert!(body.contains("\"lambda\""), "{body}");
         assert!(body.contains("\"checksum\""), "{body}");
         assert!(body.contains("\"budget_exhausted\""), "{body}");
+        assert!(body.contains("\"paths\""), "{body}");
+        let entries = body.lines().filter(|l| l.contains("\"kernel\"")).count();
+        assert!(
+            out.contains(&format!("check ok against {path} ({entries} entries)")),
+            "{out}"
+        );
 
-        // a report always passes a --check against itself
-        let checked = run(&inv(&[
+        // A second run repeats every determinism field literally. Its wall
+        // times are not compared: two debug-build runs inside a busy test
+        // process are too noisy for the 1.25× + 5 ms rule, which
+        // `bench_check_flags_regression_and_divergence` covers.
+        run(&inv(&[
             "bench",
             "--quick",
-            "--check",
-            json.to_str().unwrap(),
+            "--json",
+            rerun.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(checked.contains("check ok"), "{checked}");
+        let determinism = |body: &str| -> Vec<String> {
+            body.lines()
+                .filter(|l| l.contains("\"kernel\""))
+                .map(|l| {
+                    ["k", "kernel", "variant", "checksum", "dist_sum", "lambda"]
+                        .map(|key| format!("{key}={:?}", json_value(l, key)))
+                        .join(" ")
+                })
+                .collect()
+        };
+        let again = std::fs::read_to_string(&rerun).unwrap();
+        assert_eq!(determinism(&body), determinism(&again));
         let _ = std::fs::remove_file(json);
+        let _ = std::fs::remove_file(rerun);
     }
 
     #[test]
@@ -1979,6 +2068,12 @@ mod tests {
         assert!(parse_scenario("frobnicate = 7\n").is_err());
         assert!(parse_scenario("to-zones = all:0..4\n").is_err()); // missing mode
         assert!(parse_scenario("policy = ksp:0\n").is_err());
+        // at most 64 paths per pair, for either policy key
+        assert!(parse_scenario("policy = ksp:65\n").is_err());
+        assert!(parse_scenario("new-policy = ksp:1000000000\n").is_err());
+        let sc = parse_scenario("policy = ksp:64\nnew-policy = ksp:1\n").unwrap();
+        assert_eq!(sc.policy, RouterPolicy::Ksp(64));
+        assert_eq!(sc.new_policy, Some(RouterPolicy::Ksp(1)));
         // comments and blank lines are fine
         let sc = parse_scenario("# hello\n\nk = 8 # trailing\npolicy = ksp:4\n").unwrap();
         assert_eq!(sc.k, 8);
@@ -2041,6 +2136,7 @@ mod tests {
         "18446744073709551616",
         "ksp:0",
         "ksp:",
+        "ksp:65",
         "5..2",
         "",
         "z:5..2:clos",
@@ -2093,6 +2189,11 @@ mod tests {
                     sc.latency
                 );
                 proptest::prop_assert!(sc.workload.cluster_size >= 1, "{text:?}");
+                for policy in std::iter::once(sc.policy).chain(sc.new_policy) {
+                    if let RouterPolicy::Ksp(n) = policy {
+                        proptest::prop_assert!((1..=MAX_KSP_PATHS).contains(&n), "{text:?}");
+                    }
+                }
             }
         }
     }

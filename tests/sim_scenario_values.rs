@@ -1,8 +1,8 @@
 //! `ftctl sim` on scenario values that used to crash or slip through:
-//! a zero or infinite link capacity, a negative converter latency and a
-//! `rounds` whose flow count overflows or cannot be allocated must each
-//! end in an `error:` line and exit code 2, never a panic (exit 101), an
-//! abort or a run.
+//! a zero or infinite link capacity, a negative converter latency, a
+//! `rounds` whose flow count overflows or cannot be allocated and a
+//! `ksp:<n>` path count above 64 must each end in an `error:` line and
+//! exit code 2, never a panic (exit 101), an abort or a run.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -62,5 +62,16 @@ fn overflowing_rounds_is_an_error() {
 #[test]
 fn valid_values_still_run() {
     let (code, stderr) = sim_with("valid", "capacity = 2\nlatency = 0");
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
+/// `ksp:<n>` keeps at most 64 paths per switch pair; `ksp:1000000000`
+/// used to be accepted and would ask Yen for 10⁹ paths per pair.
+#[test]
+fn ksp_path_count_above_64_is_an_error() {
+    assert_rejected("ksp65", "policy = ksp:65", "policy");
+    assert_rejected("ksp_huge", "new-policy = ksp:1000000000", "new-policy");
+    assert_rejected("ksp0", "new-policy = ksp:0", "new-policy");
+    let (code, stderr) = sim_with("ksp64", "new-policy = ksp:64");
     assert_eq!(code, Some(0), "{stderr}");
 }
