@@ -1,13 +1,15 @@
-//! Unweighted shortest paths: single-source BFS and all-pairs tables.
+//! Unweighted shortest paths: the single-source BFS oracle.
 //!
 //! The paper's first metric (Figures 5 and 6) is average path length in hops
 //! between server pairs. Converter switches are physical-layer devices that
 //! contribute no hops (§3.1), so path length is exact BFS distance on the
-//! logical switch graph plus the two server–switch links, computed by
-//! `ft-metrics` on top of the [`AllPairs`] table built here.
+//! logical switch graph plus the two server–switch links. `ft-metrics`
+//! reads those distances from the one hop-distance table,
+//! [`DistMatrix`](crate::DistMatrix); [`bfs_distances`] here is the plain
+//! queue BFS over the [`Graph`] adjacency that the table, the CSR kernels
+//! and the graph statistics are checked against.
 
-use crate::csr::Csr;
-use crate::graph::{id32, Graph, NodeId};
+use crate::graph::{Graph, NodeId};
 use crate::UNREACHABLE;
 use std::collections::VecDeque;
 
@@ -31,157 +33,9 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
     dist
 }
 
-/// A BFS shortest-path tree: distances plus one parent edge per node.
-#[derive(Clone, Debug)]
-pub struct BfsTree {
-    /// Distance in hops from the source; [`UNREACHABLE`] if disconnected.
-    pub dist: Vec<u32>,
-    /// For each node, the edge leading back toward the source
-    /// (`None` for the source itself and unreachable nodes).
-    pub parent: Vec<Option<(NodeId, crate::EdgeId)>>,
-    /// The source node.
-    pub source: NodeId,
-}
-
-impl BfsTree {
-    /// Reconstructs one shortest path from the source to `t` as a node list,
-    /// or `None` if `t` is unreachable.
-    pub fn path_to(&self, t: NodeId) -> Option<Vec<NodeId>> {
-        if self.dist[t.index()] == UNREACHABLE {
-            return None;
-        }
-        let mut path = vec![t];
-        let mut cur = t;
-        while let Some((p, _)) = self.parent[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
-    }
-}
-
-/// BFS that also records parent pointers for path reconstruction.
-pub fn bfs_tree(g: &Graph, src: NodeId) -> BfsTree {
-    let mut dist = vec![UNREACHABLE; g.node_count()];
-    let mut parent = vec![None; g.node_count()];
-    let mut queue = VecDeque::new();
-    dist[src.index()] = 0;
-    queue.push_back(src);
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v.index()];
-        for (u, e) in g.neighbors(v) {
-            if dist[u.index()] == UNREACHABLE {
-                dist[u.index()] = dv + 1;
-                parent[u.index()] = Some((v, e));
-                queue.push_back(u);
-            }
-        }
-    }
-    BfsTree {
-        dist,
-        parent,
-        source: src,
-    }
-}
-
-/// All-pairs unweighted distances, stored as a dense row-major matrix.
-///
-/// For the topologies in this workspace (≤ a few thousand switches) repeated
-/// BFS is both simpler and faster than Johnson-style approaches. The k = 32
-/// fat-tree has 1280 switches → a 1280² `u32` table ≈ 6.5 MB.
-///
-/// Since the sources are independent, rows are filled in parallel over a
-/// frozen [`Csr`] view ([`crate::par`] supplies the workers). Row contents
-/// are a pure function of the row's source node, so the table is
-/// bit-identical for every thread count.
-#[derive(Clone)]
-pub struct AllPairs {
-    n: usize,
-    dist: Vec<u32>,
-}
-
-impl AllPairs {
-    /// Computes all-pairs shortest path distances by one BFS per node,
-    /// parallelized over [`crate::par::thread_count`] workers.
-    pub fn compute(g: &Graph) -> Self {
-        Self::compute_csr(&Csr::from_graph(g))
-    }
-
-    /// Computes distances only from the given source nodes (a partial table).
-    ///
-    /// Rows are stored in the order sources are given; use [`AllPairs::row`]
-    /// with the *source's position in `sources`*, not its node id.
-    pub fn compute_from(g: &Graph, sources: &[NodeId]) -> Self {
-        Self::compute_from_csr(&Csr::from_graph(g), sources)
-    }
-
-    /// [`AllPairs::compute`] over a pre-built CSR view (reuse the view when
-    /// computing several tables or mixing APSP with other CSR traversals).
-    pub fn compute_csr(csr: &Csr) -> Self {
-        Self::compute_csr_with_threads(csr, crate::par::thread_count())
-    }
-
-    /// [`AllPairs::compute_csr`] with an explicit worker count (`1` forces
-    /// the sequential reference implementation; benchmarks and the
-    /// determinism tests pin both sides this way).
-    pub fn compute_csr_with_threads(csr: &Csr, threads: usize) -> Self {
-        let sources: Vec<NodeId> = (0..csr.node_count()).map(|i| NodeId(id32(i))).collect();
-        Self::compute_from_csr_with_threads(csr, &sources, threads)
-    }
-
-    /// [`AllPairs::compute_from`] over a pre-built CSR view.
-    pub fn compute_from_csr(csr: &Csr, sources: &[NodeId]) -> Self {
-        Self::compute_from_csr_with_threads(csr, sources, crate::par::thread_count())
-    }
-
-    /// [`AllPairs::compute_from_csr`] with an explicit worker count.
-    pub fn compute_from_csr_with_threads(csr: &Csr, sources: &[NodeId], threads: usize) -> Self {
-        let n = csr.node_count();
-        let mut dist = vec![0u32; sources.len() * n];
-        crate::par::fill_rows_with(threads, &mut dist, n, Vec::new, |i, row, queue| {
-            // bounds: fill_rows_with yields one row index per source
-            csr.bfs_into(sources[i], row, queue);
-        });
-        AllPairs { n, dist }
-    }
-
-    /// Distance between row `i` and node `j` (row-major indexing).
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> u32 {
-        // bounds: dist has rows·n entries; i < rows and j < n per the ctor
-        self.dist[i * self.n + j]
-    }
-
-    /// The full distance row for row index `i`.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[u32] {
-        // bounds: dist has rows·n entries, so row i ends at (i + 1)·n
-        &self.dist[i * self.n..(i + 1) * self.n]
-    }
-
-    /// Number of columns (nodes of the underlying graph).
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.n
-    }
-
-    /// Number of rows (sources).
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.dist.len().checked_div(self.n).unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
-
-    /// 0 - 1 - 2 - 3 path plus a chord 0-3.
-    fn diamond() -> Graph {
-        Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)])
-    }
 
     #[test]
     fn bfs_distances_path() {
@@ -192,7 +46,8 @@ mod tests {
 
     #[test]
     fn bfs_takes_chord() {
-        let g = diamond();
+        // 0 - 1 - 2 - 3 path plus a chord 0-3
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
         let d = bfs_distances(&g, NodeId(0));
         assert_eq!(d[3], 1, "chord 0-3 shortens the path");
         assert_eq!(d[2], 2);
@@ -213,71 +68,5 @@ mod tests {
         g.remove_edge(e);
         let d = bfs_distances(&g, NodeId(0));
         assert_eq!(d[1], UNREACHABLE);
-    }
-
-    #[test]
-    fn bfs_tree_path_reconstruction() {
-        let g = diamond();
-        let t = bfs_tree(&g, NodeId(1));
-        let p = t.path_to(NodeId(3)).unwrap();
-        assert_eq!(p.len() as u32 - 1, t.dist[3]);
-        assert_eq!(p.first(), Some(&NodeId(1)));
-        assert_eq!(p.last(), Some(&NodeId(3)));
-        // consecutive path nodes must be adjacent
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-    }
-
-    #[test]
-    fn bfs_tree_unreachable_path_is_none() {
-        let g = Graph::from_edges(3, &[(0, 1)]);
-        let t = bfs_tree(&g, NodeId(0));
-        assert!(t.path_to(NodeId(2)).is_none());
-    }
-
-    #[test]
-    fn all_pairs_symmetric() {
-        let g = diamond();
-        let ap = AllPairs::compute(&g);
-        for i in 0..4 {
-            assert_eq!(ap.get(i, i), 0);
-            for j in 0..4 {
-                assert_eq!(ap.get(i, j), ap.get(j, i));
-            }
-        }
-    }
-
-    #[test]
-    fn all_pairs_rows_match_bfs_distances() {
-        let g = diamond();
-        let ap = AllPairs::compute(&g);
-        for v in g.nodes() {
-            assert_eq!(ap.row(v.index()), bfs_distances(&g, v).as_slice());
-        }
-    }
-
-    #[test]
-    fn all_pairs_parallel_matches_sequential() {
-        // 20-node graph: a ring plus a few chords, enough rows for several
-        // worker chunks.
-        let mut edges: Vec<(u32, u32)> = (0..20).map(|i| (i, (i + 1) % 20)).collect();
-        edges.extend([(0, 10), (3, 17), (5, 12)]);
-        let g = Graph::from_edges(20, &edges);
-        let csr = crate::csr::Csr::from_graph(&g);
-        let seq = AllPairs::compute_csr_with_threads(&csr, 1);
-        for threads in [2, 3, 8, 64] {
-            let par = AllPairs::compute_csr_with_threads(&csr, threads);
-            assert_eq!(par.dist, seq.dist, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn all_pairs_partial_rows() {
-        let g = diamond();
-        let ap = AllPairs::compute_from(&g, &[NodeId(2), NodeId(0)]);
-        assert_eq!(ap.rows(), 2);
-        assert_eq!(ap.row(0), bfs_distances(&g, NodeId(2)).as_slice());
-        assert_eq!(ap.row(1), bfs_distances(&g, NodeId(0)).as_slice());
     }
 }

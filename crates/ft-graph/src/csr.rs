@@ -22,7 +22,6 @@
 //! the source graph; rebuild it after `remove_edge`/`restore_edge`.
 
 use crate::graph::{id32, EdgeId, Graph, NodeId};
-use crate::UNREACHABLE;
 
 /// Frozen CSR adjacency of the live edges of a [`Graph`].
 ///
@@ -120,39 +119,16 @@ impl Csr {
     }
 
     /// Single-source BFS hop distances written into `dist` (length must be
-    /// `node_count()`), reusing `queue` as the frontier storage.
+    /// `node_count()`), reusing `queue` as the frontier storage: the
+    /// scalar kernel behind ECMP's lazily filled rows and the reference
+    /// the bitset kernel of [`crate::DistMatrix`] is checked against.
     ///
     /// Allocation-free once `queue`'s capacity has grown to `node_count()`;
-    /// unreachable nodes hold [`UNREACHABLE`]. Produces exactly the values
-    /// of [`crate::bfs_distances`] on the source graph.
-    pub fn bfs_into(&self, src: NodeId, dist: &mut [u32], queue: &mut Vec<u32>) {
-        debug_assert_eq!(dist.len(), self.node_count());
-        dist.fill(UNREACHABLE);
-        queue.clear();
-        dist[src.index()] = 0;
-        queue.push(src.0);
-        let mut head = 0usize;
-        while head < queue.len() {
-            let v = queue[head] as usize;
-            head += 1;
-            let dv = dist[v] + 1;
-            for &t in self.targets(v) {
-                let u = t as usize;
-                if dist[u] == UNREACHABLE {
-                    dist[u] = dv;
-                    queue.push(t);
-                }
-            }
-        }
-    }
-
-    /// [`Csr::bfs_into`] with compact `u16` hop counts: the scalar
-    /// reference kernel for [`crate::DistMatrix`].
-    ///
-    /// Distances saturate at [`crate::UNREACHABLE16`]; callers must ensure
-    /// `node_count() < u16::MAX` (the `DistMatrix` constructors check this
-    /// once per table) so every finite distance — at most `n − 1` hops —
-    /// fits. Unreachable nodes hold [`crate::UNREACHABLE16`].
+    /// unreachable nodes hold [`crate::UNREACHABLE16`], and every other
+    /// entry equals [`crate::bfs_distances`] on the source graph. A finite
+    /// distance is at most `n − 1` hops, so callers keep `node_count() <
+    /// u16::MAX` (ECMP and [`crate::DistMatrix::compute_scalar_csr`] check
+    /// this once per table); past that, distances saturate at the sentinel.
     pub fn bfs_into_u16(&self, src: NodeId, dist: &mut [u16], queue: &mut Vec<u32>) {
         debug_assert_eq!(dist.len(), self.node_count());
         debug_assert!(self.node_count() < u16::MAX as usize);
@@ -174,21 +150,13 @@ impl Csr {
             }
         }
     }
-
-    /// Single-source BFS distances as a fresh vector (the CSR counterpart
-    /// of [`crate::bfs_distances`]).
-    pub fn bfs_distances(&self, src: NodeId) -> Vec<u32> {
-        let mut dist = vec![UNREACHABLE; self.node_count()];
-        let mut queue = Vec::with_capacity(self.node_count());
-        self.bfs_into(src, &mut dist, &mut queue);
-        dist
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bfs::bfs_distances;
+    use crate::{UNREACHABLE, UNREACHABLE16};
 
     fn diamond() -> Graph {
         Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -232,24 +200,19 @@ mod tests {
 
     #[test]
     fn bfs_matches_graph_bfs() {
-        let g = diamond();
+        // one buffer serves every source, so each run must overwrite the
+        // last in full; node 4 is isolated and stays at the sentinel
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
         let csr = Csr::from_graph(&g);
+        let (mut dist, mut queue) = (vec![0u16; 5], Vec::new());
         for v in g.nodes() {
-            assert_eq!(csr.bfs_distances(v), bfs_distances(&g, v));
+            csr.bfs_into_u16(v, &mut dist, &mut queue);
+            let widened = dist.iter().map(|&d| match d {
+                UNREACHABLE16 => UNREACHABLE,
+                d => u32::from(d),
+            });
+            assert!(widened.eq(bfs_distances(&g, v)), "row of {v:?}");
         }
-    }
-
-    #[test]
-    fn bfs_into_reuses_buffers() {
-        let g = Graph::from_edges(4, &[(0, 1)]);
-        let csr = Csr::from_graph(&g);
-        let mut dist = vec![0u32; 4];
-        let mut queue = Vec::new();
-        csr.bfs_into(NodeId(0), &mut dist, &mut queue);
-        assert_eq!(dist, vec![0, 1, UNREACHABLE, UNREACHABLE]);
-        // second run must fully overwrite the previous answer
-        csr.bfs_into(NodeId(2), &mut dist, &mut queue);
-        assert_eq!(dist, vec![UNREACHABLE, UNREACHABLE, 0, UNREACHABLE]);
     }
 
     #[test]

@@ -1,28 +1,30 @@
-//! Compact all-pairs distance tables: `u16` storage and a multi-source
-//! bitset BFS kernel.
+//! The workspace's one hop-distance table: `u16` storage and a
+//! multi-source bitset BFS kernel.
 //!
-//! [`AllPairs`](crate::AllPairs) stores `u32` hop counts — at k = 64 a full
-//! fat-tree table is 5,120² × 4 B ≈ 100 MB, and k = 128 (20,480 switches)
-//! is 1.6 GB, simply infeasible. Every topology in this workspace has a
-//! diameter of a few hops, so [`DistMatrix`] stores the same table as flat
-//! `u16` hop counts (k = 64 → 50 MB) and fills it with a kernel that
-//! advances **64 sources per `u64` word** over the frozen [`Csr`]: one
-//! level-synchronous sweep propagates each frontier word to its neighbors
-//! with a single OR, and `new = next & !seen` (the classic frontier-AND
-//! trick) extracts exactly the (source, node) pairs discovered this level.
-//! Compared with 64 independent queue-based BFS runs, each adjacency edge
-//! is walked once per *batch* instead of once per *source* — the win that
-//! makes k = 64 full tables routine (DESIGN.md §15).
+//! Every topology in this workspace has a diameter of a few hops, so
+//! [`DistMatrix`] stores all-pairs (or many-source) hop counts as flat
+//! `u16`s — a full k = 64 fat-tree table is 5,120² × 2 B ≈ 50 MB — and
+//! fills it with a kernel that advances **64 sources per `u64` word** over
+//! the frozen [`Csr`]: one level-synchronous sweep propagates each frontier
+//! word to its neighbors with a single OR, and `new = next & !seen` (the
+//! classic frontier-AND trick) extracts exactly the (source, node) pairs
+//! discovered this level. Compared with 64 independent queue-based BFS
+//! runs, each adjacency edge is walked once per *batch* instead of once
+//! per *source* — the win that makes k = 64 full tables routine
+//! (DESIGN.md §15).
 //!
-//! Totality: a finite distance never exceeds `n − 1`, so the constructors
-//! reject graphs with `n ≥ u16::MAX` nodes up front
-//! ([`GraphError::DistanceOverflow`]) and every stored level fits below the
-//! [`UNREACHABLE16`] sentinel.
+//! Totality counts hops, not nodes: the kernel fails with
+//! [`GraphError::DistanceOverflow`] only when a BFS level would reach the
+//! [`UNREACHABLE16`] sentinel (a pair 65 535 or more hops apart), one check
+//! per level, so any node count with a data-center diameter gets a table.
+//! The scalar reference [`DistMatrix::compute_scalar_csr`] fills all `n²`
+//! entries and keeps a node-count gate instead.
 
 use crate::csr::Csr;
 use crate::error::GraphError;
 use crate::graph::{id32, Graph, NodeId};
 use crate::UNREACHABLE16;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Sources advanced per `u64` word by the bitset kernel.
 const BATCH: usize = 64;
@@ -43,9 +45,15 @@ pub struct MsBfsScratch {
 /// One batched BFS: distances from up to [`BATCH`] `sources` into `rows`
 /// (row `b` = distances from `sources[b]`, row-major, `n` columns each).
 ///
-/// The caller guarantees `csr.node_count() < u16::MAX` (checked once by the
-/// [`DistMatrix`] constructors).
-fn ms_bfs_batch(csr: &Csr, sources: &[NodeId], rows: &mut [u16], scratch: &mut MsBfsScratch) {
+/// Returns `false`, leaving `rows` unspecified, when some node lies
+/// [`UNREACHABLE16`] or more hops from a source: its level would collide
+/// with the sentinel.
+fn ms_bfs_batch(
+    csr: &Csr,
+    sources: &[NodeId],
+    rows: &mut [u16],
+    scratch: &mut MsBfsScratch,
+) -> bool {
     let n = csr.node_count();
     debug_assert!(sources.len() <= BATCH);
     debug_assert_eq!(rows.len(), sources.len() * n);
@@ -74,7 +82,8 @@ fn ms_bfs_batch(csr: &Csr, sources: &[NodeId], rows: &mut [u16], scratch: &mut M
 
     let mut level: u16 = 0;
     while !scratch.frontier_nodes.is_empty() {
-        // Never saturates: levels are bounded by n − 1 < u16::MAX − 1.
+        // Never saturates: reaching the sentinel with a nonempty frontier
+        // ends the batch below.
         level = level.saturating_add(1);
 
         // Propagate every active frontier word to its neighbors with one OR
@@ -121,23 +130,25 @@ fn ms_bfs_batch(csr: &Csr, sources: &[NodeId], rows: &mut [u16], scratch: &mut M
             }
         }
         scratch.touched.clear();
+        if level == UNREACHABLE16 && !scratch.frontier_nodes.is_empty() {
+            return false;
+        }
     }
+    true
 }
 
 /// All-pairs (or many-source) unweighted distances in compact `u16`
 /// hop counts.
 ///
-/// The drop-in successor to [`AllPairs`](crate::AllPairs) for the hot
-/// paths: same row-major layout and indexing contract, half the memory
-/// traffic, and filled by the multi-source bitset BFS kernel (see the
-/// module docs) instead of one queue-based BFS per row. Batches of 64
+/// The one hop-distance table of the workspace: row-major, filled by the
+/// multi-source bitset BFS kernel (see the module docs). Batches of 64
 /// sources are distributed over [`crate::par`] workers, and each batch's
 /// content depends only on its batch index — the table is bit-identical
 /// for every thread count.
 ///
 /// Unreachable pairs hold [`UNREACHABLE16`]; construction fails with
-/// [`GraphError::DistanceOverflow`] when the graph has too many nodes for
-/// finite distances to stay below the sentinel.
+/// [`GraphError::DistanceOverflow`] when a node lies 65 535 or more hops
+/// from a source that reaches it (see the module docs).
 #[derive(Clone)]
 pub struct DistMatrix {
     n: usize,
@@ -145,15 +156,6 @@ pub struct DistMatrix {
 }
 
 impl DistMatrix {
-    /// Rejects graphs whose finite distances could collide with
-    /// [`UNREACHABLE16`].
-    fn check_width(n: usize) -> Result<(), GraphError> {
-        if n >= u16::MAX as usize {
-            return Err(GraphError::DistanceOverflow { node_count: n });
-        }
-        Ok(())
-    }
-
     /// Validates that every source id is a node of the graph.
     fn check_sources(n: usize, sources: &[NodeId]) -> Result<(), GraphError> {
         for s in sources {
@@ -200,9 +202,9 @@ impl DistMatrix {
         threads: usize,
     ) -> Result<Self, GraphError> {
         let n = csr.node_count();
-        Self::check_width(n)?;
         Self::check_sources(n, sources)?;
         let mut dist = vec![0u16; sources.len() * n];
+        let overflow = AtomicBool::new(false);
         crate::par::fill_chunks_with(
             threads,
             &mut dist,
@@ -214,41 +216,35 @@ impl DistMatrix {
                 // a sources.len()·n buffer, so the batch covers sources
                 // [first, first + chunk.len()/n) and n divides chunk.len()
                 let batch_sources = &sources[first..first + chunk.len() / n];
-                ms_bfs_batch(csr, batch_sources, chunk, scratch);
+                if !ms_bfs_batch(csr, batch_sources, chunk, scratch) {
+                    overflow.store(true, Ordering::Release);
+                }
             },
         );
+        if overflow.load(Ordering::Acquire) {
+            return Err(GraphError::DistanceOverflow { node_count: n });
+        }
         Ok(DistMatrix { n, dist })
     }
 
     /// Sequential scalar reference: one `u16` queue-based BFS per source
     /// ([`Csr::bfs_into_u16`]). Kept as the benchmark baseline and the
     /// correctness oracle for the bitset kernel.
+    ///
+    /// Its `n²` entries make it a small-graph tool, so it keeps a node-count
+    /// gate: graphs of `n ≥ u16::MAX` nodes fail with
+    /// [`GraphError::DistanceOverflow`] before anything is allocated.
     pub fn compute_scalar_csr(csr: &Csr) -> Result<Self, GraphError> {
         let n = csr.node_count();
-        Self::check_width(n)?;
+        if n >= usize::from(u16::MAX) {
+            return Err(GraphError::DistanceOverflow { node_count: n });
+        }
         let mut dist = vec![0u16; n * n];
         let mut queue: Vec<u32> = Vec::with_capacity(n);
         for (i, row) in dist.chunks_mut(n.max(1)).enumerate() {
             csr.bfs_into_u16(NodeId(id32(i)), row, &mut queue);
         }
         Ok(DistMatrix { n, dist })
-    }
-
-    /// Builds a matrix directly from rows already laid out row-major
-    /// (`rows.len()` must be a multiple of `width`); used by the symmetry
-    /// expansion in `ft-topo`.
-    pub fn from_rows(width: usize, rows: Vec<u16>) -> Result<Self, GraphError> {
-        Self::check_width(width)?;
-        if width == 0 || !rows.len().is_multiple_of(width) {
-            return Err(GraphError::NodeOutOfBounds {
-                index: rows.len(),
-                node_count: width,
-            });
-        }
-        Ok(DistMatrix {
-            n: width,
-            dist: rows,
-        })
     }
 
     /// Distance between row `i` and node `j` (row-major indexing).
@@ -278,9 +274,8 @@ impl DistMatrix {
     }
 
     /// Wrapping sum of every entry — the regression-gate checksum used by
-    /// `ftctl bench`. On connected graphs this equals the `u32`
-    /// [`AllPairs`](crate::AllPairs) sum bit-for-bit (all entries finite);
-    /// tables with unreachable pairs differ only by the sentinel width.
+    /// `ftctl bench`. On connected graphs this is the plain sum of the hop
+    /// counts; unreachable pairs add the [`UNREACHABLE16`] sentinel.
     pub fn checksum(&self) -> u64 {
         self.dist
             .iter()
@@ -291,19 +286,20 @@ impl DistMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::AllPairs;
+    use crate::bfs::bfs_distances;
     use crate::UNREACHABLE;
 
+    /// The bitset table and the scalar table against the `Graph` BFS
+    /// oracle, entry for entry.
     fn assert_matches_allpairs(g: &Graph) {
         let csr = Csr::from_graph(g);
-        let ap = AllPairs::compute_csr_with_threads(&csr, 1);
         let dm = DistMatrix::compute_csr_with_threads(&csr, 1).unwrap();
         let scalar = DistMatrix::compute_scalar_csr(&csr).unwrap();
-        assert_eq!(dm.width(), ap.width());
-        assert_eq!(dm.rows(), ap.rows());
-        for i in 0..dm.rows() {
-            for j in 0..dm.width() {
-                let a = ap.get(i, j);
+        assert_eq!(dm.width(), g.node_count());
+        assert_eq!(dm.rows(), g.node_count());
+        for (i, v) in g.nodes().enumerate() {
+            let oracle = bfs_distances(g, v);
+            for (j, &a) in oracle.iter().enumerate() {
                 let d = dm.get(i, j);
                 if a == UNREACHABLE {
                     assert_eq!(d, UNREACHABLE16, "({i},{j}) unreachable");
@@ -383,23 +379,50 @@ mod tests {
         let mut edges: Vec<(u32, u32)> = (0..20).map(|i| (i, (i + 1) % 20)).collect();
         edges.push((3, 12));
         let g = Graph::from_edges(20, &edges);
-        let csr = Csr::from_graph(&g);
-        let ap = AllPairs::compute_csr_with_threads(&csr, 1);
         let mut u32_sum = 0u64;
-        for i in 0..ap.rows() {
-            for &d in ap.row(i) {
+        for v in g.nodes() {
+            for d in bfs_distances(&g, v) {
                 u32_sum = u32_sum.wrapping_add(u64::from(d));
             }
         }
-        let dm = DistMatrix::compute_csr(&csr).unwrap();
+        let dm = DistMatrix::compute(&g).unwrap();
         assert_eq!(dm.checksum(), u32_sum);
     }
 
     #[test]
-    fn from_rows_validates_shape() {
-        assert!(DistMatrix::from_rows(3, vec![0, 1, 2, 3, 4, 5]).is_ok());
-        assert!(DistMatrix::from_rows(3, vec![0, 1]).is_err());
-        assert!(DistMatrix::from_rows(0, vec![]).is_err());
-        assert!(DistMatrix::from_rows(usize::from(u16::MAX), vec![]).is_err());
+    fn overflow_is_a_hop_count_not_a_node_count() {
+        // A 70 000-node star has more nodes than a u16 can count, but a
+        // diameter of 2: the bitset kernel fills its rows, while the
+        // scalar n² table keeps its node gate.
+        let star: Vec<(u32, u32)> = (1..70_000).map(|i| (0, i)).collect();
+        let csr = Csr::from_graph(&Graph::from_edges(70_000, &star));
+        let dm = DistMatrix::compute_from_csr_with_threads(&csr, &[NodeId(0), NodeId(69_999)], 1)
+            .unwrap();
+        assert_eq!((dm.get(0, 69_999), dm.get(1, 0), dm.get(1, 1)), (1, 1, 2));
+        assert_eq!(
+            DistMatrix::compute_scalar_csr(&csr).err(),
+            Some(GraphError::DistanceOverflow { node_count: 70_000 })
+        );
+
+        // A 65 536-node path: its ends are 65 535 hops apart, which would
+        // read as the sentinel, but from the middle every node is at most
+        // 32 768 hops away.
+        let path: Vec<(u32, u32)> = (0..65_535).map(|i| (i, i + 1)).collect();
+        let csr = Csr::from_graph(&Graph::from_edges(65_536, &path));
+        assert_eq!(
+            DistMatrix::compute_from_csr_with_threads(&csr, &[NodeId(0)], 1).err(),
+            Some(GraphError::DistanceOverflow { node_count: 65_536 })
+        );
+        let mid = DistMatrix::compute_from_csr_with_threads(&csr, &[NodeId(32_768)], 1).unwrap();
+        assert_eq!((mid.get(0, 0), mid.get(0, 65_535)), (32_768, 32_767));
+        assert_eq!(mid.row(0).iter().max(), Some(&32_768));
+        // 65 sources make two batches, past the parallel-fill floor: the
+        // first batch overflows on its source 0 and the second does not,
+        // and the error still reaches the caller from a worker.
+        let sources: Vec<NodeId> = (0..65).map(NodeId).collect();
+        assert_eq!(
+            DistMatrix::compute_from_csr_with_threads(&csr, &sources, 2).err(),
+            Some(GraphError::DistanceOverflow { node_count: 65_536 })
+        );
     }
 }

@@ -21,9 +21,12 @@ pub enum GraphError {
         /// The index that overflowed `u32`.
         index: usize,
     },
-    /// A graph is too large for the compact `u16` distance matrix: with
-    /// `node_count ≥ u16::MAX` a finite hop count could collide with the
-    /// [`UNREACHABLE16`](crate::UNREACHABLE16) sentinel.
+    /// A hop count does not fit the `u16` distance tables: a pair 65 535 or
+    /// more hops apart would read as the [`UNREACHABLE16`](crate::UNREACHABLE16)
+    /// sentinel. The bitset kernel of [`DistMatrix`](crate::DistMatrix)
+    /// reports it only when a BFS level reaches the sentinel; the scalar
+    /// table and ECMP's rows refuse every graph of `node_count ≥ u16::MAX`
+    /// up front, the only graphs that can hold such a pair.
     DistanceOverflow {
         /// Number of nodes in the offending graph.
         node_count: usize,
@@ -45,8 +48,8 @@ impl fmt::Display for GraphError {
             GraphError::DistanceOverflow { node_count } => {
                 write!(
                     f,
-                    "graph with {node_count} nodes exceeds the u16 distance range \
-                     (max {} nodes)",
+                    "graph with {node_count} nodes can hold a hop count past the \
+                     u16 distance range (max {} hops)",
                     u16::MAX - 1
                 )
             }

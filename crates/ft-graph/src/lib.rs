@@ -7,8 +7,14 @@
 //!   identifiers. Data center topologies routinely contain parallel links
 //!   (e.g. the double side connectors between flat-tree Pods), so parallel
 //!   edges are first-class citizens rather than an error.
-//! * [`bfs`] — single-source and all-pairs unweighted shortest paths. Path
-//!   length in hops is the paper's first evaluation metric (Figures 5 and 6).
+//! * [`dist`] — the one hop-distance table, [`DistMatrix`]: `u16` hop
+//!   counts filled by a multi-source bitset BFS over the frozen [`Csr`]
+//!   view. Path length in hops is the paper's first evaluation metric
+//!   (Figures 5 and 6). [`Csr::bfs_into_u16`] is the scalar kernel for
+//!   single rows (ECMP) and the reference for the table, and [`bfs`]'s
+//!   [`bfs_distances`] over the [`Graph`] adjacency is the oracle of both.
+//! * [`par`] — the deterministic worker pool (`map`, `fill_chunks_with`)
+//!   whose output never depends on scheduling.
 //! * [`dijkstra`](mod@dijkstra) — single-source shortest paths under arbitrary non-negative
 //!   per-edge lengths. The Fleischer–Garg–Könemann FPTAS in `ft-mcf` re-runs
 //!   Dijkstra with exponentially-reweighted edge lengths on every iteration.
@@ -56,7 +62,7 @@ pub mod par;
 pub mod stats;
 pub mod yen;
 
-pub use bfs::{bfs_distances, bfs_tree, AllPairs};
+pub use bfs::bfs_distances;
 pub use bridges::bridges;
 pub use csr::Csr;
 pub use dijkstra::{dijkstra, dijkstra_csr, DijkstraResult};

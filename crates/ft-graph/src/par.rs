@@ -1,15 +1,15 @@
 //! Scoped parallel-map utilities with a deterministic output contract.
 //!
-//! Everything in the workspace that fans out — BFS-APSP row fills, the
-//! per-instance sweeps in `ft-experiments`, the materialization fills in
-//! `ft-serve` — goes through this module so that one rule holds everywhere:
+//! Everything in the workspace that fans out — the batches of the
+//! distance table, the per-instance sweeps in `ft-experiments` — goes
+//! through this module so that one rule holds everywhere:
 //! **the result is a pure function of the input order, never of thread
 //! scheduling**. Each item's result is written to the slot of its *input*
 //! index, so `map(items, f)` returns exactly `items.iter().map(f).collect()`
 //! regardless of worker count (DESIGN.md §10 spells out the contract).
 //!
-//! Scheduling is dynamic everywhere: workers claim the next item (or chunk
-//! of rows) through a relaxed atomic cursor, so a slow tail item cannot
+//! Scheduling is dynamic everywhere: workers claim the next item (or
+//! chunk) through a relaxed atomic cursor, so a slow tail item cannot
 //! serialize the fill the way a static one-contiguous-chunk-per-worker
 //! split can. Dynamic *claiming* with deterministic *placement* keeps both
 //! properties at once.
@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Cached handles into the global ft-obs registry: fan-out calls, items
-/// executed, row fills, and the worker count last used. Recorded once per
-/// `map`/`fill_rows_with` call (not per item), so the pool's exposition
+/// executed, chunk fills, and the worker count last used. Recorded once per
+/// `map`/`fill_chunks_with` call (not per item), so the pool's exposition
 /// lines cost O(1) atomics per fan-out.
 struct ParCounters {
     maps: &'static ft_obs::Counter,
@@ -46,25 +46,17 @@ fn obs() -> &'static ParCounters {
     })
 }
 
-/// Minimum total cell count for [`fill_rows_with`] / [`fill_chunks_with`]
-/// to fan out. Below this, thread spawn + join overhead exceeds the win:
-/// with the row-parallel `u32` BFS fill, the k=32 APSP (1280² ≈ 1.6M cells)
-/// measured roughly even (BENCH_hotpaths.json before this kernel: 30.5 ms
-/// parallel vs 32.2 ms sequential), so fills under ~2M cells run on the
-/// calling thread. Re-derived against the multi-source bitset kernel
-/// (DESIGN.md §15): its batches are ~64× coarser than rows, so spawn
-/// overhead is amortized even earlier and the same 2M-cell floor remains
-/// comfortably conservative — k=32 (1.6M cells) stays sequential, k=64
-/// (26M cells) fans out. Results are identical either way (the fill
-/// contract is deterministic); only the wall time changes.
+/// Minimum total cell count for [`fill_chunks_with`] to fan out. Below
+/// this, thread spawn + join overhead exceeds the win. The floor was first
+/// measured on a row-parallel BFS fill, where the k=32 table (1280² ≈ 1.6M
+/// cells) ran roughly even (30.5 ms parallel vs 32.2 ms sequential), and
+/// re-derived against the multi-source bitset kernel of the distance table
+/// (DESIGN.md §15): its 64-row batches amortize spawn overhead even
+/// earlier, so the 2M-cell floor stays comfortably conservative — k=32
+/// (1.6M cells) stays sequential, k=64 (26M cells) fans out. Results are
+/// identical either way (the fill contract is deterministic); only the
+/// wall time changes.
 pub const PAR_FILL_MIN_CELLS: usize = 1 << 21;
-
-/// How many chunks each worker should get on average in
-/// [`fill_rows_with`]: oversubscription lets the dynamic cursor absorb
-/// per-row cost variance (BFS from a core switch touches more of the graph
-/// than BFS from an edge switch) without the tail imbalance of the old
-/// one-contiguous-chunk-per-worker split.
-const CHUNKS_PER_WORKER: usize = 8;
 
 /// Number of worker threads to use: `FT_THREADS` if set to a positive
 /// integer, otherwise [`std::thread::available_parallelism`] (falling back
@@ -176,73 +168,19 @@ where
     out
 }
 
-/// Fills `out`, viewed as consecutive rows of `row_len` elements, in
-/// parallel: `fill(row_index, row_slice, scratch)` is called exactly once
-/// per row, with a per-worker `scratch` created by `init`.
-///
-/// Rows are grouped into ~[`CHUNKS_PER_WORKER`]× more chunks than workers
-/// and claimed dynamically through a relaxed cursor (see
-/// [`fill_chunks_with`]), so a run of expensive rows cannot leave the other
-/// workers idle. Writes stay disjoint — each chunk is a distinct `&mut`
-/// split of `out` — and each row's content depends only on its row index,
-/// so the fill is deterministic for the same reason as [`map`].
-///
-/// `out.len()` must be a multiple of `row_len`; `row_len == 0` is a no-op.
-pub fn fill_rows_with<T, S, G, F>(threads: usize, out: &mut [T], row_len: usize, init: G, fill: F)
-where
-    T: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
-{
-    if row_len == 0 {
-        return;
-    }
-    debug_assert_eq!(out.len() % row_len, 0);
-    let rows = out.len() / row_len;
-    let workers = if out.len() < PAR_FILL_MIN_CELLS {
-        1 // small fill: fan-out overhead dominates, stay on this thread
-    } else {
-        threads.min(rows).max(1)
-    };
-    let pc = obs();
-    pc.fills.incr();
-    pc.rows.add(rows as u64);
-    pc.workers.set(workers as u64);
-    let _span = ft_obs::span!("par.fill_rows", rows = rows, workers = workers);
-    if workers <= 1 {
-        let mut scratch = init();
-        for (i, row) in out.chunks_mut(row_len).enumerate() {
-            fill(i, row, &mut scratch);
-        }
-        return;
-    }
-
-    let chunk_rows = rows.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-    fill_chunks_inner(
-        workers,
-        out,
-        chunk_rows * row_len,
-        &init,
-        &|chunk_index, chunk: &mut [T], scratch: &mut S| {
-            let first_row = chunk_index * chunk_rows;
-            for (j, row) in chunk.chunks_mut(row_len).enumerate() {
-                fill(first_row + j, row, scratch);
-            }
-        },
-    );
-}
-
 /// Fills `out`, viewed as consecutive chunks of `chunk_len` elements (the
 /// last chunk may be shorter), in parallel: `fill(chunk_index, chunk_slice,
-/// scratch)` is called exactly once per chunk with a per-worker `scratch`.
+/// scratch)` is called exactly once per chunk with a per-worker `scratch`
+/// created by `init`.
 ///
-/// This is the primitive under [`fill_rows_with`], exposed for kernels
-/// whose natural work unit is coarser than one row — the multi-source
-/// bitset BFS writes 64 rows per batch, so its chunk is `64 × row_len`
-/// cells. Chunks are claimed dynamically (relaxed cursor) but each chunk's
-/// content depends only on its chunk index, so the output is bit-identical
-/// for every worker count. Fills under [`PAR_FILL_MIN_CELLS`] cells run on
-/// the calling thread; `chunk_len == 0` is a no-op.
+/// The pool's one fill: the multi-source bitset BFS writes 64 rows per
+/// batch, so its chunk is `64 × row_len` cells. Chunks are claimed
+/// dynamically through a relaxed cursor, and each chunk's `&mut` split of
+/// `out` is handed over through a `Mutex<Option<…>>` take-slot — one
+/// uncontended lock per *chunk*, not per item. Each chunk's content depends
+/// only on its chunk index, so the output is bit-identical for every
+/// worker count. Fills under [`PAR_FILL_MIN_CELLS`] cells run on the
+/// calling thread; `chunk_len == 0` is a no-op.
 pub fn fill_chunks_with<T, S, G, F>(
     threads: usize,
     out: &mut [T],
@@ -259,7 +197,7 @@ pub fn fill_chunks_with<T, S, G, F>(
     }
     let chunks = out.len().div_ceil(chunk_len);
     let workers = if out.len() < PAR_FILL_MIN_CELLS {
-        1 // same small-fill rule as fill_rows_with
+        1 // small fill: fan-out overhead dominates, stay on this thread
     } else {
         threads.min(chunks).max(1)
     };
@@ -275,35 +213,15 @@ pub fn fill_chunks_with<T, S, G, F>(
         }
         return;
     }
-    fill_chunks_inner(workers, out, chunk_len, &init, &fill);
-}
 
-/// Shared parallel body of [`fill_rows_with`] and [`fill_chunks_with`]:
-/// splits `out` into `chunk_len`-sized `&mut` chunks, parks each behind a
-/// `Mutex<Option<…>>` take-slot, and lets `workers` threads claim chunk
-/// indices through a relaxed cursor. One uncontended lock per *chunk* (not
-/// per item) transfers the `&mut` split to whichever worker claimed it.
-fn fill_chunks_inner<T, S, G, F>(
-    workers: usize,
-    out: &mut [T],
-    chunk_len: usize,
-    init: &G,
-    fill: &F,
-) where
-    T: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
-{
     type ChunkSlot<'a, T> = parking_lot::Mutex<Option<(usize, &'a mut [T])>>;
     let slots: Vec<ChunkSlot<'_, T>> = out
         .chunks_mut(chunk_len)
         .enumerate()
         .map(|(i, chunk)| parking_lot::Mutex::new(Some((i, chunk))))
         .collect();
-    let num = slots.len();
     let cursor = AtomicUsize::new(0);
-    let slots_ref = &slots;
-    let cursor_ref = &cursor;
+    let (init, fill, slots_ref, cursor_ref) = (&init, &fill, &slots, &cursor);
     // See `map_with` for why the scope result can be ignored.
     let _ = crossbeam::scope(|s| {
         for _ in 0..workers {
@@ -311,10 +229,10 @@ fn fill_chunks_inner<T, S, G, F>(
                 let mut scratch = init();
                 loop {
                     let c = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                    if c >= num {
+                    if c >= chunks {
                         break;
                     }
-                    // bounds: c < num == slots.len() checked above
+                    // bounds: c < chunks == slots.len() checked above
                     let taken = slots_ref[c].lock().take();
                     if let Some((chunk_index, chunk)) = taken {
                         fill(chunk_index, chunk, &mut scratch);
@@ -366,49 +284,6 @@ mod tests {
         std::env::set_var("FT_THREADS", "0");
         assert!(thread_count() >= 1);
         std::env::remove_var("FT_THREADS");
-    }
-
-    #[test]
-    fn fill_rows_matches_sequential() {
-        let rows = 13;
-        let row_len = 5;
-        let fill = |i: usize, row: &mut [u64], scratch: &mut u64| {
-            *scratch += 1;
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = (i * row_len + j) as u64;
-            }
-        };
-        let mut seq = vec![0u64; rows * row_len];
-        fill_rows_with(1, &mut seq, row_len, || 0u64, fill);
-        for threads in [2, 4, 16] {
-            let mut par = vec![0u64; rows * row_len];
-            fill_rows_with(threads, &mut par, row_len, || 0u64, fill);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fill_rows_above_cutoff_matches_sequential() {
-        // exactly PAR_FILL_MIN_CELLS cells so the parallel branch runs
-        let row_len = 1 << 11;
-        let rows = PAR_FILL_MIN_CELLS / row_len;
-        let fill = |i: usize, row: &mut [u8], _: &mut ()| {
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = (i.wrapping_mul(31) ^ j) as u8;
-            }
-        };
-        let mut seq = vec![0u8; rows * row_len];
-        fill_rows_with(1, &mut seq, row_len, || (), fill);
-        let mut par = vec![0u8; rows * row_len];
-        fill_rows_with(4, &mut par, row_len, || (), fill);
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn fill_rows_zero_row_len_is_noop() {
-        let mut out: Vec<u8> = Vec::new();
-        fill_rows_with(4, &mut out, 0, || (), |_, _, _| {});
-        assert!(out.is_empty());
     }
 
     #[test]

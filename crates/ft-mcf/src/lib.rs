@@ -68,7 +68,7 @@ pub use exact::max_concurrent_flow_exact;
 pub use fptas::{
     max_concurrent_flow, max_concurrent_flow_reference, FptasOptions, McfSolution, Stop, GAP,
 };
-pub use paths::{k_shortest_arc_paths, max_concurrent_flow_on_paths, ArcPath};
+pub use paths::{max_concurrent_flow_on_paths, ArcPath};
 pub use shard::{max_concurrent_flow_aggregated, AggregatedInstance, DistanceOracle};
 
 /// Errors reported by the concurrent-flow solvers.

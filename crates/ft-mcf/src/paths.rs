@@ -20,7 +20,7 @@
 //! Variables are per-path flows, so the LP stays small for the k ≤ 8 path
 //! sets routing actually uses.
 
-use crate::digraph::{CapGraph, DijkstraScratch};
+use crate::digraph::CapGraph;
 use crate::{Commodity, McfError};
 use ft_lp::{LpError, LpOutcome, LpProblem, Var};
 
@@ -30,7 +30,8 @@ pub type ArcPath = Vec<usize>;
 /// Solves max concurrent flow restricted to the given path sets.
 ///
 /// `paths[j]` are the admissible paths of `commodities[j]` (arc-index
-/// lists from `CapGraph::shortest_path` or expanded from routing tables).
+/// lists from `CapGraph::shortest_path`, or a router's paths mapped onto
+/// the arcs of [`CapGraph::from_graph`]).
 /// Returns 0.0 if any commodity has an empty path set (it cannot route at
 /// all), `f64::INFINITY` for an empty commodity list.
 ///
@@ -101,105 +102,51 @@ pub fn max_concurrent_flow_on_paths(
     }
 }
 
-/// Enumerates up to `k` shortest arc-paths per commodity under hop-count
-/// lengths, as a routing-realistic path set. This is a light-weight
-/// per-commodity Yen on the directed graph (sufficient for the small k
-/// used by routing; `ft-control` owns the production KSP machinery on the
-/// undirected switch graph).
-pub fn k_shortest_arc_paths(g: &CapGraph, c: &Commodity, k: usize) -> Vec<ArcPath> {
-    let ones = vec![1.0; g.arc_count()];
-    // one Dijkstra scratch plus one lengths buffer, reused across all spur
-    // computations (the buffer is re-initialized from `ones` per spur
-    // instead of cloning a fresh vector)
-    let mut scratch = DijkstraScratch::new();
-    let mut lengths = ones.clone();
-    let mut accepted: Vec<(ArcPath, f64)> = Vec::new();
-    let Some(len) = g.shortest_path_with(c.src, c.dst, &ones, &mut scratch) else {
-        return Vec::new();
-    };
-    accepted.push((scratch.path().to_vec(), len));
-    let mut candidates: Vec<(ArcPath, f64)> = Vec::new();
-    while accepted.len() < k {
-        let Some((prev, _)) = accepted.last().cloned() else {
-            break; // unreachable: `accepted` starts with the first path
-        };
-        // spur at every prefix: ban the next arc of same-prefix accepted
-        // paths by inflating its length
-        for spur in 0..prev.len() {
-            let root = &prev[..spur];
-            lengths.copy_from_slice(&ones);
-            for (p, _) in &accepted {
-                if p.len() > spur && &p[..spur] == root {
-                    lengths[p[spur]] = f64::INFINITY;
-                }
-            }
-            // also ban revisiting root nodes by inflating their out-arcs
-            let spur_node = if spur == 0 {
-                c.src
-            } else {
-                // bounds: spur > 0 in this branch, so spur - 1 < prev.len()
-                g.arc(prev[spur - 1]).to
-            };
-            let mut banned_nodes: Vec<usize> = root.iter().map(|&a| g.arc(a).from).collect();
-            banned_nodes.retain(|&v| v != spur_node);
-            for &v in &banned_nodes {
-                for &ai in g.out_arcs(v) {
-                    lengths[ai as usize] = f64::INFINITY;
-                }
-            }
-            if let Some(tail_len) = g.shortest_path_with(spur_node, c.dst, &lengths, &mut scratch) {
-                if tail_len.is_finite() {
-                    let mut path = root.to_vec();
-                    path.extend_from_slice(scratch.path());
-                    let total = path.len() as f64;
-                    if !accepted.iter().any(|(p, _)| *p == path)
-                        && !candidates.iter().any(|(p, _)| *p == path)
-                    {
-                        candidates.push((path, total));
-                    }
-                }
-            }
-        }
-        let Some(best) = candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.1.total_cmp(&b.1))
-            .map(|(i, _)| i)
-        else {
-            break;
-        };
-        accepted.push(candidates.swap_remove(best));
-    }
-    accepted.into_iter().map(|(p, _)| p).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::max_concurrent_flow_exact;
-    use ft_graph::Graph;
+    use ft_graph::{id32, k_shortest_paths, Graph, NodeId};
 
-    fn unit(n: usize, edges: &[(u32, u32)]) -> CapGraph {
-        CapGraph::from_graph(&Graph::from_edges(n, edges), 1.0)
+    fn unit(n: usize, edges: &[(u32, u32)]) -> (Graph, CapGraph) {
+        let g = Graph::from_edges(n, edges);
+        let cg = CapGraph::from_graph(&g, 1.0);
+        (g, cg)
+    }
+
+    /// Up to `k` hop-shortest paths of `c` from ft-graph's Yen, as arcs of
+    /// `CapGraph::from_graph(g)`: edge `e` is arc `2e` in its stored
+    /// direction and `2e + 1` against it.
+    fn ksp(g: &Graph, c: &Commodity, k: usize) -> Vec<ArcPath> {
+        let ones = vec![1.0; g.edge_id_bound()];
+        let (src, dst) = (NodeId(id32(c.src)), NodeId(id32(c.dst)));
+        k_shortest_paths(g, src, dst, k, &ones)
+            .iter()
+            .map(|p| {
+                let hops = p.edges.iter().zip(&p.nodes);
+                hops.map(|(&e, &from)| 2 * e.index() + usize::from(g.endpoints(e).0 != from))
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
     fn single_path_restriction() {
         // diamond: optimal routing λ = 2 (two disjoint paths); restricted
         // to one path λ = 1
-        let g = unit(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
+        let (g, cg) = unit(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
         let c = Commodity {
             src: 0,
             dst: 3,
             demand: 1.0,
         };
-        let one = k_shortest_arc_paths(&g, &c, 1);
+        let one = ksp(&g, &c, 1);
         assert_eq!(one.len(), 1);
-        let l1 = max_concurrent_flow_on_paths(&g, &[c], &[one]).unwrap();
+        let l1 = max_concurrent_flow_on_paths(&cg, &[c], &[one]).unwrap();
         assert!((l1 - 1.0).abs() < 1e-6, "λ = {l1}");
-        let two = k_shortest_arc_paths(&g, &c, 2);
+        let two = ksp(&g, &c, 2);
         assert_eq!(two.len(), 2);
-        let l2 = max_concurrent_flow_on_paths(&g, &[c], &[two]).unwrap();
+        let l2 = max_concurrent_flow_on_paths(&cg, &[c], &[two]).unwrap();
         assert!((l2 - 2.0).abs() < 1e-6, "λ = {l2}");
     }
 
@@ -207,7 +154,7 @@ mod tests {
     fn enough_paths_recover_optimum() {
         // K4: with generous path sets, the path-restricted LP matches the
         // edge-based optimum
-        let g = unit(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+        let (g, cg) = unit(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         let cs = [
             Commodity {
                 src: 0,
@@ -220,9 +167,9 @@ mod tests {
                 demand: 1.0,
             },
         ];
-        let exact = max_concurrent_flow_exact(&g, &cs).unwrap();
-        let paths: Vec<Vec<ArcPath>> = cs.iter().map(|c| k_shortest_arc_paths(&g, c, 8)).collect();
-        let restricted = max_concurrent_flow_on_paths(&g, &cs, &paths).unwrap();
+        let exact = max_concurrent_flow_exact(&cg, &cs).unwrap();
+        let paths: Vec<Vec<ArcPath>> = cs.iter().map(|c| ksp(&g, c, 8)).collect();
+        let restricted = max_concurrent_flow_on_paths(&cg, &cs, &paths).unwrap();
         assert!(restricted <= exact + 1e-6);
         assert!(
             restricted >= exact - 1e-6,
@@ -232,16 +179,16 @@ mod tests {
 
     #[test]
     fn restriction_never_helps() {
-        let g = unit(5, &[(0, 1), (1, 4), (0, 2), (2, 4), (0, 3), (3, 4), (1, 2)]);
+        let (g, cg) = unit(5, &[(0, 1), (1, 4), (0, 2), (2, 4), (0, 3), (3, 4), (1, 2)]);
         let cs = [Commodity {
             src: 0,
             dst: 4,
             demand: 2.0,
         }];
-        let exact = max_concurrent_flow_exact(&g, &cs).unwrap();
+        let exact = max_concurrent_flow_exact(&cg, &cs).unwrap();
         for k in 1..=4 {
-            let paths = vec![k_shortest_arc_paths(&g, &cs[0], k)];
-            let restricted = max_concurrent_flow_on_paths(&g, &cs, &paths).unwrap();
+            let paths = vec![ksp(&g, &cs[0], k)];
+            let restricted = max_concurrent_flow_on_paths(&cg, &cs, &paths).unwrap();
             assert!(
                 restricted <= exact + 1e-6,
                 "k = {k}: restricted {restricted} beats exact {exact}"
@@ -251,34 +198,34 @@ mod tests {
 
     #[test]
     fn empty_path_set_zero() {
-        let g = unit(3, &[(0, 1)]);
+        let (g, cg) = unit(3, &[(0, 1)]);
         let c = Commodity {
             src: 0,
             dst: 2,
             demand: 1.0,
         };
-        assert!(k_shortest_arc_paths(&g, &c, 3).is_empty());
-        let l = max_concurrent_flow_on_paths(&g, &[c], &[vec![]]).unwrap();
+        assert!(ksp(&g, &c, 3).is_empty());
+        let l = max_concurrent_flow_on_paths(&cg, &[c], &[vec![]]).unwrap();
         assert_eq!(l, 0.0);
     }
 
     #[test]
     fn no_commodities_infinite() {
-        let g = unit(2, &[(0, 1)]);
-        assert!(max_concurrent_flow_on_paths(&g, &[], &[])
+        let (_, cg) = unit(2, &[(0, 1)]);
+        assert!(max_concurrent_flow_on_paths(&cg, &[], &[])
             .unwrap()
             .is_infinite());
     }
 
     #[test]
     fn path_set_mismatch_rejected() {
-        let g = unit(2, &[(0, 1)]);
+        let (_, cg) = unit(2, &[(0, 1)]);
         let c = Commodity {
             src: 0,
             dst: 1,
             demand: 1.0,
         };
-        let err = max_concurrent_flow_on_paths(&g, &[c], &[]).unwrap_err();
+        let err = max_concurrent_flow_on_paths(&cg, &[c], &[]).unwrap_err();
         assert_eq!(
             err,
             McfError::PathSetMismatch {
@@ -286,31 +233,5 @@ mod tests {
                 path_sets: 0
             }
         );
-    }
-
-    #[test]
-    fn ksp_paths_are_simple_and_sorted() {
-        let g = unit(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]);
-        let c = Commodity {
-            src: 0,
-            dst: 4,
-            demand: 1.0,
-        };
-        let ps = k_shortest_arc_paths(&g, &c, 5);
-        assert!(!ps.is_empty());
-        for w in ps.windows(2) {
-            assert!(w[0].len() <= w[1].len(), "paths must be sorted by hops");
-        }
-        for p in &ps {
-            // no repeated nodes
-            let mut nodes = vec![g.arc(p[0]).from];
-            for &a in p {
-                nodes.push(g.arc(a).to);
-            }
-            let mut dedup = nodes.clone();
-            dedup.sort_unstable();
-            dedup.dedup();
-            assert_eq!(dedup.len(), nodes.len(), "loop in {p:?}");
-        }
     }
 }

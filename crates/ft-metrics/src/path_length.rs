@@ -13,18 +13,20 @@
 //! removes self-pairs (a server to itself). Distinct servers on the same
 //! switch are correctly counted at distance 2.
 //!
-//! Distances come from the compact `u16` [`DistMatrix`] filled by the
-//! multi-source bitset BFS kernel (DESIGN.md §15); graphs too large for
-//! `u16` hop counts fall back to the `u32` [`AllPairs`] fill transparently.
-//! One table serves every metric: [`SwitchDistances`] holds the rows for
-//! all server-hosting switches, and the `*_with` variants
-//! ([`average_server_path_length_with`],
-//! [`average_intra_pod_path_length_with`]) reuse it — `ft-serve` computes
-//! the table once per materialized network instead of once per query
-//! metric. The float accumulation order is unchanged from the original
+//! Distances come from the workspace's one hop-distance table, the `u16`
+//! [`DistMatrix`] filled by the multi-source bitset BFS kernel
+//! (DESIGN.md §15). It fits any switch count whose hop counts stay below
+//! 65 535; a network with a pair farther apart gets no rows, and the
+//! metrics report it as they report a disconnected one (see
+//! [`SwitchDistances`]). One table serves every metric: [`SwitchDistances`]
+//! holds the rows for all server-hosting switches, and the `*_with`
+//! variants ([`average_server_path_length_with`],
+//! [`average_intra_pod_path_length_with`]) reuse it — a caller that needs
+//! both averages (`ftctl metrics`, an `ft-serve` path fill) builds the
+//! table once. The float accumulation order is unchanged from the original
 //! per-call fills, so every reported average is bit-identical.
 
-use ft_graph::{id32, AllPairs, Csr, DistMatrix, Graph, NodeId, UNREACHABLE, UNREACHABLE16};
+use ft_graph::{id32, Csr, DistMatrix, Graph, NodeId, UNREACHABLE, UNREACHABLE16};
 use ft_topo::{DedupedApsp, Network, SymmetryClasses};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -47,38 +49,12 @@ fn obs() -> &'static ApspCounters {
     })
 }
 
-/// The partial distance table behind [`SwitchDistances`]: compact `u16`
-/// rows whenever the graph fits (`n < u16::MAX`, always true for the
-/// topologies this workspace builds), `u32` rows otherwise.
-enum Table {
-    Compact(DistMatrix),
-    Wide(AllPairs),
-}
-
-impl Table {
-    /// Distance for row `i`, column `j`, widened to the `u32` domain
-    /// ([`UNREACHABLE`] for unreachable pairs under either storage).
-    #[inline]
-    fn get(&self, i: usize, j: usize) -> u32 {
-        match self {
-            Table::Compact(m) => {
-                let d = m.get(i, j);
-                if d == UNREACHABLE16 {
-                    UNREACHABLE
-                } else {
-                    u32::from(d)
-                }
-            }
-            Table::Wide(ap) => ap.get(i, j),
-        }
-    }
-}
-
 /// Builds the partial APSP table for the given source switches, batched
 /// multi-source BFS over a frozen CSR view. Row `i` belongs to
 /// `sources[i]`. Rows are bit-identical for every `FT_THREADS` value, so
-/// every float accumulation downstream is too.
-fn source_table(sg: &Graph, sources: &[usize]) -> Table {
+/// every float accumulation downstream is too. `None` when a hop count
+/// would not fit the table's `u16` entries.
+fn source_table(sg: &Graph, sources: &[usize]) -> Option<DistMatrix> {
     let c = obs();
     c.computations.incr();
     c.rows.add(sources.len() as u64);
@@ -88,14 +64,9 @@ fn source_table(sg: &Graph, sources: &[usize]) -> Table {
         nodes = sg.node_count()
     );
     let nodes: Vec<NodeId> = sources.iter().map(|&i| NodeId(id32(i))).collect();
-    let csr = Csr::from_graph(sg);
-    match DistMatrix::compute_from_csr(&csr, &nodes) {
-        Ok(m) => Table::Compact(m),
-        // DistanceOverflow (graph ≥ u16::MAX nodes): the u32 fill has no
-        // such limit. NodeOutOfBounds cannot happen — sources come from
-        // enumerating the graph's own switches.
-        Err(_) => Table::Wide(AllPairs::compute_from_csr(&csr, &nodes)),
-    }
+    // DistanceOverflow is the only possible error: the sources enumerate
+    // the graph's own switches, so NodeOutOfBounds cannot happen.
+    DistMatrix::compute_from_csr(&Csr::from_graph(sg), &nodes).ok()
 }
 
 /// The symmetry-deduplicated table of `net`'s switch distances: the
@@ -123,28 +94,39 @@ pub(crate) fn deduped_apsp(net: &Network) -> Option<DedupedApsp> {
 /// Switch-graph distances from every server-hosting switch, computed once
 /// and shared across the path-length metrics.
 ///
-/// `ft-serve` materializes one of these per cached network; the `*_with`
-/// metric variants then reuse it instead of re-running APSP per metric.
+/// The `*_with` metric variants reuse one of these instead of re-running
+/// APSP per metric.
+///
+/// The table holds `u16` hop counts, which fit every network whose
+/// connected switch pairs are fewer than 65 535 hops apart, whatever its
+/// switch count; only a chain of at least 65 536 switches can break that.
+/// Such a network gets no rows at all: [`SwitchDistances::rows`] is 0 and
+/// [`SwitchDistances::switch_distance`] is `None` for every switch, so the
+/// averages report it as they report a disconnected network (`∞`) and
+/// [`path_length_histogram`] is empty.
 pub struct SwitchDistances {
     /// Per switch id: row index into `table`, or `u32::MAX` when the
-    /// switch hosts no servers (no row needed).
+    /// switch has no row (it hosts no servers, or the table overflowed).
     row_index: Vec<u32>,
-    table: Table,
+    /// The hosting switches' rows; `None` when a hop count overflowed.
+    table: Option<DistMatrix>,
 }
 
 impl SwitchDistances {
     /// Runs the batched BFS fill for all switches of `net` that host at
-    /// least one server.
+    /// least one server (no rows on a hop-count overflow; see the type
+    /// docs).
     pub fn compute(net: &Network) -> SwitchDistances {
         let counts = net.server_counts();
-        let sg = net.switch_graph();
         let sources: Vec<usize> = (0..counts.len()).filter(|&i| counts[i] > 0).collect();
+        let table = source_table(&net.switch_graph(), &sources);
         let mut row_index = vec![u32::MAX; counts.len()];
-        for (r, &s) in sources.iter().enumerate() {
-            // bounds: sources enumerate indices of counts
-            row_index[s] = id32(r);
+        if table.is_some() {
+            for (r, &s) in sources.iter().enumerate() {
+                // bounds: sources enumerate indices of counts
+                row_index[s] = id32(r);
+            }
         }
-        let table = source_table(&sg, &sources);
         SwitchDistances { row_index, table }
     }
 
@@ -153,8 +135,9 @@ impl SwitchDistances {
         self.row_index.iter().filter(|&&r| r != u32::MAX).count()
     }
 
-    /// Distance in hops between switches `a` and `b`, or `None` when `a`
-    /// hosts no servers (no row was computed for it).
+    /// Distance in hops between switches `a` and `b` ([`UNREACHABLE`]
+    /// when disconnected), or `None` when `a` has no row: it hosts no
+    /// servers, or the table overflowed.
     #[inline]
     pub fn switch_distance(&self, a: usize, b: usize) -> Option<u32> {
         // bounds: callers pass valid switch ids (≤ row_index length)
@@ -162,14 +145,20 @@ impl SwitchDistances {
         if r == u32::MAX {
             return None;
         }
-        Some(self.table.get(r as usize, b))
+        let d = self.table.as_ref()?.get(r as usize, b);
+        Some(if d == UNREACHABLE16 {
+            UNREACHABLE
+        } else {
+            u32::from(d)
+        })
     }
 }
 
 /// Average path length in hops over all ordered pairs of distinct servers.
 ///
 /// Returns `NaN` for networks with fewer than two servers, and `∞` if any
-/// server pair is disconnected.
+/// server pair is disconnected or a hop count overflows the distance table
+/// ([`SwitchDistances`]).
 pub fn average_server_path_length(net: &Network) -> f64 {
     average_server_path_length_with(net, &SwitchDistances::compute(net))
 }
@@ -443,6 +432,46 @@ mod tests {
                 assert!(matches!(h, 2 | 4 | 6), "unexpected hop count {h}");
             }
         }
+    }
+
+    /// `switches` generic switches in a chain, one server at each end.
+    fn chain_with_servers_at_the_ends(switches: u32) -> Network {
+        use ft_topo::{DeviceKind, NetworkBuilder};
+        let mut b = NetworkBuilder::new("chain");
+        let sw: Vec<NodeId> = (0..switches)
+            .map(|_| b.add_switch(DeviceKind::Generic, 3, None).unwrap())
+            .collect();
+        for w in sw.windows(2) {
+            b.add_link(w[0], w[1]).unwrap();
+        }
+        for end in [sw[0], sw[sw.len() - 1]] {
+            let s = b.add_server(None);
+            b.add_link(s, end).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn hop_count_overflow_reads_as_disconnected() {
+        // 65 535 switches, as many as the u16 sentinel: the ends are
+        // 65 534 hops apart, which still fits, so the two servers sit
+        // 65 534 + 2 hops apart.
+        let net = chain_with_servers_at_the_ends(65_535);
+        let dist = SwitchDistances::compute(&net);
+        assert_eq!(dist.rows(), 2);
+        assert_eq!(dist.switch_distance(0, 65_534), Some(65_534));
+        assert_eq!(average_server_path_length_with(&net, &dist), 65_536.0);
+
+        // One switch more puts the ends 65 535 hops apart, the u16
+        // sentinel: no rows, and the averages read ∞ as for a disconnected
+        // network.
+        let net = chain_with_servers_at_the_ends(65_536);
+        let dist = SwitchDistances::compute(&net);
+        assert_eq!(dist.rows(), 0);
+        assert_eq!(dist.switch_distance(0, 0), None);
+        assert!(average_server_path_length_with(&net, &dist).is_infinite());
+        assert!(average_intra_pod_path_length_with(&net, 2, &dist).is_infinite());
+        assert!(path_length_histogram(&net).is_empty());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! cached hypothetical layout is stale relative to the hardware baseline
 //! (see DESIGN.md §9 for the invalidation rationale).
 
-use ft_metrics::SwitchDistances;
 use ft_topo::Network;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -38,12 +37,10 @@ pub struct Materialized {
     /// The materialized logical topology.
     pub network: Network,
     /// Path-length answers, filled by the first `paths` request that needs
-    /// them (guarded separately so fills don't hold the cache lock).
+    /// them (guarded separately so fills don't hold the cache lock). The
+    /// fill builds one switch-distance table, reads both metrics from it
+    /// and drops it: only the answer stays cached.
     pub paths: Mutex<Option<PathsAnswer>>,
-    /// The shared switch-distance table behind the path-length answers
-    /// (one multi-source BFS fill per materialization; both the APL and
-    /// intra-Pod metrics read it through the `*_with` variants).
-    dist: Mutex<Option<Arc<SwitchDistances>>>,
 }
 
 impl Materialized {
@@ -52,21 +49,6 @@ impl Materialized {
         Materialized {
             network,
             paths: Mutex::new(None),
-            dist: Mutex::new(None),
-        }
-    }
-
-    /// The switch-distance table for this network, computing it on first
-    /// use and sharing the `Arc` afterwards.
-    pub fn switch_distances(&self) -> Arc<SwitchDistances> {
-        let mut slot = self.dist.lock();
-        match &*slot {
-            Some(d) => Arc::clone(d),
-            None => {
-                let d = Arc::new(SwitchDistances::compute(&self.network));
-                *slot = Some(Arc::clone(&d));
-                d
-            }
         }
     }
 }

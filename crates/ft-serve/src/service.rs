@@ -25,7 +25,7 @@ use ft_control::Controller;
 use ft_core::{FlatTreeConfig, Mode};
 use ft_mcf::aggregate_commodities;
 use ft_metrics::path_length::{
-    average_intra_pod_path_length_with, average_server_path_length_with,
+    average_intra_pod_path_length_with, average_server_path_length_with, SwitchDistances,
 };
 use ft_metrics::throughput::{throughput_on_commodities, SolverKind, ThroughputOptions};
 use ft_workload::{generate, WorkloadSpec};
@@ -371,12 +371,13 @@ fn exec_paths(shared: &Shared, spec: Option<&ModeSpec>) -> Result<String, ServeE
         match *slot {
             Some(a) => (a, true),
             None => {
-                // one multi-source BFS table per materialization; both
-                // metrics read it through the *_with variants — time the
-                // whole fill for the fill-latency histogram
+                // one multi-source BFS table per fill, read by both metrics
+                // through the *_with variants and dropped once the answer
+                // is cached — time the whole fill for the fill-latency
+                // histogram
                 let t0 = std::time::Instant::now();
                 let _span = ft_obs::span!("serve.path_fill", k = shared.cfg.k);
-                let dist = entry.switch_distances();
+                let dist = SwitchDistances::compute(&entry.network);
                 let a = PathsAnswer {
                     apl: average_server_path_length_with(&entry.network, &dist),
                     intra: average_intra_pod_path_length_with(

@@ -71,8 +71,8 @@ pub struct ColMap {
 }
 
 impl ColMap {
-    /// Maps a column index of the expanded table to the representative's
-    /// column.
+    /// Maps column `w` of the switch's full distance row to the
+    /// representative's column.
     #[inline]
     pub fn apply(&self, w: u32) -> u32 {
         let w = match self.swap {
@@ -311,8 +311,7 @@ impl SymmetryClasses {
 ///
 /// `get(v, w)` reads `v`'s class representative's row through `v`'s
 /// [`ColMap`] — exact distances, never an approximation, because every
-/// class was built from verified automorphisms. [`DedupedApsp::expand`]
-/// materializes the full [`DistMatrix`] when a flat table is preferable.
+/// class was built from verified automorphisms.
 pub struct DedupedApsp {
     classes: SymmetryClasses,
     matrix: DistMatrix,
@@ -357,48 +356,6 @@ impl DedupedApsp {
         &self.classes
     }
 
-    /// The per-class representative rows.
-    pub fn representative_rows(&self) -> &DistMatrix {
-        &self.matrix
-    }
-
-    /// Materializes the full switch × switch table by expanding every
-    /// class row through the per-switch column maps (parallel over rows;
-    /// each row depends only on its row index, so the result is
-    /// bit-identical for every worker count).
-    pub fn expand(&self) -> Result<DistMatrix, GraphError> {
-        self.expand_with_threads(ft_graph::par::thread_count())
-    }
-
-    /// [`DedupedApsp::expand`] with an explicit worker count.
-    pub fn expand_with_threads(&self, threads: usize) -> Result<DistMatrix, GraphError> {
-        let n = self.classes.len();
-        if n == 0 {
-            return DistMatrix::from_rows(self.matrix.width().max(1), Vec::new());
-        }
-        let mut rows = vec![0u16; n * n];
-        ft_graph::par::fill_rows_with(
-            threads,
-            &mut rows,
-            n,
-            || (),
-            |v, row, _| {
-                let rep_row = self.matrix.row(self.classes.class_of(v) as usize);
-                let map = self.classes.col_map(v);
-                if map.is_identity() {
-                    row.copy_from_slice(rep_row);
-                } else {
-                    for (w, cell) in row.iter_mut().enumerate() {
-                        // bounds: map.apply permutes [0, n), and rep_row has
-                        // n entries
-                        *cell = rep_row[map.apply(w as u32) as usize];
-                    }
-                }
-            },
-        );
-        DistMatrix::from_rows(n, rows)
-    }
-
     /// Wrapping sum of the *expanded* table's entries without
     /// materializing it — comparable against [`DistMatrix::checksum`] of a
     /// full APSP.
@@ -437,11 +394,8 @@ mod tests {
     fn assert_dedup_exact(net: &Network) {
         let full = full_table(net);
         let dd = DedupedApsp::compute_with_threads(net, 1).unwrap();
-        let expanded = dd.expand_with_threads(1).unwrap();
         let n = net.num_switches();
-        assert_eq!(expanded.rows(), n);
         for v in 0..n {
-            assert_eq!(expanded.row(v), full.row(v), "row of switch {v}");
             for w in 0..n {
                 assert_eq!(dd.get(v, w), full.get(v, w), "get({v},{w})");
             }

@@ -25,7 +25,9 @@ use crate::mcf::{
     aggregate_commodities, max_concurrent_flow, CapGraph, DijkstraScratch, FptasOptions,
 };
 use crate::metrics::bisection::random_bisection_bandwidth;
-use crate::metrics::path_length::{average_intra_pod_path_length, average_server_path_length};
+use crate::metrics::path_length::{
+    average_intra_pod_path_length_with, average_server_path_length_with, SwitchDistances,
+};
 use crate::metrics::throughput::{throughput_all_to_all, SolverKind, ThroughputOptions};
 use crate::serve::{serve_listener, ServeConfig, Service};
 use crate::sim::{flows_with_arrivals, ConversionEvent, DesSimulator, RouterPolicy, TopoEvent};
@@ -311,17 +313,20 @@ fn cmd_metrics(inv: &Invocation) -> Result<String, CliError> {
     let net = build_network(inv)?;
     let k = get_k(inv)?;
     let sg = net.switch_graph();
+    // one hosting-switch table for both averages (bit-identical to the
+    // per-call fills)
+    let dist = SwitchDistances::compute(&net);
     let mut out = String::new();
     let _ = writeln!(out, "{}", net.name());
     let _ = writeln!(
         out,
         "  average path length (servers): {:.4}",
-        average_server_path_length(&net)
+        average_server_path_length_with(&net, &dist)
     );
     let _ = writeln!(
         out,
         "  intra-pod path length:         {:.4}",
-        average_intra_pod_path_length(&net, k * k / 4)
+        average_intra_pod_path_length_with(&net, k * k / 4, &dist)
     );
     let _ = writeln!(
         out,
@@ -975,9 +980,9 @@ fn bench_json(threads: usize, quick: bool, entries: &[BenchEntry]) -> String {
 /// [`DistMatrix`]: the scalar one-queue-per-source reference (`seq`) vs the
 /// multi-source bitset kernel advancing 64 sources per word (`par`, batches
 /// distributed over the session's worker count). The tables must agree row
-/// for row, and the checksum — identical to the old `u32` table's sum on
-/// these connected fabrics — lands in both JSON entries so regressions
-/// show up in diffs.
+/// for row, and the checksum — the plain sum of the hop counts on these
+/// connected fabrics — lands in both JSON entries so regressions show up
+/// in diffs.
 fn bench_apsp(k: usize, threads: usize, entries: &mut Vec<BenchEntry>) -> Result<(), CliError> {
     let net = fat_tree(k).map_err(|e| CliError(e.to_string()))?;
     let sg = net.switch_graph();
@@ -2194,6 +2199,99 @@ mod tests {
                         proptest::prop_assert!((1..=MAX_KSP_PATHS).contains(&n), "{text:?}");
                     }
                 }
+            }
+        }
+    }
+
+    /// FTQ/1 soup pieces, edge values first: version prefixes, verbs,
+    /// argument keys and values, and the whitespace between tokens.
+    const FTQ_HEADS: &[&str] = &["", "ftq/1 ", "FTQ/1 ", "ftq/2 ", "ftq/ ", "ftq/1"];
+    const FTQ_VERBS: &str = "topo paths throughput plan convert stats metrics shutdown THROUGHPUT";
+    const FTQ_KEYS: &str = "mode to eps pattern cluster locality seed solver deadline_ms";
+    const FTQ_VALUES: &str = "0 0.5 NaN inf -1 1e309 18446744073709551615 18446744073709551616 \
+        hybrid: hybrid:cgl hybrid:cxg hybrid:éc hybrid:ccccccccc = 0.1 2 clos global-rg hotspot \
+        strong aggregated";
+    const FTQ_SPACES: &[&str] = &[" ", "  ", "\t", "\u{a0}", "\r", ""];
+
+    /// Word `i` (wrapping) of a space-separated soup list.
+    fn pick(list: &str, i: usize) -> &str {
+        let words: Vec<&str> = list.split_whitespace().collect();
+        words[i % words.len()]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10_000))]
+        /// No FTQ/1 line soup panics `proto::parse` (and through it
+        /// `ModeSpec::parse`), and every request it accepts holds the
+        /// ranges it promises.
+        #[test]
+        fn parse_ftq_fuzz(
+            head in (0..FTQ_HEADS.len(), 0usize..16),
+            tokens in proptest::collection::vec(
+                (0u8..6, 0usize..16, 0usize..32, 0..FTQ_SPACES.len()),
+                0..6,
+            )
+        ) {
+            use crate::serve::{ModeSpec, Request};
+            let mut line = format!("{}{}", FTQ_HEADS[head.0], pick(FTQ_VERBS, head.1));
+            for &(shape, k, v, sp) in &tokens {
+                let (key, value) = (pick(FTQ_KEYS, k), pick(FTQ_VALUES, v));
+                line.push_str(FTQ_SPACES[sp]);
+                line.push_str(&match shape {
+                    0 => format!("{key}={value}"),
+                    1 => key.to_string(),
+                    2 => value.to_string(),
+                    3 => format!("{key}=={value}"),
+                    4 => format!("{key}="),
+                    _ => format!("={value}"),
+                });
+                if let Ok(ModeSpec::Hybrid(pods)) = ModeSpec::parse(value) {
+                    proptest::prop_assert!(!pods.is_empty(), "{value:?}");
+                }
+            }
+            let spec = match crate::serve::parse(&line) {
+                Ok(Request::Throughput { epsilon, cluster, mode, .. }) => {
+                    proptest::prop_assert!(epsilon > 0.0 && epsilon < 0.5, "{line:?}: {epsilon}");
+                    proptest::prop_assert!(cluster >= 2, "{line:?}: cluster {cluster}");
+                    mode
+                }
+                Ok(Request::Topo { mode } | Request::Paths { mode }) => mode,
+                Ok(Request::Plan { to } | Request::Convert { to }) => Some(to),
+                Ok(_) | Err(_) => None,
+            };
+            if let Some(ModeSpec::Hybrid(pods)) = spec {
+                proptest::prop_assert!(!pods.is_empty(), "{line:?}");
+            }
+        }
+
+        /// No zone-list soup panics `parse_zones`, and an accepted list has
+        /// one zone per comma-separated part, which zone validation then
+        /// accepts or refuses without panicking.
+        #[test]
+        fn parse_zones_fuzz(
+            parts in proptest::collection::vec(
+                (0u8..4, 0..SOUP_VALUES.len(), 0..SOUP_VALUES.len(), 0..FTQ_SPACES.len()),
+                1..5,
+            )
+        ) {
+            let spec = parts
+                .iter()
+                .map(|&(shape, lo, hi, sp)| {
+                    let name = pick("a zone_b é a:b", lo);
+                    let mode = pick("clos global-rg local-rg x clos:extra", hi);
+                    let (lo, hi, space) = (SOUP_VALUES[lo], SOUP_VALUES[hi], FTQ_SPACES[sp]);
+                    match shape {
+                        0 => format!("{space}{name}:{lo}..{hi}:{mode}{space}"),
+                        1 => format!("{name}:{lo}..{hi}"),
+                        2 => format!(":{lo}{space}..{hi}:{mode}"),
+                        _ => format!("{name}:{lo}:{hi}:{mode}"),
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join(",");
+            if let Ok(zones) = parse_zones(&spec) {
+                proptest::prop_assert_eq!(zones.len(), spec.split(',').count(), "{:?}", spec);
+                let _ = crate::control::zones_to_mode(&zones, 8);
             }
         }
     }

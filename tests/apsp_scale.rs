@@ -1,11 +1,11 @@
 //! Correctness gate for the symmetry-deduplicated APSP (DESIGN.md §15):
 //! on every k and operating mode where a full table is cheap, the deduped
 //! table must agree with the full bitset-kernel matrix entry for entry —
-//! through `get`, through `expand`, and through the bench checksum. Clos
-//! mode additionally pins the class count to the fat-tree prediction
-//! (k + 1: one edge class, k/2 aggregation classes, k/2 core classes);
-//! randomized modes are allowed to degrade all the way to singleton
-//! classes but never to an inexact answer.
+//! through `get` and through the bench checksum. Clos mode additionally
+//! pins the class count to the fat-tree prediction (k + 1: one edge class,
+//! k/2 aggregation classes, k/2 core classes); randomized modes are
+//! allowed to degrade all the way to singleton classes but never to an
+//! inexact answer.
 
 use flat_tree::core::{FlatTree, FlatTreeConfig, Mode, PodMode};
 use flat_tree::graph::{Csr, DistMatrix};
@@ -42,10 +42,6 @@ fn assert_dedup_exact(net: &Network, label: &str) {
         }
     }
 
-    let expanded = dd.expand().unwrap();
-    for v in 0..n {
-        assert_eq!(expanded.row(v), full.row(v), "{label}: expanded row {v}");
-    }
     assert_eq!(dd.expanded_checksum(), full.checksum(), "{label}: checksum");
 }
 
