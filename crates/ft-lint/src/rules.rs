@@ -86,7 +86,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "wallclock",
         pack: "determinism",
-        summary: "no Instant::now/SystemTime outside ft-obs/ft-bench",
+        summary: "no Instant::now/SystemTime outside ft-obs",
     },
     RuleInfo {
         id: "thread-dependent",
@@ -457,8 +457,7 @@ impl Ctx<'_, '_> {
         }
     }
 
-    /// `wallclock` — wall-clock reads outside the observability and bench
-    /// crates.
+    /// `wallclock` — wall-clock reads outside the observability crate.
     fn wallclock(&mut self) {
         let m = self.m;
         for j in 0..m.len() {
@@ -469,7 +468,7 @@ impl Ctx<'_, '_> {
                 self.report(
                     j,
                     "wallclock",
-                    "`Instant::now()` outside ft-obs/ft-bench; deterministic code must not read wall clocks"
+                    "`Instant::now()` outside ft-obs; deterministic code must not read wall clocks"
                         .to_string(),
                 );
             }
@@ -477,7 +476,7 @@ impl Ctx<'_, '_> {
                 self.report(
                     j,
                     "wallclock",
-                    "`SystemTime` outside ft-obs/ft-bench; deterministic code must not read wall clocks"
+                    "`SystemTime` outside ft-obs; deterministic code must not read wall clocks"
                         .to_string(),
                 );
             }
@@ -786,7 +785,6 @@ mod tests {
         let src = "fn f() { let t = std::time::Instant::now(); let _ = t; }\n";
         assert!(rules_of("crates/ft-mcf/src/x.rs", src).contains(&"wallclock"));
         assert!(!rules_of("crates/ft-obs/src/x.rs", src).contains(&"wallclock"));
-        assert!(!rules_of("crates/ft-bench/src/x.rs", src).contains(&"wallclock"));
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub const STRICT_CRATES: &[&str] = &[
 pub const DETERMINISTIC_CRATES: &[&str] = &["ft-graph", "ft-mcf", "ft-des", "ft-sim", "ft-metrics"];
 
 /// Crates allowed to read wall clocks (`wallclock` rule exemption):
-/// observability and benchmarking are *about* real time.
-pub const WALLCLOCK_CRATES: &[&str] = &["ft-obs", "ft-bench"];
+/// observability is *about* real time.
+pub const WALLCLOCK_CRATES: &[&str] = &["ft-obs"];
 
 /// The one file allowed to inspect thread counts and identities: the
 /// deterministic worker pool itself.
@@ -376,7 +376,6 @@ mod tests {
         assert_eq!(classify("src/cli.rs"), Scope::Lib);
         assert_eq!(classify("src/main.rs"), Scope::Exempt);
         assert_eq!(classify("crates/ft-lp/tests/x.rs"), Scope::Exempt);
-        assert_eq!(classify("crates/ft-bench/benches/b.rs"), Scope::Exempt);
         assert_eq!(
             classify("crates/ft-experiments/src/bin/fig7.rs"),
             Scope::Exempt

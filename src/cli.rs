@@ -15,29 +15,24 @@
 //! ftctl query   -k 8 --req "paths mode=global-rg; stats"
 //! ```
 
-use crate::control::{plan_transition, plan_zone_transition, KspRoutes, Zone};
+mod bench;
+
+use crate::control::{plan_transition, plan_zone_transition, Zone};
 use crate::core::PodMode;
 use crate::core::{profile_mn, FlatTree, FlatTreeConfig, Mode};
 use crate::graph::bridges::bridges;
 use crate::graph::stats::{diameter, mean_degree};
-use crate::graph::{par, Csr, DistMatrix};
-use crate::mcf::{
-    aggregate_commodities, max_concurrent_flow, CapGraph, DijkstraScratch, FptasOptions,
-};
 use crate::metrics::bisection::random_bisection_bandwidth;
 use crate::metrics::path_length::{
     average_intra_pod_path_length_with, average_server_path_length_with, SwitchDistances,
 };
-use crate::metrics::throughput::{throughput_all_to_all, SolverKind, ThroughputOptions};
 use crate::serve::{serve_listener, ServeConfig, Service};
 use crate::sim::{flows_with_arrivals, ConversionEvent, DesSimulator, RouterPolicy, TopoEvent};
 use crate::topo::export::{to_dot, to_json};
 use crate::topo::{
-    fat_tree, jellyfish_matching_fat_tree, two_stage_random_graph, DedupedApsp, Network,
-    TwoStageParams,
+    fat_tree, jellyfish_matching_fat_tree, two_stage_random_graph, Network, TwoStageParams,
 };
-use crate::workload::{generate, generate_on, Locality, TrafficPattern, WorkloadSpec};
-use ft_graph::NodeId;
+use crate::workload::{generate, Locality, TrafficPattern, WorkloadSpec};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -123,15 +118,17 @@ Dijkstra with fresh vs reused scratch buffers, the source-batched FPTAS
 throughput solve, and a
 ft-des event storm reporting engine-only events/s plus solver_ms) on
 fixed seeds at k ∈ {8, 16, 32}, Yen's 8 shortest paths between the
-global-RG flat-tree's server switches at k ∈ {8, 16}, plus scale tiers:
+global-RG flat-tree's server switches and 1 000 ECMP path walks on the
+fat-tree at k ∈ {8, 16}, plus scale tiers:
 the k = 64 symmetry-aggregated all-to-all FPTAS (quick runs too,
 release builds only) and the k = 128 aggregated FPTAS and deduplicated
 APSP (full runs only). Optionally writes a JSON report (--quick
 restricts the classic sizes to k = 8 with a shorter FPTAS step cap).
---check compares the run against a previously written report: determinism
-fields (checksums, distance sums, λ at matching step budgets) must match
-exactly and any kernel whose median of 3 timed runs is slower than 1.25×
-baseline + 5 ms fails the run.
+--check compares the run against a previously written report, read and
+validated before any kernel runs: every kernel needs a baseline entry,
+determinism fields (checksums, distance sums, λ at matching step budgets)
+must match exactly, and any kernel whose median of 3 timed runs is slower
+than 1.25× baseline + 5 ms fails the run.
 The worker count honours the FT_THREADS environment override.
 
 lint runs the ft-lint analyzer (hygiene, determinism, and concurrency rule
@@ -258,14 +255,20 @@ fn build_network(inv: &Invocation) -> Result<Network, CliError> {
                     .map(String::as_str)
                     .unwrap_or("clos"),
             )?;
-            let cfg = FlatTreeConfig::for_fat_tree_k(k).map_err(|e| CliError(e.to_string()))?;
-            let ft = FlatTree::new(cfg).map_err(|e| CliError(e.to_string()))?;
-            ft.materialize(&mode).map_err(|e| CliError(e.to_string()))
+            materialize(k, &mode)
         }
         other => Err(CliError(format!(
             "unknown --kind {other:?} (use fat-tree | random-graph | two-stage | flat-tree)"
         ))),
     }
+}
+
+/// The flat-tree built from fat-tree(k)'s equipment with the paper's
+/// profiled (m, n), materialized in `mode`.
+fn materialize(k: usize, mode: &Mode) -> Result<Network, CliError> {
+    let cfg = FlatTreeConfig::for_fat_tree_k(k).map_err(|e| CliError(e.to_string()))?;
+    let ft = FlatTree::new(cfg).map_err(|e| CliError(e.to_string()))?;
+    ft.materialize(mode).map_err(|e| CliError(e.to_string()))
 }
 
 /// Executes a parsed invocation, returning the report to print.
@@ -279,7 +282,7 @@ pub fn run(inv: &Invocation) -> Result<String, CliError> {
         "serve" => cmd_serve(inv),
         "query" => cmd_query(inv),
         "sim" => cmd_sim(inv),
-        "bench" => cmd_bench(inv),
+        "bench" => bench::cmd_bench(inv),
         "lint" => cmd_lint(inv),
         "trace" => cmd_trace(inv),
         other => Err(CliError(format!("unknown subcommand {other:?}\n\n{USAGE}"))),
@@ -899,601 +902,6 @@ fn cmd_sim(inv: &Invocation) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Fixed RNG seed for every bench topology and workload: the report must be
-/// reproducible run to run (timings vary, checksums and λ must not).
-const BENCH_SEED: u64 = 1;
-
-/// Timed repetitions per bench kernel. Entries report the median, so one
-/// scheduler hiccup in either run cannot fail a `--check`.
-const BENCH_REPS: usize = 3;
-
-/// Runs `f` [`BENCH_REPS`] times and returns its last result plus the
-/// median wall-clock milliseconds. Every kernel is deterministic, so the
-/// repetitions return equal results.
-fn time_ms<R>(mut f: impl FnMut() -> R) -> (R, f64) {
-    let mut once = || {
-        let t0 = std::time::Instant::now();
-        let r = f();
-        (r, t0.elapsed().as_secs_f64() * 1e3)
-    };
-    let mut ms = [0.0f64; BENCH_REPS];
-    let (mut r, first) = once();
-    ms[0] = first;
-    for slot in &mut ms[1..] {
-        let (next, t) = once();
-        r = next;
-        *slot = t;
-    }
-    ms.sort_by(f64::total_cmp);
-    (r, ms[BENCH_REPS / 2])
-}
-
-/// One timed kernel measurement destined for the JSON report. `extras`
-/// holds additional fields as already-rendered JSON values (numbers).
-struct BenchEntry {
-    k: usize,
-    kernel: &'static str,
-    variant: &'static str,
-    ms: f64,
-    extras: Vec<(&'static str, String)>,
-}
-
-impl BenchEntry {
-    fn extra(&self, key: &str) -> Option<&str> {
-        self.extras
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"k\": {}, \"kernel\": \"{}\", \"variant\": \"{}\", \"ms\": {:.3}",
-            self.k, self.kernel, self.variant, self.ms
-        );
-        for (key, value) in &self.extras {
-            let _ = write!(s, ", \"{key}\": {value}");
-        }
-        s.push('}');
-        s
-    }
-}
-
-/// Renders the full bench report as pretty-printed JSON (hand-rolled: the
-/// workspace dependency policy has no serializer for this shape).
-fn bench_json(threads: usize, quick: bool, entries: &[BenchEntry]) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema\": \"ft-hotpaths-bench/1\",");
-    let _ = writeln!(s, "  \"threads\": {threads},");
-    let _ = writeln!(s, "  \"seed\": {BENCH_SEED},");
-    let _ = writeln!(s, "  \"quick\": {quick},");
-    let _ = writeln!(s, "  \"entries\": [");
-    for (i, e) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(s, "    {}{comma}", e.to_json());
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Full BFS-APSP over the fat-tree(k) switch fabric into the compact `u16`
-/// [`DistMatrix`]: the scalar one-queue-per-source reference (`seq`) vs the
-/// multi-source bitset kernel advancing 64 sources per word (`par`, batches
-/// distributed over the session's worker count). The tables must agree row
-/// for row, and the checksum — the plain sum of the hop counts on these
-/// connected fabrics — lands in both JSON entries so regressions show up
-/// in diffs.
-fn bench_apsp(k: usize, threads: usize, entries: &mut Vec<BenchEntry>) -> Result<(), CliError> {
-    let net = fat_tree(k).map_err(|e| CliError(e.to_string()))?;
-    let sg = net.switch_graph();
-    let csr = Csr::from_graph(&sg);
-    let (seq, seq_ms) = time_ms(|| DistMatrix::compute_scalar_csr(&csr));
-    let seq = seq.map_err(|e| CliError(format!("bench apsp k={k}: {e}")))?;
-    let (par_dm, par_ms) = time_ms(|| DistMatrix::compute_csr_with_threads(&csr, threads));
-    let par_dm = par_dm.map_err(|e| CliError(format!("bench apsp k={k}: {e}")))?;
-    let n = csr.node_count();
-    for i in 0..n {
-        if seq.row(i) != par_dm.row(i) {
-            return Err(CliError(format!(
-                "bench: bitset APSP diverged from the scalar reference at k = {k}, row {i}"
-            )));
-        }
-    }
-    let checksum = seq.checksum();
-    let extras = vec![("nodes", n.to_string()), ("checksum", checksum.to_string())];
-    entries.push(BenchEntry {
-        k,
-        kernel: "apsp",
-        variant: "seq",
-        ms: seq_ms,
-        extras: extras.clone(),
-    });
-    entries.push(BenchEntry {
-        k,
-        kernel: "apsp",
-        variant: "par",
-        ms: par_ms,
-        extras,
-    });
-    Ok(())
-}
-
-/// Symmetry-deduplicated APSP at scales where the full table is infeasible
-/// (k = 128 → 20,480 switches; a full `u16` table is 0.8 GB). Times class
-/// computation + one representative BFS row per class, then spot-checks a
-/// few expanded rows against fresh scalar BFS runs and records the
-/// expanded-table checksum (exactly what a full table would sum to) for
-/// the `--check` gate. The full-vs-deduped equality gate on small k lives
-/// in `tests/apsp_scale.rs`.
-fn bench_apsp_dedup(
-    k: usize,
-    threads: usize,
-    entries: &mut Vec<BenchEntry>,
-) -> Result<(), CliError> {
-    let net = fat_tree(k).map_err(|e| CliError(e.to_string()))?;
-    let (dd, ms) = time_ms(|| DedupedApsp::compute_with_threads(&net, threads));
-    let dd = dd.map_err(|e| CliError(format!("bench apsp-dedup k={k}: {e}")))?;
-    let n = net.num_switches();
-    // Correctness spot-check: a handful of expanded rows against direct
-    // scalar BFS (cores, aggregation, and edge switches all covered by the
-    // stride).
-    let csr = Csr::from_graph(&net.switch_graph());
-    let mut row = vec![0u16; n];
-    let mut queue: Vec<u32> = Vec::with_capacity(n);
-    for v in (0..n).step_by((n / 7).max(1)) {
-        csr.bfs_into_u16(NodeId(ft_graph::id32(v)), &mut row, &mut queue);
-        for (w, &expect) in row.iter().enumerate() {
-            if dd.get(v, w) != expect {
-                return Err(CliError(format!(
-                    "bench: deduped APSP diverged from scalar BFS at k = {k}, \
-                     pair ({v}, {w})"
-                )));
-            }
-        }
-    }
-    entries.push(BenchEntry {
-        k,
-        kernel: "apsp",
-        variant: "dedup",
-        ms,
-        extras: vec![
-            ("nodes", n.to_string()),
-            ("classes", dd.classes().class_count().to_string()),
-            ("checksum", dd.expanded_checksum().to_string()),
-        ],
-    });
-    Ok(())
-}
-
-/// Unit-length Dijkstra over the fat-tree(k) switch fabric as a capacitated
-/// digraph: the allocating `shortest_path` vs `shortest_path_with` reusing
-/// one [`DijkstraScratch`] across all calls. Distance sums must be
-/// bit-identical (same algorithm, same relaxation order).
-fn bench_dijkstra(k: usize, entries: &mut Vec<BenchEntry>) -> Result<(), CliError> {
-    const CALLS: usize = 64;
-    let net = fat_tree(k).map_err(|e| CliError(e.to_string()))?;
-    let sg = net.switch_graph();
-    let g = CapGraph::from_graph(&sg, 1.0);
-    let n = g.node_count();
-    let ones = vec![1.0f64; g.arc_count()];
-    // deterministic src/dst schedule spread across the fabric
-    let pair = |i: usize| ((i * 37) % n, (i * 97 + n / 2) % n);
-    let (alloc_sum, alloc_ms) = time_ms(|| {
-        let mut sum = 0.0f64;
-        for i in 0..CALLS {
-            let (s, d) = pair(i);
-            if s == d {
-                continue;
-            }
-            if let Some((_, dist)) = g.shortest_path(s, d, &ones) {
-                sum += dist;
-            }
-        }
-        sum
-    });
-    let (scratch_sum, scratch_ms) = time_ms(|| {
-        let mut scratch = DijkstraScratch::new();
-        let mut sum = 0.0f64;
-        for i in 0..CALLS {
-            let (s, d) = pair(i);
-            if s == d {
-                continue;
-            }
-            if let Some(dist) = g.shortest_path_with(s, d, &ones, &mut scratch) {
-                sum += dist;
-            }
-        }
-        sum
-    });
-    if alloc_sum.to_bits() != scratch_sum.to_bits() {
-        return Err(CliError(format!(
-            "bench: scratch Dijkstra diverged from allocating variant at k = {k} \
-             ({alloc_sum} vs {scratch_sum})"
-        )));
-    }
-    let extras = vec![
-        ("calls", CALLS.to_string()),
-        ("dist_sum", format!("{alloc_sum:.1}")),
-    ];
-    entries.push(BenchEntry {
-        k,
-        kernel: "dijkstra",
-        variant: "alloc",
-        ms: alloc_ms,
-        extras: extras.clone(),
-    });
-    entries.push(BenchEntry {
-        k,
-        kernel: "dijkstra",
-        variant: "scratch",
-        ms: scratch_ms,
-        extras,
-    });
-    Ok(())
-}
-
-/// End-to-end source-batched FPTAS throughput solve on the k flat-tree in
-/// global random-graph mode under the paper's hot-spot workload, with a
-/// step cap so the bench stays bounded even if convergence regresses. λ,
-/// steps, and phases are recorded alongside the timing: they are
-/// deterministic for the fixed seed. A tripped budget is recorded in the
-/// entry and surfaced as a warning line — never a silent λ = 0.
-fn bench_fptas(
-    k: usize,
-    quick: bool,
-    entries: &mut Vec<BenchEntry>,
-    warnings: &mut Vec<String>,
-) -> Result<(), CliError> {
-    let cfg = FlatTreeConfig::for_fat_tree_k(k).map_err(|e| CliError(e.to_string()))?;
-    let ft = FlatTree::new(cfg).map_err(|e| CliError(e.to_string()))?;
-    let net = ft
-        .materialize(&Mode::GlobalRandom)
-        .map_err(|e| CliError(e.to_string()))?;
-    let tm = generate(&net, &WorkloadSpec::hotspot(Locality::None), BENCH_SEED);
-    let commodities = aggregate_commodities(tm.switch_triples(&net));
-    let sg = net.switch_graph();
-    let g = CapGraph::from_graph(&sg, 1.0);
-    let max_steps = if quick { 500 } else { 3_000 };
-    let opts = FptasOptions {
-        epsilon: 0.15,
-        max_steps: Some(max_steps),
-    };
-    let (sol, ms) = time_ms(|| max_concurrent_flow(&g, &commodities, opts));
-    let sol = sol.map_err(|e| CliError(e.to_string()))?;
-    if sol.budget_exhausted {
-        warnings.push(crate::metrics::budget_warning(
-            &format!("bench fptas k={k}"),
-            sol.lambda,
-            max_steps,
-        ));
-    }
-    entries.push(BenchEntry {
-        k,
-        kernel: "fptas",
-        variant: "batched",
-        ms,
-        extras: vec![
-            ("lambda", format!("{:.6}", sol.lambda)),
-            ("steps", sol.steps.to_string()),
-            ("phases", sol.phases.to_string()),
-            ("commodities", commodities.len().to_string()),
-            ("budget_exhausted", sol.budget_exhausted.to_string()),
-        ],
-    });
-    Ok(())
-}
-
-/// Scale tier: the symmetry-aggregated FPTAS on the k = 64/128 **Clos**
-/// fabric under uniform all-to-all demand — the instance whose full
-/// commodity list (millions of switch pairs) no engine could touch, but
-/// whose orbit quotient is tiny. Records the end-to-end wall time
-/// (distance table + symmetry classes + quotient solve), the orbit
-/// collapse ratio, and λ. λ is deterministic and gate-compared exactly.
-fn bench_fptas_scale(
-    k: usize,
-    entries: &mut Vec<BenchEntry>,
-    warnings: &mut Vec<String>,
-) -> Result<(), CliError> {
-    let cfg = FlatTreeConfig::for_fat_tree_k(k).map_err(|e| CliError(e.to_string()))?;
-    let ft = FlatTree::new(cfg).map_err(|e| CliError(e.to_string()))?;
-    let net = ft
-        .materialize(&Mode::Clos)
-        .map_err(|e| CliError(e.to_string()))?;
-    let max_steps = 3_000;
-    let opts = ThroughputOptions {
-        max_steps: Some(max_steps),
-        ..ThroughputOptions::fptas_with(0.15, SolverKind::Aggregated)
-    };
-    let (r, ms) = time_ms(|| throughput_all_to_all(&net, opts));
-    let r = r.map_err(|e| CliError(e.to_string()))?;
-    if r.budget_exhausted {
-        warnings.push(crate::metrics::budget_warning(
-            &format!("bench fptas/aggregated k={k}"),
-            r.lambda,
-            max_steps,
-        ));
-    }
-    entries.push(BenchEntry {
-        k,
-        kernel: "fptas",
-        variant: "aggregated",
-        ms,
-        extras: vec![
-            ("lambda", format!("{:.6}", r.lambda)),
-            ("commodities", r.commodities.to_string()),
-            ("aggregated", r.aggregated.map_or(0, |n| n).to_string()),
-            ("budget_exhausted", r.budget_exhausted.to_string()),
-        ],
-    });
-    Ok(())
-}
-
-/// Event storm through the ft-des engine: a fixed 32-server all-to-all
-/// workload replayed as Poisson arrivals on the fat-tree(k) fabric, no
-/// topology events. Records the event-loop throughput (events/s, timing-
-/// dependent, not gate-compared) and the completion checksum (gate-
-/// compared exactly: the schedule is deterministic for the fixed seed).
-///
-/// `events_per_sec` is **engine-only**: the max-min solver's wall time
-/// (`DesReport::solver_ns`, reported separately as `solver_ms`) is
-/// subtracted first. The solver re-solves the link-sharing components a
-/// re-allocation's changes reach; when it re-solved every active flow it
-/// dominated at large k, which inverted the metric — k = 32 looked 12×
-/// *slower* per event than k = 16 even though the event loop itself is
-/// size-independent.
-fn bench_des(k: usize, entries: &mut Vec<BenchEntry>) -> Result<(), CliError> {
-    let net = fat_tree(k).map_err(|e| CliError(e.to_string()))?;
-    let servers: Vec<NodeId> = net.servers().take(32).collect();
-    let spec = WorkloadSpec {
-        pattern: TrafficPattern::AllToAll,
-        cluster_size: 8,
-        locality: Locality::None,
-    };
-    let tm = generate_on(&net, &servers, &spec, BENCH_SEED);
-    // same workload in --quick and full runs (the k = 8 storm is fast), so
-    // the completion checksum stays exactly comparable to the checked-in
-    // baseline — bench --check gates des determinism in CI
-    let rounds = 6;
-    let flows = flows_with_arrivals(&tm, 1.0, 0.5, rounds, BENCH_SEED);
-    let sim = DesSimulator::new(&net, RouterPolicy::Ecmp);
-    let (rep, ms) = time_ms(|| sim.run(&flows, &[], f64::INFINITY));
-    let rep = rep.map_err(|e| CliError(format!("bench des k={k}: {e}")))?;
-    let solver_ms = rep.solver_ns as f64 / 1e6;
-    let engine_ms = (ms - solver_ms).max(0.0);
-    let events_per_sec = if engine_ms > 0.0 {
-        rep.events as f64 / (engine_ms / 1e3)
-    } else {
-        0.0
-    };
-    entries.push(BenchEntry {
-        k,
-        kernel: "des",
-        variant: "storm",
-        ms,
-        extras: vec![
-            ("events", rep.events.to_string()),
-            ("events_per_sec", format!("{events_per_sec:.0}")),
-            ("solver_ms", format!("{solver_ms:.3}")),
-            ("flows", flows.len().to_string()),
-            ("checksum", rep.completion_checksum().to_string()),
-        ],
-    });
-    Ok(())
-}
-
-/// Yen's k shortest paths as the DES asks for them once a conversion
-/// switches routing to KSP: a fresh [`KspRoutes`] keeping 8 paths per
-/// pair over the id-preserving switch view of the global-RG flat-tree(k),
-/// queried for every ordered pair of the switches the first 32 servers
-/// attach to. Each timed repetition builds a new router, so every pair
-/// runs Yen. `checksum` folds every path's edge ids in order (FNV-1a,
-/// gate-compared exactly: Yen is deterministic).
-fn bench_ksp(k: usize, entries: &mut Vec<BenchEntry>) -> Result<(), CliError> {
-    const PATHS: usize = 8;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let cfg = FlatTreeConfig::for_fat_tree_k(k).map_err(|e| CliError(e.to_string()))?;
-    let ft = FlatTree::new(cfg).map_err(|e| CliError(e.to_string()))?;
-    let net = ft
-        .materialize(&Mode::GlobalRandom)
-        .map_err(|e| CliError(e.to_string()))?;
-    let view = net.switch_view();
-    let mut ends: Vec<NodeId> = net
-        .servers()
-        .take(32)
-        .filter_map(|s| net.try_attachment(s))
-        .collect();
-    ends.sort_unstable();
-    ends.dedup();
-    let pairs: Vec<(NodeId, NodeId)> = ends
-        .iter()
-        .flat_map(|&a| ends.iter().filter(move |&&b| b != a).map(move |&b| (a, b)))
-        .collect();
-    let ((paths, checksum), ms) = time_ms(|| {
-        let router = KspRoutes::new_on(&view, PATHS);
-        let mut paths = 0usize;
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &(a, b) in &pairs {
-            for p in router.paths(a, b) {
-                paths += 1;
-                for e in &p.edges {
-                    hash = (hash ^ u64::from(e.0)).wrapping_mul(FNV_PRIME);
-                }
-                hash = (hash ^ u64::MAX).wrapping_mul(FNV_PRIME); // path boundary
-            }
-        }
-        (paths, hash)
-    });
-    entries.push(BenchEntry {
-        k,
-        kernel: "ksp",
-        variant: "yen",
-        ms,
-        extras: vec![
-            ("pairs", pairs.len().to_string()),
-            ("paths", paths.to_string()),
-            ("checksum", checksum.to_string()),
-        ],
-    });
-    Ok(())
-}
-
-/// Extracts the value of `"key":` from a single-line JSON object of the
-/// bench schema, quotes stripped. Values never contain `,` or `}` (numbers,
-/// booleans, and plain identifiers only), so no real parser is needed.
-fn json_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = line[start..].trim_start();
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// Compares this run's entries against a previously written bench report
-/// (the regression gate behind `ftctl bench --check`). Per matched
-/// (k, kernel, variant):
-///
-/// * the median wall time ([`time_ms`]) must stay under
-///   `1.25 × baseline + 5 ms` — the grace term keeps sub-millisecond
-///   kernels from tripping on scheduler noise;
-/// * determinism fields compare **exactly**: `checksum`, `dist_sum`
-///   always, `lambda` whenever both runs took the same number of steps (a
-///   `--quick` run against a full baseline legitimately differs).
-///
-/// Baseline entries with no counterpart in this run are skipped, so a
-/// quick run can be checked against the full checked-in baseline.
-fn bench_check(path: &str, entries: &[BenchEntry]) -> Result<String, CliError> {
-    let body = std::fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read baseline {path}: {e}")))?;
-    let mut compared = 0usize;
-    let mut failures: Vec<String> = Vec::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        let (Some(k), Some(kernel), Some(variant), Some(ms)) = (
-            json_value(line, "k"),
-            json_value(line, "kernel"),
-            json_value(line, "variant"),
-            json_value(line, "ms"),
-        ) else {
-            continue;
-        };
-        let Ok(k) = k.parse::<usize>() else { continue };
-        let Ok(old_ms) = ms.parse::<f64>() else {
-            continue;
-        };
-        let Some(new) = entries
-            .iter()
-            .find(|e| e.k == k && e.kernel == kernel && e.variant == variant)
-        else {
-            continue; // quick runs cover a subset of the full baseline
-        };
-        compared += 1;
-        let limit = old_ms * 1.25 + 5.0;
-        if new.ms > limit {
-            failures.push(format!(
-                "k={k} {kernel}/{variant}: {:.3} ms exceeds limit {limit:.3} ms \
-                 (baseline {old_ms:.3} ms + 25% + 5 ms grace)",
-                new.ms
-            ));
-        }
-        let steps_match = match (json_value(line, "steps"), new.extra("steps")) {
-            (Some(old), Some(cur)) => old == cur,
-            _ => true,
-        };
-        let mut determinism: Vec<&str> = vec!["checksum", "dist_sum"];
-        if steps_match {
-            determinism.push("lambda");
-        }
-        for key in determinism {
-            if let (Some(old), Some(cur)) = (json_value(line, key), new.extra(key)) {
-                if old != cur {
-                    failures.push(format!(
-                        "k={k} {kernel}/{variant}: {key} diverged from baseline \
-                         ({old} vs {cur})"
-                    ));
-                }
-            }
-        }
-    }
-    if compared == 0 {
-        return Err(CliError(format!(
-            "baseline {path} has no entries matching this run"
-        )));
-    }
-    if failures.is_empty() {
-        Ok(format!("  check ok against {path} ({compared} entries)\n"))
-    } else {
-        Err(CliError(format!(
-            "bench check against {path} failed:\n  {}",
-            failures.join("\n  ")
-        )))
-    }
-}
-
-fn cmd_bench(inv: &Invocation) -> Result<String, CliError> {
-    let _trace = TraceGuard::from_inv(inv)?;
-    let quick = inv.options.contains_key("quick");
-    let ks: &[usize] = if quick { &[8] } else { &[8, 16, 32] };
-    let threads = par::thread_count();
-    let mut entries: Vec<BenchEntry> = Vec::new();
-    let mut warnings: Vec<String> = Vec::new();
-    for &k in ks {
-        bench_apsp(k, threads, &mut entries)?;
-        bench_dijkstra(k, &mut entries)?;
-        bench_fptas(k, quick, &mut entries, &mut warnings)?;
-        bench_des(k, &mut entries)?;
-        // the DES runs KSP on k = 8 fabrics; k = 16 shows how Yen scales
-        if k <= 16 {
-            bench_ksp(k, &mut entries)?;
-        }
-    }
-    // Scaling tiers: k = 64 full APSP table and the k = 64 aggregated
-    // all-to-all FPTAS ride the quick run so CI gates both the bitset
-    // kernel and the symmetry quotient; k = 128 (deduplicated APSP,
-    // aggregated FPTAS) runs in full mode only. The k = 64 tier needs an
-    // optimized build — at opt-level 0 (unit tests drive quick mode
-    // in-process) the scalar reference alone takes tens of seconds, and
-    // `bench_check` skips baseline entries with no counterpart, so debug
-    // quick runs still check cleanly.
-    if !quick || !cfg!(debug_assertions) {
-        bench_apsp(64, threads, &mut entries)?;
-        bench_fptas_scale(64, &mut entries, &mut warnings)?;
-    }
-    if !quick {
-        bench_apsp_dedup(128, threads, &mut entries)?;
-        bench_fptas_scale(128, &mut entries, &mut warnings)?;
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "hot-path benchmark (threads = {threads}, seed = {BENCH_SEED}{})",
-        if quick { ", quick" } else { "" }
-    );
-    for e in &entries {
-        let _ = writeln!(
-            out,
-            "  k={:<2} {:8} {:8} {:10.3} ms",
-            e.k, e.kernel, e.variant, e.ms
-        );
-    }
-    // Warnings go to stderr so piped/captured bench output stays
-    // machine-readable; a truncated-budget λ is still a lower bound.
-    for w in &warnings {
-        eprintln!("  {w}");
-    }
-    if let Some(path) = inv.options.get("json") {
-        std::fs::write(path, bench_json(threads, quick, &entries))
-            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "  json written to {path}");
-    }
-    if let Some(path) = inv.options.get("check") {
-        out.push_str(&bench_check(path, &entries)?);
-    }
-    Ok(out)
-}
-
 /// `ftctl lint` — runs the ft-lint analyzer over the workspace and emits
 /// machine-readable reports. A dirty result (violations or stale allow
 /// entries) is a [`CliError`] so the process exits non-zero for CI.
@@ -1889,62 +1297,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_quick_reports_all_kernels() {
-        let dir = std::env::temp_dir();
-        let json = dir.join("ftctl_bench_test.json");
-        let rerun = dir.join("ftctl_bench_test_rerun.json");
-        let path = json.to_str().unwrap();
-        // the run checks its entries against the file it just wrote
-        let out = run(&inv(&["bench", "--quick", "--json", path, "--check", path])).unwrap();
-        for token in [
-            "apsp", "dijkstra", "fptas", "des", "ksp", "seq", "par", "scratch", "batched", "storm",
-            "yen",
-        ] {
-            assert!(out.contains(token), "missing {token} in: {out}");
-        }
-        let body = std::fs::read_to_string(&json).unwrap();
-        assert!(
-            body.contains("\"schema\": \"ft-hotpaths-bench/1\""),
-            "{body}"
-        );
-        assert!(body.contains("\"lambda\""), "{body}");
-        assert!(body.contains("\"checksum\""), "{body}");
-        assert!(body.contains("\"budget_exhausted\""), "{body}");
-        assert!(body.contains("\"paths\""), "{body}");
-        let entries = body.lines().filter(|l| l.contains("\"kernel\"")).count();
-        assert!(
-            out.contains(&format!("check ok against {path} ({entries} entries)")),
-            "{out}"
-        );
-
-        // A second run repeats every determinism field literally. Its wall
-        // times are not compared: two debug-build runs inside a busy test
-        // process are too noisy for the 1.25× + 5 ms rule, which
-        // `bench_check_flags_regression_and_divergence` covers.
-        run(&inv(&[
-            "bench",
-            "--quick",
-            "--json",
-            rerun.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let determinism = |body: &str| -> Vec<String> {
-            body.lines()
-                .filter(|l| l.contains("\"kernel\""))
-                .map(|l| {
-                    ["k", "kernel", "variant", "checksum", "dist_sum", "lambda"]
-                        .map(|key| format!("{key}={:?}", json_value(l, key)))
-                        .join(" ")
-                })
-                .collect()
-        };
-        let again = std::fs::read_to_string(&rerun).unwrap();
-        assert_eq!(determinism(&body), determinism(&again));
-        let _ = std::fs::remove_file(json);
-        let _ = std::fs::remove_file(rerun);
-    }
-
-    #[test]
     fn query_trace_writes_jsonl_spans() {
         let trace = std::env::temp_dir().join("ftctl_query_trace_test.jsonl");
         let out = run(&inv(&[
@@ -1969,55 +1321,6 @@ mod tests {
         }
         assert!(body.contains("\"name\":\"serve.request\""), "{body}");
         let _ = std::fs::remove_file(trace);
-    }
-
-    #[test]
-    fn json_value_extracts_fields() {
-        let line = r#"{"k": 8, "kernel": "fptas", "ms": 14.103, "lambda": 0.051282}"#;
-        assert_eq!(json_value(line, "k"), Some("8"));
-        assert_eq!(json_value(line, "kernel"), Some("fptas"));
-        assert_eq!(json_value(line, "lambda"), Some("0.051282"));
-        assert_eq!(json_value(line, "missing"), None);
-    }
-
-    #[test]
-    fn bench_check_flags_regression_and_divergence() {
-        let entry = |ms: f64, lambda: &str, steps: &str| BenchEntry {
-            k: 8,
-            kernel: "fptas",
-            variant: "batched",
-            ms,
-            extras: vec![("lambda", lambda.to_string()), ("steps", steps.to_string())],
-        };
-        let baseline = std::env::temp_dir().join("ftctl_bench_check_test.json");
-        std::fs::write(
-            &baseline,
-            "{\n  \"entries\": [\n    {\"k\": 8, \"kernel\": \"fptas\", \"variant\": \
-             \"batched\", \"ms\": 10.000, \"lambda\": 0.051282, \"steps\": 751}\n  ]\n}\n",
-        )
-        .unwrap();
-        let path = baseline.to_str().unwrap();
-
-        // within budget, identical λ → ok
-        assert!(bench_check(path, &[entry(12.0, "0.051282", "751")]).is_ok());
-        // 1.25× + 5 ms grace exceeded → regression
-        let err = bench_check(path, &[entry(30.0, "0.051282", "751")]).unwrap_err();
-        assert!(err.0.contains("exceeds limit"), "{err}");
-        // same steps but different λ → determinism failure
-        let err = bench_check(path, &[entry(12.0, "0.040000", "751")]).unwrap_err();
-        assert!(err.0.contains("lambda diverged"), "{err}");
-        // different step budget → λ legitimately differs, only timing gates
-        assert!(bench_check(path, &[entry(12.0, "0.040000", "500")]).is_ok());
-        // nothing comparable → error, not a silent pass
-        let other = [BenchEntry {
-            k: 4,
-            kernel: "apsp",
-            variant: "seq",
-            ms: 1.0,
-            extras: vec![],
-        }];
-        assert!(bench_check(path, &other).is_err());
-        let _ = std::fs::remove_file(baseline);
     }
 
     #[test]
