@@ -38,17 +38,13 @@ pub fn node_cut_upper_bound(g: &CapGraph, commodities: &[Commodity]) -> f64 {
         out_dem[c.src] += c.demand;
         in_dem[c.dst] += c.demand;
     }
-    let mut in_cap = vec![0.0f64; n];
-    for a in g.arcs() {
-        in_cap[a.to] += a.cap;
-    }
     let mut bound = f64::INFINITY;
     for v in 0..n {
         if out_dem[v] > 0.0 {
             bound = bound.min(g.out_capacity(v) / out_dem[v]);
         }
         if in_dem[v] > 0.0 {
-            bound = bound.min(in_cap[v] / in_dem[v]);
+            bound = bound.min(g.in_capacity(v) / in_dem[v]);
         }
     }
     bound

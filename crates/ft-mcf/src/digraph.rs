@@ -7,17 +7,17 @@
 //! setting of the paper (§3.1).
 //!
 //! The FPTAS re-runs Dijkstra under per-*arc* lengths thousands of times,
-//! so this type keeps its own compact arc-indexed adjacency and a Dijkstra
-//! with early exit at the destination, instead of reusing the undirected
-//! `ft-graph` one (whose lengths are per undirected edge).
-//!
-//! A symmetry quotient's trees run over the cells of an equitable
-//! partition (`Cells`) instead of over nodes: see
-//! `CapGraph::cell_tree_with`.
+//! so this type keeps its own compact arc-indexed adjacency, in both
+//! directions, and one shortest-path tree kernel ([`CapGraph::tree`]),
+//! instead of reusing the undirected `ft-graph` one (whose lengths are per
+//! undirected edge). The kernel runs over a [`Partition`] of the nodes:
+//! the nodes themselves ([`Nodes`]), or, for a symmetry quotient's trees,
+//! the cells of an equitable partition (`Cells`).
 
 use ft_graph::{id32, Graph};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::OnceLock;
 
 /// A directed arc with capacity.
 #[derive(Clone, Copy, Debug)]
@@ -35,6 +35,9 @@ pub struct Arc {
 pub struct CapGraph {
     arcs: Vec<Arc>,
     out: Vec<Vec<u32>>,
+    /// In-arc lists, the mirror of `out`: built on first use, so they do
+    /// not live through graph construction, and reset by `add_arc`.
+    inn: OnceLock<Vec<Vec<u32>>>,
 }
 
 impl CapGraph {
@@ -43,6 +46,7 @@ impl CapGraph {
         CapGraph {
             arcs: Vec::new(),
             out: vec![Vec::new(); n],
+            inn: OnceLock::new(),
         }
     }
 
@@ -63,7 +67,8 @@ impl CapGraph {
         assert!(cap > 0.0 && cap.is_finite(), "capacity must be positive");
         let id = self.arcs.len();
         self.arcs.push(Arc { from, to, cap });
-        self.out[from].push(ft_graph::id32(id));
+        self.out[from].push(id32(id));
+        self.inn.take();
         id
     }
 
@@ -92,15 +97,34 @@ impl CapGraph {
         &self.out[v]
     }
 
+    /// Arc indices entering `v`, in ascending order. All nodes' lists are
+    /// built in one `O(arcs)` pass on the first call (or sink tree) and
+    /// kept until the next [`CapGraph::add_arc`].
+    pub fn in_arcs(&self, v: usize) -> &[u32] {
+        &self.in_lists()[v]
+    }
+
+    fn in_lists(&self) -> &[Vec<u32>] {
+        self.inn.get_or_init(|| {
+            let mut inn = vec![Vec::new(); self.out.len()];
+            for (i, a) in self.arcs.iter().enumerate() {
+                inn[a.to].push(id32(i));
+            }
+            inn
+        })
+    }
+
     /// Sum of capacities leaving `v`.
     pub fn out_capacity(&self, v: usize) -> f64 {
         self.out[v].iter().map(|&a| self.arcs[a as usize].cap).sum()
     }
 
-    /// Sum of capacities entering `v`. O(arcs); cached by callers that need
-    /// it repeatedly.
+    /// Sum of capacities entering `v`.
     pub fn in_capacity(&self, v: usize) -> f64 {
-        self.arcs.iter().filter(|a| a.to == v).map(|a| a.cap).sum()
+        self.in_arcs(v)
+            .iter()
+            .map(|&a| self.arcs[a as usize].cap)
+            .sum()
     }
 
     /// The single capacity shared by every arc, or `None` when arcs
@@ -119,233 +143,49 @@ impl CapGraph {
             .then_some(first)
     }
 
-    /// Dijkstra from `src` under per-arc `lengths`, stopping as soon as
-    /// `dst` is settled. Returns the arc path `src → dst` and its length,
-    /// or `None` if unreachable.
+    /// Dijkstra over the slots of `part`: a source tree from `root`
+    /// (`reversed == false`) or a sink tree into it, where every arc's
+    /// length is `len(arc)` ≥ 0. Afterwards the scratch holds one entry
+    /// per slot: [`DijkstraScratch::distance`] of `part.slot(v)` is the
+    /// shortest distance of `v` from (or to) the root, and
+    /// [`CapGraph::tree_path`] yields the arcs of a tree path.
     ///
-    /// `lengths[i]` must be ≥ 0 for every arc `i`. Convenience wrapper over
-    /// [`CapGraph::shortest_path_with`] that pays one scratch allocation per
-    /// call; hot loops (the FPTAS phases, Yen spurs) hold a
-    /// [`DijkstraScratch`] and call the `_with` variant directly.
-    pub fn shortest_path(
-        &self,
-        src: usize,
-        dst: usize,
-        lengths: &[f64],
-    ) -> Option<(Vec<usize>, f64)> {
-        let mut scratch = DijkstraScratch::new();
-        let d = self.shortest_path_with(src, dst, lengths, &mut scratch)?;
-        Some((std::mem::take(&mut scratch.path), d))
-    }
-
-    /// [`CapGraph::shortest_path`] into a reusable [`DijkstraScratch`]:
-    /// zero heap allocation once the scratch has warmed up to this graph's
-    /// node count. On success the arc path is left in
-    /// [`DijkstraScratch::path`] and the distance is returned.
+    /// On [`Nodes`] this is a plain single-source (or single-sink)
+    /// Dijkstra. On the cells of an equitable partition, `root` must be
+    /// alone in its cell and `len` constant over the arcs between any two
+    /// cells; expanding a cell then scans the out-arcs (in-arcs for a sink
+    /// tree) of its representative only. That suffices because every
+    /// member of a cell C has the same number of neighbours in each cell
+    /// D, so the cell graph's walks from the root are exactly the
+    /// projections of the full graph's walks, arc class for arc class;
+    /// backwards from any member of D, every cell walk lifts to a real
+    /// walk (DESIGN.md §16.5).
     ///
-    /// Bit-identical to `shortest_path`: same heap ordering (distance, then
-    /// node index), same relaxation order, same early exit at `dst`.
-    pub fn shortest_path_with(
+    /// Heap ties break by (distance, slot index), parents are arc ids, and
+    /// arcs are relaxed in ascending id order per node, so every tree is a
+    /// pure function of its inputs.
+    pub fn tree<P: Partition>(
         &self,
-        src: usize,
-        dst: usize,
-        lengths: &[f64],
-        scratch: &mut DijkstraScratch,
-    ) -> Option<f64> {
-        scratch.begin(self.out.len());
-        scratch.settle(src, 0.0, u32::MAX);
-        scratch.heap.push(HeapArc { d: 0.0, v: src });
-        while let Some(HeapArc { d, v }) = scratch.heap.pop() {
-            if v == dst {
-                break;
-            }
-            // every heap entry was stamped when pushed this run, so the
-            // plain (un-stamped) dist read is valid
-            if d > scratch.dist[v] {
-                continue;
-            }
-            for &ai in &self.out[v] {
-                let a = self.arcs[ai as usize];
-                let nd = d + lengths[ai as usize];
-                if nd < scratch.dist_of(a.to) {
-                    scratch.settle(a.to, nd, ai);
-                    scratch.heap.push(HeapArc { d: nd, v: a.to });
-                }
-            }
-        }
-        if scratch.stamp[dst] != scratch.gen || !scratch.dist[dst].is_finite() {
-            return None;
-        }
-        let mut cur = dst;
-        while cur != src {
-            let ai = scratch.parent[cur];
-            scratch.path.push(ai as usize);
-            cur = self.arcs[ai as usize].from;
-        }
-        scratch.path.reverse();
-        Some(scratch.dist[dst])
-    }
-
-    /// Full single-source Dijkstra from `src` under per-arc `lengths` — no
-    /// early exit, so afterwards the scratch holds the complete shortest-path
-    /// tree: [`DijkstraScratch::reached`] / [`DijkstraScratch::distance`] are
-    /// valid for every node and [`CapGraph::tree_walk`] yields the tree path
-    /// to any reached destination.
-    ///
-    /// This is the kernel of the source-batched (Fleischer) FPTAS: one tree
-    /// serves every commodity that shares `src`, replacing one early-exit
-    /// Dijkstra *per commodity*. Heap ordering and relaxation order are
-    /// identical to [`CapGraph::shortest_path_with`], so the tree path to a
-    /// destination is the exact path that call would have produced.
-    pub fn shortest_path_tree_with(
-        &self,
-        src: usize,
-        lengths: &[f64],
-        scratch: &mut DijkstraScratch,
-    ) {
-        scratch.begin(self.out.len());
-        scratch.settle(src, 0.0, u32::MAX);
-        scratch.heap.push(HeapArc { d: 0.0, v: src });
-        while let Some(HeapArc { d, v }) = scratch.heap.pop() {
-            if d > scratch.dist[v] {
-                continue;
-            }
-            for &ai in &self.out[v] {
-                let a = self.arcs[ai as usize];
-                let nd = d + lengths[ai as usize];
-                if nd < scratch.dist_of(a.to) {
-                    scratch.settle(a.to, nd, ai);
-                    scratch.heap.push(HeapArc { d: nd, v: a.to });
-                }
-            }
-        }
-    }
-
-    /// Iterates the arc indices of the tree path to `dst` recorded by the
-    /// last [`CapGraph::shortest_path_tree_with`] run, in destination →
-    /// source order (the FPTAS only needs the arc *set* — bottleneck,
-    /// staleness, pushes — so the reversal is never materialized). Yields
-    /// nothing when `dst` was not reached or is the source itself.
-    pub fn tree_walk<'a>(&'a self, scratch: &'a DijkstraScratch, dst: usize) -> TreeWalk<'a> {
-        let cur = if scratch.reached(dst) {
-            dst
-        } else {
-            usize::MAX
-        };
-        TreeWalk {
-            scratch,
-            arcs: &self.arcs,
-            cur,
-            toward_head: false,
-        }
-    }
-
-    /// Builds the incoming-arc adjacency, the mirror of
-    /// [`CapGraph::out_arcs`]. One `O(arcs)` pass, done once per solve and
-    /// reused by every [`CapGraph::shortest_path_tree_to_with`] call. Arc
-    /// ids within each node's list appear in ascending order, keeping the
-    /// sink-rooted Dijkstra's relaxation order deterministic.
-    pub fn reverse_index(&self) -> ReverseIndex {
-        let mut inn = vec![Vec::new(); self.out.len()];
-        for (i, a) in self.arcs.iter().enumerate() {
-            inn[a.to].push(ft_graph::id32(i));
-        }
-        ReverseIndex { inn }
-    }
-
-    /// Full single-*sink* Dijkstra: shortest distances **to** `dst` under
-    /// per-arc `lengths`, relaxing incoming arcs via `rev`. Afterwards
-    /// `scratch.distance(v)` is the length of the shortest `v → dst` path
-    /// and `scratch.parent[v]` holds the first arc of that path (an arc
-    /// *leaving* `v`), so [`CapGraph::tree_walk_to`] can replay any node's
-    /// path to the sink.
-    ///
-    /// This is the destination-batched half of the Fleischer FPTAS: traffic
-    /// matrices with a few aggregation points (the paper's hot-spot
-    /// workload) have thousands of commodities sharing a *destination*, and
-    /// one sink tree serves them all. Heap ordering matches
-    /// [`CapGraph::shortest_path_tree_with`] (distance, then node index).
-    pub fn shortest_path_tree_to_with(
-        &self,
-        rev: &ReverseIndex,
-        dst: usize,
-        lengths: &[f64],
-        scratch: &mut DijkstraScratch,
-    ) {
-        scratch.begin(self.out.len());
-        scratch.settle(dst, 0.0, u32::MAX);
-        scratch.heap.push(HeapArc { d: 0.0, v: dst });
-        while let Some(HeapArc { d, v }) = scratch.heap.pop() {
-            if d > scratch.dist[v] {
-                continue;
-            }
-            for &ai in &rev.inn[v] {
-                let a = self.arcs[ai as usize];
-                let nd = d + lengths[ai as usize];
-                if nd < scratch.dist_of(a.from) {
-                    scratch.settle(a.from, nd, ai);
-                    scratch.heap.push(HeapArc { d: nd, v: a.from });
-                }
-            }
-        }
-    }
-
-    /// Iterates the arc indices of the sink-tree path from `src` recorded
-    /// by the last [`CapGraph::shortest_path_tree_to_with`] run, in source →
-    /// destination order. Yields nothing when `src` cannot reach the sink
-    /// or is the sink itself.
-    pub fn tree_walk_to<'a>(&'a self, scratch: &'a DijkstraScratch, src: usize) -> TreeWalk<'a> {
-        let cur = if scratch.reached(src) {
-            src
-        } else {
-            usize::MAX
-        };
-        TreeWalk {
-            scratch,
-            arcs: &self.arcs,
-            cur,
-            toward_head: true,
-        }
-    }
-
-    /// Dijkstra over the cells of an equitable partition: a source tree
-    /// from `root` (`reversed == false`) or a sink tree into it, where
-    /// `root` must be alone in its cell and every arc's length is
-    /// `len(arc)`, constant over the arcs between any two cells. Afterwards
-    /// the scratch holds one slot per cell: [`DijkstraScratch::distance`]
-    /// of `cells.cell(v)` is exactly the full graph's distance of `v` from
-    /// (or to) the root, and [`CapGraph::cell_walk`] yields the arcs of a
-    /// tree path.
-    ///
-    /// Expanding cell C scans the out-arcs (in-arcs for a sink tree) of
-    /// C's representative only. That suffices because every member of C
-    /// has the same number of neighbours in each cell D, so the cell
-    /// graph's walks from the root are exactly the projections of the full
-    /// graph's walks, arc class for arc class; backwards from any member
-    /// of D, every cell walk lifts to a real walk (DESIGN.md §16.5). Heap
-    /// ties break by (distance, cell index), and parents are arc ids.
-    pub(crate) fn cell_tree_with(
-        &self,
-        rev: &ReverseIndex,
-        cells: &Cells,
+        part: P,
         root: usize,
         reversed: bool,
         len: impl Fn(usize) -> f64,
         scratch: &mut DijkstraScratch,
     ) {
-        let adj = if reversed { &rev.inn } else { &self.out };
-        let root = cells.cell(root);
-        scratch.begin(cells.len());
+        let adj = if reversed { self.in_lists() } else { &self.out };
+        let root = part.slot(root);
+        scratch.begin(part.slots(self));
         scratch.settle(root, 0.0, u32::MAX);
         scratch.heap.push(HeapArc { d: 0.0, v: root });
         while let Some(HeapArc { d, v }) = scratch.heap.pop() {
+            // every heap entry was stamped when pushed this run, so the
+            // plain (un-stamped) dist read is valid
             if d > scratch.dist[v] {
                 continue;
             }
-            // bounds: rep holds one node per cell, and v is a cell index
-            for &ai in &adj[cells.rep[v] as usize] {
+            for &ai in &adj[part.rep(v)] {
                 let a = self.arcs[ai as usize];
-                let c = cells.cell(if reversed { a.from } else { a.to });
+                let c = part.slot(if reversed { a.from } else { a.to });
                 let nd = d + len(ai as usize);
                 if nd < scratch.dist_of(c) {
                     scratch.settle(c, nd, ai);
@@ -355,20 +195,21 @@ impl CapGraph {
         }
     }
 
-    /// Iterates the arc ids of the cell-tree path to (or, for a sink tree,
-    /// from) `v`'s cell recorded by the last [`CapGraph::cell_tree_with`]
-    /// run, from `v`'s cell to the root. Consecutive arcs need not share a
-    /// node, only a cell; their classes are the classes of a real tree
-    /// path, in the same order. Yields nothing when `v`'s cell was not
-    /// reached or is the root's.
-    pub(crate) fn cell_walk<'a>(
+    /// Iterates the arc ids of the tree path between `v`'s slot and the
+    /// root of the last [`CapGraph::tree`] run on `part`, from `v`'s slot
+    /// to the root: destination → source for a source tree, source →
+    /// destination for a sink tree (`reversed`). On cells, consecutive
+    /// arcs need not share a node, only a cell; their classes are the
+    /// classes of a real tree path, in the same order. Yields nothing when
+    /// `v`'s slot was not reached or is the root's.
+    pub fn tree_path<'a, P: Partition + 'a>(
         &'a self,
         scratch: &'a DijkstraScratch,
-        cells: &'a Cells,
+        part: P,
         v: usize,
         reversed: bool,
     ) -> impl Iterator<Item = usize> + 'a {
-        let mut cur = cells.cell(v);
+        let mut cur = part.slot(v);
         if !scratch.reached(cur) {
             cur = usize::MAX;
         }
@@ -380,9 +221,69 @@ impl CapGraph {
                 return None;
             }
             let a = self.arcs[ai as usize];
-            cur = cells.cell(if reversed { a.to } else { a.from });
+            cur = part.slot(if reversed { a.to } else { a.from });
             Some(ai as usize)
         })
+    }
+}
+
+/// Where a [`CapGraph::tree`] runs: a partition of the nodes into slots,
+/// each expanded through one representative node.
+pub trait Partition: Copy {
+    /// Whether the trees route a symmetry quotient, whose capacitated
+    /// elements are arc classes that one tree path can cross several
+    /// times. A compile-time switch, so the node loop pays nothing for it.
+    const CLASSES: bool;
+
+    /// Number of slots over `g`'s nodes.
+    fn slots(self, g: &CapGraph) -> usize;
+
+    /// The slot of node `v`.
+    fn slot(self, v: usize) -> usize;
+
+    /// The node whose arcs expand slot `s`.
+    fn rep(self, s: usize) -> usize;
+}
+
+/// The identity partition: one slot per node. Trees on it are plain
+/// node Dijkstras, and compile to one.
+#[derive(Clone, Copy, Debug)]
+pub struct Nodes;
+
+impl Partition for Nodes {
+    const CLASSES: bool = false;
+
+    fn slots(self, g: &CapGraph) -> usize {
+        g.node_count()
+    }
+
+    #[inline]
+    fn slot(self, v: usize) -> usize {
+        v
+    }
+
+    #[inline]
+    fn rep(self, s: usize) -> usize {
+        s
+    }
+}
+
+impl Partition for &Cells {
+    const CLASSES: bool = true;
+
+    fn slots(self, _: &CapGraph) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn slot(self, v: usize) -> usize {
+        self.cell(v)
+    }
+
+    #[inline]
+    fn rep(self, s: usize) -> usize {
+        // bounds: rep holds one node per cell, and s is a cell index
+        self.rep[s] as usize
     }
 }
 
@@ -406,7 +307,7 @@ impl Cells {
     /// `colours` (one entry per node; any values), by colour refinement:
     /// every pass splits each cell by its members' sorted out- and
     /// in-neighbour cell lists, until a pass splits nothing.
-    pub(crate) fn refine(g: &CapGraph, rev: &ReverseIndex, colours: &[u32]) -> Cells {
+    pub(crate) fn refine(g: &CapGraph, colours: &[u32]) -> Cells {
         let n = g.node_count();
         // The first pass only renumbers, by smallest node.
         let mut cells = Cells::split(n, |v, sig| sig.push(colours[v]));
@@ -422,7 +323,11 @@ impl Cells {
                 sig[out..].sort_unstable();
                 sig.push(u32::MAX);
                 let inn = sig.len();
-                sig.extend(rev.inn[v].iter().map(|&a| cell_of[g.arcs[a as usize].from]));
+                sig.extend(
+                    g.in_arcs(v)
+                        .iter()
+                        .map(|&a| cell_of[g.arcs[a as usize].from]),
+                );
                 sig[inn..].sort_unstable();
             });
             // a pass only ever splits cells, so an unchanged count means an
@@ -436,10 +341,10 @@ impl Cells {
 
     /// The coarsest equitable partition that refines this one with `v`
     /// alone in its cell.
-    pub(crate) fn individualize(&self, g: &CapGraph, rev: &ReverseIndex, v: usize) -> Cells {
+    pub(crate) fn individualize(&self, g: &CapGraph, v: usize) -> Cells {
         let mut colours = self.cell_of.clone();
         colours[v] = id32(self.len());
-        Cells::refine(g, rev, &colours)
+        Cells::refine(g, &colours)
     }
 
     /// Groups the nodes `0..n` by the signature `sign` writes for each,
@@ -488,51 +393,9 @@ impl Cells {
     }
 }
 
-/// Incoming-arc adjacency of a [`CapGraph`]; see
-/// [`CapGraph::reverse_index`].
-#[derive(Clone, Debug)]
-pub struct ReverseIndex {
-    inn: Vec<Vec<u32>>,
-}
-
-/// Iterator over a shortest-path-tree path: destination → source for
-/// source trees ([`CapGraph::tree_walk`]), source → destination for sink
-/// trees ([`CapGraph::tree_walk_to`]).
-pub struct TreeWalk<'a> {
-    scratch: &'a DijkstraScratch,
-    arcs: &'a [Arc],
-    cur: usize,
-    /// Walk direction: `false` follows parent arcs tail-ward (source
-    /// trees), `true` head-ward (sink trees).
-    toward_head: bool,
-}
-
-impl Iterator for TreeWalk<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.cur == usize::MAX {
-            return None;
-        }
-        let ai = self.scratch.parent[self.cur];
-        if ai == u32::MAX {
-            // reached the tree root
-            self.cur = usize::MAX;
-            return None;
-        }
-        let a = ai as usize;
-        self.cur = if self.toward_head {
-            self.arcs[a].to
-        } else {
-            self.arcs[a].from
-        };
-        Some(a)
-    }
-}
-
-/// Min-heap entry for the arc Dijkstra: minimum distance first, ties broken
-/// by node index so the pop order (and with it every FPTAS dual update) is
-/// fully deterministic.
+/// Min-heap entry of [`CapGraph::tree`]: minimum distance first, ties
+/// broken by slot index so the pop order (and with it every FPTAS dual
+/// update) is fully deterministic.
 #[derive(Clone, Debug, PartialEq)]
 struct HeapArc {
     d: f64,
@@ -553,37 +416,34 @@ impl PartialOrd for HeapArc {
     }
 }
 
-/// Reusable state for [`CapGraph::shortest_path_with`].
+/// Reusable state for [`CapGraph::tree`], one entry per slot.
 ///
-/// The FPTAS runs one Dijkstra per phase step — tens of thousands of calls
+/// The FPTAS builds one tree per phase step — tens of thousands of trees
 /// on the same graph — and allocating `dist`/`parent`/heap each time
 /// dominated the runtime at k ≥ 16. The scratch keeps those buffers alive
-/// across calls:
+/// across runs:
 ///
 /// * `dist`/`parent` entries are valid only where `stamp[v] == gen`; a new
 ///   run just bumps `gen` instead of re-filling the arrays (O(1) reset, with
 ///   a full wipe on the ~4-billion-run stamp wraparound).
-/// * the binary heap and the output path vector are `clear()`ed, which
-///   retains their capacity.
+/// * the binary heap is `clear()`ed, which retains its capacity.
 ///
-/// After the first call at a given graph size, subsequent calls perform no
-/// heap allocation. A scratch may be shared across graphs; `begin` grows the
-/// arrays to the largest node count seen.
+/// After the first run at a given slot count, later runs perform no heap
+/// allocation. A scratch may be shared across graphs and partitions;
+/// `begin` grows the arrays to the largest slot count seen.
 #[derive(Clone, Debug, Default)]
 pub struct DijkstraScratch {
     /// Current run id; array entries are valid iff their stamp matches.
     gen: u32,
-    /// Per-node stamp of the run that last wrote `dist`/`parent`.
+    /// Per-slot stamp of the run that last wrote `dist`/`parent`.
     stamp: Vec<u32>,
-    /// Tentative distance per node (valid where stamped).
+    /// Tentative distance per slot (valid where stamped).
     dist: Vec<f64>,
-    /// Incoming arc on the best known path (valid where stamped;
-    /// `u32::MAX` marks the source).
+    /// Tree arc into the slot on the best known path (valid where
+    /// stamped; `u32::MAX` marks the root).
     parent: Vec<u32>,
     /// Priority queue, drained at the start of every run.
     heap: BinaryHeap<HeapArc>,
-    /// Arc path of the last successful run, source → destination.
-    path: Vec<usize>,
 }
 
 impl DijkstraScratch {
@@ -592,7 +452,7 @@ impl DijkstraScratch {
         DijkstraScratch::default()
     }
 
-    /// Starts a new run over a graph with `n` nodes.
+    /// Starts a new run over `n` slots.
     fn begin(&mut self, n: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
@@ -606,7 +466,6 @@ impl DijkstraScratch {
         }
         self.gen += 1;
         self.heap.clear();
-        self.path.clear();
     }
 
     /// Distance of `v` in the current run (`∞` when untouched).
@@ -627,21 +486,13 @@ impl DijkstraScratch {
         self.parent[v] = parent_arc;
     }
 
-    /// Arc path found by the last successful
-    /// [`CapGraph::shortest_path_with`] call, in source → destination order.
-    pub fn path(&self) -> &[usize] {
-        &self.path
-    }
-
-    /// Whether `v` was reached by the last run (early-exit runs only settle
-    /// nodes up to the exit; [`CapGraph::shortest_path_tree_with`] settles
-    /// every reachable node).
+    /// Whether slot `v` was reached by the last run.
     pub fn reached(&self, v: usize) -> bool {
         v < self.stamp.len() && self.stamp[v] == self.gen && self.dist[v].is_finite()
     }
 
-    /// Shortest-path distance of `v` found by the last run, or `None` when
-    /// `v` was not reached.
+    /// Shortest-path distance of slot `v` found by the last run, or `None`
+    /// when `v` was not reached.
     pub fn distance(&self, v: usize) -> Option<f64> {
         if self.reached(v) {
             Some(self.dist[v])
@@ -651,7 +502,7 @@ impl DijkstraScratch {
     }
 
     /// Number of Dijkstra runs this scratch has been warmed up for (each
-    /// `shortest_path_with` / `shortest_path_tree_with` call is one run).
+    /// [`CapGraph::tree`] call is one run).
     /// Exposed so tests can assert how many shortest-path computations a
     /// caller actually performed — e.g. that the FPTAS reachability
     /// pre-check does one SSSP per distinct *source*, not per commodity.
@@ -661,9 +512,95 @@ impl DijkstraScratch {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ft_graph::Graph;
+    use rand::prelude::*;
+
+    /// Arc lengths of the tree oracles: dyadic, so every path sum is exact
+    /// and equal-length ties are frequent.
+    pub(crate) const DYADIC: [f64; 4] = [0.25, 0.5, 1.0, 2.0];
+
+    /// Shortest distances from (or, `reversed`, to) `root` under `len`, by
+    /// Bellman–Ford over `g.arcs()`. Under dyadic lengths every path sum
+    /// is exact, so any correct Dijkstra matches it bit for bit, whichever
+    /// shortest paths it picks.
+    pub(crate) fn bellman_ford(
+        g: &CapGraph,
+        root: usize,
+        reversed: bool,
+        len: &[f64],
+    ) -> Vec<Option<f64>> {
+        let mut dist = vec![f64::INFINITY; g.node_count()];
+        dist[root] = 0.0;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (a, arc) in g.arcs().iter().enumerate() {
+                let (near, far) = if reversed {
+                    (arc.to, arc.from)
+                } else {
+                    (arc.from, arc.to)
+                };
+                if dist[near] + len[a] < dist[far] {
+                    dist[far] = dist[near] + len[a];
+                    changed = true;
+                }
+            }
+        }
+        dist.into_iter()
+            .map(|d| d.is_finite().then_some(d))
+            .collect()
+    }
+
+    /// Builds `root`'s tree on `part` under `len` and checks it against
+    /// [`bellman_ford`]: every node's slot distance bit for bit; no walk
+    /// from an unreached node; and from every reached node a walk that
+    /// chains slots from the node's to the root's, ends on an arc at the
+    /// root itself, and sums to the distance.
+    pub(crate) fn check_tree<P: Partition>(
+        g: &CapGraph,
+        part: P,
+        root: usize,
+        reversed: bool,
+        len: &[f64],
+        scratch: &mut DijkstraScratch,
+        at: &str,
+    ) {
+        g.tree(part, root, reversed, |a| len[a], scratch);
+        let want = bellman_ford(g, root, reversed, len);
+        // (end toward the root, end away from it) of a tree arc
+        let ends = |a: usize| {
+            let arc = g.arc(a);
+            if reversed {
+                (arc.to, arc.from)
+            } else {
+                (arc.from, arc.to)
+            }
+        };
+        for (v, want) in want.iter().enumerate() {
+            let at = format!("{at}, root {root}, reversed {reversed}, node {v}");
+            let d = scratch.distance(part.slot(v));
+            assert_eq!(d.map(f64::to_bits), want.map(f64::to_bits), "{at}");
+            let walk: Vec<usize> = g.tree_path(scratch, part, v, reversed).collect();
+            let Some(d) = d else {
+                assert!(walk.is_empty(), "{at}: an unreached node walks");
+                continue;
+            };
+            let mut here = part.slot(v);
+            for &a in &walk {
+                let (near, far) = ends(a);
+                assert_eq!(part.slot(far), here, "{at}: broken chain");
+                here = part.slot(near);
+            }
+            assert_eq!(here, part.slot(root), "{at}: walk misses the root");
+            if let Some(&last) = walk.last() {
+                assert_eq!(ends(last).0, root, "{at}");
+            }
+            let sum = walk.iter().rev().fold(0.0, |s, &a| s + len[a]);
+            assert_eq!(sum.to_bits(), d.to_bits(), "{at}: walk length");
+        }
+    }
 
     #[test]
     fn from_graph_doubles_edges() {
@@ -676,17 +613,112 @@ mod tests {
     }
 
     #[test]
+    fn in_arcs_mirror_out_arcs_and_follow_add_arc() {
+        let mut cg = CapGraph::new(3);
+        let a01 = cg.add_arc(0, 1, 1.0);
+        let a21 = cg.add_arc(2, 1, 2.0);
+        assert_eq!(cg.in_arcs(1), &[id32(a01), id32(a21)]);
+        assert!(cg.in_arcs(2).is_empty());
+        // an arc added after the lists were built must show up
+        let a12 = cg.add_arc(1, 2, 0.5);
+        assert_eq!(cg.in_arcs(2), &[id32(a12)]);
+        assert_eq!(cg.in_capacity(1), 3.0);
+        assert_eq!(cg.in_capacity(2), 0.5);
+    }
+
+    /// A 6-node undirected graph and a 7-node digraph with one-way arcs
+    /// and an unreachable pair, for the oracle tests.
+    fn oracle_graphs() -> [CapGraph; 2] {
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (2, 5)]);
+        let mut one_way = CapGraph::new(7);
+        let (tails, heads) = ([0, 1, 2, 2, 3, 4, 1, 6], [1, 2, 0, 3, 4, 3, 4, 5]);
+        for (a, b) in tails.into_iter().zip(heads) {
+            one_way.add_arc(a, b, 1.0);
+        }
+        [CapGraph::from_graph(&g, 1.0), one_way]
+    }
+
+    /// `trials` seeded dyadic length vectors for `g`.
+    fn dyadic_lengths(g: &CapGraph, trials: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..trials)
+            .map(|_| {
+                (0..g.arc_count())
+                    .map(|_| DYADIC[rng.random_range(0..DYADIC.len())])
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn node_trees_match_bellman_ford() {
+        let mut scratch = DijkstraScratch::new();
+        for g in oracle_graphs() {
+            for (trial, len) in dyadic_lengths(&g, 20, 27).iter().enumerate() {
+                for root in 0..g.node_count() {
+                    for reversed in [false, true] {
+                        let at = format!("trial {trial}");
+                        check_tree(&g, Nodes, root, reversed, len, &mut scratch, &at);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sink_tree_matches_forward_paths() {
+        // v's distance into t's sink tree is t's distance in v's source tree
+        let (mut fwd, mut sink) = (DijkstraScratch::new(), DijkstraScratch::new());
+        for g in oracle_graphs() {
+            for len in dyadic_lengths(&g, 10, 28) {
+                for t in 0..g.node_count() {
+                    g.tree(Nodes, t, true, |a| len[a], &mut sink);
+                    for v in 0..g.node_count() {
+                        g.tree(Nodes, v, false, |a| len[a], &mut fwd);
+                        let bits = |s: &DijkstraScratch, u| s.distance(u).map(f64::to_bits);
+                        assert_eq!(bits(&sink, v), bits(&fwd, t), "{v} -> {t}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_reuse_matches_fresh_runs() {
+        let mut reused = DijkstraScratch::new();
+        for g in oracle_graphs() {
+            for len in dyadic_lengths(&g, 5, 29) {
+                for root in 0..g.node_count() {
+                    for reversed in [false, true] {
+                        let mut fresh = DijkstraScratch::new();
+                        g.tree(Nodes, root, reversed, |a| len[a], &mut fresh);
+                        g.tree(Nodes, root, reversed, |a| len[a], &mut reused);
+                        for v in 0..g.node_count() {
+                            let at = format!("root {root}, reversed {reversed}, node {v}");
+                            let bits = |s: &DijkstraScratch| s.distance(v).map(f64::to_bits);
+                            assert_eq!(bits(&fresh), bits(&reused), "{at}");
+                            let walk = |s| g.tree_path(s, Nodes, v, reversed).collect::<Vec<_>>();
+                            assert_eq!(walk(&fresh), walk(&reused), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn shortest_path_unit_lengths() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
         let cg = CapGraph::from_graph(&g, 1.0);
-        let len = vec![1.0; cg.arc_count()];
-        let (path, d) = cg.shortest_path(0, 2, &len).unwrap();
-        assert_eq!(d, 2.0);
-        assert_eq!(path.len(), 2);
-        // arcs chain correctly
-        assert_eq!(cg.arc(path[0]).from, 0);
-        assert_eq!(cg.arc(path[0]).to, cg.arc(path[1]).from);
-        assert_eq!(cg.arc(path[1]).to, 2);
+        let mut s = DijkstraScratch::new();
+        cg.tree(Nodes, 0, false, |_| 1.0, &mut s);
+        assert_eq!(s.distance(2), Some(2.0));
+        let walk: Vec<usize> = cg.tree_path(&s, Nodes, 2, false).collect();
+        assert_eq!(walk.len(), 2);
+        // arcs chain correctly, destination first
+        assert_eq!(cg.arc(walk[0]).to, 2);
+        assert_eq!(cg.arc(walk[1]).to, cg.arc(walk[0]).from);
+        assert_eq!(cg.arc(walk[1]).from, 0);
     }
 
     #[test]
@@ -695,76 +727,95 @@ mod tests {
         let a01 = cg.add_arc(0, 1, 1.0);
         let a12 = cg.add_arc(1, 2, 1.0);
         let a02 = cg.add_arc(0, 2, 1.0);
-        let mut len = vec![0.0; 3];
+        let mut len = [0.0; 3];
         len[a01] = 1.0;
         len[a12] = 1.0;
         len[a02] = 5.0;
-        let (path, d) = cg.shortest_path(0, 2, &len).unwrap();
-        assert_eq!(d, 2.0);
-        assert_eq!(path, vec![a01, a12]);
+        let mut s = DijkstraScratch::new();
+        // a source tree walks destination → source
+        cg.tree(Nodes, 0, false, |a| len[a], &mut s);
+        assert_eq!(s.distance(2), Some(2.0));
+        let walk: Vec<usize> = cg.tree_path(&s, Nodes, 2, false).collect();
+        assert_eq!(walk, vec![a12, a01]);
+        // a sink tree walks source → destination
+        cg.tree(Nodes, 2, true, |a| len[a], &mut s);
+        assert_eq!(s.distance(0), Some(2.0));
+        let walk: Vec<usize> = cg.tree_path(&s, Nodes, 0, true).collect();
+        assert_eq!(walk, vec![a01, a12]);
     }
 
     #[test]
     fn shortest_path_respects_direction() {
         let mut cg = CapGraph::new(2);
         cg.add_arc(0, 1, 1.0);
-        let len = vec![1.0];
-        assert!(cg.shortest_path(1, 0, &len).is_none());
-        assert!(cg.shortest_path(0, 1, &len).is_some());
+        let mut s = DijkstraScratch::new();
+        cg.tree(Nodes, 1, false, |_| 1.0, &mut s);
+        assert!(!s.reached(0));
+        cg.tree(Nodes, 0, true, |_| 1.0, &mut s);
+        assert!(!s.reached(1));
+        cg.tree(Nodes, 0, false, |_| 1.0, &mut s);
+        assert_eq!(s.distance(1), Some(1.0));
+        cg.tree(Nodes, 1, true, |_| 1.0, &mut s);
+        assert_eq!(s.distance(0), Some(1.0));
     }
 
     #[test]
     fn shortest_path_src_is_dst() {
         let cg = CapGraph::new(1);
-        let (path, d) = cg.shortest_path(0, 0, &[]).unwrap();
-        assert!(path.is_empty());
-        assert_eq!(d, 0.0);
+        let mut s = DijkstraScratch::new();
+        for reversed in [false, true] {
+            cg.tree(Nodes, 0, reversed, |_| 1.0, &mut s);
+            assert_eq!(s.distance(0), Some(0.0));
+            assert_eq!(cg.tree_path(&s, Nodes, 0, reversed).count(), 0);
+        }
     }
 
     #[test]
-    fn scratch_reuse_matches_fresh_runs() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]);
-        let cg = CapGraph::from_graph(&g, 1.0);
-        let lengths: Vec<f64> = (0..cg.arc_count()).map(|i| 1.0 + (i % 3) as f64).collect();
-        let mut scratch = DijkstraScratch::new();
-        for src in 0..5 {
-            for dst in 0..5 {
-                let fresh = cg.shortest_path(src, dst, &lengths);
-                let reused = cg
-                    .shortest_path_with(src, dst, &lengths, &mut scratch)
-                    .map(|d| (scratch.path().to_vec(), d));
-                match (fresh, reused) {
-                    (Some((p1, d1)), Some((p2, d2))) => {
-                        assert_eq!(p1, p2, "{src}->{dst}");
-                        assert_eq!(d1.to_bits(), d2.to_bits(), "{src}->{dst}");
-                    }
-                    (None, None) => {}
-                    other => panic!("fresh/reused disagree for {src}->{dst}: {other:?}"),
-                }
-            }
-        }
+    fn tree_path_unreached_and_root_yield_nothing() {
+        let mut cg = CapGraph::new(3);
+        cg.add_arc(0, 1, 1.0);
+        let mut s = DijkstraScratch::new();
+        cg.tree(Nodes, 0, false, |_| 1.0, &mut s);
+        assert!(s.reached(1) && !s.reached(2));
+        assert_eq!(s.distance(2), None);
+        assert_eq!(cg.tree_path(&s, Nodes, 2, false).count(), 0);
+        assert_eq!(cg.tree_path(&s, Nodes, 0, false).count(), 0);
+        assert_eq!(
+            cg.tree_path(&s, Nodes, 1, false).collect::<Vec<_>>(),
+            vec![0]
+        );
     }
 
     #[test]
     fn scratch_unreachable_then_reachable() {
         let mut cg = CapGraph::new(3);
         cg.add_arc(0, 1, 1.0);
-        let len = vec![1.0];
         let mut s = DijkstraScratch::new();
-        assert!(cg.shortest_path_with(0, 2, &len, &mut s).is_none());
-        // stale state from the failed run must not leak into the next one
-        assert_eq!(cg.shortest_path_with(0, 1, &len, &mut s), Some(1.0));
-        assert_eq!(s.path(), &[0]);
-        assert!(cg.shortest_path_with(2, 1, &len, &mut s).is_none());
+        cg.tree(Nodes, 2, false, |_| 1.0, &mut s);
+        assert!(!s.reached(0) && !s.reached(1));
+        // stale state from the run that reached nothing must not leak into
+        // the next one, nor that run's into the one after
+        cg.tree(Nodes, 0, false, |_| 1.0, &mut s);
+        assert_eq!(s.distance(1), Some(1.0));
+        assert_eq!(
+            cg.tree_path(&s, Nodes, 1, false).collect::<Vec<_>>(),
+            vec![0]
+        );
+        assert!(!s.reached(2));
+        cg.tree(Nodes, 2, false, |_| 1.0, &mut s);
+        assert!(!s.reached(1));
+        assert_eq!(cg.tree_path(&s, Nodes, 1, false).count(), 0);
     }
 
     #[test]
     fn scratch_grows_across_graphs() {
         let mut s = DijkstraScratch::new();
         let small = CapGraph::from_graph(&Graph::from_edges(2, &[(0, 1)]), 1.0);
-        assert!(small.shortest_path_with(0, 1, &[1.0; 2], &mut s).is_some());
+        small.tree(Nodes, 0, false, |_| 1.0, &mut s);
+        assert_eq!(s.distance(1), Some(1.0));
         let big = CapGraph::from_graph(&Graph::from_edges(6, &[(0, 1), (1, 5)]), 1.0);
-        assert_eq!(big.shortest_path_with(0, 5, &[1.0; 4], &mut s), Some(2.0));
+        big.tree(Nodes, 0, false, |_| 1.0, &mut s);
+        assert_eq!(s.distance(5), Some(2.0));
     }
 
     #[test]
@@ -775,84 +826,12 @@ mod tests {
     }
 
     #[test]
-    fn tree_matches_early_exit_paths() {
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (2, 5)]);
-        let cg = CapGraph::from_graph(&g, 1.0);
-        let lengths: Vec<f64> = (0..cg.arc_count()).map(|i| 1.0 + (i % 4) as f64).collect();
-        let mut tree = DijkstraScratch::new();
-        for src in 0..6 {
-            cg.shortest_path_tree_with(src, &lengths, &mut tree);
-            for dst in 0..6 {
-                let fresh = cg.shortest_path(src, dst, &lengths);
-                match fresh {
-                    Some((path, d)) => {
-                        assert_eq!(tree.distance(dst), Some(d), "{src}->{dst}");
-                        let mut walked: Vec<usize> = cg.tree_walk(&tree, dst).collect();
-                        walked.reverse();
-                        assert_eq!(walked, path, "{src}->{dst}");
-                    }
-                    None => assert!(!tree.reached(dst), "{src}->{dst}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sink_tree_matches_forward_paths() {
-        // distances and path *lengths* to a fixed sink must agree with the
-        // forward solver for every source; the sink tree may pick a
-        // different equal-length path (its tie-breaks run from the sink),
-        // so compare total length, not arc ids
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (2, 5)]);
-        let cg = CapGraph::from_graph(&g, 1.0);
-        let lengths: Vec<f64> = (0..cg.arc_count()).map(|i| 1.0 + (i % 4) as f64).collect();
-        let rev = cg.reverse_index();
-        let mut tree = DijkstraScratch::new();
-        for dst in 0..6 {
-            cg.shortest_path_tree_to_with(&rev, dst, &lengths, &mut tree);
-            for src in 0..6 {
-                match cg.shortest_path(src, dst, &lengths) {
-                    Some((_, d)) => {
-                        assert_eq!(tree.distance(src), Some(d), "{src}->{dst}");
-                        let walked: Vec<usize> = cg.tree_walk_to(&tree, src).collect();
-                        let walked_len: f64 = walked.iter().map(|&a| lengths[a]).sum();
-                        assert!((walked_len - d).abs() < 1e-12, "{src}->{dst}");
-                        // the walk really is a src → dst arc chain
-                        if src != dst {
-                            assert_eq!(cg.arc(walked[0]).from, src);
-                            assert_eq!(cg.arc(*walked.last().unwrap()).to, dst);
-                            for w in walked.windows(2) {
-                                assert_eq!(cg.arc(w[0]).to, cg.arc(w[1]).from);
-                            }
-                        }
-                    }
-                    None => assert!(!tree.reached(src), "{src}->{dst}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tree_walk_unreached_and_source_yield_nothing() {
-        let mut cg = CapGraph::new(3);
-        cg.add_arc(0, 1, 1.0);
-        let mut s = DijkstraScratch::new();
-        cg.shortest_path_tree_with(0, &[1.0], &mut s);
-        assert!(s.reached(1) && !s.reached(2));
-        assert_eq!(s.distance(2), None);
-        assert_eq!(cg.tree_walk(&s, 2).count(), 0);
-        assert_eq!(cg.tree_walk(&s, 0).count(), 0);
-        assert_eq!(cg.tree_walk(&s, 1).collect::<Vec<_>>(), vec![0]);
-    }
-
-    #[test]
     fn scratch_counts_runs() {
         let cg = CapGraph::from_graph(&Graph::from_edges(3, &[(0, 1), (1, 2)]), 1.0);
-        let ones = vec![1.0; cg.arc_count()];
         let mut s = DijkstraScratch::new();
         assert_eq!(s.runs(), 0);
-        let _ = cg.shortest_path_with(0, 2, &ones, &mut s);
-        cg.shortest_path_tree_with(1, &ones, &mut s);
+        cg.tree(Nodes, 0, false, |_| 1.0, &mut s);
+        cg.tree(Nodes, 1, true, |_| 1.0, &mut s);
         assert_eq!(s.runs(), 2);
     }
 }

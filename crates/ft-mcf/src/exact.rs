@@ -64,10 +64,8 @@ pub fn max_concurrent_flow_exact(g: &CapGraph, commodities: &[Commodity]) -> Res
             for &ai in g.out_arcs(v) {
                 terms.push((f[j][ai as usize], 1.0));
             }
-            for (ai, fj) in f[j].iter().enumerate().take(a_cnt) {
-                if g.arc(ai).to == v {
-                    terms.push((*fj, -1.0));
-                }
+            for &ai in g.in_arcs(v) {
+                terms.push((f[j][ai as usize], -1.0));
             }
             if v == c.src {
                 terms.push((lambda, -c.demand));

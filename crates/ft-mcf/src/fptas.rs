@@ -52,12 +52,14 @@
 //! `q·cap`, a path's length sums its arcs' class lengths, and a push raises
 //! a class's length once per arc of the path in that class. On the
 //! identity model the loop is the plain per-arc scheme, bit for bit, and
-//! pays nothing for the indirection (where the trees run is a
-//! compile-time parameter of the routing loop). A quotient's trees run
-//! over cells instead of nodes: the cells of the coarsest equitable
-//! partition that refines the node classes and has the tree root alone in
-//! its cell (`CapGraph::cell_tree_with`). Its distances are the full
-//! graph's, and its tree paths charge the classes of real paths.
+//! pays nothing for the indirection: where the trees run, a
+//! [`Partition`], is a compile-time parameter of the routing loop, and
+//! the node partition [`Nodes`] compiles to a plain node Dijkstra. A
+//! quotient's trees run over cells instead of nodes: the cells of the
+//! coarsest equitable partition that refines the node classes and has the
+//! tree root alone in its cell. The same kernel ([`CapGraph::tree`])
+//! builds both; on cells its distances are the full graph's, and its tree
+//! paths charge the classes of real paths.
 //!
 //! # Termination
 //!
@@ -93,13 +95,13 @@
 //!
 //! Commodity groups are formed in first-appearance order of their source
 //! and scanned in input order within a group; Dijkstra tie-breaking is the
-//! node-index ordering of [`CapGraph::shortest_path_with`] (the cell-index
-//! ordering on a quotient, cells numbered by their smallest node). The result is a
-//! pure function of `(graph, commodities, options)` — no thread count or
-//! scheduling dependence.
+//! slot-index ordering of [`CapGraph::tree`]: node index on a full
+//! instance, cell index on a quotient (cells numbered by their smallest
+//! node). The result is a pure function of `(graph, commodities,
+//! options)` — no thread count or scheduling dependence.
 
 use crate::bounds::node_cut_upper_bound;
-use crate::digraph::{CapGraph, Cells, DijkstraScratch, ReverseIndex};
+use crate::digraph::{CapGraph, DijkstraScratch, Nodes, Partition};
 use crate::shard::{ArcModel, CellTrees, Quotient};
 use crate::{Commodity, McfError};
 use std::sync::OnceLock;
@@ -267,8 +269,7 @@ pub(crate) struct Group {
     /// Tree root: the shared source, or the shared destination when
     /// `reversed`.
     pub(crate) root: usize,
-    /// Whether the tree is sink-rooted
-    /// ([`CapGraph::shortest_path_tree_to_with`]).
+    /// Whether the tree is sink-rooted.
     pub(crate) reversed: bool,
     /// Commodity indices, in input order.
     pub(crate) members: Vec<usize>,
@@ -281,16 +282,6 @@ impl Group {
             c.src
         } else {
             c.dst
-        }
-    }
-
-    /// Builds this group's shortest-path tree under `lengths` into
-    /// `scratch`.
-    fn tree(&self, g: &CapGraph, rev: &ReverseIndex, lengths: &[f64], s: &mut DijkstraScratch) {
-        if self.reversed {
-            g.shortest_path_tree_to_with(rev, self.root, lengths, s);
-        } else {
-            g.shortest_path_tree_with(self.root, lengths, s);
         }
     }
 }
@@ -345,12 +336,10 @@ fn all_reachable(
     g: &CapGraph,
     commodities: &[Commodity],
     groups: &[Group],
-    rev: &ReverseIndex,
     scratch: &mut DijkstraScratch,
 ) -> bool {
-    let ones = vec![1.0f64; g.arc_count()];
     groups.iter().all(|grp| {
-        grp.tree(g, rev, &ones, scratch);
+        g.tree(Nodes, grp.root, grp.reversed, |_| 1.0, scratch);
         grp.members
             .iter()
             .all(|&j| scratch.reached(grp.far(&commodities[j])))
@@ -402,7 +391,6 @@ pub(crate) fn solve(
         }
     }
     let groups = group_commodities(commodities);
-    let rev = g.reverse_index();
     // A quotient's arc classes come with the cell partitions its trees
     // run on; a full instance runs on one element per arc, over the nodes.
     let identity;
@@ -411,10 +399,7 @@ pub(crate) fn solve(
             identity = ArcModel::identity(g);
             (&identity, None)
         }
-        Some(q) => (
-            q.model,
-            Some(CellTrees::new(g, &rev, q.node_class, &groups)),
-        ),
+        Some(q) => (q.model, Some(CellTrees::new(g, q.node_class, &groups))),
     };
     let ub = quotient.map_or_else(|| node_cut_upper_bound(g, commodities), |q| q.ub);
 
@@ -425,7 +410,7 @@ pub(crate) fn solve(
 
     // A disconnected commodity pins λ to 0 — that is an exact answer, not a
     // budget artifact.
-    if quotient.is_none() && !all_reachable(g, commodities, &groups, &rev, &mut scratch) {
+    if quotient.is_none() && !all_reachable(g, commodities, &groups, &mut scratch) {
         return Ok(McfSolution {
             lambda: 0.0,
             upper_bound: 0.0,
@@ -449,7 +434,7 @@ pub(crate) fn solve(
     };
     let mut run = |scale: f64, ub: f64| {
         let st = RunState::new(g, model, commodities, scale, ub, opts);
-        run_once(st, &groups, cells.as_ref(), &rev, &mut scratch, batched)
+        run_once(st, &groups, cells.as_ref(), &mut scratch, batched)
     };
     let mut last = run(scale, ub);
     for _ in 0..4 {
@@ -644,7 +629,6 @@ fn run_once(
     mut st: RunState<'_>,
     groups: &[Group],
     cells: Option<&CellTrees>,
-    rev: &ReverseIndex,
     scratch: &mut DijkstraScratch,
     batched: bool,
 ) -> McfSolution {
@@ -660,8 +644,8 @@ fn run_once(
 
     match cells {
         _ if !batched => route_reference(&mut st, scratch),
-        None => route_batched(&mut st, groups, |_| Nodes, rev, scratch),
-        Some(cells) => route_batched(&mut st, groups, |gi| cells.of_group(gi), rev, scratch),
+        None => route_batched(&mut st, groups, |_| Nodes, scratch),
+        Some(cells) => route_batched(&mut st, groups, |gi| cells.of_group(gi), scratch),
     }
     // a run cut short mid-phase still has a valid, if older, α
     st.tighten_ub();
@@ -718,93 +702,6 @@ fn run_once(
     }
 }
 
-/// Where one group's trees run in [`route_batched`]. The type selects the
-/// routing loop at compile time, so the node loop pays nothing for the
-/// quotient's indirection.
-trait TreeSpace: Copy {
-    /// Whether elements are arc classes, which one tree path can cross
-    /// several times.
-    const CLASSES: bool;
-
-    /// Builds `grp`'s tree under the run's current lengths into
-    /// `scratch`.
-    fn build(self, st: &RunState<'_>, rev: &ReverseIndex, grp: &Group, s: &mut DijkstraScratch);
-
-    /// The scratch slot that holds node `v`'s distance.
-    fn slot(self, v: usize) -> usize;
-
-    /// Appends the arcs of the tree path between `far` and `grp`'s root
-    /// to `path`, root-ward.
-    fn walk(
-        self,
-        g: &CapGraph,
-        scratch: &DijkstraScratch,
-        grp: &Group,
-        far: usize,
-        path: &mut Vec<usize>,
-    );
-}
-
-/// A full instance's trees: Dijkstra over the nodes, on one element per
-/// arc.
-#[derive(Clone, Copy)]
-struct Nodes;
-
-impl TreeSpace for Nodes {
-    const CLASSES: bool = false;
-
-    fn build(self, st: &RunState<'_>, rev: &ReverseIndex, grp: &Group, s: &mut DijkstraScratch) {
-        grp.tree(st.g, rev, &st.length, s);
-    }
-
-    #[inline]
-    fn slot(self, v: usize) -> usize {
-        v
-    }
-
-    fn walk(
-        self,
-        g: &CapGraph,
-        scratch: &DijkstraScratch,
-        grp: &Group,
-        far: usize,
-        path: &mut Vec<usize>,
-    ) {
-        if grp.reversed {
-            path.extend(g.tree_walk_to(scratch, far));
-        } else {
-            path.extend(g.tree_walk(scratch, far));
-        }
-    }
-}
-
-/// A quotient group's trees: Dijkstra over the cells of its partition
-/// ([`CapGraph::cell_tree_with`]), on the quotient's arc classes.
-impl TreeSpace for &Cells {
-    const CLASSES: bool = true;
-
-    fn build(self, st: &RunState<'_>, rev: &ReverseIndex, grp: &Group, s: &mut DijkstraScratch) {
-        let len = |a: usize| st.length[st.model.class(a)];
-        st.g.cell_tree_with(rev, self, grp.root, grp.reversed, len, s);
-    }
-
-    #[inline]
-    fn slot(self, v: usize) -> usize {
-        self.cell(v)
-    }
-
-    fn walk(
-        self,
-        g: &CapGraph,
-        scratch: &DijkstraScratch,
-        grp: &Group,
-        far: usize,
-        path: &mut Vec<usize>,
-    ) {
-        path.extend(g.cell_walk(scratch, self, far, grp.reversed));
-    }
-}
-
 /// Fleischer-style batched routing: one shortest-path tree per
 /// (group, step) — a source tree rooted at the shared source, or a sink
 /// tree rooted at the shared destination for `reversed` groups. Every
@@ -816,7 +713,7 @@ impl TreeSpace for &Cells {
 /// Garg–Könemann analysis needs. Once a needed path drifts past the band,
 /// the tree is recomputed.
 ///
-/// `space_of(gi)` is where group `gi`'s trees run ([`TreeSpace`]): the
+/// `part_of(gi)` is where group `gi`'s trees run ([`Partition`]): the
 /// nodes of a full instance, whose arcs are their own elements and whose
 /// tree paths never repeat one, or the group's cells on a quotient, whose
 /// tree paths can cross one arc class several times.
@@ -824,17 +721,16 @@ impl TreeSpace for &Cells {
 /// The first tree of each group in a phase also yields the group's share
 /// of α; at the end of every phase the loop tightens UB with `D(l)/α` and
 /// stops once the λ it would return is ≥ (1 − γ)·UB (see the module docs).
-fn route_batched<S: TreeSpace>(
+fn route_batched<P: Partition>(
     st: &mut RunState<'_>,
     groups: &[Group],
-    space_of: impl Fn(usize) -> S,
-    rev: &ReverseIndex,
+    part_of: impl Fn(usize) -> P,
     scratch: &mut DijkstraScratch,
 ) {
     let one_plus_eps = 1.0 + st.eps;
     let target = (1.0 - GAP).max(1.0 - 3.0 * st.eps);
     let (model, commodities) = (st.model, st.commodities);
-    let element = |a: usize| if S::CLASSES { model.class(a) } else { a };
+    let element = |a: usize| if P::CLASSES { model.class(a) } else { a };
     let cap = model.caps();
     // Remaining (scaled) demand of the current group's members this phase.
     let mut rem: Vec<f64> = Vec::new();
@@ -853,7 +749,7 @@ fn route_batched<S: TreeSpace>(
         let (steps0, pushes0, deferrals0) = (st.steps, st.pushes, st.deferrals);
         for (gi, grp) in groups.iter().enumerate() {
             let members = &grp.members;
-            let space = space_of(gi);
+            let part = part_of(gi);
             rem.clear();
             rem.extend(members.iter().map(|&j| commodities[j].demand / st.scale));
             let mut first_tree = true;
@@ -861,14 +757,15 @@ fn route_batched<S: TreeSpace>(
                 if !st.take_step() {
                     break 'outer;
                 }
-                space.build(st, rev, grp, scratch);
+                let length = |a: usize| st.length[element(a)];
+                st.g.tree(part, grp.root, grp.reversed, length, scratch);
                 if first_tree {
                     first_tree = false;
                     let alpha = members
                         .iter()
                         .map(|&j| {
                             let c = &commodities[j];
-                            c.demand * scratch.distance(space.slot(grp.far(c))).unwrap_or(0.0)
+                            c.demand * scratch.distance(part.slot(grp.far(c))).unwrap_or(0.0)
                         })
                         .sum();
                     st.group_alpha[gi] = alpha;
@@ -878,20 +775,20 @@ fn route_batched<S: TreeSpace>(
                         let far = grp.far(&commodities[j]);
                         // Distance at tree-build time: a lower bound on the
                         // current shortest-path distance (lengths only grow).
-                        let Some(tree_dist) = scratch.distance(space.slot(far)) else {
+                        let Some(tree_dist) = scratch.distance(part.slot(far)) else {
                             // cannot happen: the pre-check, or a quotient's
                             // builder, saw every pair reachable
                             break 'outer;
                         };
                         path.clear();
-                        space.walk(st.g, scratch, grp, far, &mut path);
+                        path.extend(st.g.tree_path(scratch, part, far, grp.reversed));
                         let mut bottleneck = f64::INFINITY;
                         let mut path_len = 0.0f64;
                         for &a in &path {
                             let e = element(a);
                             // a class met h times on the path saturates at
                             // cap/h per unit of path flow
-                            let room = if S::CLASSES {
+                            let room = if P::CLASSES {
                                 let h = path
                                     .iter()
                                     .fold(0u32, |h, &b| h + u32::from(element(b) == e));
@@ -961,10 +858,12 @@ fn route_batched<S: TreeSpace>(
     }
 }
 
-/// The original per-commodity routing loop: one early-exit Dijkstra per
-/// push, on the identity model. Kept verbatim as the oracle behind
-/// [`max_concurrent_flow_reference`].
+/// The original per-commodity routing loop: one shortest path per push,
+/// on the identity model, read off a fresh source tree. Kept as the oracle
+/// behind [`max_concurrent_flow_reference`].
 fn route_reference(st: &mut RunState<'_>, scratch: &mut DijkstraScratch) {
+    // Arc path of the current push, source → destination.
+    let mut path: Vec<usize> = Vec::new();
     'outer: while st.dual < 1.0 {
         let mut phase_span = ft_obs::span!("fptas.phase", phase = st.phases);
         let (steps0, pushes0) = (st.steps, st.pushes);
@@ -974,16 +873,17 @@ fn route_reference(st: &mut RunState<'_>, scratch: &mut DijkstraScratch) {
                 if !st.take_step() {
                     break 'outer;
                 }
-                // allocation-free: path lands in the reused scratch buffers
-                if st
-                    .g
-                    .shortest_path_with(c.src, c.dst, &st.length, scratch)
-                    .is_none()
-                {
+                let length = |a: usize| st.length[a];
+                st.g.tree(Nodes, c.src, false, length, scratch);
+                if !scratch.reached(c.dst) {
                     break 'outer; // cannot happen after the pre-check
                 }
-                let bottleneck = scratch
-                    .path()
+                // the walk runs destination → source; the length updates
+                // below accumulate in path order
+                path.clear();
+                path.extend(st.g.tree_path(scratch, Nodes, c.dst, false));
+                path.reverse();
+                let bottleneck = path
                     .iter()
                     .map(|&a| st.g.arc(a).cap)
                     .fold(f64::INFINITY, f64::min);
@@ -991,7 +891,7 @@ fn route_reference(st: &mut RunState<'_>, scratch: &mut DijkstraScratch) {
                 rem -= f;
                 st.routed[j] += f;
                 st.pushes += 1;
-                for &a in scratch.path() {
+                for &a in &path {
                     let cap = st.g.arc(a).cap;
                     st.flow[a] += f;
                     let old = st.length[a];
@@ -1317,9 +1217,8 @@ mod tests {
         };
         let cs = [c(0, 1), c(0, 2), c(0, 3), c(2, 0), c(2, 1)];
         let groups = group_commodities(&cs);
-        let rev = g.reverse_index();
         let mut scratch = DijkstraScratch::new();
-        assert!(all_reachable(&g, &cs, &groups, &rev, &mut scratch));
+        assert!(all_reachable(&g, &cs, &groups, &mut scratch));
         assert_eq!(scratch.runs(), 2, "one SSSP per tree batch");
     }
 

@@ -30,7 +30,9 @@
 //!   `(1 − 3ε)` of optimal; a tripped step budget is reported via
 //!   [`fptas::McfSolution::budget_exhausted`], never as a silent λ = 0.
 //!   [`fptas::max_concurrent_flow_reference`] retains the per-commodity
-//!   routing loop as the validation oracle.
+//!   routing loop as the validation oracle. Every shortest-path tree of
+//!   every solver runs through one Dijkstra, [`CapGraph::tree`], on the
+//!   nodes ([`Nodes`]) or on a quotient's equitable cells.
 //! * [`shard::max_concurrent_flow_aggregated`] — the same batched loop on
 //!   a symmetry quotient: orbit representatives as commodities, arc
 //!   classes as the capacitated elements (k = 64/128 all-to-all).
@@ -63,7 +65,7 @@ pub mod paths;
 pub mod shard;
 
 pub use bounds::node_cut_upper_bound;
-pub use digraph::{CapGraph, DijkstraScratch};
+pub use digraph::{CapGraph, DijkstraScratch, Nodes};
 pub use exact::max_concurrent_flow_exact;
 pub use fptas::{
     max_concurrent_flow, max_concurrent_flow_reference, FptasOptions, McfSolution, Stop, GAP,

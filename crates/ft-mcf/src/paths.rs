@@ -29,9 +29,9 @@ pub type ArcPath = Vec<usize>;
 
 /// Solves max concurrent flow restricted to the given path sets.
 ///
-/// `paths[j]` are the admissible paths of `commodities[j]` (arc-index
-/// lists from `CapGraph::shortest_path`, or a router's paths mapped onto
-/// the arcs of [`CapGraph::from_graph`]).
+/// `paths[j]` are the admissible paths of `commodities[j]`: arc-index
+/// lists in source → destination order, such as a router's paths mapped
+/// onto the arcs of [`CapGraph::from_graph`].
 /// Returns 0.0 if any commodity has an empty path set (it cannot route at
 /// all), `f64::INFINITY` for an empty commodity list.
 ///

@@ -52,9 +52,10 @@
 //! cells, a few per node class (3k/2 + 3 for an edge-switch root of the
 //! k-ary fat-tree, against 5k²/4 switches), and returns exactly the full
 //! graph's distances and the arc classes of a real shortest path
-//! (DESIGN.md §16.5).
+//! (DESIGN.md §16.5). The kernel is the one [`CapGraph::tree`] that runs
+//! a full instance's trees on the nodes.
 
-use crate::digraph::{CapGraph, Cells, ReverseIndex};
+use crate::digraph::{CapGraph, Cells};
 use crate::fptas::{self, max_concurrent_flow, FptasOptions, Group, McfSolution};
 use crate::{Commodity, McfError};
 use ft_graph::id32;
@@ -165,7 +166,7 @@ pub(crate) struct Quotient<'a> {
 }
 
 /// The cell partition each tree group of a quotient solve runs its trees
-/// on ([`CapGraph::cell_tree_with`]): the root's cell partition is the
+/// on ([`CapGraph::tree`]): the root's cell partition is the
 /// coarsest equitable partition that refines the node classes and has the
 /// root alone in its cell.
 ///
@@ -183,15 +184,10 @@ pub(crate) struct CellTrees {
 impl CellTrees {
     /// The partitions of `groups` (a quotient solve's tree batches) under
     /// the node classes `node_class`.
-    pub(crate) fn new(
-        g: &CapGraph,
-        rev: &ReverseIndex,
-        node_class: &[u32],
-        groups: &[Group],
-    ) -> CellTrees {
+    pub(crate) fn new(g: &CapGraph, node_class: &[u32], groups: &[Group]) -> CellTrees {
         use std::collections::HashMap;
         let mut span = ft_obs::span!("fptas.cells", groups = groups.len());
-        let base = Cells::refine(g, rev, node_class);
+        let base = Cells::refine(g, node_class);
         let base_size = base.sizes();
         let mut parts = vec![base];
         let mut part_of = Vec::with_capacity(groups.len());
@@ -202,7 +198,7 @@ impl CellTrees {
                 0
             } else {
                 *part_of_root.entry(grp.root).or_insert_with(|| {
-                    parts.push(parts[0].individualize(g, rev, grp.root));
+                    parts.push(parts[0].individualize(g, grp.root));
                     id32(parts.len() - 1)
                 })
             };
@@ -604,7 +600,8 @@ fn class_cut_upper_bound(g: &CapGraph, commodities: &[Commodity], node_class: &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digraph::DijkstraScratch;
+    use crate::digraph::tests::{bellman_ford, check_tree, DYADIC};
+    use crate::digraph::{DijkstraScratch, Nodes};
     use crate::exact::max_concurrent_flow_exact;
     use ft_graph::Graph;
 
@@ -615,15 +612,11 @@ mod tests {
     /// Unit-length hop distances for oracle-backed tests.
     fn hop_table(g: &CapGraph) -> Vec<Vec<u32>> {
         let ones = vec![1.0f64; g.arc_count()];
-        let mut scratch = DijkstraScratch::new();
         (0..g.node_count())
             .map(|s| {
-                g.shortest_path_tree_with(s, &ones, &mut scratch);
-                (0..g.node_count())
-                    .map(|t| match scratch.distance(t) {
-                        Some(d) => id32(d as usize),
-                        None => u32::MAX,
-                    })
+                bellman_ford(g, s, false, &ones)
+                    .into_iter()
+                    .map(|d| d.map_or(u32::MAX, |d| id32(d as usize)))
                     .collect()
             })
             .collect()
@@ -812,16 +805,13 @@ mod tests {
         assert!(sol.lambda <= sol.upper_bound);
     }
 
-    /// Arc-class lengths of the cell-tree oracle: dyadic, so every path
-    /// sum is exact and equal-length ties are frequent.
-    const DYADIC: [f64; 4] = [0.25, 0.5, 1.0, 2.0];
-
-    /// The cell-tree differential oracle. One source and one sink group
-    /// per root; under 50 seeded class-tied length vectors, every node's
-    /// full-graph Dijkstra distance from (or to) the root must equal its
-    /// cell's distance bit for bit, and every cell walk must be a chain of
-    /// cells that ends at the root, with arc lengths summing to that
-    /// distance. Returns the groups and their partitions.
+    /// The tree oracle on a quotient. One source and one sink group per
+    /// root; under 50 seeded class-tied dyadic length vectors, every
+    /// root's node tree and its group's cell tree must both pass
+    /// [`check_tree`]: every node's distance from (or to) the root equals
+    /// Bellman–Ford's bit for bit, and every walk chains slots to the root
+    /// with lengths summing to that distance. Returns the groups and their
+    /// partitions.
     fn check_cell_trees(
         g: &CapGraph,
         node_class: &[u32],
@@ -829,7 +819,6 @@ mod tests {
     ) -> (Vec<Group>, CellTrees) {
         use rand::prelude::*;
         let model = ArcModel::from_node_classes(g, node_class).unwrap();
-        let rev = g.reverse_index();
         let groups: Vec<Group> = roots
             .iter()
             .flat_map(|&root| {
@@ -840,9 +829,9 @@ mod tests {
                 })
             })
             .collect();
-        let trees = CellTrees::new(g, &rev, node_class, &groups);
+        let trees = CellTrees::new(g, node_class, &groups);
         let mut rng = StdRng::seed_from_u64(22);
-        let (mut full, mut cell) = (DijkstraScratch::new(), DijkstraScratch::new());
+        let mut scratch = DijkstraScratch::new();
         for trial in 0..50 {
             let class_len: Vec<f64> = (0..model.elements())
                 .map(|_| DYADIC[rng.random_range(0..DYADIC.len())])
@@ -854,41 +843,10 @@ mod tests {
                 let (root, reversed) = (grp.root, grp.reversed);
                 let cells = trees.of_group(gi);
                 assert_eq!(cells.sizes()[cells.cell(root)], 1, "root {root} not alone");
-                if reversed {
-                    g.shortest_path_tree_to_with(&rev, root, &arc_len, &mut full);
-                } else {
-                    g.shortest_path_tree_with(root, &arc_len, &mut full);
-                }
-                g.cell_tree_with(&rev, cells, root, reversed, |a| arc_len[a], &mut cell);
-                // (end toward the root, end away from it) of a tree arc
-                let ends = |a: usize| {
-                    let arc = g.arc(a);
-                    if reversed {
-                        (arc.to, arc.from)
-                    } else {
-                        (arc.from, arc.to)
-                    }
-                };
-                for v in 0..g.node_count() {
-                    let at = format!("trial {trial}, root {root}, reversed {reversed}, node {v}");
-                    let d = full.distance(v);
-                    let cd = cell.distance(cells.cell(v));
-                    assert_eq!(d.map(f64::to_bits), cd.map(f64::to_bits), "{at}");
-                    let Some(d) = d else { continue };
-                    let walk: Vec<usize> = g.cell_walk(&cell, cells, v, reversed).collect();
-                    let mut here = cells.cell(v);
-                    for &a in &walk {
-                        let (near, far) = ends(a);
-                        assert_eq!(cells.cell(far), here, "{at}: broken cell chain");
-                        here = cells.cell(near);
-                    }
-                    assert_eq!(here, cells.cell(root), "{at}: walk misses the root");
-                    if let Some(&last) = walk.last() {
-                        assert_eq!(ends(last).0, root, "{at}");
-                    }
-                    let sum = walk.iter().rev().fold(0.0, |s, &a| s + arc_len[a]);
-                    assert_eq!(sum.to_bits(), d.to_bits(), "{at}: walk length");
-                }
+                let at = format!("trial {trial}");
+                check_tree(g, Nodes, root, reversed, &arc_len, &mut scratch, &at);
+                let at = format!("trial {trial}, cells");
+                check_tree(g, cells, root, reversed, &arc_len, &mut scratch, &at);
             }
         }
         (groups, trees)

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One parsed span event from a JSONL trace.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpanEvent {
     /// Span name (`fptas.phase`, `serve.request`, …).
     pub name: String,
@@ -196,10 +196,13 @@ impl<'a> Forest<'a> {
     /// root, repeatedly descend into the child with the largest duration
     /// (ties: earliest start), until a leaf. This is the chain of spans
     /// that bounded the run's wall time — the place a regression lives.
+    /// From a span inside an id/parent cycle (duplicate or forged ids) the
+    /// descent stops after one span per trace span.
     pub fn critical_path(&self, root: usize) -> Vec<PathStep> {
         let mut path = Vec::new();
         let mut cur = root;
-        while cur < self.trace.spans.len() {
+        let n = self.trace.spans.len();
+        while cur < n && path.len() < n {
             let s = &self.trace.spans[cur];
             path.push(PathStep {
                 index: cur,

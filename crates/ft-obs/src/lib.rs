@@ -14,9 +14,9 @@
 //!    vector for tests).
 //!
 //! Two read-side layers complete the pipeline (DESIGN.md §17):
-//! sliding-window variants of the primitives ([`window`]) whose readings
-//! cover the last [`WINDOW_EPOCHS`] epochs instead of the process
-//! lifetime, and trace analytics ([`analyze`]) that parse span JSONL back
+//! sliding-window histograms ([`window`]) whose readings cover the last
+//! [`WINDOW_EPOCHS`] epochs instead of the process lifetime, and trace
+//! analytics ([`analyze`]) that parse span JSONL back
 //! into a forest for aggregates, critical paths, diffs and flamegraph /
 //! Chrome exports (`ftctl trace`).
 //!
@@ -44,9 +44,7 @@ pub use metrics::{
     HistogramSnapshot, BUCKETS,
 };
 pub use span::{flush, install_file_sink, install_memory_sink, take_sink, Span};
-pub use window::{
-    WindowClock, WindowedCounter, WindowedHistogram, MIN_WINDOW_SAMPLES, WINDOW_EPOCHS,
-};
+pub use window::{WindowClock, WindowedHistogram, MIN_WINDOW_SAMPLES, WINDOW_EPOCHS};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -83,12 +83,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Reset to zero. Only the sliding-window ring recycles epoch slots
-    /// this way (see [`crate::window`]); cumulative counters never clear.
-    pub(crate) fn clear(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A last-write-wins instantaneous value (worker counts, queue depths).

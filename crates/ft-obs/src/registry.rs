@@ -14,7 +14,6 @@
 //! ```
 
 use crate::metrics::{Counter, Gauge, Histogram};
-use crate::window::{WindowedCounter, WindowedHistogram};
 use std::sync::{Mutex, MutexGuard};
 
 #[derive(Clone, Copy)]
@@ -22,8 +21,6 @@ enum Handle {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
     Histogram(&'static Histogram),
-    WindowedCounter(&'static WindowedCounter),
-    WindowedHistogram(&'static WindowedHistogram),
 }
 
 struct Entry {
@@ -108,63 +105,6 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
     h
 }
 
-/// The windowed counter registered under `name` (no labels), creating it
-/// on first use. Exposed as `{name}_window <merged total>`; advanced by
-/// [`tick_windows`].
-pub fn windowed_counter(name: &'static str) -> &'static WindowedCounter {
-    let mut reg = lock_registry();
-    for e in reg.iter() {
-        if e.name == name && e.labels.is_empty() {
-            if let Handle::WindowedCounter(c) = e.handle {
-                return c;
-            }
-        }
-    }
-    let c: &'static WindowedCounter = Box::leak(Box::new(WindowedCounter::new()));
-    reg.push(Entry {
-        name,
-        labels: "",
-        handle: Handle::WindowedCounter(c),
-    });
-    c
-}
-
-/// The windowed histogram registered under `name` (no labels), creating
-/// it on first use. Exposed as `{name}_window{q=…}` quantile lines plus
-/// `{name}_window_count` / `{name}_window_sum`; advanced by
-/// [`tick_windows`].
-pub fn windowed_histogram(name: &'static str) -> &'static WindowedHistogram {
-    let mut reg = lock_registry();
-    for e in reg.iter() {
-        if e.name == name && e.labels.is_empty() {
-            if let Handle::WindowedHistogram(h) = e.handle {
-                return h;
-            }
-        }
-    }
-    let h: &'static WindowedHistogram = Box::leak(Box::new(WindowedHistogram::new()));
-    reg.push(Entry {
-        name,
-        labels: "",
-        handle: Handle::WindowedHistogram(h),
-    });
-    h
-}
-
-/// Advance every registered windowed metric by one epoch. Holding the
-/// registry lock serializes ticks, which the window ring requires (see
-/// [`WindowedHistogram::tick`]).
-pub fn tick_windows() {
-    let reg = lock_registry();
-    for e in reg.iter() {
-        match e.handle {
-            Handle::WindowedCounter(c) => c.tick(),
-            Handle::WindowedHistogram(h) => h.tick(),
-            _ => {}
-        }
-    }
-}
-
 fn labelled(name: &str, labels: &str, extra: Option<&str>) -> String {
     match (labels.is_empty(), extra) {
         (true, None) => name.to_string(),
@@ -172,34 +112,6 @@ fn labelled(name: &str, labels: &str, extra: Option<&str>) -> String {
         (false, None) => format!("{name}{{{labels}}}"),
         (false, Some(x)) => format!("{name}{{{labels},{x}}}"),
     }
-}
-
-/// Renders one histogram snapshot as its quantile, `_count` and `_sum`
-/// exposition lines (shared by the cumulative and `_window` renderings).
-fn push_histogram_lines(
-    lines: &mut Vec<String>,
-    name: &str,
-    labels: &str,
-    s: &crate::metrics::HistogramSnapshot,
-) {
-    for (q, tag) in [(0.5, "0.50"), (0.95, "0.95"), (0.99, "0.99")] {
-        let lbl = format!("q=\"{tag}\"");
-        lines.push(format!(
-            "{} {}",
-            labelled(name, labels, Some(&lbl)),
-            s.quantile_us(q)
-        ));
-    }
-    lines.push(format!(
-        "{} {}",
-        labelled(&format!("{name}_count"), labels, None),
-        s.count
-    ));
-    lines.push(format!(
-        "{} {}",
-        labelled(&format!("{name}_sum"), labels, None),
-        s.sum_us
-    ));
 }
 
 /// Render every registered metric as exposition text, one `name{labels}
@@ -218,15 +130,16 @@ pub fn expose() -> String {
                 lines.push(format!("{} {}", labelled(e.name, e.labels, None), g.get()));
             }
             Handle::Histogram(h) => {
-                push_histogram_lines(&mut lines, e.name, e.labels, &h.snapshot());
-            }
-            Handle::WindowedCounter(c) => {
-                let name = format!("{}_window", e.name);
-                lines.push(format!("{} {}", labelled(&name, e.labels, None), c.get()));
-            }
-            Handle::WindowedHistogram(h) => {
-                let name = format!("{}_window", e.name);
-                push_histogram_lines(&mut lines, &name, e.labels, &h.snapshot());
+                let (name, labels, s) = (e.name, e.labels, h.snapshot());
+                for (q, tag) in [(0.5, "0.50"), (0.95, "0.95"), (0.99, "0.99")] {
+                    let lbl = format!("q=\"{tag}\"");
+                    let line = labelled(name, labels, Some(&lbl));
+                    lines.push(format!("{line} {}", s.quantile_us(q)));
+                }
+                let count = labelled(&format!("{name}_count"), labels, None);
+                lines.push(format!("{count} {}", s.count));
+                let sum = labelled(&format!("{name}_sum"), labels, None);
+                lines.push(format!("{sum} {}", s.sum_us));
             }
         }
     }

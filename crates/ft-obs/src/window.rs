@@ -1,8 +1,7 @@
-//! Sliding-window metric primitives: histograms and counters whose
-//! readings cover the last [`WINDOW_EPOCHS`] epochs instead of the whole
-//! process lifetime.
+//! Sliding-window latency histograms, whose readings cover the last
+//! [`WINDOW_EPOCHS`] epochs instead of the whole process lifetime.
 //!
-//! A windowed metric is a ring of epoch slots. Recording lands in the
+//! A windowed histogram is a ring of epoch slots. Recording lands in the
 //! slot the cursor currently points at; an explicit [`WindowedHistogram::
 //! tick`] clears the *next* slot and then advances the cursor, so the
 //! merged snapshot always covers at most the last `WINDOW_EPOCHS` epochs
@@ -20,7 +19,7 @@
 //! slot (every cell is an independent atomic) and never affects the
 //! cumulative metrics recorded alongside.
 
-use crate::metrics::{Counter, Histogram, HistogramSnapshot};
+use crate::metrics::{Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -72,9 +71,8 @@ impl WindowedHistogram {
     /// Advance the window by one epoch: clear the slot about to become
     /// current, then publish the new cursor. Ticks must be serialized by
     /// the caller (ft-serve's [`WindowClock`] admits one winner per epoch
-    /// boundary; [`crate::registry::tick_windows`] holds the registry
-    /// lock) — concurrent ticks would race the clear against recorders of
-    /// the already-published slot.
+    /// boundary) — concurrent ticks would race the clear against
+    /// recorders of the already-published slot.
     pub fn tick(&self) {
         let next = self.cursor.load(Ordering::Relaxed).wrapping_add(1);
         // bounds: next % WINDOW_EPOCHS < WINDOW_EPOCHS = epochs.len()
@@ -96,62 +94,6 @@ impl WindowedHistogram {
             merged.merge_from(&e.snapshot());
         }
         merged
-    }
-}
-
-/// An event counter covering the last [`WINDOW_EPOCHS`] epochs.
-#[derive(Debug)]
-pub struct WindowedCounter {
-    epochs: [Counter; WINDOW_EPOCHS],
-    cursor: AtomicU64,
-}
-
-impl Default for WindowedCounter {
-    fn default() -> Self {
-        WindowedCounter::new()
-    }
-}
-
-impl WindowedCounter {
-    /// A fresh zero window (const, so it can live in statics).
-    pub const fn new() -> Self {
-        WindowedCounter {
-            epochs: [const { Counter::new() }; WINDOW_EPOCHS],
-            cursor: AtomicU64::new(0),
-        }
-    }
-
-    /// Add `n` events to the current epoch slot.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        let c = self.cursor.load(Ordering::Relaxed);
-        // bounds: c % WINDOW_EPOCHS < WINDOW_EPOCHS = epochs.len()
-        self.epochs[(c % WINDOW_EPOCHS as u64) as usize].add(n);
-    }
-
-    /// Add one event to the current epoch slot.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Advance the window by one epoch (same contract as
-    /// [`WindowedHistogram::tick`]).
-    pub fn tick(&self) {
-        let next = self.cursor.load(Ordering::Relaxed).wrapping_add(1);
-        // bounds: next % WINDOW_EPOCHS < WINDOW_EPOCHS = epochs.len()
-        self.epochs[(next % WINDOW_EPOCHS as u64) as usize].clear();
-        self.cursor.store(next, Ordering::Relaxed);
-    }
-
-    /// Number of ticks so far (the cursor value).
-    pub fn ticks(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
-    }
-
-    /// Merged total over every live epoch slot.
-    pub fn get(&self) -> u64 {
-        self.epochs.iter().map(|e| e.get()).sum()
     }
 }
 
@@ -247,19 +189,6 @@ mod tests {
             w.tick();
         }
         assert_eq!(w.snapshot().count, 0);
-    }
-
-    #[test]
-    fn windowed_counter_roundtrip() {
-        let c = WindowedCounter::new();
-        c.add(5);
-        c.tick();
-        c.incr();
-        assert_eq!(c.get(), 6);
-        for _ in 0..WINDOW_EPOCHS {
-            c.tick();
-        }
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -1,22 +1,12 @@
 //! Sliding-window integration tests: rotation under concurrent recording,
-//! age-out through the registry tick, `_window` exposition lines, and
-//! prefix-filtered determinism of the exposition text (this binary's tests
-//! run in parallel threads, so whole-text comparisons would race other
-//! tests' metrics — each test owns a unique name prefix instead, and the
-//! tests that tick or render the global registry hold one lock, since a
-//! tick ages out every test's windows).
+//! and prefix-filtered determinism of the exposition text (this binary's
+//! tests run in parallel threads, so whole-text comparisons would race
+//! other tests' metrics — each test owns a unique name prefix instead).
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use ft_obs::{registry, WindowedHistogram, WINDOW_EPOCHS};
-use std::sync::{Mutex, MutexGuard};
 use std::thread;
-
-static REGISTRY_TESTS: Mutex<()> = Mutex::new(());
-
-fn serialize() -> MutexGuard<'static, ()> {
-    REGISTRY_TESTS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 #[test]
 fn window_hammer_without_ticks_loses_no_updates() {
@@ -97,36 +87,9 @@ fn window_rotation_under_concurrent_recording_is_sound() {
 }
 
 #[test]
-fn registry_windowed_metrics_render_window_lines_and_age_out() {
-    let _serial = serialize();
-    let h = registry::windowed_histogram("wintest_lat_us");
-    let c = registry::windowed_counter("wintest_events");
-    h.record_us(100);
-    c.add(3);
-    let text = registry::expose();
-    assert!(
-        text.contains("wintest_lat_us_window{q=\"0.50\"} 64"),
-        "{text}"
-    );
-    assert!(text.contains("wintest_lat_us_window_count 1"), "{text}");
-    assert!(text.contains("wintest_lat_us_window_sum 100"), "{text}");
-    assert!(text.contains("wintest_events_window 3"), "{text}");
-
-    // registry::tick_windows advances every windowed metric; a full ring
-    // of ticks leaves both empty.
-    for _ in 0..WINDOW_EPOCHS {
-        registry::tick_windows();
-    }
-    let text = registry::expose();
-    assert!(text.contains("wintest_lat_us_window_count 0"), "{text}");
-    assert!(text.contains("wintest_events_window 0"), "{text}");
-}
-
-#[test]
 fn exposition_is_deterministic_and_sorted() {
-    let _serial = serialize();
     registry::counter("dettest_total").add(7);
-    registry::windowed_histogram("dettest_us").record_us(300);
+    registry::histogram("dettest_us").record_us(300);
     let filtered = |text: &str| {
         text.lines()
             .filter(|l| l.starts_with("dettest_"))

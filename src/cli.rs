@@ -114,7 +114,7 @@ of one scenario compare bit-for-bit); --events streams the per-event JSONL
 trace; --quick caps the arrival rounds at 1. See scenarios/*.scn.
 
 bench times the hot-path kernels (CSR BFS-APSP sequential vs parallel,
-Dijkstra with fresh vs reused scratch buffers, the source-batched FPTAS
+the FPTAS's shortest-path tree kernel, the source-batched FPTAS
 throughput solve, and a
 ft-des event storm reporting engine-only events/s plus solver_ms) on
 fixed seeds at k ∈ {8, 16, 32}, Yen's 8 shortest paths between the

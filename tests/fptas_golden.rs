@@ -10,10 +10,13 @@
 use std::sync::Mutex;
 
 use flat_tree::core::{FlatTree, FlatTreeConfig, Mode};
-use flat_tree::mcf::{aggregate_commodities, max_concurrent_flow, CapGraph, FptasOptions, Stop};
+use flat_tree::mcf::{
+    aggregate_commodities, max_concurrent_flow, max_concurrent_flow_reference, CapGraph, Commodity,
+    FptasOptions, McfError, McfSolution, Stop,
+};
 use flat_tree::metrics::throughput::{throughput_all_to_all, SolverKind, ThroughputOptions};
 use flat_tree::obs::registry::counter;
-use flat_tree::topo::Network;
+use flat_tree::topo::{fat_tree, jellyfish_matching_fat_tree, Network};
 use flat_tree::workload::{generate, Locality, TrafficPattern, WorkloadSpec};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -28,11 +31,20 @@ fn mode_net(k: usize, mode: &Mode) -> Network {
         .unwrap()
 }
 
-fn solve(net: &Network, spec: &WorkloadSpec, seed: u64, opts: FptasOptions) -> Golden {
+/// A full-instance FPTAS entry point.
+type Solver = fn(&CapGraph, &[Commodity], FptasOptions) -> Result<McfSolution, McfError>;
+
+fn solve(
+    net: &Network,
+    spec: &WorkloadSpec,
+    seed: u64,
+    opts: FptasOptions,
+    solver: Solver,
+) -> Golden {
     let tm = generate(net, spec, seed);
     let commodities = aggregate_commodities(tm.switch_triples(net));
     let cg = CapGraph::from_graph(&net.switch_graph(), 1.0);
-    let sol = max_concurrent_flow(&cg, &commodities, opts).unwrap();
+    let sol = solver(&cg, &commodities, opts).unwrap();
     (
         sol.lambda.to_bits(),
         sol.upper_bound.to_bits(),
@@ -82,7 +94,7 @@ fn bench_hotspot_k8() {
         };
         check(
             &format!("bench k=8 max_steps={max_steps}"),
-            solve(&net, &spec, 1, opts),
+            solve(&net, &spec, 1, opts, max_concurrent_flow),
             want,
         );
     }
@@ -138,7 +150,7 @@ fn fig7_hotspot_k8_each_mode() {
             };
             check(
                 &format!("fig7 k=8 {} max_steps={max_steps:?}", mode.label()),
-                solve(&net, &spec, 1000, opts),
+                solve(&net, &spec, 1000, opts, max_concurrent_flow),
                 (lambda, ub, steps, phases, false, stop),
             );
         }
@@ -203,4 +215,73 @@ fn aggregated_all_to_all_clos_k16() {
     );
     check("all-to-all k=16 clos", golden, want);
     assert_eq!((pushes, commodities, orbits), (540, 16256, Some(2)));
+}
+
+/// The per-commodity reference loop on the paper's hot-spot workload,
+/// seed 1, ε = 0.15, on the k = 4 and k = 6 fat-trees and the Jellyfish
+/// with the k = 6 fat-tree's equipment. It has no gap rule, so unbudgeted
+/// runs stop at `D(l) ≥ 1`; the last case trips a budget of 500 paths.
+#[test]
+fn reference_hotspot_small() {
+    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let opts = |max_steps| FptasOptions {
+        epsilon: 0.15,
+        max_steps,
+    };
+    // (λ bits, upper-bound bits, steps, phases) at strong and at no locality
+    let unbudgeted = [
+        (
+            fat_tree(4).unwrap(),
+            [
+                (0x3fc2_2c8e_4401_903b, 0x3fc2_4924_9249_2492, 2614, 186),
+                (0x3fc2_33ab_7315_233e, 0x3fc2_4924_9249_2492, 2614, 186),
+            ],
+        ),
+        (
+            fat_tree(6).unwrap(),
+            [
+                (0x3fae_0cee_e1f3_1077, 0x3fae_1e1e_1e1e_1e1e, 8067, 237),
+                (0x3fae_0cee_e1f3_1077, 0x3fae_1e1e_1e1e_1e1e, 8067, 237),
+            ],
+        ),
+        (
+            jellyfish_matching_fat_tree(6, 1).unwrap(),
+            [
+                (0x3fb3_adeb_24aa_e487, 0x3fb3_b13b_13b1_3b14, 20593, 234),
+                (0x3fb8_0b9b_ac41_8045, 0x3fb8_26a4_39f6_56f2, 20499, 232),
+            ],
+        ),
+    ];
+    for (net, pinned) in &unbudgeted {
+        for (locality, (lambda, ub, steps, phases)) in
+            [Locality::Strong, Locality::None].into_iter().zip(*pinned)
+        {
+            let spec = WorkloadSpec::hotspot(locality);
+            check(
+                &format!("reference {} {locality:?}", net.name()),
+                solve(net, &spec, 1, opts(None), max_concurrent_flow_reference),
+                (lambda, ub, steps, phases, false, Stop::Dual),
+            );
+        }
+    }
+    let jellyfish = &unbudgeted[2].0;
+    let spec = WorkloadSpec::hotspot(Locality::None);
+    check(
+        "reference jellyfish k=6 max_steps=500",
+        solve(
+            jellyfish,
+            &spec,
+            1,
+            opts(Some(500)),
+            max_concurrent_flow_reference,
+        ),
+        (
+            0x3fb3_64d9_364d_935f,
+            0x3fb8_26a4_39f6_56f2,
+            500,
+            5,
+            false,
+            Stop::Budget,
+        ),
+    );
 }
