@@ -15,20 +15,11 @@
 //! as in the paper).
 
 use crate::plan::{plan_transition, ReconfigPlan};
-use crate::routing::{EcmpRoutes, KspRoutes};
+use crate::routing::{Router, RouterPolicy};
 use crate::zones::{zones_to_mode, Zone, ZoneError};
 use ft_core::{ConverterStates, FlatTree, FlatTreeConfig, FlatTreeError, Mode};
 use ft_graph::GraphError;
 use ft_topo::Network;
-
-/// Routing appropriate for the active mode.
-pub enum ActiveRouting {
-    /// ECMP over the Clos equal-cost paths.
-    Ecmp(EcmpRoutes),
-    /// k-shortest paths (k = 8, following Jellyfish) for random-graph
-    /// modes.
-    Ksp(KspRoutes),
-}
 
 /// Errors surfaced by controller operations.
 #[derive(Debug)]
@@ -145,11 +136,12 @@ impl Controller {
     /// Routing for the current topology: ECMP in Clos mode, 8-shortest
     /// paths otherwise (§2.6). Fails only when the fabric has too many
     /// switches for ECMP's `u16` distance rows.
-    pub fn routing(&self) -> Result<ActiveRouting, GraphError> {
-        Ok(match self.mode {
-            Mode::Clos => ActiveRouting::Ecmp(EcmpRoutes::compute(&self.network)?),
-            _ => ActiveRouting::Ksp(KspRoutes::new(&self.network, 8)),
-        })
+    pub fn routing(&self) -> Result<Router, GraphError> {
+        let policy = match self.mode {
+            Mode::Clos => RouterPolicy::Ecmp,
+            _ => RouterPolicy::Ksp(8),
+        };
+        Router::build(&self.network.switch_graph(), policy)
     }
 }
 
@@ -226,9 +218,9 @@ mod tests {
     #[test]
     fn routing_kind_follows_mode() {
         let mut c = controller();
-        assert!(matches!(c.routing(), Ok(ActiveRouting::Ecmp(_))));
+        assert!(matches!(c.routing(), Ok(Router::Ecmp(_))));
         c.convert(Mode::GlobalRandom).unwrap();
-        assert!(matches!(c.routing(), Ok(ActiveRouting::Ksp(_))));
+        assert!(matches!(c.routing(), Ok(Router::Ksp(_))));
     }
 
     #[test]

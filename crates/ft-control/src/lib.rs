@@ -12,7 +12,8 @@
 //! * [`plan`] — reconfiguration planning: which converters flip, which
 //!   logical links appear/disappear (the physical-layer "rewiring").
 //! * [`routing`] — ECMP on lazily filled distance rows and cached
-//!   k-shortest-path sets, plus deterministic flow-level path selection.
+//!   k-shortest-path sets, plus deterministic flow-level path selection;
+//!   a [`Router`] runs one of them per [`RouterPolicy`].
 //! * [`rules`] — SDN-style per-switch forwarding rule compilation
 //!   ("program the routing decisions via SDN", §2.6).
 //! * [`zones`] — named Pod ranges with per-zone modes (§3.4 hybrid
@@ -33,6 +34,6 @@ pub mod zones;
 pub use advisor::{recommend_mode, TrafficSummary};
 pub use controller::Controller;
 pub use plan::{plan_transition, plan_zone_transition, ReconfigPlan, ZonePlanError};
-pub use routing::{EcmpRoutes, KspRoutes, ServerPath};
+pub use routing::{EcmpRoutes, KspRoutes, Router, RouterPolicy, ServerPath};
 pub use rules::{compile_rules, RuleTable};
 pub use zones::{zones_to_mode, Zone, ZoneError};

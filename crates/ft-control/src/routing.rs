@@ -144,33 +144,6 @@ impl EcmpRoutes {
         }
         Some(ServerPath { switches, edges })
     }
-
-    /// All equal-cost shortest paths between two switches (enumerated; use
-    /// for tests and small fabrics — path counts explode on large Clos).
-    pub fn all_paths(&self, src: NodeId, dst: NodeId) -> Vec<ServerPath> {
-        let mut out = Vec::new();
-        let Some(row) = self.row(dst) else {
-            return out;
-        };
-        if row.get(src.index()).is_none_or(|&d| d == UNREACHABLE16) {
-            return out;
-        }
-        let mut stack = vec![(src, vec![src], Vec::new())];
-        while let Some((v, switches, edges)) = stack.pop() {
-            if v == dst {
-                out.push(ServerPath { switches, edges });
-                continue;
-            }
-            for (u, e) in self.hops(row, v) {
-                let mut sw = switches.clone();
-                sw.push(u);
-                let mut ed = edges.clone();
-                ed.push(e);
-                stack.push((u, sw, ed));
-            }
-        }
-        out
-    }
 }
 
 /// Lazily computed, cached k-shortest-path sets (Yen) per switch pair.
@@ -186,15 +159,10 @@ pub struct KspRoutes {
 }
 
 impl KspRoutes {
-    /// Creates a router over the network's switch graph keeping `k` paths
-    /// per pair (the paper/Jellyfish use 8).
-    pub fn new(net: &Network, k: usize) -> Self {
-        Self::new_on(&net.switch_graph(), k)
-    }
-
-    /// Creates a router over an explicit switch graph — e.g. the
-    /// id-preserving `Network::switch_view()` used by the DES simulator,
-    /// where path edge ids must name the network's own edges.
+    /// Creates a router over a switch graph keeping `k` paths per pair
+    /// (the paper/Jellyfish use 8) — e.g. the id-preserving
+    /// `Network::switch_view()` used by the DES simulator, where path edge
+    /// ids must name the network's own edges.
     pub fn new_on(sg: &Graph, k: usize) -> Self {
         KspRoutes {
             csr: Csr::from_graph(sg),
@@ -202,11 +170,6 @@ impl KspRoutes {
             lengths: vec![1.0; sg.edge_id_bound()],
             cache: RwLock::new(HashMap::new()),
         }
-    }
-
-    /// Number of paths kept per pair.
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     /// Applies `f` to the cached k-path set of a switch pair, computing
@@ -241,10 +204,45 @@ impl KspRoutes {
             (n > 0).then(|| paths[(flow_hash % n) as usize].clone())
         })
     }
+}
 
-    /// Cached pair count (for memory instrumentation).
-    pub fn cached_pairs(&self) -> usize {
-        self.cache.read().len()
+/// Which routing discipline a [`Router`] runs: ECMP for Clos mode,
+/// k shortest paths for the random-graph modes (§2.6).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RouterPolicy {
+    /// Hash over equal-cost shortest paths.
+    Ecmp,
+    /// Hash over the k shortest loopless paths.
+    Ksp(usize),
+}
+
+/// The router of one [`RouterPolicy`] over one switch graph.
+pub enum Router {
+    /// ECMP over the equal-cost shortest paths.
+    Ecmp(EcmpRoutes),
+    /// k shortest paths (Jellyfish uses k = 8).
+    Ksp(KspRoutes),
+}
+
+impl Router {
+    /// Builds the policy's router over a switch graph — e.g. the
+    /// id-preserving `Network::switch_view()` the DES routes on, where
+    /// path edge ids name the network's own edges. Fails only when the
+    /// graph has too many switches for ECMP's `u16` distance rows.
+    pub fn build(sg: &Graph, policy: RouterPolicy) -> Result<Router, GraphError> {
+        Ok(match policy {
+            RouterPolicy::Ecmp => Router::Ecmp(EcmpRoutes::compute_on(sg)?),
+            RouterPolicy::Ksp(k) => Router::Ksp(KspRoutes::new_on(sg, k)),
+        })
+    }
+
+    /// The path `flow_hash` selects between two switches, or `None` when
+    /// `dst` is unreachable from `src`.
+    pub fn path(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Option<ServerPath> {
+        match self {
+            Router::Ecmp(r) => r.path(src, dst, flow_hash),
+            Router::Ksp(r) => r.path(src, dst, flow_hash),
+        }
     }
 }
 
@@ -303,10 +301,12 @@ mod tests {
         // k²/4 = 4 equal-cost 4-hop paths
         let net = k4();
         let r = EcmpRoutes::compute(&net).unwrap();
-        let paths = r.all_paths(NodeId(4), NodeId(8));
+        let paths: std::collections::HashSet<_> = (0..256u64)
+            .map(|hash| r.path(NodeId(4), NodeId(8), hash).unwrap().edges)
+            .collect();
         assert_eq!(paths.len(), 4);
-        for p in &paths {
-            assert_eq!(p.edges.len(), 4);
+        for edges in &paths {
+            assert_eq!(edges.len(), 4);
         }
     }
 
@@ -411,7 +411,7 @@ mod tests {
         assert!(r.path(NodeId(0), far, 3).is_none());
         assert!(r.path(far, NodeId(0), 3).is_none());
         assert_eq!(r.distance(far, NodeId(0)), UNREACHABLE);
-        assert!(r.all_paths(NodeId(0), far).is_empty());
+        assert!(r.next_hops(NodeId(0), far).is_empty());
     }
 
     #[test]
@@ -421,7 +421,7 @@ mod tests {
             .unwrap()
             .materialize(&Mode::GlobalRandom)
             .unwrap();
-        let r = KspRoutes::new(&net, 8);
+        let r = KspRoutes::new_on(&net.switch_graph(), 8);
         let paths = r.paths(NodeId(4), NodeId(12));
         assert!(!paths.is_empty() && paths.len() <= 8);
         for w in paths.windows(2) {
@@ -435,13 +435,12 @@ mod tests {
         }
         // cache hit returns the same answer
         assert_eq!(r.paths(NodeId(4), NodeId(12)), paths);
-        assert_eq!(r.cached_pairs(), 1);
     }
 
     #[test]
     fn ksp_flow_hash_selects_within_k() {
         let net = k4();
-        let r = KspRoutes::new(&net, 4);
+        let r = KspRoutes::new_on(&net.switch_graph(), 4);
         for h in 0..16u64 {
             let p = r.path(NodeId(0), NodeId(10), h).unwrap();
             assert!(!p.switches.is_empty());
@@ -461,7 +460,7 @@ mod tests {
         let net = b.build().unwrap();
         let r = EcmpRoutes::compute(&net).unwrap();
         assert!(r.path(NodeId(0), NodeId(1), 0).is_none());
-        let kr = KspRoutes::new(&net, 4);
+        let kr = KspRoutes::new_on(&net.switch_graph(), 4);
         assert!(kr.path(NodeId(0), NodeId(1), 0).is_none());
     }
 }

@@ -14,6 +14,8 @@
 //! giving simultaneous events a deterministic FIFO tie-break — heap order
 //! is then a pure function of push order, never of float quirks or of
 //! `BinaryHeap`'s unspecified equal-element behavior (DESIGN.md §14).
+//! [`ScheduleError`] names the two event times the queue refuses: `NaN`,
+//! and a time before its clock.
 
 use std::fmt;
 
@@ -23,28 +25,38 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimePoint(u64);
 
-/// Rejected timestamp values.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TimeError {
-    /// The timestamp was `NaN`.
+/// Why an event time was refused.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ScheduleError {
+    /// The requested timestamp was `NaN`.
     NotANumber,
+    /// The requested timestamp precedes the current simulation clock.
+    InPast {
+        /// Requested event time.
+        at: f64,
+        /// Current simulation clock.
+        now: f64,
+    },
 }
 
-impl fmt::Display for TimeError {
+impl fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TimeError::NotANumber => write!(f, "event time is NaN"),
+            ScheduleError::NotANumber => write!(f, "event time is NaN"),
+            ScheduleError::InPast { at, now } => {
+                write!(f, "event time {at} precedes simulation clock {now}")
+            }
         }
     }
 }
 
-impl std::error::Error for TimeError {}
+impl std::error::Error for ScheduleError {}
 
 impl TimePoint {
     /// Wraps a finite or infinite timestamp; rejects `NaN`.
-    pub fn new(t: f64) -> Result<TimePoint, TimeError> {
+    pub fn new(t: f64) -> Result<TimePoint, ScheduleError> {
         if t.is_nan() {
-            return Err(TimeError::NotANumber);
+            return Err(ScheduleError::NotANumber);
         }
         let bits = t.to_bits();
         // Monotone map f64 → u64: negatives reverse (flip every bit),
@@ -91,7 +103,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn order_matches_f64_order() -> Result<(), TimeError> {
+    fn order_matches_f64_order() -> Result<(), ScheduleError> {
         let samples = [
             f64::NEG_INFINITY,
             -1e300,
@@ -115,7 +127,7 @@ mod tests {
     }
 
     #[test]
-    fn negative_zero_orders_below_zero() -> Result<(), TimeError> {
+    fn negative_zero_orders_below_zero() -> Result<(), ScheduleError> {
         let nz = TimePoint::new(-0.0)?;
         let z = TimePoint::new(0.0)?;
         assert!(nz < z);
@@ -123,7 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_value() -> Result<(), TimeError> {
+    fn roundtrip_preserves_value() -> Result<(), ScheduleError> {
         for t in [-1e12, -3.25, 0.0, 0.125, 7.0, 1e100, f64::INFINITY] {
             let tp = TimePoint::new(t)?;
             assert_eq!(tp.value().to_bits(), t.to_bits(), "{t}");
@@ -133,12 +145,12 @@ mod tests {
 
     #[test]
     fn nan_rejected() {
-        assert_eq!(TimePoint::new(f64::NAN), Err(TimeError::NotANumber));
-        assert!(!TimeError::NotANumber.to_string().is_empty());
+        assert_eq!(TimePoint::new(f64::NAN), Err(ScheduleError::NotANumber));
+        assert!(!ScheduleError::NotANumber.to_string().is_empty());
     }
 
     #[test]
-    fn key_breaks_ties_by_seq() -> Result<(), TimeError> {
+    fn key_breaks_ties_by_seq() -> Result<(), ScheduleError> {
         let t = TimePoint::new(4.0)?;
         let a = EventKey { time: t, seq: 0 };
         let b = EventKey { time: t, seq: 1 };

@@ -1,10 +1,11 @@
 //! Dijkstra shortest paths under arbitrary non-negative edge lengths.
 //!
-//! Lengths are supplied as an external slice indexed by [`EdgeId`], because
-//! the main consumer — the concurrent-flow FPTAS in `ft-mcf` — re-runs
-//! Dijkstra thousands of times over the *same* graph with *different* length
-//! functions (the exponential dual weights). Keeping lengths out of the graph
-//! avoids rebuilding or mutating it in the hot loop.
+//! Lengths are supplied as an external slice indexed by [`EdgeId`], so one
+//! frozen graph serves any length function without being rebuilt. The one
+//! non-test caller is Yen's k shortest paths ([`crate::yen`]): a reverse
+//! [`dijkstra_csr`] from the destination gives every node the lower bound
+//! its spur searches prune on. The concurrent-flow FPTAS in `ft-mcf` runs
+//! its own trees over its capacitated digraph (`CapGraph::tree`).
 
 use crate::csr::Csr;
 use crate::graph::{EdgeId, Graph, NodeId};

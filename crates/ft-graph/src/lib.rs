@@ -16,8 +16,8 @@
 //! * [`par`] — the deterministic worker pool (`map`, `fill_chunks_with`)
 //!   whose output never depends on scheduling.
 //! * [`dijkstra`](mod@dijkstra) — single-source shortest paths under arbitrary non-negative
-//!   per-edge lengths. The Fleischer–Garg–Könemann FPTAS in `ft-mcf` re-runs
-//!   Dijkstra with exponentially-reweighted edge lengths on every iteration.
+//!   per-edge lengths: the reverse bound under Yen's spur searches. (The
+//!   FPTAS in `ft-mcf` runs its own trees, `CapGraph::tree`.)
 //! * [`yen`] — Yen's k-shortest loopless paths. The paper routes approximated
 //!   random graphs with k-shortest-paths routing (§2.6, following Jellyfish).
 //! * [`maxflow`] — Dinic's maximum flow, used for cut-based throughput upper

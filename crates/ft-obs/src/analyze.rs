@@ -1,9 +1,10 @@
 //! Trace analytics: the read side of the span pipeline.
 //!
 //! [`Trace::parse`] turns span JSONL (the format written by
-//! [`crate::span`]) back into span events; [`Forest::build`] restores the
-//! parent links into a span forest with per-span self time. On top of
-//! that sit the analyses `ftctl trace` exposes:
+//! [`crate::span`](mod@crate::span)) back into span events;
+//! [`Forest::build`] restores the parent links into a span forest with
+//! per-span self time. On top of that sit the analyses `ftctl trace`
+//! exposes:
 //!
 //! * per-span-name aggregates — count, total/self time, exact p50/p95
 //!   ([`Forest::aggregates`]);

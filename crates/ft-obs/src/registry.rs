@@ -13,7 +13,7 @@
 //! latency_us_sum 3210
 //! ```
 
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::sync::{Mutex, MutexGuard};
 
 #[derive(Clone, Copy)]
@@ -114,10 +114,25 @@ fn labelled(name: &str, labels: &str, extra: Option<&str>) -> String {
     }
 }
 
+/// Appends the exposition lines of one histogram snapshot under
+/// `name{labels}` (`labels` pre-rendered as for [`counter_with`], or
+/// `""`): `q="0.50"/"0.95"/"0.99"` quantile lines, then the `_count` and
+/// `_sum` (µs) totals.
+pub fn expose_histogram(lines: &mut Vec<String>, name: &str, labels: &str, s: &HistogramSnapshot) {
+    for (q, tag) in [(0.5, "0.50"), (0.95, "0.95"), (0.99, "0.99")] {
+        let lbl = format!("q=\"{tag}\"");
+        let line = labelled(name, labels, Some(&lbl));
+        lines.push(format!("{line} {}", s.quantile_us(q)));
+    }
+    let count = labelled(&format!("{name}_count"), labels, None);
+    lines.push(format!("{count} {}", s.count));
+    let sum = labelled(&format!("{name}_sum"), labels, None);
+    lines.push(format!("{sum} {}", s.sum_us));
+}
+
 /// Render every registered metric as exposition text, one `name{labels}
 /// value` line each, sorted by line for deterministic output. Histograms
-/// expand to `q="0.50"/"0.95"/"0.99"` quantile lines plus `_count` and
-/// `_sum` (µs) totals.
+/// expand as in [`expose_histogram`].
 pub fn expose() -> String {
     let reg = lock_registry();
     let mut lines: Vec<String> = Vec::new();
@@ -129,18 +144,7 @@ pub fn expose() -> String {
             Handle::Gauge(g) => {
                 lines.push(format!("{} {}", labelled(e.name, e.labels, None), g.get()));
             }
-            Handle::Histogram(h) => {
-                let (name, labels, s) = (e.name, e.labels, h.snapshot());
-                for (q, tag) in [(0.5, "0.50"), (0.95, "0.95"), (0.99, "0.99")] {
-                    let lbl = format!("q=\"{tag}\"");
-                    let line = labelled(name, labels, Some(&lbl));
-                    lines.push(format!("{line} {}", s.quantile_us(q)));
-                }
-                let count = labelled(&format!("{name}_count"), labels, None);
-                lines.push(format!("{count} {}", s.count));
-                let sum = labelled(&format!("{name}_sum"), labels, None);
-                lines.push(format!("{sum} {}", s.sum_us));
-            }
+            Handle::Histogram(h) => expose_histogram(&mut lines, e.name, e.labels, &h.snapshot()),
         }
     }
     drop(reg);

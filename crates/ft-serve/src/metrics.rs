@@ -22,6 +22,7 @@
 //! by the request path; until the first tick the window holds everything
 //! ever recorded, so short-lived instances see windowed == cumulative.
 
+use ft_obs::registry::expose_histogram;
 use ft_obs::{
     Counter, Histogram, HistogramSnapshot, WindowClock, WindowedHistogram, MIN_WINDOW_SAMPLES,
 };
@@ -356,27 +357,6 @@ impl Snapshot {
     pub fn exposition(&self) -> String {
         use std::fmt::Write as _;
         let mut lines: Vec<String> = Vec::new();
-        let hist = |lines: &mut Vec<String>, name: &str, labels: &str, h: &HistogramSnapshot| {
-            let sep = if labels.is_empty() { "" } else { "," };
-            let brace = |extra: &str| {
-                if labels.is_empty() && extra.is_empty() {
-                    String::new()
-                } else if extra.is_empty() {
-                    format!("{{{labels}}}")
-                } else {
-                    format!("{{{labels}{sep}{extra}}}")
-                }
-            };
-            for (q, tag) in [(0.5, "0.50"), (0.95, "0.95"), (0.99, "0.99")] {
-                lines.push(format!(
-                    "{name}{} {}",
-                    brace(&format!("q=\"{tag}\"")),
-                    h.quantile_us(q)
-                ));
-            }
-            lines.push(format!("{name}_count{} {}", brace(""), h.count));
-            lines.push(format!("{name}_sum{} {}", brace(""), h.sum_us));
-        };
         for k in &self.kinds {
             let labels = format!("verb=\"{}\"", k.verb);
             lines.push(format!(
@@ -384,13 +364,13 @@ impl Snapshot {
                 k.requests
             ));
             lines.push(format!("ft_serve_errors_total{{{labels}}} {}", k.errors));
-            hist(
+            expose_histogram(
                 &mut lines,
                 "ft_serve_request_latency_us",
                 &labels,
                 &k.latency,
             );
-            hist(
+            expose_histogram(
                 &mut lines,
                 "ft_serve_request_latency_us_window",
                 &labels,
@@ -410,8 +390,8 @@ impl Snapshot {
         ] {
             lines.push(format!("{name} {v}"));
         }
-        hist(&mut lines, "ft_serve_path_fill_us", "", &self.path_fill);
-        hist(
+        expose_histogram(&mut lines, "ft_serve_path_fill_us", "", &self.path_fill);
+        expose_histogram(
             &mut lines,
             "ft_serve_path_fill_us_window",
             "",
@@ -657,6 +637,53 @@ mod tests {
         assert!(r.contains("convert"));
         assert!(!r.contains("shutdown   "));
         assert!(r.contains("latency buckets"));
+    }
+
+    /// Pins the `metrics` text of a fixed registry, recorded when ft-serve
+    /// still rendered its histograms itself: every verb with its own
+    /// latencies and errors, a window that aged part of them out, every
+    /// service counter and both path-fill histograms. Line count, a few
+    /// lines of each shape, and an FNV-1a digest of the whole text.
+    #[test]
+    fn exposition_text_is_pinned() {
+        let m = MetricsRegistry::new();
+        for (i, verb) in KINDS.iter().enumerate() {
+            for j in 0..=i as u64 {
+                m.record(verb, Duration::from_micros(3 + 97 * j * j), j % 3 != 1);
+            }
+        }
+        for e in 1..=ft_obs::WINDOW_EPOCHS as u64 {
+            m.maybe_tick(e * 1_000_000, 1_000_000);
+        }
+        m.record("paths", Duration::from_micros(40), true);
+        m.record("nope", Duration::from_micros(5), false);
+        m.record_busy();
+        m.record_shutdown_rejection();
+        m.record_cache_hit();
+        m.record_cache_miss();
+        m.record_materialization();
+        m.record_conversion();
+        for us in [300, 900, 5_000] {
+            m.record_path_computation(Duration::from_micros(us));
+        }
+        let text = m.snapshot().exposition();
+        for line in [
+            "ft_serve_request_latency_us{verb=\"throughput\",q=\"0.95\"} 256",
+            "ft_serve_request_latency_us_window_count{verb=\"paths\"} 1",
+            "ft_serve_path_fill_us{q=\"0.50\"} 512",
+            "ft_serve_path_fill_us_sum 6200",
+            "ft_serve_unparsed_errors_total 1",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line} missing:\n{text}");
+        }
+        let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(
+            (text.lines().count(), digest),
+            (115, 0xd3c8_e290_20be_6944),
+            "{text}"
+        );
     }
 
     #[test]

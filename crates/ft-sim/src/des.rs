@@ -1,8 +1,11 @@
-//! The event-driven flow simulator, built on the [`ft_des`] engine.
+//! The event-driven flow simulator, built on the [`ft_des`] event queue.
 //!
-//! Flow dynamics are three [`ft_des::Component`]s — a flow source, a
-//! topology driver, and a rate allocator — exchanging events through the
-//! deterministic queue. Between events, rates are the max-min fair
+//! [`DesSimulator::run`] seeds an [`ft_des::EventQueue`] and pops it in
+//! key order; one private `World` owns the queue and all simulation state
+//! and handles the five events in one `match`: a flow arrives, the rates
+//! are re-allocated, completions are harvested, a topology event (link
+//! failure, repair, or conversion drain) applies, a conversion finishes.
+//! Between events, rates are the max-min fair
 //! allocation of [`crate::ratealloc`] over each flow's pinned path, kept
 //! in one [`MaxMin`] per run that re-solves only the link-sharing
 //! components an arrival, completion or re-route reaches. Link
@@ -26,23 +29,13 @@
 //! checksum, or the deterministic summary.)
 
 use crate::ratealloc::{DirectedLink, MaxMin};
-use ft_control::routing::{EcmpRoutes, KspRoutes, ServerPath};
+use ft_control::routing::{Router, RouterPolicy};
 use ft_control::ReconfigPlan;
-use ft_des::{Component, ComponentId, Context, Engine, ScheduleError};
+use ft_des::{EventKey, EventQueue, ScheduleError};
 use ft_graph::{EdgeId, Graph, GraphError, NodeId};
 use ft_topo::Network;
 use std::fmt;
 use std::fmt::Write as _;
-
-/// Which routing discipline the simulator uses (mirrors `ft-control`'s
-/// per-mode choice: ECMP for Clos, KSP for random-graph modes).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouterPolicy {
-    /// Hash over equal-cost shortest paths.
-    Ecmp,
-    /// Hash over the k shortest loopless paths.
-    Ksp(usize),
-}
 
 /// A flow to simulate.
 #[derive(Clone, Copy, Debug)]
@@ -293,6 +286,18 @@ enum Ev {
     TopoFinish(usize),
 }
 
+impl Ev {
+    /// The trace's `component` field: the part of the simulator the event
+    /// belongs to.
+    fn component(self) -> &'static str {
+        match self {
+            Ev::Arrival(_) => "flows",
+            Ev::Topo(_) | Ev::TopoFinish(_) => "topology",
+            Ev::Reallocate | Ev::Harvest(_) => "ratealloc",
+        }
+    }
+}
+
 /// An active flow; its path and rate live in [`World::alloc`] under the
 /// same index.
 struct Active {
@@ -324,37 +329,18 @@ struct ConvObs {
     links_removed: u64,
 }
 
-enum DesRouter {
-    Ecmp(EcmpRoutes),
-    Ksp(KspRoutes),
-}
-
-impl DesRouter {
-    /// Builds routing state over the switch view (id-preserving, so
-    /// path edge ids index the full graph's liveness table directly).
-    /// Every topology change rebuilds: ECMP refills its distance rows on
-    /// demand, KSP refills its path cache.
-    fn build(view: &Graph, policy: RouterPolicy) -> Result<DesRouter, GraphError> {
-        Ok(match policy {
-            RouterPolicy::Ecmp => DesRouter::Ecmp(EcmpRoutes::compute_on(view)?),
-            RouterPolicy::Ksp(k) => DesRouter::Ksp(KspRoutes::new_on(view, k)),
-        })
-    }
-
-    fn route(&self, src: NodeId, dst: NodeId, hash: u64) -> Option<ServerPath> {
-        match self {
-            DesRouter::Ecmp(r) => r.path(src, dst, hash),
-            DesRouter::Ksp(r) => r.path(src, dst, hash),
-        }
-    }
-}
-
-/// Shared simulation state mutated by the three components.
+/// The simulation: the event queue and every piece of state its events
+/// mutate.
 struct World {
+    queue: EventQueue<Ev>,
     net: Network,
+    /// Id-preserving switch view (path edge ids index the full graph's
+    /// liveness table directly); the router is rebuilt over it on every
+    /// topology change: ECMP refills its distance rows on demand, KSP
+    /// refills its path cache.
     view: Graph,
     policy: RouterPolicy,
-    router: DesRouter,
+    router: Router,
     specs: Vec<FlowSpec>,
     topo: Vec<TopoEvent>,
     active: Vec<Active>,
@@ -378,17 +364,31 @@ struct World {
     missing_links: usize,
     /// Set while a conversion's disruption window is being profiled.
     conv_obs: Option<ConvObs>,
-    topo_id: ComponentId,
-    alloc_id: ComponentId,
     error: Option<DesError>,
 }
 
 impl World {
+    /// Handles one event: the whole simulator's dispatch.
+    fn on_event(&mut self, ev: Ev) {
+        match ev {
+            Ev::Arrival(i) => self.admit(i),
+            Ev::Reallocate => self.reallocate(),
+            Ev::Harvest(ep) => self.harvest(ep),
+            Ev::Topo(i) => self.topo_event(i),
+            Ev::TopoFinish(i) => self.topo_finish(i),
+        }
+    }
+
+    /// Current simulation time.
+    fn now(&self) -> f64 {
+        self.queue.now()
+    }
+
     /// Schedules a follow-up event, recording (not panicking on) the
     /// first failure; the run surfaces it as [`DesError::Schedule`].
-    fn sched(&mut self, ctx: &mut Context<'_, Ev>, at: f64, target: ComponentId, ev: Ev) {
+    fn sched(&mut self, at: f64, ev: Ev) {
         if self.error.is_none() {
-            if let Err(e) = ctx.schedule(at, target, ev) {
+            if let Err(e) = self.queue.schedule(at, ev) {
                 self.error = Some(DesError::Schedule(e));
             }
         }
@@ -397,7 +397,7 @@ impl World {
     /// Rebuilds the router over the current view, recording the first
     /// failure as [`DesError::Routing`].
     fn rebuild_router(&mut self) {
-        match DesRouter::build(&self.view, self.policy) {
+        match Router::build(&self.view, self.policy) {
             Ok(r) => self.router = r,
             Err(e) => {
                 self.error.get_or_insert(DesError::Routing(e));
@@ -436,14 +436,14 @@ impl World {
         }
     }
 
-    fn admit(&mut self, idx: usize, ctx: &mut Context<'_, Ev>) {
-        self.advance_to(ctx.now());
+    fn admit(&mut self, idx: usize) {
+        self.advance_to(self.now());
         let hash = flow_hash(idx);
         let ends = self.resolve_ends(idx);
         let path = ends.and_then(|(a, b)| route_links(&self.router, a, b, hash));
         if path.as_deref().is_some_and(|p| p.is_empty()) {
             // same-switch flow: finishes instantly, never contends
-            self.records[idx].completion = Some(ctx.now());
+            self.records[idx].completion = Some(self.now());
             return;
         }
         self.active.push(Active {
@@ -453,17 +453,16 @@ impl World {
             ends,
         });
         self.alloc.push(path);
-        self.request_realloc(ctx);
+        self.request_realloc();
     }
 
     /// Coalesces re-allocation requests: at most one `Reallocate` is
     /// pending per timestamp, scheduled behind every already-queued
     /// event at `now` (larger seq), so it sees all of them applied.
-    fn request_realloc(&mut self, ctx: &mut Context<'_, Ev>) {
+    fn request_realloc(&mut self) {
         if !self.dirty {
             self.dirty = true;
-            let at = ctx.now();
-            self.sched(ctx, at, self.alloc_id, Ev::Reallocate);
+            self.sched(self.now(), Ev::Reallocate);
         }
     }
 
@@ -473,8 +472,8 @@ impl World {
         self.records[f.idx].completion = Some(now);
     }
 
-    fn reallocate(&mut self, ctx: &mut Context<'_, Ev>) {
-        self.advance_to(ctx.now());
+    fn reallocate(&mut self) {
+        self.advance_to(self.now());
         if !self.dirty {
             return;
         }
@@ -485,7 +484,7 @@ impl World {
         let mut i = 0;
         while i < self.active.len() {
             if self.alloc.path(i).is_some_and(<[_]>::is_empty) {
-                self.finish_flow(i, ctx.now());
+                self.finish_flow(i, self.now());
             } else {
                 i += 1;
             }
@@ -496,8 +495,8 @@ impl World {
             .solver_ns
             .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
         self.epoch += 1;
-        self.arm_harvest(ctx);
-        self.emit_timeline(ctx);
+        self.arm_harvest();
+        self.emit_timeline();
     }
 
     /// Emits one `des.timeline` span for the conversion window being
@@ -507,7 +506,7 @@ impl World {
     /// field sums are only computed while tracing is on. Telemetry
     /// only — it reads state, never schedules or mutates flows, so the
     /// deterministic summary and event trace are unaffected.
-    fn emit_timeline(&mut self, ctx: &Context<'_, Ev>) {
+    fn emit_timeline(&mut self) {
         let Some(obs) = self.conv_obs else { return };
         if obs.phase == ConvPhase::Post {
             self.conv_obs = None; // the post-finish point is the last one
@@ -523,15 +522,15 @@ impl World {
         let _g = ft_obs::span!(
             "des.timeline",
             epoch = self.epoch,
-            t = ctx.now(),
+            t = self.now(),
             phase = match obs.phase {
                 ConvPhase::Drain => "drain",
                 ConvPhase::Post => "post",
             },
             active = self.active.len(),
             parked = parked,
-            queue = ctx.pending(),
-            scheduled = ctx.scheduled_so_far(),
+            queue = self.queue.len(),
+            scheduled = self.queue.stats().scheduled,
             reroutes = reroutes,
             conversion_reroutes = conversion_reroutes,
             links_removed = obs.links_removed,
@@ -540,7 +539,7 @@ impl World {
     }
 
     /// Schedules the next completion check under the current rates.
-    fn arm_harvest(&mut self, ctx: &mut Context<'_, Ev>) {
+    fn arm_harvest(&mut self) {
         let mut dt = f64::INFINITY;
         for (f, &r) in self.active.iter().zip(self.alloc.rates()) {
             if r > 0.0 && r.is_finite() {
@@ -551,37 +550,35 @@ impl World {
             }
         }
         if dt.is_finite() {
-            let at = ctx.now() + dt.max(0.0);
-            let ep = self.epoch;
-            self.sched(ctx, at, self.alloc_id, Ev::Harvest(ep));
+            self.sched(self.now() + dt.max(0.0), Ev::Harvest(self.epoch));
         }
     }
 
-    fn harvest(&mut self, ep: u64, ctx: &mut Context<'_, Ev>) {
+    fn harvest(&mut self, ep: u64) {
         if ep != self.epoch {
             return; // superseded by a later allocation
         }
-        self.advance_to(ctx.now());
+        self.advance_to(self.now());
         let mut finished = false;
         let mut i = 0;
         while i < self.active.len() {
             if self.active[i].remaining <= 1e-9 {
-                self.finish_flow(i, ctx.now());
+                self.finish_flow(i, self.now());
                 finished = true;
             } else {
                 i += 1;
             }
         }
         if finished {
-            self.request_realloc(ctx);
+            self.request_realloc();
         } else {
             // float drift: the predicted completion fell short; re-arm
-            self.arm_harvest(ctx);
+            self.arm_harvest();
         }
     }
 
-    fn topo_event(&mut self, i: usize, ctx: &mut Context<'_, Ev>) {
-        self.advance_to(ctx.now());
+    fn topo_event(&mut self, i: usize) {
+        self.advance_to(self.now());
         match self.topo[i].clone() {
             TopoEvent::LinkDown(_, e) => {
                 if self.net.graph_mut().remove_edge(e) {
@@ -591,7 +588,7 @@ impl World {
                     self.rebuild_router();
                 }
                 self.reroute_stale(false);
-                self.request_realloc(ctx);
+                self.request_realloc();
             }
             TopoEvent::LinkUp(_, e) => {
                 self.net.graph_mut().restore_edge(e);
@@ -599,13 +596,13 @@ impl World {
                     self.rebuild_router();
                 }
                 self.reroute_stale(false);
-                self.request_realloc(ctx);
+                self.request_realloc();
             }
             TopoEvent::Convert(ev) => {
                 // Drain: take down every link the plan removes. Pairs
                 // may be server uplinks (4-port conversions rewire
                 // attachments); those don't exist in the switch view.
-                let mut obs_span = ft_obs::span!("des.conversion_drain", t = ctx.now());
+                let mut obs_span = ft_obs::span!("des.conversion_drain", t = self.now());
                 let removed_before = self.links_removed;
                 let mut view_changed = false;
                 for &(a, b) in &ev.removed {
@@ -639,21 +636,20 @@ impl World {
                     s.field("links_removed", drained);
                 }
                 self.reroute_stale(true);
-                self.request_realloc(ctx);
-                let at = ctx.now() + ev.latency;
-                self.sched(ctx, at, self.topo_id, Ev::TopoFinish(i));
+                self.request_realloc();
+                self.sched(self.now() + ev.latency, Ev::TopoFinish(i));
             }
         }
     }
 
-    fn topo_finish(&mut self, i: usize, ctx: &mut Context<'_, Ev>) {
-        self.advance_to(ctx.now());
+    fn topo_finish(&mut self, i: usize) {
+        self.advance_to(self.now());
         let TopoEvent::Convert(ev) = self.topo[i].clone() else {
             return; // only conversions schedule a finish
         };
         let _obs_span = ft_obs::span!(
             "des.conversion_finish",
-            t = ctx.now(),
+            t = self.now(),
             links_added = ev.added.len(),
         );
         for &(a, b) in &ev.added {
@@ -672,7 +668,7 @@ impl World {
             obs.phase = ConvPhase::Post;
         }
         self.reroute_stale(true);
-        self.request_realloc(ctx);
+        self.request_realloc();
     }
 
     /// Re-resolves every active flow whose attachment drifted or whose
@@ -703,52 +699,6 @@ impl World {
             if conversion {
                 rec.conversion_reroutes += 1;
             }
-        }
-    }
-}
-
-struct FlowSource;
-
-impl Component<World, Ev> for FlowSource {
-    fn name(&self) -> &'static str {
-        "flows"
-    }
-
-    fn on_event(&mut self, event: &Ev, w: &mut World, ctx: &mut Context<'_, Ev>) {
-        if let Ev::Arrival(idx) = *event {
-            w.admit(idx, ctx);
-        }
-    }
-}
-
-struct TopologyDriver;
-
-impl Component<World, Ev> for TopologyDriver {
-    fn name(&self) -> &'static str {
-        "topology"
-    }
-
-    fn on_event(&mut self, event: &Ev, w: &mut World, ctx: &mut Context<'_, Ev>) {
-        match *event {
-            Ev::Topo(i) => w.topo_event(i, ctx),
-            Ev::TopoFinish(i) => w.topo_finish(i, ctx),
-            _ => {}
-        }
-    }
-}
-
-struct RateAllocator;
-
-impl Component<World, Ev> for RateAllocator {
-    fn name(&self) -> &'static str {
-        "ratealloc"
-    }
-
-    fn on_event(&mut self, event: &Ev, w: &mut World, ctx: &mut Context<'_, Ev>) {
-        match *event {
-            Ev::Reallocate => w.reallocate(ctx),
-            Ev::Harvest(ep) => w.harvest(ep, ctx),
-            _ => {}
         }
     }
 }
@@ -817,28 +767,9 @@ impl DesSimulator {
         let mut span = ft_obs::span!("sim.des", flows = specs.len(), topo = topo.len());
         let net = self.net.clone();
         let view = net.switch_view();
-        let router = DesRouter::build(&view, self.policy).map_err(DesError::Routing)?;
-
-        let mut engine: Engine<World, Ev> = Engine::new();
-        let flow_id = engine.register(Box::new(FlowSource));
-        let topo_id = engine.register(Box::new(TopologyDriver));
-        let alloc_id = engine.register(Box::new(RateAllocator));
-
-        // Seeding order is part of the determinism contract: topology
-        // events first, then arrivals, so at equal timestamps a flow is
-        // admitted (and routed) on the topology the events leave.
-        for (i, ev) in topo.iter().enumerate() {
-            engine
-                .schedule(ev.time(), topo_id, Ev::Topo(i))
-                .map_err(DesError::Seed)?;
-        }
-        for (i, s) in specs.iter().enumerate() {
-            engine
-                .schedule(s.start, flow_id, Ev::Arrival(i))
-                .map_err(DesError::Seed)?;
-        }
-
+        let router = Router::build(&view, self.policy).map_err(DesError::Routing)?;
         let mut world = World {
+            queue: EventQueue::new(),
             net,
             view,
             policy: self.policy,
@@ -866,26 +797,47 @@ impl DesSimulator {
             links_added: 0,
             missing_links: 0,
             conv_obs: None,
-            topo_id,
-            alloc_id,
             error: None,
         };
 
-        let mut trace: Option<Vec<String>> = if traced { Some(Vec::new()) } else { None };
-        let stats = match trace.as_mut() {
-            Some(lines) => {
-                let kinds: Vec<&'static str> = topo.iter().map(TopoEvent::kind).collect();
-                engine.run_observed(&mut world, horizon, |key, component, ev| {
-                    lines.push(trace_line(&key, component, ev, &kinds));
-                })
+        // Seeding order is part of the determinism contract: topology
+        // events first, then arrivals, so at equal timestamps a flow is
+        // admitted (and routed) on the topology the events leave.
+        for (i, ev) in topo.iter().enumerate() {
+            world
+                .queue
+                .schedule(ev.time(), Ev::Topo(i))
+                .map_err(DesError::Seed)?;
+        }
+        for (i, s) in specs.iter().enumerate() {
+            world
+                .queue
+                .schedule(s.start, Ev::Arrival(i))
+                .map_err(DesError::Seed)?;
+        }
+
+        let mut trace: Option<Vec<String>> = traced.then(Vec::new);
+        let stats = {
+            let mut run_span = ft_obs::span!("des.run");
+            while let Some((key, ev)) = world.queue.next(horizon) {
+                if let Some(lines) = trace.as_mut() {
+                    lines.push(trace_line(&key, ev, &world.topo));
+                }
+                world.on_event(ev);
             }
-            None => engine.run(&mut world, horizon),
+            let stats = world.queue.finish();
+            if let Some(s) = run_span.as_mut() {
+                s.field("processed", stats.processed);
+                s.field("scheduled", stats.scheduled);
+                s.field("truncated", stats.truncated);
+            }
+            stats
         };
         if let Some(e) = world.error {
             return Err(e);
         }
 
-        let mut makespan = engine.now();
+        let mut makespan = world.now();
         if stats.truncated && horizon.is_finite() {
             // account parked time / partial progress up to the cut
             world.advance_to(horizon);
@@ -926,16 +878,11 @@ fn flow_hash(idx: usize) -> u64 {
 }
 
 /// Routes and converts a switch-level path into directed links.
-fn route_links(
-    router: &DesRouter,
-    src: NodeId,
-    dst: NodeId,
-    hash: u64,
-) -> Option<Vec<DirectedLink>> {
+fn route_links(router: &Router, src: NodeId, dst: NodeId, hash: u64) -> Option<Vec<DirectedLink>> {
     if src == dst {
         return Some(Vec::new());
     }
-    let path = router.route(src, dst, hash)?;
+    let path = router.path(src, dst, hash)?;
     let mut out = Vec::with_capacity(path.edges.len());
     for (i, &e) in path.edges.iter().enumerate() {
         let (a, b) = (path.switches[i], path.switches[i + 1]);
@@ -949,20 +896,16 @@ fn route_links(
 
 /// One JSONL trace line. `f64` `Display` never prints exponent
 /// notation, so `t` is always a valid JSON number.
-fn trace_line(
-    key: &ft_des::EventKey,
-    component: &'static str,
-    ev: &Ev,
-    kinds: &[&'static str],
-) -> String {
+fn trace_line(key: &EventKey, ev: Ev, topo: &[TopoEvent]) -> String {
     let t = key.time.value();
     let seq = key.seq;
+    let component = ev.component();
     let mut line = String::with_capacity(96);
     let _ = write!(
         line,
         "{{\"t\":{t},\"seq\":{seq},\"component\":\"{component}\","
     );
-    match *ev {
+    match ev {
         Ev::Arrival(i) => {
             let _ = write!(line, "\"kind\":\"arrival\",\"flow\":{i}}}");
         }
@@ -971,7 +914,7 @@ fn trace_line(
             let _ = write!(line, "\"kind\":\"harvest\",\"epoch\":{ep}}}");
         }
         Ev::Topo(i) => {
-            let kind = kinds.get(i).copied().unwrap_or("topo");
+            let kind = topo.get(i).map_or("topo", TopoEvent::kind);
             let _ = write!(line, "\"kind\":\"{kind}\",\"event\":{i}}}");
         }
         Ev::TopoFinish(i) => {

@@ -6,7 +6,7 @@
 //! with hashed path selection and TCP-like fair sharing would deliver, and
 //! how the network behaves under link failures and live conversions. The
 //! [`des`] module simulates exactly that on the `ft-des` discrete-event
-//! engine:
+//! queue:
 //!
 //! * flows are routed (ECMP or k-shortest-paths, per the active mode's
 //!   routing from `ft-control`) with deterministic per-flow hashing;
@@ -34,8 +34,8 @@ pub mod flows;
 pub mod ratealloc;
 
 pub use des::{
-    ConversionEvent, DesError, DesFlowRecord, DesReport, DesSimulator, FlowSpec, RouterPolicy,
-    TopoEvent,
+    ConversionEvent, DesError, DesFlowRecord, DesReport, DesSimulator, FlowSpec, TopoEvent,
 };
 pub use flows::{flows_from_matrix, flows_with_arrivals};
+pub use ft_control::routing::RouterPolicy;
 pub use ratealloc::{max_min_rates, DirectedLink, MaxMin};

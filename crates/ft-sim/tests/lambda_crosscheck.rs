@@ -17,7 +17,7 @@
 //! accident; this pins the batched solver against a *completely
 //! independent* allocation model on real topologies.
 
-use ft_control::routing::{EcmpRoutes, KspRoutes, ServerPath};
+use ft_control::routing::{Router, RouterPolicy, ServerPath};
 use ft_core::{FlatTree, FlatTreeConfig, Mode};
 use ft_mcf::{aggregate_commodities, max_concurrent_flow, CapGraph, FptasOptions};
 use ft_sim::{max_min_rates, DirectedLink};
@@ -42,11 +42,6 @@ fn flow_hash(idx: usize) -> u64 {
     (idx as u64).wrapping_mul(0x9E3779B97F4A7C15) ^ 0xD1B54A32D192ED03
 }
 
-enum Router {
-    Ecmp(EcmpRoutes),
-    Ksp(KspRoutes),
-}
-
 /// λ' of the max-min allocation over single-path routed flows: the worst
 /// `rate / demand` ratio. Same-switch demands are unconstrained and skip.
 fn max_min_lambda(router: &Router, demands: &[(usize, usize, f64)]) -> f64 {
@@ -60,11 +55,9 @@ fn max_min_lambda(router: &Router, demands: &[(usize, usize, f64)]) -> f64 {
             ft_graph::NodeId(src_sw as u32),
             ft_graph::NodeId(dst_sw as u32),
         );
-        let sp = match router {
-            Router::Ecmp(r) => r.path(s, t, flow_hash(idx)),
-            Router::Ksp(r) => r.path(s, t, flow_hash(idx)),
-        }
-        .expect("bench topologies are connected");
+        let sp = router
+            .path(s, t, flow_hash(idx))
+            .expect("bench topologies are connected");
         paths.push(directed_links(&sp));
         demand_of.push(d);
     }
@@ -114,7 +107,7 @@ fn crosscheck(net: &Network, router: &Router, label: &str) {
 #[test]
 fn fat_tree_ecmp_max_min_below_fptas_bound() {
     let net = fat_tree(4).unwrap();
-    let router = Router::Ecmp(EcmpRoutes::compute(&net).unwrap());
+    let router = Router::build(&net.switch_graph(), RouterPolicy::Ecmp).unwrap();
     crosscheck(&net, &router, "fat-tree k=4 ECMP");
 }
 
@@ -124,6 +117,6 @@ fn flat_tree_global_rg_ksp_max_min_below_fptas_bound() {
         .unwrap()
         .materialize(&Mode::GlobalRandom)
         .unwrap();
-    let router = Router::Ksp(KspRoutes::new(&net, 4));
+    let router = Router::build(&net.switch_graph(), RouterPolicy::Ksp(4)).unwrap();
     crosscheck(&net, &router, "flat-tree k=6 global-rg KSP");
 }

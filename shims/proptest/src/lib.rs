@@ -20,7 +20,7 @@ pub mod test_runner;
 pub mod collection {
     use crate::strategy::{Strategy, TestRng};
 
-    /// Size specification for [`vec`]: an exact length or a range.
+    /// Size specification for [`vec()`]: an exact length or a range.
     pub struct SizeRange {
         lo: usize,
         hi: usize, // exclusive

@@ -44,7 +44,7 @@ pub struct Invocation {
     /// Flag values, keys without the leading `--`.
     pub options: HashMap<String, String>,
     /// Bare (non-flag) arguments, in order. Only commands listed in
-    /// [`POSITIONAL_COMMANDS`] accept them; elsewhere a bare token is
+    /// `POSITIONAL_COMMANDS` accept them; elsewhere a bare token is
     /// still a parse error.
     pub positional: Vec<String>,
 }

@@ -1,8 +1,7 @@
 //! End-to-end control-plane integration: conversions, routing and
 //! forwarding across crates.
 
-use flat_tree::control::controller::ActiveRouting;
-use flat_tree::control::{compile_rules, Controller, EcmpRoutes, Zone};
+use flat_tree::control::{compile_rules, Controller, EcmpRoutes, Router, Zone};
 use flat_tree::core::{FlatTreeConfig, Mode, PodMode};
 use flat_tree::graph::NodeId;
 
@@ -27,7 +26,7 @@ fn conversion_cycle_preserves_routability() {
             (servers[3], servers[servers.len() / 2]),
         ];
         match ctl.routing().unwrap() {
-            ActiveRouting::Ecmp(r) => {
+            Router::Ecmp(r) => {
                 for (a, b) in pairs {
                     let p = r
                         .path(net.attachment(a), net.attachment(b), 5)
@@ -35,7 +34,7 @@ fn conversion_cycle_preserves_routability() {
                     assert!(p.hops() >= 2);
                 }
             }
-            ActiveRouting::Ksp(r) => {
+            Router::Ksp(r) => {
                 for (a, b) in pairs {
                     let paths = r.paths(net.attachment(a), net.attachment(b));
                     assert!(!paths.is_empty(), "KSP must find paths in {mode:?}");

@@ -139,3 +139,29 @@ fn conversion_repeat_runs_identical() {
     assert_eq!(a.events, b.events);
     assert_eq!(a.scheduled, b.scheduled);
 }
+
+/// FNV-1a over every trace line's bytes, each followed by `\n`: the
+/// digest of the JSONL file `ftctl sim --events` would write.
+fn trace_digest(lines: &[String]) -> u64 {
+    lines
+        .iter()
+        .flat_map(|l| l.bytes().chain([b'\n']))
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
+/// Pins the conversion fixture's JSONL trace to values recorded before
+/// the engine became a clocked queue: the line count and an FNV-1a digest
+/// of the bytes, so a renamed `component`, a reordered dispatch or a
+/// shifted `seq` fails here even when every run agrees with itself.
+#[test]
+fn conversion_trace_matches_recorded_digest() {
+    let trace = run_conversion().trace.unwrap_or_default();
+    assert_eq!(trace.len(), 1056);
+    assert_eq!(
+        trace_digest(&trace),
+        0x6e82_a339_c4c4_594b,
+        "trace digest moved"
+    );
+}
