@@ -127,6 +127,9 @@ pub enum FlatTreeError {
     /// A wiring computation received an unresolved pattern policy
     /// (`PaperRule`/`Auto`) where a concrete rotation was required.
     UnresolvedPattern(WiringPattern),
+    /// A mode name other than `clos`, `local-rg`/`local` and
+    /// `global-rg`/`global`.
+    UnknownMode(String),
     /// A profiling sweep produced no candidate configurations.
     EmptySweep {
         /// The fat-tree parameter being profiled.
@@ -165,6 +168,9 @@ impl fmt::Display for FlatTreeError {
                     f,
                     "wiring pattern {p:?} must be resolved to a concrete rotation first"
                 )
+            }
+            FlatTreeError::UnknownMode(name) => {
+                write!(f, "unknown mode {name:?} (use clos | local-rg | global-rg)")
             }
             FlatTreeError::EmptySweep { k } => {
                 write!(f, "profiling sweep for k = {k} produced no candidates")

@@ -27,11 +27,15 @@
 //! | §2.5 inter-Pod side wiring | [`interpod`] |
 //! | wiring Properties 1 & 2 | [`validation`] |
 //! | the assembled architecture | [`flattree`] |
+//! | §3.1 the evaluated topology family | [`topology`] |
 //!
 //! The central type is [`FlatTree`]: build once from a [`FlatTreeConfig`],
 //! then [`FlatTree::materialize`] any [`Mode`] into an `ft_topo::Network`
 //! for metrics, routing or simulation. Materialization is pure — the
 //! control plane in `ft-control` layers reconfiguration planning on top.
+//! [`Topology`] names the four networks the evaluation compares — fat-tree,
+//! random graph, two-stage random graph and the flat-tree in one
+//! [`PodMode`] — and builds each from fat-tree(k)'s equipment.
 
 // Unit tests are exempt from the panic-free policy (see DESIGN.md,
 // "Static analysis & error-handling policy").
@@ -54,6 +58,7 @@ pub mod geometry;
 pub mod interpod;
 pub mod mode;
 pub mod profile;
+pub mod topology;
 pub mod validation;
 pub mod wiring;
 
@@ -62,4 +67,5 @@ pub use converter::{ConverterKind, FourPortConfig, SixPortConfig};
 pub use flattree::{ConverterStates, FlatTree};
 pub use mode::{Mode, PodMode};
 pub use profile::{profile_mn, ProfilePoint, ProfileResult};
+pub use topology::Topology;
 pub use validation::{core_distribution, CoreDistribution};

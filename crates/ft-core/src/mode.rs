@@ -31,6 +31,32 @@ pub enum Mode {
     Hybrid(Vec<PodMode>),
 }
 
+impl std::str::FromStr for PodMode {
+    type Err = FlatTreeError;
+
+    /// Parses a mode name: `clos`, `local-rg` (or `local`), `global-rg`
+    /// (or `global`).
+    fn from_str(s: &str) -> Result<PodMode, FlatTreeError> {
+        match s {
+            "clos" => Ok(PodMode::Clos),
+            "local-rg" | "local" => Ok(PodMode::LocalRandom),
+            "global-rg" | "global" => Ok(PodMode::GlobalRandom),
+            other => Err(FlatTreeError::UnknownMode(other.to_string())),
+        }
+    }
+}
+
+/// Every Pod in the one mode.
+impl From<PodMode> for Mode {
+    fn from(mode: PodMode) -> Mode {
+        match mode {
+            PodMode::Clos => Mode::Clos,
+            PodMode::LocalRandom => Mode::LocalRandom,
+            PodMode::GlobalRandom => Mode::GlobalRandom,
+        }
+    }
+}
+
 impl Mode {
     /// Expands to one [`PodMode`] per Pod.
     pub fn pod_modes(&self, pods: usize) -> Result<Vec<PodMode>, FlatTreeError> {
@@ -105,6 +131,26 @@ mod tests {
         let v = m.pod_modes(5).unwrap();
         assert_eq!(&v[..2], &[PodMode::GlobalRandom; 2]);
         assert_eq!(&v[2..], &[PodMode::LocalRandom; 3]);
+    }
+
+    #[test]
+    fn pod_mode_names_parse() {
+        for (name, mode) in [
+            ("clos", PodMode::Clos),
+            ("local-rg", PodMode::LocalRandom),
+            ("local", PodMode::LocalRandom),
+            ("global-rg", PodMode::GlobalRandom),
+            ("global", PodMode::GlobalRandom),
+        ] {
+            assert_eq!(name.parse::<PodMode>(), Ok(mode), "{name}");
+        }
+        for bad in ["", "Clos", "clos ", "global-RG", "hybrid:cg", "rg"] {
+            assert_eq!(
+                bad.parse::<PodMode>(),
+                Err(FlatTreeError::UnknownMode(bad.to_string()))
+            );
+        }
+        assert_eq!(Mode::from(PodMode::LocalRandom), Mode::LocalRandom);
     }
 
     #[test]

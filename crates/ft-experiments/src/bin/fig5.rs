@@ -8,85 +8,46 @@
 //! Paper shape: the profiled flat-tree (m = k/8, n = 2k/8) is notably
 //! shorter than fat-tree and within ~5% of the random graph.
 
-use ft_core::{FlatTree, FlatTreeConfig, Mode};
-use ft_experiments::{parallel_points, print_figure, rel_diff, ShapeChecks, SweepOpts};
+use ft_core::{FlatTree, FlatTreeConfig, Mode, Topology};
+use ft_experiments::{print_figure, rel_diff, sweep, ShapeChecks, SweepOpts};
 use ft_metrics::path_length::average_server_path_length;
-use ft_metrics::{Series, Table};
-use ft_topo::{fat_tree, jellyfish_matching_fat_tree};
+use ft_metrics::Table;
 
-fn unit(k: usize) -> usize {
-    ((k as f64) / 8.0).round().max(1.0) as usize
-}
-
-/// The (m, n) grid of the paper's Figure 5 legend, filtered by m + n ≤ k/2.
-fn mn_grid(k: usize) -> Vec<(usize, usize)> {
-    let u = unit(k);
-    let mut out = Vec::new();
-    for (mm, nm) in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)] {
-        let (m, n) = (mm * u, nm * u);
-        if m + n <= k / 2 {
-            out.push((m, n));
-        }
-    }
-    out
-}
-
-#[derive(Clone, Copy, PartialEq)]
+/// A curve: a baseline, or the global-RG flat-tree at
+/// (m, n) = (a·k/8, b·k/8), k/8 rounded.
 enum Curve {
-    FatTree,
-    RandomGraph,
-    FlatTree(usize, usize), // (m multiple, n multiple)
+    Baseline(Topology),
+    FlatTree(usize, usize),
 }
+
+/// The curves of the paper's Figure 5 legend.
+const CURVES: [(Curve, &str); 7] = [
+    (Curve::Baseline(Topology::FatTree), "Fat-tree"),
+    (Curve::Baseline(Topology::RandomGraph), "Random graph"),
+    (Curve::FlatTree(1, 1), "Flat-tree(m=1k/8,n=1k/8)"),
+    (Curve::FlatTree(1, 2), "Flat-tree(m=1k/8,n=2k/8)"),
+    (Curve::FlatTree(1, 3), "Flat-tree(m=1k/8,n=3k/8)"),
+    (Curve::FlatTree(2, 1), "Flat-tree(m=2k/8,n=1k/8)"),
+    (Curve::FlatTree(2, 2), "Flat-tree(m=2k/8,n=2k/8)"),
+];
 
 fn main() {
     let opts = SweepOpts::from_args(32); // path length is cheap: full sweep
-    let mut points = Vec::new();
-    for &k in &opts.k_values {
-        points.push((k, Curve::FatTree));
-        points.push((k, Curve::RandomGraph));
-        let u = unit(k);
-        for (m, n) in mn_grid(k) {
-            points.push((k, Curve::FlatTree(m / u, n / u)));
-        }
-    }
-    let results = parallel_points(points.clone(), |&(k, curve)| match curve {
-        Curve::FatTree => average_server_path_length(&fat_tree(k).unwrap()),
-        Curve::RandomGraph => {
-            average_server_path_length(&jellyfish_matching_fat_tree(k, opts.seed).unwrap())
-        }
-        Curve::FlatTree(mm, nm) => {
-            let u = unit(k);
-            let cfg = FlatTreeConfig::for_fat_tree_k_mn(k, mm * u, nm * u).unwrap();
-            let net = FlatTree::new(cfg)
-                .unwrap()
-                .materialize(&Mode::GlobalRandom)
-                .unwrap();
-            average_server_path_length(&net)
-        }
-    });
-
-    let mut fat = Series::new("Fat-tree");
-    let mut rg = Series::new("Random graph");
-    let mut flats: Vec<((usize, usize), Series)> = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
-        .iter()
-        .map(|&(a, b)| ((a, b), Series::new(format!("Flat-tree(m={a}k/8,n={b}k/8)"))))
-        .collect();
-    for ((k, curve), v) in points.iter().zip(&results) {
-        let x = *k as f64;
-        match curve {
-            Curve::FatTree => fat.push(x, *v),
-            Curve::RandomGraph => rg.push(x, *v),
-            Curve::FlatTree(mm, nm) => {
-                for ((a, b), s) in flats.iter_mut() {
-                    if a == mm && b == nm {
-                        s.push(x, *v);
-                    }
+    let series = sweep(&opts, &CURVES, 1, |k, curve, seed| {
+        let net = match *curve {
+            Curve::Baseline(topology) => topology.build(k, seed).unwrap(),
+            Curve::FlatTree(a, b) => {
+                let unit = ((k as f64) / 8.0).round().max(1.0) as usize;
+                if (a + b) * unit > k / 2 {
+                    return None; // off the grid: m + n ≤ k/2
                 }
+                let cfg = FlatTreeConfig::for_fat_tree_k_mn(k, a * unit, b * unit).unwrap();
+                let ft = FlatTree::new(cfg).unwrap();
+                ft.materialize(&Mode::GlobalRandom).unwrap()
             }
-        }
-    }
-    let mut series = vec![fat.clone(), rg.clone()];
-    series.extend(flats.iter().map(|(_, s)| s.clone()));
+        };
+        Some(average_server_path_length(&net))
+    });
     let table = Table::from_series("k", &series);
     print_figure(
         "Figure 5: average path length of server pairs, entire network",
@@ -98,11 +59,11 @@ fn main() {
     let mut checks = ShapeChecks::new();
     for &k in &opts.k_values {
         let x = k as f64;
-        let ft_apl = fat.at(x).unwrap();
-        let rg_apl = rg.at(x).unwrap();
-        let best_flat = flats
+        let ft_apl = series[0].at(x).unwrap();
+        let rg_apl = series[1].at(x).unwrap();
+        let best_flat = series[2..]
             .iter()
-            .filter_map(|(_, s)| s.at(x))
+            .filter_map(|s| s.at(x))
             .fold(f64::INFINITY, f64::min);
         if k >= 8 {
             checks.check(
@@ -119,11 +80,7 @@ fn main() {
                 ),
             );
             // the paper's profiled choice stays near the sweep's best
-            if let Some(paper_pt) = flats
-                .iter()
-                .find(|((a, b), _)| *a == 1 && *b == 2)
-                .and_then(|(_, s)| s.at(x))
-            {
+            if let Some(paper_pt) = series[3].at(x) {
                 checks.check(
                     &format!("k={k}: (m=k/8, n=2k/8) near-optimal"),
                     paper_pt <= best_flat * 1.05,

@@ -10,59 +10,23 @@
 //! the two-stage random graph thanks to the retained Clos edge–aggregation
 //! mesh.
 
-use ft_core::{FlatTree, FlatTreeConfig, Mode};
-use ft_experiments::{parallel_points, print_figure, ShapeChecks, SweepOpts};
+use ft_core::{PodMode, Topology};
+use ft_experiments::{print_figure, sweep, ShapeChecks, SweepOpts};
 use ft_metrics::path_length::average_intra_pod_path_length;
-use ft_metrics::{Series, Table};
-use ft_topo::{fat_tree, jellyfish_matching_fat_tree, two_stage_random_graph, TwoStageParams};
-
-#[derive(Clone, Copy, PartialEq)]
-enum Curve {
-    FlatTree,
-    FatTree,
-    RandomGraph,
-    TwoStage,
-}
+use ft_metrics::Table;
 
 fn main() {
     let opts = SweepOpts::from_args(32);
     let curves = [
-        (Curve::FlatTree, "Flat-tree"),
-        (Curve::FatTree, "Fat-tree"),
-        (Curve::RandomGraph, "Random graph"),
-        (Curve::TwoStage, "Two-stage random graph"),
+        (Topology::FlatTree(PodMode::LocalRandom), "Flat-tree"),
+        (Topology::FatTree, "Fat-tree"),
+        (Topology::RandomGraph, "Random graph"),
+        (Topology::TwoStage, "Two-stage random graph"),
     ];
-    let mut points = Vec::new();
-    for &k in &opts.k_values {
-        for (c, _) in curves {
-            points.push((k, c));
-        }
-    }
-    let results = parallel_points(points.clone(), |&(k, curve)| {
-        let pod_size = k * k / 4;
-        let net = match curve {
-            Curve::FlatTree => {
-                let cfg = FlatTreeConfig::for_fat_tree_k(k).unwrap();
-                FlatTree::new(cfg)
-                    .unwrap()
-                    .materialize(&Mode::LocalRandom)
-                    .unwrap()
-            }
-            Curve::FatTree => fat_tree(k).unwrap(),
-            Curve::RandomGraph => jellyfish_matching_fat_tree(k, opts.seed).unwrap(),
-            Curve::TwoStage => {
-                two_stage_random_graph(TwoStageParams::matching_fat_tree(k).unwrap(), opts.seed)
-                    .unwrap()
-            }
-        };
-        average_intra_pod_path_length(&net, pod_size)
+    let series = sweep(&opts, &curves, 1, |k, topology, seed| {
+        let net = topology.build(k, seed).unwrap();
+        Some(average_intra_pod_path_length(&net, k * k / 4))
     });
-
-    let mut series: Vec<Series> = curves.iter().map(|(_, name)| Series::new(*name)).collect();
-    for ((k, curve), v) in points.iter().zip(&results) {
-        let i = curves.iter().position(|(c, _)| c == curve).unwrap();
-        series[i].push(*k as f64, *v);
-    }
     let table = Table::from_series("k", &series);
     print_figure(
         "Figure 6: average path length of server pairs in each Pod",

@@ -5,7 +5,9 @@
 //!
 //! 1. parse the common CLI flags ([`SweepOpts::from_args`]),
 //! 2. compute each curve of the figure, parallelized over sweep points
-//!    ([`parallel_points`]),
+//!    ([`parallel_points`]; Figures 5–8 run one (k × curve × seed) loop,
+//!    [`sweep`], and Figures 7–8 share its throughput body,
+//!    [`throughput_sweep`]),
 //! 3. print the table (aligned + CSV) exactly as the paper's figure would
 //!    tabulate it,
 //! 4. run *shape checks* — assertions about orderings and ratios the paper
@@ -14,9 +16,12 @@
 //!    match the paper (different LP solver, unknown random seeds); shapes
 //!    are.
 
+use ft_core::Topology;
 use ft_mcf::Stop;
-use ft_metrics::throughput::ThroughputResult;
-use ft_metrics::Table;
+use ft_metrics::throughput::{throughput, ThroughputOptions, ThroughputResult};
+use ft_metrics::{Series, Table};
+use ft_workload::{generate, Locality, TrafficPattern, WorkloadSpec};
+use std::sync::Mutex;
 
 /// Common sweep options shared by all experiment binaries.
 #[derive(Clone, Debug)]
@@ -159,6 +164,89 @@ where
     F: Fn(&P) -> R + Sync,
 {
     ft_graph::par::map(&points, f)
+}
+
+/// Runs one figure's sweep: `point(k, curve, seed)` for every k of `opts`,
+/// every curve and every seed `opts.seed + rep`, `rep < reps`, in that
+/// order on [`parallel_points`]. Returns one series per curve, named as in
+/// `curves`, whose value at k is the mean of the (k, curve) points summed
+/// in seed order. A point may return `None`; a (k, curve) whose every
+/// point does leaves a gap in its series.
+///
+/// # Panics
+/// If `reps` is 0.
+pub fn sweep<C: Sync>(
+    opts: &SweepOpts,
+    curves: &[(C, &str)],
+    reps: usize,
+    point: impl Fn(usize, &C, u64) -> Option<f64> + Sync,
+) -> Vec<Series> {
+    let cells: Vec<(usize, usize)> = opts
+        .k_values
+        .iter()
+        .flat_map(|&k| (0..curves.len()).map(move |c| (k, c)))
+        .collect();
+    let points = cells
+        .iter()
+        .flat_map(|&(k, c)| (0..reps).map(move |rep| (k, c, opts.seed + rep as u64)))
+        .collect();
+    let ys = parallel_points(points, |&(k, c, seed)| point(k, &curves[c].0, seed));
+    let mut series: Vec<Series> = curves.iter().map(|(_, name)| Series::new(*name)).collect();
+    for (&(k, c), seeds) in cells.iter().zip(ys.chunks(reps)) {
+        let seeds: Vec<f64> = seeds.iter().flatten().copied().collect();
+        if !seeds.is_empty() {
+            let sum = seeds.iter().fold(0.0, |sum, y| sum + y);
+            series[c].push(k as f64, sum / seeds.len() as f64);
+        }
+    }
+    series
+}
+
+/// The throughput sweep of Figures 7 and 8: per curve's topology and
+/// cluster locality, the concurrent-flow λ of `pattern` traffic in
+/// `cluster`-server clusters, over `opts.reps` seeds (each seed builds the
+/// topology and places the clusters). λ is normalized to a nominal
+/// `cluster`-server cluster, λ·(actual − 1)/(cluster − 1), where a fabric
+/// with fewer servers hosts one cluster of them all. Warns on stderr for
+/// every solve that ran out of steps, and returns the series with the
+/// certified gaps of every solve.
+pub fn throughput_sweep(
+    opts: &SweepOpts,
+    curves: &[((Topology, Locality), &str)],
+    pattern: TrafficPattern,
+    cluster: usize,
+) -> (Vec<Series>, GapReport) {
+    let gaps = Mutex::new(GapReport::default());
+    let topts = ThroughputOptions {
+        epsilon: opts.epsilon,
+        exact_threshold: 0,
+        max_steps: opts.max_steps,
+        ..Default::default()
+    };
+    let series = sweep(opts, curves, opts.reps, |k, &(topology, locality), seed| {
+        let net = topology.build(k, seed).unwrap();
+        let spec = WorkloadSpec {
+            pattern,
+            cluster_size: cluster,
+            locality,
+        };
+        let r = throughput(&net, &generate(&net, &spec, seed), topts).unwrap();
+        if r.budget_exhausted {
+            eprintln!(
+                "{}",
+                ft_metrics::budget_warning(
+                    &format!("{topology:?} {locality:?} k={k} seed={seed}"),
+                    r.lambda,
+                    opts.max_steps.unwrap_or(0),
+                )
+            );
+        }
+        gaps.lock().expect("GapReport::add cannot panic").add(&r);
+        let actual = cluster.min(net.num_servers());
+        Some(r.lambda * (actual as f64 - 1.0) / (cluster as f64 - 1.0))
+    });
+    let gaps = gaps.into_inner().expect("GapReport::add cannot panic");
+    (series, gaps)
 }
 
 /// Collected shape-check results; the binary exits non-zero if any failed.
@@ -331,6 +419,18 @@ mod tests {
             let err = parse(args).expect_err(&format!("{args:?} must be rejected"));
             assert!(err.contains(want), "{args:?}: {err}");
         }
+    }
+
+    #[test]
+    fn sweep_averages_seeds_and_leaves_gaps() {
+        let opts = parse(&["--kmax", "6", "--seed", "10"]).unwrap();
+        let curves = [(1.0, "one"), (2.0, "two")];
+        let series = sweep(&opts, &curves, 2, |k, &scale, seed| {
+            (k == 4 || scale == 1.0).then_some(scale * seed as f64)
+        });
+        assert_eq!(series[0].points, vec![(4.0, 10.5), (6.0, 10.5)]);
+        assert_eq!(series[1].name, "two");
+        assert_eq!(series[1].points, vec![(4.0, 21.0)]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 // Fixture: the clean counterpart of every rule in `../../../violating`.
-// `cargo run -p ft-lint -- crates/ft-lint/fixtures/clean` must exit 0.
+// `ftctl lint --root crates/ft-lint/fixtures/clean` must exit 0.
 
 /// Rule 1: fallible code returns a Result (or defaults).
 pub fn rule_panic(v: Option<u32>) -> u32 {

@@ -1,5 +1,5 @@
 // Fixture: one violation of every ft-lint rule, in strict-crate library
-// position. `cargo run -p ft-lint -- crates/ft-lint/fixtures/violating`
+// position. `ftctl lint --root crates/ft-lint/fixtures/violating`
 // must exit non-zero with five findings.
 
 /// Rule 1: panicking constructs in library code.

@@ -48,7 +48,7 @@ fn violations_carry_location_and_excerpt() {
 #[test]
 fn repo_gate_is_green() {
     // the workspace itself must pass its own gate (same invariant CI
-    // enforces via `cargo run -p ft-lint`)
+    // enforces via `ftctl lint`)
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .unwrap()

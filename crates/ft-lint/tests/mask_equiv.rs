@@ -276,7 +276,6 @@ fn masks_agree_on_own_sources() {
         "rules.rs",
         "allow.rs",
         "report.rs",
-        "main.rs",
         "lib.rs",
     ] {
         let path = format!("{}/src/{}", env!("CARGO_MANIFEST_DIR"), f);

@@ -53,8 +53,6 @@
 
 mod simplex;
 
-pub use simplex::solve_standard_form;
-
 /// Handle to a decision variable of an [`LpProblem`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Var(pub usize);

@@ -282,101 +282,3 @@ fn flip(c: Cmp) -> Cmp {
         Cmp::Eq => Cmp::Eq,
     }
 }
-
-/// Solves a problem already in standard form: maximize `c·x` subject to
-/// `Ax ≤ b`, `x ≥ 0`, with `b ≥ 0` — the single-phase fast path.
-///
-/// `a` is row-major `m × n`. Returns `None` when unbounded. This entry point
-/// is used by tests and by callers that build standard-form models directly
-/// (no artificial variables needed, so it is noticeably faster than the
-/// general path).
-///
-/// # Panics
-/// Panics if any `b` entry is negative or dimensions are inconsistent.
-pub fn solve_standard_form(c: &[f64], a: &[Vec<f64>], b: &[f64]) -> Option<(f64, Vec<f64>)> {
-    let n = c.len();
-    let m = a.len();
-    assert_eq!(b.len(), m, "rhs length mismatch");
-    for (i, row) in a.iter().enumerate() {
-        assert_eq!(row.len(), n, "row {i} length mismatch");
-        assert!(b[i] >= 0.0, "standard form requires b ≥ 0");
-    }
-    let ncols = n + m;
-    let mut rows = Vec::with_capacity(m);
-    let mut basis = Vec::with_capacity(m);
-    for i in 0..m {
-        let mut row = vec![0.0; ncols + 1];
-        row[..n].copy_from_slice(&a[i]);
-        // bounds: slack column n + i < ncols since ncols = n + m and i < m
-        row[n + i] = 1.0;
-        row[ncols] = b[i];
-        rows.push(row);
-        basis.push(n + i);
-    }
-    let mut obj = vec![0.0; ncols];
-    obj[..n].copy_from_slice(c);
-    let mut t = Tableau {
-        rows,
-        basis,
-        obj,
-        obj_val: 0.0,
-        ncols,
-        banned: vec![false; ncols],
-    };
-    if !t.optimize() {
-        return None;
-    }
-    let mut values = vec![0.0; n];
-    for (i, &bcol) in t.basis.iter().enumerate() {
-        if bcol < n {
-            values[bcol] = t.rhs(i);
-        }
-    }
-    Some((t.obj_val, values))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn standard_form_simple() {
-        // max 3x + 2y, x + y ≤ 4, x + 3y ≤ 6
-        let (obj, x) =
-            solve_standard_form(&[3.0, 2.0], &[vec![1.0, 1.0], vec![1.0, 3.0]], &[4.0, 6.0])
-                .unwrap();
-        assert!((obj - 12.0).abs() < 1e-9);
-        assert!((x[0] - 4.0).abs() < 1e-9);
-        assert!(x[1].abs() < 1e-9);
-    }
-
-    #[test]
-    fn standard_form_unbounded() {
-        assert!(solve_standard_form(&[1.0], &[], &[]).is_none());
-    }
-
-    #[test]
-    fn standard_form_zero_objective() {
-        let (obj, _) = solve_standard_form(&[0.0], &[vec![1.0]], &[1.0]).unwrap();
-        assert_eq!(obj, 0.0);
-    }
-
-    #[test]
-    fn standard_form_many_constraints() {
-        // max x + y with x ≤ 1, y ≤ 1, x + y ≤ 1.5
-        let (obj, x) = solve_standard_form(
-            &[1.0, 1.0],
-            &[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]],
-            &[1.0, 1.0, 1.5],
-        )
-        .unwrap();
-        assert!((obj - 1.5).abs() < 1e-9);
-        assert!(x[0] <= 1.0 + 1e-9 && x[1] <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "b ≥ 0")]
-    fn standard_form_rejects_negative_rhs() {
-        let _ = solve_standard_form(&[1.0], &[vec![1.0]], &[-1.0]);
-    }
-}

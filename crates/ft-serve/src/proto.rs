@@ -49,45 +49,39 @@ pub enum ModeSpec {
 impl ModeSpec {
     /// Parses a wire spec (see the module grammar).
     pub fn parse(s: &str) -> Result<ModeSpec, ServeError> {
-        match s {
-            "clos" => Ok(ModeSpec::Uniform(PodMode::Clos)),
-            "local-rg" | "local" => Ok(ModeSpec::Uniform(PodMode::LocalRandom)),
-            "global-rg" | "global" => Ok(ModeSpec::Uniform(PodMode::GlobalRandom)),
-            other => {
-                let Some(letters) = other.strip_prefix("hybrid:") else {
-                    return Err(ServeError::BadMode(format!(
-                        "unknown mode spec {other:?} (use clos | local-rg | global-rg | hybrid:<c/l/g per pod>)"
-                    )));
-                };
-                let mut pods = Vec::with_capacity(letters.len());
-                for ch in letters.chars() {
-                    pods.push(match ch {
-                        'c' => PodMode::Clos,
-                        'l' => PodMode::LocalRandom,
-                        'g' => PodMode::GlobalRandom,
-                        other => {
-                            return Err(ServeError::BadMode(format!(
-                                "bad pod letter {other:?} in hybrid spec (use c, l or g)"
-                            )))
-                        }
-                    });
-                }
-                if pods.is_empty() {
-                    return Err(ServeError::BadMode(
-                        "hybrid spec names zero pods".to_string(),
-                    ));
-                }
-                Ok(ModeSpec::Hybrid(pods))
-            }
+        if let Ok(mode) = s.parse() {
+            return Ok(ModeSpec::Uniform(mode));
         }
+        let Some(letters) = s.strip_prefix("hybrid:") else {
+            return Err(ServeError::BadMode(format!(
+                "unknown mode spec {s:?} (use clos | local-rg | global-rg | hybrid:<c/l/g per pod>)"
+            )));
+        };
+        let mut pods = Vec::with_capacity(letters.len());
+        for ch in letters.chars() {
+            pods.push(match ch {
+                'c' => PodMode::Clos,
+                'l' => PodMode::LocalRandom,
+                'g' => PodMode::GlobalRandom,
+                other => {
+                    return Err(ServeError::BadMode(format!(
+                        "bad pod letter {other:?} in hybrid spec (use c, l or g)"
+                    )))
+                }
+            });
+        }
+        if pods.is_empty() {
+            return Err(ServeError::BadMode(
+                "hybrid spec names zero pods".to_string(),
+            ));
+        }
+        Ok(ModeSpec::Hybrid(pods))
     }
 
     /// Resolves the spec against a network of `pods` Pods.
     pub fn to_mode(&self, pods: usize) -> Result<Mode, ServeError> {
         match self {
-            ModeSpec::Uniform(PodMode::Clos) => Ok(Mode::Clos),
-            ModeSpec::Uniform(PodMode::LocalRandom) => Ok(Mode::LocalRandom),
-            ModeSpec::Uniform(PodMode::GlobalRandom) => Ok(Mode::GlobalRandom),
+            ModeSpec::Uniform(mode) => Ok((*mode).into()),
             ModeSpec::Hybrid(v) => {
                 if v.len() != pods {
                     return Err(ServeError::BadMode(format!(

@@ -9,9 +9,8 @@
 //! reprogramming converter switches only — into approximated random
 //! graphs, picking up most of the random graph's path-length advantage.
 
-use flat_tree::core::{FlatTree, FlatTreeConfig, Mode};
+use flat_tree::core::{FlatTree, FlatTreeConfig, Mode, Topology};
 use flat_tree::metrics::path_length::average_server_path_length;
-use flat_tree::topo::{fat_tree, jellyfish_matching_fat_tree};
 
 fn main() {
     let k = 8;
@@ -46,7 +45,7 @@ fn main() {
 
     // Clos mode is link-identical to the reference fat-tree.
     let clos = ft.materialize(&Mode::Clos).unwrap();
-    let reference = fat_tree(k).unwrap();
+    let reference = Topology::FatTree.build(k, 1).unwrap();
     assert_eq!(
         clos.graph().canonical_edges(),
         reference.graph().canonical_edges()
@@ -55,7 +54,7 @@ fn main() {
 
     // And global mode approaches the true random graph's path length.
     let flat = average_server_path_length(&ft.materialize(&Mode::GlobalRandom).unwrap());
-    let rg = average_server_path_length(&jellyfish_matching_fat_tree(k, 1).unwrap());
+    let rg = average_server_path_length(&Topology::RandomGraph.build(k, 1).unwrap());
     println!(
         "global-random APL {flat:.4} vs true random graph {rg:.4} ({:+.1}%)",
         100.0 * (flat - rg) / rg

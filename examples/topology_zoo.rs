@@ -10,39 +10,32 @@
 //! writes Graphviz DOT files to `target/topologies/` for visualization
 //! with `dot -Tsvg`.
 
-use flat_tree::core::{FlatTree, FlatTreeConfig, Mode};
+use flat_tree::core::{PodMode, Topology};
 use flat_tree::graph::bridges::bridges;
 use flat_tree::graph::stats::{diameter, mean_degree};
 use flat_tree::metrics::path_length::{average_server_path_length, path_length_histogram};
 use flat_tree::topo::export::to_dot;
-use flat_tree::topo::{
-    fat_tree, jellyfish_matching_fat_tree, two_stage_random_graph, Network, TwoStageParams,
-};
+use flat_tree::topo::Network;
 
 fn main() {
     let k: usize = std::env::args()
         .nth(1)
         .map(|s| s.parse().expect("k must be an even integer"))
         .unwrap_or(8);
-    let ft = FlatTree::new(FlatTreeConfig::for_fat_tree_k(k).unwrap()).unwrap();
-
-    let zoo: Vec<(&str, Network)> = vec![
-        ("fat-tree", fat_tree(k).unwrap()),
-        ("random-graph", jellyfish_matching_fat_tree(k, 7).unwrap()),
-        (
-            "two-stage-rg",
-            two_stage_random_graph(TwoStageParams::matching_fat_tree(k).unwrap(), 7).unwrap(),
-        ),
-        ("flat-tree-clos", ft.materialize(&Mode::Clos).unwrap()),
-        (
-            "flat-tree-local",
-            ft.materialize(&Mode::LocalRandom).unwrap(),
-        ),
+    let zoo: Vec<(&str, Network)> = [
+        ("fat-tree", Topology::FatTree),
+        ("random-graph", Topology::RandomGraph),
+        ("two-stage-rg", Topology::TwoStage),
+        ("flat-tree-clos", Topology::FlatTree(PodMode::Clos)),
+        ("flat-tree-local", Topology::FlatTree(PodMode::LocalRandom)),
         (
             "flat-tree-global",
-            ft.materialize(&Mode::GlobalRandom).unwrap(),
+            Topology::FlatTree(PodMode::GlobalRandom),
         ),
-    ];
+    ]
+    .into_iter()
+    .map(|(name, topology)| (name, topology.build(k, 7).unwrap()))
+    .collect();
 
     let eq = zoo[0].1.equipment();
     println!(

@@ -18,8 +18,7 @@
 mod bench;
 
 use crate::control::{plan_transition, plan_zone_transition, Zone};
-use crate::core::PodMode;
-use crate::core::{profile_mn, FlatTree, FlatTreeConfig, Mode};
+use crate::core::{profile_mn, FlatTree, FlatTreeConfig, FlatTreeError, Mode, PodMode, Topology};
 use crate::graph::bridges::bridges;
 use crate::graph::stats::{diameter, mean_degree};
 use crate::metrics::bisection::random_bisection_bandwidth;
@@ -29,9 +28,7 @@ use crate::metrics::path_length::{
 use crate::serve::{serve_listener, ServeConfig, Service};
 use crate::sim::{flows_with_arrivals, ConversionEvent, DesSimulator, RouterPolicy, TopoEvent};
 use crate::topo::export::{to_dot, to_json};
-use crate::topo::{
-    fat_tree, jellyfish_matching_fat_tree, two_stage_random_graph, Network, TwoStageParams,
-};
+use crate::topo::Network;
 use crate::workload::{generate, Locality, TrafficPattern, WorkloadSpec};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -43,9 +40,8 @@ pub struct Invocation {
     pub command: String,
     /// Flag values, keys without the leading `--`.
     pub options: HashMap<String, String>,
-    /// Bare (non-flag) arguments, in order. Only commands listed in
-    /// `POSITIONAL_COMMANDS` accept them; elsewhere a bare token is
-    /// still a parse error.
+    /// Bare (non-flag) arguments, in order. Only `trace` accepts them;
+    /// elsewhere a bare token is a parse error.
     pub positional: Vec<String>,
 }
 
@@ -60,6 +56,12 @@ impl std::fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+impl From<FlatTreeError> for CliError {
+    fn from(e: FlatTreeError) -> Self {
+        CliError(e.to_string())
+    }
+}
 
 /// Usage text shown by `--help` and on parse errors.
 pub const USAGE: &str = "\
@@ -76,7 +78,8 @@ USAGE:
                 [--workers <n>] [--cache <n>] [--queue <n>]
                 [--window <epoch ms, default 1000; 0 disables>]
                 [--trace <file.jsonl>]
-  ftctl query   -k <even> [--req \"<ftq line>[; <ftq line>…]\"] [--workers <n>]
+  ftctl query   -k <even> [--req \"<ftq line>[; <ftq line>…]\"]
+                [--workers <n>] [--cache <n>] [--queue <n>] [--window <ms>]
                 [--trace <file.jsonl>]
   ftctl sim     --scenario <file> [--quick] [--json <file|->]
                 [--events <file.jsonl>] [--trace <file.jsonl>]
@@ -87,8 +90,11 @@ USAGE:
   ftctl trace   <spans.jsonl> [--top <n, default 15>] [--diff <old.jsonl>]
                 [--chrome <file.json>] [--folded <file.folded>]
 
+Each command accepts only the flags shown for it: any other flag is an
+error (exit 2), and `ftctl <command> --help` prints this text.
+
 Topology kinds build from the same equipment as fat-tree(k). flat-tree
-requires --mode; other kinds ignore it.
+takes --mode (default clos); other kinds ignore it.
 
 serve runs the resident FTQ/1 query service on localhost TCP until a client
 sends `shutdown`; query boots the same service in-process, issues the
@@ -146,57 +152,79 @@ total-time delta (regression attribution); --chrome exports Chrome
 trace-event JSON (chrome://tracing, Perfetto); --folded writes collapsed
 stacks weighted by self time for flamegraph tools.";
 
-/// Flags that take no value; `parse` records them as `\"true\"`.
-const BOOL_FLAGS: &[&str] = &["quick", "fix-allow"];
+/// Each command with the flags it reads: those that take a value, then
+/// those that take none (`parse` records them as `"true"`). A flag outside
+/// its command's lists is an error.
+const COMMANDS: &[(&str, &[&str], &[&str])] = &[
+    ("topo", &["kind", "k", "mode", "seed", "dot", "json"], &[]),
+    ("metrics", &["kind", "k", "mode", "seed"], &[]),
+    ("convert", &["k", "from", "to"], &[]),
+    ("profile", &["k"], &[]),
+    (
+        "serve",
+        &["k", "port", "workers", "cache", "queue", "window", "trace"],
+        &[],
+    ),
+    (
+        "query",
+        &["k", "req", "workers", "cache", "queue", "window", "trace"],
+        &[],
+    ),
+    ("sim", &["scenario", "json", "events", "trace"], &["quick"]),
+    ("bench", &["json", "check", "trace"], &["quick"]),
+    ("lint", &["json", "sarif", "root"], &["fix-allow"]),
+    ("trace", &["top", "diff", "chrome", "folded"], &[]),
+];
 
-/// Commands whose bare arguments are collected as positionals instead of
-/// being rejected (`ftctl trace <file.jsonl>`).
-const POSITIONAL_COMMANDS: &[&str] = &["trace"];
-
-/// Splits raw arguments into an [`Invocation`].
+/// Splits raw arguments into an [`Invocation`]. `--help` or `-h` in place
+/// of a flag asks for the usage text.
 pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
-    let mut it = args.iter();
-    let command = it
-        .next()
-        .ok_or_else(|| CliError(format!("missing subcommand\n\n{USAGE}")))?
-        .clone();
-    if command == "--help" || command == "-h" || command == "help" {
-        return Ok(Invocation {
-            command: "help".into(),
-            options: HashMap::new(),
-            positional: Vec::new(),
-        });
-    }
-    let allow_positional = POSITIONAL_COMMANDS.contains(&command.as_str());
-    let mut options = HashMap::new();
-    let mut positional = Vec::new();
+    let (command, rest) = args
+        .split_first()
+        .ok_or_else(|| CliError(format!("missing subcommand\n\n{USAGE}")))?;
+    let mut inv = Invocation {
+        command: command.clone(),
+        options: HashMap::new(),
+        positional: Vec::new(),
+    };
+    let help = || Invocation {
+        command: "help".into(),
+        options: HashMap::new(),
+        positional: Vec::new(),
+    };
+    let Some(&(_, values, switches)) = COMMANDS.iter().find(|(c, ..)| c == command) else {
+        // `run` names an unknown command
+        let asks_help = ["--help", "-h", "help"].contains(&command.as_str());
+        return Ok(if asks_help { help() } else { inv });
+    };
+    let mut it = rest.iter();
     while let Some(flag) = it.next() {
-        let key = match flag.strip_prefix("--").or_else(|| flag.strip_prefix('-')) {
-            Some(key) => key,
-            None if allow_positional => {
-                positional.push(flag.clone());
+        if flag == "--help" || flag == "-h" {
+            return Ok(help());
+        }
+        let Some(key) = flag.strip_prefix("--").or_else(|| flag.strip_prefix('-')) else {
+            if command == "trace" {
+                inv.positional.push(flag.clone());
                 continue;
             }
-            None => {
-                return Err(CliError(format!(
-                    "expected a flag, got {flag:?}\n\n{USAGE}"
-                )))
-            }
+            return Err(CliError(format!(
+                "expected a flag, got {flag:?}\n\n{USAGE}"
+            )));
         };
-        if BOOL_FLAGS.contains(&key) {
-            options.insert(key.to_string(), "true".to_string());
-            continue;
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| CliError(format!("flag --{key} needs a value")))?;
-        options.insert(key.to_string(), value.clone());
+        let value = if switches.contains(&key) {
+            "true".to_string()
+        } else if values.contains(&key) {
+            it.next()
+                .ok_or_else(|| CliError(format!("flag --{key} needs a value")))?
+                .clone()
+        } else {
+            return Err(CliError(format!(
+                "unknown flag {flag} for {command} (see ftctl {command} --help)"
+            )));
+        };
+        inv.options.insert(key.to_string(), value);
     }
-    Ok(Invocation {
-        command,
-        options,
-        positional,
-    })
+    Ok(inv)
 }
 
 fn get_k(inv: &Invocation) -> Result<usize, CliError> {
@@ -221,54 +249,28 @@ fn get_seed(inv: &Invocation) -> Result<u64, CliError> {
     }
 }
 
-fn parse_mode(s: &str) -> Result<Mode, CliError> {
-    match s {
-        "clos" => Ok(Mode::Clos),
-        "local-rg" | "local" => Ok(Mode::LocalRandom),
-        "global-rg" | "global" => Ok(Mode::GlobalRandom),
-        other => Err(CliError(format!(
-            "unknown mode {other:?} (use clos | local-rg | global-rg)"
-        ))),
-    }
-}
-
+/// The `--kind` topology (a flat-tree in its `--mode` by default) built
+/// from fat-tree(k)'s equipment.
 fn build_network(inv: &Invocation) -> Result<Network, CliError> {
     let k = get_k(inv)?;
     let seed = get_seed(inv)?;
-    let kind = inv
-        .options
-        .get("kind")
-        .map(String::as_str)
-        .unwrap_or("flat-tree");
-    match kind {
-        "fat-tree" => fat_tree(k).map_err(|e| CliError(e.to_string())),
-        "random-graph" => jellyfish_matching_fat_tree(k, seed).map_err(|e| CliError(e.to_string())),
-        "two-stage" => two_stage_random_graph(
-            TwoStageParams::matching_fat_tree(k).map_err(|e| CliError(e.to_string()))?,
-            seed,
-        )
-        .map_err(|e| CliError(e.to_string())),
-        "flat-tree" => {
-            let mode = parse_mode(
-                inv.options
-                    .get("mode")
-                    .map(String::as_str)
-                    .unwrap_or("clos"),
-            )?;
-            materialize(k, &mode)
+    let topology = match inv.options.get("kind").map_or("flat-tree", String::as_str) {
+        "fat-tree" => Topology::FatTree,
+        "random-graph" => Topology::RandomGraph,
+        "two-stage" => Topology::TwoStage,
+        "flat-tree" => Topology::FlatTree(
+            inv.options
+                .get("mode")
+                .map_or("clos", String::as_str)
+                .parse()?,
+        ),
+        other => {
+            return Err(CliError(format!(
+                "unknown --kind {other:?} (use fat-tree | random-graph | two-stage | flat-tree)"
+            )))
         }
-        other => Err(CliError(format!(
-            "unknown --kind {other:?} (use fat-tree | random-graph | two-stage | flat-tree)"
-        ))),
-    }
-}
-
-/// The flat-tree built from fat-tree(k)'s equipment with the paper's
-/// profiled (m, n), materialized in `mode`.
-fn materialize(k: usize, mode: &Mode) -> Result<Network, CliError> {
-    let cfg = FlatTreeConfig::for_fat_tree_k(k).map_err(|e| CliError(e.to_string()))?;
-    let ft = FlatTree::new(cfg).map_err(|e| CliError(e.to_string()))?;
-    ft.materialize(mode).map_err(|e| CliError(e.to_string()))
+    };
+    Ok(topology.build(k, seed)?)
 }
 
 /// Executes a parsed invocation, returning the report to print.
@@ -356,21 +358,14 @@ fn cmd_metrics(inv: &Invocation) -> Result<String, CliError> {
 
 fn cmd_convert(inv: &Invocation) -> Result<String, CliError> {
     let k = get_k(inv)?;
-    let from = parse_mode(
-        inv.options
-            .get("from")
-            .ok_or_else(|| CliError("missing --from <mode>".into()))?,
-    )?;
-    let to = parse_mode(
-        inv.options
-            .get("to")
-            .ok_or_else(|| CliError("missing --to <mode>".into()))?,
-    )?;
-    let cfg = FlatTreeConfig::for_fat_tree_k(k).map_err(|e| CliError(e.to_string()))?;
-    let ft = FlatTree::new(cfg).map_err(|e| CliError(e.to_string()))?;
-    let a = ft.resolve(&from).map_err(|e| CliError(e.to_string()))?;
-    let b = ft.resolve(&to).map_err(|e| CliError(e.to_string()))?;
-    let plan = crate::control::plan_transition(&ft, &a, &b).map_err(|e| CliError(e.to_string()))?;
+    let mode = |key: &str| -> Result<Mode, CliError> {
+        let missing = || CliError(format!("missing --{key} <mode>"));
+        let mode: PodMode = inv.options.get(key).ok_or_else(missing)?.parse()?;
+        Ok(mode.into())
+    };
+    let (from, to) = (mode("from")?, mode("to")?);
+    let ft = FlatTree::new(FlatTreeConfig::for_fat_tree_k(k)?)?;
+    let plan = plan_transition(&ft, &ft.resolve(&from)?, &ft.resolve(&to)?)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -396,7 +391,7 @@ fn cmd_convert(inv: &Invocation) -> Result<String, CliError> {
 
 fn cmd_profile(inv: &Invocation) -> Result<String, CliError> {
     let k = get_k(inv)?;
-    let result = profile_mn(k, 1).map_err(|e| CliError(e.to_string()))?;
+    let result = profile_mn(k, 1)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -524,7 +519,7 @@ fn cmd_query(inv: &Invocation) -> Result<String, CliError> {
 struct Scenario {
     k: usize,
     policy: RouterPolicy,
-    from: Mode,
+    from: PodMode,
     to: Option<ScenarioTarget>,
     convert_at: f64,
     latency: f64,
@@ -540,7 +535,7 @@ struct Scenario {
 
 /// What the scenario converts to: a uniform mode or a zone layout.
 enum ScenarioTarget {
-    Mode(Mode),
+    Mode(PodMode),
     Zones(Vec<Zone>),
 }
 
@@ -573,17 +568,6 @@ fn parse_policy(key: &str, s: &str) -> Result<RouterPolicy, CliError> {
     )))
 }
 
-fn parse_pod_mode(s: &str) -> Result<PodMode, CliError> {
-    match s {
-        "clos" => Ok(PodMode::Clos),
-        "local-rg" | "local" => Ok(PodMode::LocalRandom),
-        "global-rg" | "global" => Ok(PodMode::GlobalRandom),
-        other => Err(CliError(format!(
-            "unknown zone mode {other:?} (use clos | local-rg | global-rg)"
-        ))),
-    }
-}
-
 /// Parses `name:lo..hi:mode[,name:lo..hi:mode…]` into a zone layout.
 fn parse_zones(s: &str) -> Result<Vec<Zone>, CliError> {
     let mut zones = Vec::new();
@@ -604,7 +588,7 @@ fn parse_zones(s: &str) -> Result<Vec<Zone>, CliError> {
         let hi: usize = hi
             .parse()
             .map_err(|_| CliError(format!("bad pod index {hi:?}")))?;
-        zones.push(Zone::new(name, lo..hi, parse_pod_mode(mode)?));
+        zones.push(Zone::new(name, lo..hi, mode.parse()?));
     }
     Ok(zones)
 }
@@ -613,7 +597,7 @@ fn parse_scenario(text: &str) -> Result<Scenario, CliError> {
     let mut sc = Scenario {
         k: 4,
         policy: RouterPolicy::Ecmp,
-        from: Mode::Clos,
+        from: PodMode::Clos,
         to: None,
         convert_at: 5.0,
         latency: 0.5,
@@ -644,8 +628,8 @@ fn parse_scenario(text: &str) -> Result<Scenario, CliError> {
             "k" => sc.k = value.parse().map_err(|_| bad_num(key, value))?,
             "policy" => sc.policy = parse_policy(key, value)?,
             "new-policy" => sc.new_policy = Some(parse_policy(key, value)?),
-            "from" => sc.from = parse_mode(value)?,
-            "to" => sc.to = Some(ScenarioTarget::Mode(parse_mode(value)?)),
+            "from" => sc.from = value.parse()?,
+            "to" => sc.to = Some(ScenarioTarget::Mode(value.parse()?)),
             "to-zones" => sc.to = Some(ScenarioTarget::Zones(parse_zones(value)?)),
             "convert-at" => sc.convert_at = value.parse().map_err(|_| bad_num(key, value))?,
             "latency" => sc.latency = value.parse().map_err(|_| bad_num(key, value))?,
@@ -720,14 +704,11 @@ fn parse_scenario(text: &str) -> Result<Scenario, CliError> {
 /// Expresses a uniform starting mode as a zone layout: Clos is the empty
 /// layout (unclaimed Pods default to Clos), anything else is one
 /// all-Pods zone.
-fn baseline_zones(from: &Mode, pods: usize) -> Vec<Zone> {
-    let pod_mode = match from {
-        Mode::Clos => return Vec::new(),
-        Mode::LocalRandom => PodMode::LocalRandom,
-        Mode::GlobalRandom => PodMode::GlobalRandom,
-        Mode::Hybrid(_) => return Vec::new(), // scenario modes are never hybrid
-    };
-    vec![Zone::new("all", 0..pods, pod_mode)]
+fn baseline_zones(from: PodMode, pods: usize) -> Vec<Zone> {
+    if from == PodMode::Clos {
+        return Vec::new();
+    }
+    vec![Zone::new("all", 0..pods, from)]
 }
 
 /// Renders the deterministic `ft-des-sim/1` summary. Deliberately free of
@@ -791,23 +772,19 @@ fn cmd_sim(inv: &Invocation) -> Result<String, CliError> {
         sc.rounds = sc.rounds.min(1);
     }
 
-    let cfg = FlatTreeConfig::for_fat_tree_k(sc.k).map_err(|e| CliError(e.to_string()))?;
-    let ft = FlatTree::new(cfg).map_err(|e| CliError(e.to_string()))?;
-    let net = ft
-        .materialize(&sc.from)
-        .map_err(|e| CliError(e.to_string()))?;
+    let ft = FlatTree::new(FlatTreeConfig::for_fat_tree_k(sc.k)?)?;
+    let from = Mode::from(sc.from);
+    let net = ft.materialize(&from)?;
 
     let mut topo: Vec<TopoEvent> = Vec::new();
     let mut conversion_desc = String::from("none");
     if let Some(target) = &sc.to {
         let plan = match target {
             ScenarioTarget::Mode(to) => {
-                let from = ft.resolve(&sc.from).map_err(|e| CliError(e.to_string()))?;
-                let to = ft.resolve(to).map_err(|e| CliError(e.to_string()))?;
-                plan_transition(&ft, &from, &to).map_err(|e| CliError(e.to_string()))?
+                plan_transition(&ft, &ft.resolve(&from)?, &ft.resolve(&(*to).into())?)?
             }
             ScenarioTarget::Zones(zones) => {
-                let from_zones = baseline_zones(&sc.from, ft.geometry().pods);
+                let from_zones = baseline_zones(sc.from, ft.geometry().pods);
                 plan_zone_transition(&ft, &from_zones, zones)
                     .map_err(|e| CliError(e.to_string()))?
             }

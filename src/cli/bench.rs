@@ -2,9 +2,9 @@
 //! reader and writer of their `ft-hotpaths-bench/1` report, whose
 //! `--check` gate compares a run against a checked-in baseline.
 
-use super::{materialize, CliError, Invocation, TraceGuard};
+use super::{CliError, Invocation, TraceGuard};
 use crate::control::{EcmpRoutes, KspRoutes};
-use crate::core::Mode;
+use crate::core::{PodMode, Topology};
 use crate::graph::{par, Csr, DistMatrix, EdgeId, NodeId};
 use crate::mcf::{
     aggregate_commodities, max_concurrent_flow, CapGraph, DijkstraScratch, FptasOptions, Nodes,
@@ -231,7 +231,7 @@ fn bench_fptas(
     entries: &mut Vec<BenchEntry>,
     warnings: &mut Vec<String>,
 ) -> Result<(), CliError> {
-    let net = materialize(k, &Mode::GlobalRandom)?;
+    let net = Topology::FlatTree(PodMode::GlobalRandom).build(k, 0)?;
     let tm = generate(&net, &WorkloadSpec::hotspot(Locality::None), BENCH_SEED);
     let commodities = aggregate_commodities(tm.switch_triples(&net));
     let sg = net.switch_graph();
@@ -277,7 +277,7 @@ fn bench_fptas_scale(
     entries: &mut Vec<BenchEntry>,
     warnings: &mut Vec<String>,
 ) -> Result<(), CliError> {
-    let net = materialize(k, &Mode::Clos)?;
+    let net = Topology::FlatTree(PodMode::Clos).build(k, 0)?;
     let max_steps = 3_000;
     let opts = ThroughputOptions {
         max_steps: Some(max_steps),
@@ -382,7 +382,7 @@ fn fold_path(mut hash: u64, edges: &[EdgeId]) -> u64 {
 /// gate-compared exactly: Yen is deterministic).
 fn bench_ksp(k: usize, entries: &mut Vec<BenchEntry>) -> Result<(), CliError> {
     const PATHS: usize = 8;
-    let net = materialize(k, &Mode::GlobalRandom)?;
+    let net = Topology::FlatTree(PodMode::GlobalRandom).build(k, 0)?;
     let view = net.switch_view();
     let mut ends: Vec<NodeId> = net
         .servers()
@@ -449,7 +449,7 @@ fn bench_ecmp(k: usize, entries: &mut Vec<BenchEntry>) -> Result<(), CliError> {
                 hash = fold_path(hash, &p.edges);
             }
         }
-        Ok((walks, hops, hash))
+        Ok::<_, CliError>((walks, hops, hash))
     });
     let (walks, hops, checksum) = walked?;
     entries.push(BenchEntry {

@@ -2,48 +2,32 @@
 //! the *same equipment* (§3.1) — same switch count, same port budget, same
 //! server count — and every flat-tree mode conserves it exactly.
 
-use flat_tree::core::{FlatTree, FlatTreeConfig, Mode, PodMode};
-use flat_tree::topo::{
-    fat_tree, jellyfish_matching_fat_tree, two_stage_random_graph, TwoStageParams,
-};
+use flat_tree::core::{FlatTree, FlatTreeConfig, Mode, PodMode, Topology};
+
+const POD_MODES: [PodMode; 3] = [PodMode::Clos, PodMode::LocalRandom, PodMode::GlobalRandom];
 
 #[test]
 fn all_topologies_share_equipment() {
     for k in [4, 6, 8, 10, 12] {
-        let reference = fat_tree(k).unwrap().equipment();
-        let rg = jellyfish_matching_fat_tree(k, 3).unwrap().equipment();
-        let ts = two_stage_random_graph(TwoStageParams::matching_fat_tree(k).unwrap(), 3)
-            .unwrap()
-            .equipment();
-        assert_eq!(reference.switches, rg.switches, "k = {k}");
-        assert_eq!(reference.servers, rg.servers, "k = {k}");
-        assert_eq!(
-            reference.total_switch_ports, rg.total_switch_ports,
-            "k = {k}"
-        );
-        assert_eq!(reference.switches, ts.switches, "k = {k}");
-        assert_eq!(reference.servers, ts.servers, "k = {k}");
-        assert_eq!(
-            reference.total_switch_ports, ts.total_switch_ports,
-            "k = {k}"
-        );
+        let reference = Topology::FatTree.build(k, 3).unwrap().equipment();
+        for topology in [Topology::RandomGraph, Topology::TwoStage] {
+            let eq = topology.build(k, 3).unwrap().equipment();
+            assert_eq!(reference.switches, eq.switches, "{topology:?} k = {k}");
+            assert_eq!(reference.servers, eq.servers, "{topology:?} k = {k}");
+            assert_eq!(
+                reference.total_switch_ports, eq.total_switch_ports,
+                "{topology:?} k = {k}"
+            );
+        }
     }
 }
 
 #[test]
 fn every_mode_conserves_equipment_and_validates() {
     for k in [4, 6, 8, 10] {
-        let reference = fat_tree(k).unwrap().equipment();
+        let reference = Topology::FatTree.build(k, 0).unwrap().equipment();
         let ft = FlatTree::new(FlatTreeConfig::for_fat_tree_k(k).unwrap()).unwrap();
-        let hybrid = Mode::Hybrid(
-            (0..k)
-                .map(|p| match p % 3 {
-                    0 => PodMode::Clos,
-                    1 => PodMode::LocalRandom,
-                    _ => PodMode::GlobalRandom,
-                })
-                .collect(),
-        );
+        let hybrid = Mode::Hybrid((0..k).map(|p| POD_MODES[p % 3]).collect());
         for mode in [Mode::Clos, Mode::LocalRandom, Mode::GlobalRandom, hybrid] {
             let net = ft.materialize(&mode).unwrap();
             assert_eq!(net.equipment(), reference, "k = {k}, mode {mode:?}");
@@ -57,13 +41,10 @@ fn every_mode_conserves_equipment_and_validates() {
 fn clos_mode_is_fat_tree_for_every_k() {
     // k = 2 is excluded: the default (m, n) = (1, 1) needs m + n ≤ k/2 = 1
     for k in [4, 6, 8, 10, 12, 14] {
-        let ft = FlatTree::new(FlatTreeConfig::for_fat_tree_k(k).unwrap()).unwrap();
+        let edges = |topology: Topology| topology.build(k, 0).unwrap().graph().canonical_edges();
         assert_eq!(
-            ft.materialize(&Mode::Clos)
-                .unwrap()
-                .graph()
-                .canonical_edges(),
-            fat_tree(k).unwrap().graph().canonical_edges(),
+            edges(Topology::FlatTree(PodMode::Clos)),
+            edges(Topology::FatTree),
             "k = {k}"
         );
     }
@@ -72,9 +53,8 @@ fn clos_mode_is_fat_tree_for_every_k() {
 #[test]
 fn full_port_utilization_in_all_modes() {
     let k = 8;
-    let ft = FlatTree::new(FlatTreeConfig::for_fat_tree_k(k).unwrap()).unwrap();
-    for mode in [Mode::Clos, Mode::LocalRandom, Mode::GlobalRandom] {
-        let net = ft.materialize(&mode).unwrap();
+    for mode in POD_MODES {
+        let net = Topology::FlatTree(mode).build(k, 0).unwrap();
         for sw in net.switches() {
             assert_eq!(net.graph().degree(sw), k, "{mode:?} wastes ports on {sw:?}");
         }
@@ -87,16 +67,11 @@ fn no_single_points_of_failure_in_any_switch_fabric() {
     // link failure can partition the switches
     use flat_tree::graph::bridges::bridges;
     let k = 8;
-    let ft = FlatTree::new(FlatTreeConfig::for_fat_tree_k(k).unwrap()).unwrap();
-    let mut fabrics = vec![
-        fat_tree(k).unwrap(),
-        jellyfish_matching_fat_tree(k, 4).unwrap(),
-        two_stage_random_graph(TwoStageParams::matching_fat_tree(k).unwrap(), 4).unwrap(),
-    ];
-    for mode in [Mode::Clos, Mode::LocalRandom, Mode::GlobalRandom] {
-        fabrics.push(ft.materialize(&mode).unwrap());
-    }
-    for net in &fabrics {
+    let family = [Topology::FatTree, Topology::RandomGraph, Topology::TwoStage]
+        .into_iter()
+        .chain(POD_MODES.map(Topology::FlatTree));
+    for topology in family {
+        let net = topology.build(k, 4).unwrap();
         let sg = net.switch_graph();
         assert!(
             bridges(&sg).is_empty(),

@@ -3,19 +3,14 @@
 //! `crates/ft-experiments`; these tests pin the *shape* results the paper
 //! reports so regressions in any crate of the pipeline fail loudly.
 
-use flat_tree::core::{FlatTree, FlatTreeConfig, Mode};
+use flat_tree::core::{PodMode, Topology};
 use flat_tree::metrics::path_length::{average_intra_pod_path_length, average_server_path_length};
 use flat_tree::metrics::throughput::{throughput, ThroughputOptions};
-use flat_tree::topo::{
-    fat_tree, jellyfish_matching_fat_tree, two_stage_random_graph, TwoStageParams,
-};
+use flat_tree::topo::Network;
 use flat_tree::workload::{generate, Locality, TrafficPattern, WorkloadSpec};
 
-fn flat(k: usize, mode: &Mode) -> flat_tree::topo::Network {
-    FlatTree::new(FlatTreeConfig::for_fat_tree_k(k).unwrap())
-        .unwrap()
-        .materialize(mode)
-        .unwrap()
+fn build(topology: Topology, k: usize, seed: u64) -> Network {
+    topology.build(k, seed).unwrap()
 }
 
 /// Figure 5 shape: flat-tree global mode sits between fat-tree and the
@@ -23,9 +18,10 @@ fn flat(k: usize, mode: &Mode) -> flat_tree::topo::Network {
 #[test]
 fn fig5_shape_small_k() {
     for k in [8, 10] {
-        let fat = average_server_path_length(&fat_tree(k).unwrap());
-        let rg = average_server_path_length(&jellyfish_matching_fat_tree(k, 1).unwrap());
-        let ft = average_server_path_length(&flat(k, &Mode::GlobalRandom));
+        let fat = average_server_path_length(&build(Topology::FatTree, k, 1));
+        let rg = average_server_path_length(&build(Topology::RandomGraph, k, 1));
+        let global = Topology::FlatTree(PodMode::GlobalRandom);
+        let ft = average_server_path_length(&build(global, k, 1));
         assert!(ft < fat, "k = {k}: flat {ft} !< fat {fat}");
         assert!(
             ft >= rg * 0.98,
@@ -43,13 +39,11 @@ fn fig5_shape_small_k() {
 fn fig6_shape_small_k() {
     let k = 10;
     let pod = k * k / 4;
-    let ftl = average_intra_pod_path_length(&flat(k, &Mode::LocalRandom), pod);
-    let fat = average_intra_pod_path_length(&fat_tree(k).unwrap(), pod);
-    let rg = average_intra_pod_path_length(&jellyfish_matching_fat_tree(k, 1).unwrap(), pod);
-    let ts = average_intra_pod_path_length(
-        &two_stage_random_graph(TwoStageParams::matching_fat_tree(k).unwrap(), 1).unwrap(),
-        pod,
-    );
+    let apl = |topology| average_intra_pod_path_length(&build(topology, k, 1), pod);
+    let ftl = apl(Topology::FlatTree(PodMode::LocalRandom));
+    let fat = apl(Topology::FatTree);
+    let rg = apl(Topology::RandomGraph);
+    let ts = apl(Topology::TwoStage);
     assert!(ftl < fat, "flat {ftl} !< fat {fat}");
     assert!(fat < rg, "fat {fat} !< rg {rg}");
     assert!(ftl <= ts * 1.02, "flat {ftl} not ≤ two-stage {ts} (+2%)");
@@ -66,14 +60,15 @@ fn fig7_shape_small_k() {
         locality: Locality::Strong,
     };
     let opts = ThroughputOptions::fptas(0.1);
-    let lam = |net: &flat_tree::topo::Network| {
-        throughput(net, &generate(net, &spec, 2), opts)
+    let lam = |topology| {
+        let net = build(topology, k, 2);
+        throughput(&net, &generate(&net, &spec, 2), opts)
             .unwrap()
             .lambda
     };
-    let fat = lam(&fat_tree(k).unwrap());
-    let ftg = lam(&flat(k, &Mode::GlobalRandom));
-    let rg = lam(&jellyfish_matching_fat_tree(k, 2).unwrap());
+    let fat = lam(Topology::FatTree);
+    let ftg = lam(Topology::FlatTree(PodMode::GlobalRandom));
+    let rg = lam(Topology::RandomGraph);
     assert!(ftg >= 1.2 * fat, "flat {ftg} vs fat {fat}");
     assert!((ftg - rg).abs() / rg <= 0.2, "flat {ftg} vs rg {rg}");
 }
@@ -84,7 +79,7 @@ fn fig7_shape_small_k() {
 fn fig8_shape_small_k() {
     let k = 8;
     let opts = ThroughputOptions::fptas(0.1);
-    let lam = |net: &flat_tree::topo::Network, locality| {
+    let lam = |net: &Network, locality| {
         let spec = WorkloadSpec {
             pattern: TrafficPattern::AllToAll,
             cluster_size: 20,
@@ -94,13 +89,13 @@ fn fig8_shape_small_k() {
             .unwrap()
             .lambda
     };
-    let ftl = flat(k, &Mode::LocalRandom);
-    let ts = two_stage_random_graph(TwoStageParams::matching_fat_tree(k).unwrap(), 2).unwrap();
+    let ftl = build(Topology::FlatTree(PodMode::LocalRandom), k, 2);
+    let ts = build(Topology::TwoStage, k, 2);
     assert!(
         lam(&ftl, Locality::Strong) >= 0.95 * lam(&ts, Locality::Strong),
         "flat-tree-local must be competitive with two-stage RG at small k"
     );
-    let fat = fat_tree(k).unwrap();
+    let fat = build(Topology::FatTree, k, 2);
     let fat_strong = lam(&fat, Locality::Strong);
     let fat_weak = lam(&fat, Locality::Weak);
     assert!(
