@@ -308,11 +308,12 @@ pub fn print_figure(title: &str, paper_note: &str, table: &Table, csv_path: Opti
 
 /// The certified gaps of a figure's throughput solves: the worst
 /// `(UB − λ)/UB` — how far below its proven upper bound a reported λ may
-/// lie — and how many solves stopped on each rule.
+/// lie — and how many solves were exact or stopped on each FPTAS rule.
 #[derive(Clone, Debug, Default)]
 pub struct GapReport {
     worst: f64,
     solves: usize,
+    exact: usize,
     gap_stops: usize,
 }
 
@@ -326,27 +327,35 @@ impl GapReport {
         };
         self.worst = self.worst.max(gap);
         self.solves += 1;
-        self.gap_stops += usize::from(r.stop == Stop::Gap);
+        self.exact += usize::from(r.exact);
+        self.gap_stops += usize::from(!r.exact && r.stop == Stop::Gap);
     }
 
     /// Folds in another report.
     pub fn merge(&mut self, other: &GapReport) {
         self.worst = self.worst.max(other.worst);
         self.solves += other.solves;
+        self.exact += other.exact;
         self.gap_stops += other.gap_stops;
+    }
+
+    /// The one-line summary the figure binaries end their table with.
+    fn summary(&self) -> String {
+        format!(
+            "certified gap (UB − λ)/UB: worst {:.2} % over {} solves \
+             ({} exact, {} stopped on the 1 % gap, {} on D(l) ≥ 1 or the budget)",
+            100.0 * self.worst,
+            self.solves,
+            self.exact,
+            self.gap_stops,
+            self.solves - self.exact - self.gap_stops
+        )
     }
 
     /// Prints the one-line summary the figure binaries end their table
     /// with.
     pub fn print(&self) {
-        println!(
-            "certified gap (UB − λ)/UB: worst {:.2} % over {} solves \
-             ({} stopped on the 1 % gap, {} on D(l) ≥ 1 or the budget)\n",
-            100.0 * self.worst,
-            self.solves,
-            self.gap_stops,
-            self.solves - self.gap_stops
-        );
+        println!("{}\n", self.summary());
     }
 }
 
@@ -366,6 +375,35 @@ mod tests {
         for (i, v) in r.iter().enumerate() {
             assert_eq!(*v, (i * i) as i32);
         }
+    }
+
+    fn solved(lambda: f64, upper_bound: f64, exact: bool, stop: Stop) -> ThroughputResult {
+        ThroughputResult {
+            lambda,
+            exact,
+            commodities: 1,
+            upper_bound,
+            stop,
+            budget_exhausted: false,
+            aggregated: None,
+        }
+    }
+
+    #[test]
+    fn gap_report_counts_exact_solves_apart_from_gap_stops() {
+        let mut a = GapReport::default();
+        a.add(&solved(0.5, 0.5, true, Stop::Gap));
+        a.add(&solved(0.99, 1.0, false, Stop::Gap));
+        let mut b = GapReport::default();
+        b.add(&solved(0.8, 1.0, false, Stop::Dual));
+        b.add(&solved(0.3, 0.4, false, Stop::Budget));
+        b.add(&solved(f64::INFINITY, f64::INFINITY, true, Stop::Gap));
+        a.merge(&b);
+        assert_eq!(
+            a.summary(),
+            "certified gap (UB − λ)/UB: worst 25.00 % over 5 solves \
+             (2 exact, 1 stopped on the 1 % gap, 2 on D(l) ≥ 1 or the budget)"
+        );
     }
 
     #[test]

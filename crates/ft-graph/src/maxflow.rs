@@ -2,9 +2,11 @@
 //!
 //! Used in two places:
 //!
-//! * `ft-mcf` computes **cut-based upper bounds** on the concurrent-flow rate
-//!   λ (for a single hot-spot commodity group, λ ≤ maxflow / total demand),
-//!   which double as sanity checks on the FPTAS output;
+//! * `ft-mcf`'s `star_exact` solves a hot spot's broadcast/incast — every
+//!   commodity at one hub — **exactly**: each Newton step is one max-flow
+//!   from the hub into a super-sink, and its min cut either proves the
+//!   current λ or gives the next, smaller one. This is how the paper's
+//!   Figure 7 solves run below k = 20, instead of the FPTAS;
 //! * tests use max-flow as an independent oracle for small LP instances
 //!   (single-commodity concurrent flow is exactly max-flow scaled by demand).
 //!

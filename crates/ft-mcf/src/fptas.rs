@@ -120,6 +120,7 @@ pub(crate) struct McfCounters {
     pub(crate) budget_exhausted: &'static ft_obs::Counter,
     pub(crate) aggregated_runs: &'static ft_obs::Counter,
     pub(crate) aggregated_commodities: &'static ft_obs::Gauge,
+    pub(crate) star_exact: &'static ft_obs::Counter,
 }
 
 pub(crate) fn obs() -> &'static McfCounters {
@@ -134,6 +135,7 @@ pub(crate) fn obs() -> &'static McfCounters {
         budget_exhausted: ft_obs::registry::counter("ft_mcf_budget_exhausted_total"),
         aggregated_runs: ft_obs::registry::counter("ft_mcf_aggregated_runs_total"),
         aggregated_commodities: ft_obs::registry::gauge("ft_mcf_aggregated_commodities"),
+        star_exact: ft_obs::registry::counter("ft_mcf_star_exact_total"),
     })
 }
 
@@ -165,6 +167,20 @@ impl FptasOptions {
         FptasOptions {
             epsilon,
             ..Default::default()
+        }
+    }
+
+    /// Checks ε: every FPTAS entry point runs this first.
+    ///
+    /// # Errors
+    /// [`McfError::InvalidEpsilon`] when ε is outside `(0, 0.5)`.
+    pub fn check(&self) -> Result<(), McfError> {
+        if self.epsilon > 0.0 && self.epsilon < 0.5 {
+            Ok(())
+        } else {
+            Err(McfError::InvalidEpsilon {
+                epsilon: self.epsilon,
+            })
         }
     }
 }
@@ -364,11 +380,7 @@ pub(crate) fn solve(
     opts: FptasOptions,
     batched: bool,
 ) -> Result<McfSolution, McfError> {
-    if !(opts.epsilon > 0.0 && opts.epsilon < 0.5) {
-        return Err(McfError::InvalidEpsilon {
-            epsilon: opts.epsilon,
-        });
-    }
+    opts.check()?;
     let m = g.arc_count();
     if commodities.is_empty() {
         return Ok(McfSolution {

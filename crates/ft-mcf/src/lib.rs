@@ -40,6 +40,11 @@
 //!   restricted to explicit path sets, quantifying what k-shortest-paths
 //!   routing (§2.6) loses relative to the paper's optimal-routing
 //!   assumption.
+//! * [`bounds::star_exact`] — the exact λ of a *star*, every commodity
+//!   at one hub (a hot spot's broadcast and incast), on capacities equal
+//!   both ways: Newton steps over Dinic max-flows, starting from the node
+//!   cut, until the flow and a cut agree. Fig. 7's single-cluster
+//!   instances take this path instead of the FPTAS.
 //! * [`bounds`] — cheap cut-based upper bounds used for demand pre-scaling
 //!   and sanity checks.
 
@@ -64,7 +69,7 @@ pub mod fptas;
 pub mod paths;
 pub mod shard;
 
-pub use bounds::node_cut_upper_bound;
+pub use bounds::{node_cut_upper_bound, star_exact, StarSolution};
 pub use digraph::{CapGraph, DijkstraScratch, Nodes};
 pub use exact::max_concurrent_flow_exact;
 pub use fptas::{

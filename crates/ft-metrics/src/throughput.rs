@@ -5,8 +5,9 @@
 //!    links are uncapacitated per the paper's relaxation; same-switch pairs
 //!    drop out).
 //! 2. Give every switch–switch link unit capacity per direction.
-//! 3. Solve maximum concurrent flow: exactly (simplex LP) when the instance
-//!    is small enough, otherwise with the certified FPTAS.
+//! 3. Solve maximum concurrent flow exactly when the instance is a star (a
+//!    hot spot's broadcast/incast: one max-flow proves the optimum) or
+//!    small enough for the simplex LP, otherwise with the certified FPTAS.
 //!
 //! The reported λ is the per-flow throughput the paper plots on the y-axes
 //! of Figures 7 and 8.
@@ -14,8 +15,8 @@
 use ft_graph::UNREACHABLE16;
 use ft_mcf::{
     aggregate_commodities, max_concurrent_flow, max_concurrent_flow_aggregated,
-    max_concurrent_flow_exact, AggregatedInstance, CapGraph, Commodity, FptasOptions, McfError,
-    McfSolution, Stop,
+    max_concurrent_flow_exact, star_exact, AggregatedInstance, CapGraph, Commodity, FptasOptions,
+    McfError, McfSolution, Stop,
 };
 use ft_topo::{DedupedApsp, Network};
 use ft_workload::TrafficMatrix;
@@ -43,7 +44,10 @@ pub struct ThroughputOptions {
     /// FPTAS approximation parameter (certified λ ≥ (1 − 3ε)·OPT).
     pub epsilon: f64,
     /// Use the exact LP when `commodities × arcs` is at most this
-    /// (LP variable count); beyond it, the FPTAS runs. 0 forces the FPTAS.
+    /// (LP variable count); beyond it, the FPTAS runs, and 0 turns the LP
+    /// off. A star instance (every commodity at one hub, as in one hot-spot
+    /// cluster) is solved exactly by max-flow ([`ft_mcf::star_exact`])
+    /// before either, whatever this says.
     pub exact_threshold: usize,
     /// Optional hard cap on FPTAS shortest-path computations.
     pub max_steps: Option<usize>,
@@ -95,22 +99,24 @@ pub struct ThroughputResult {
     /// only a converged (1 − 3ε)-approximation when
     /// [`ThroughputResult::budget_exhausted`] is `false`.
     pub lambda: f64,
-    /// Whether the exact LP (true) or the FPTAS (false) produced it.
+    /// Whether λ is exact (true: a star's max-flow, the LP, or no
+    /// commodities) or the FPTAS's certified approximation (false).
     pub exact: bool,
     /// Commodities after switch-level aggregation.
     pub commodities: usize,
     /// Certified upper bound on the optimal λ: the FPTAS's
     /// [`ft_mcf::McfSolution::upper_bound`] (cut bound tightened by the
-    /// dual `D(l)/α(l)`), λ itself on the exact-LP path, ∞ when no
-    /// commodity constrains the network.
+    /// dual `D(l)/α(l)`), the proving cut on a star (within 1e-9 of λ),
+    /// λ itself on the exact-LP path, ∞ when no commodity constrains the
+    /// network.
     pub upper_bound: f64,
     /// Why the solver stopped. [`Stop::Gap`] certifies
     /// λ ≥ (1 − [`ft_mcf::GAP`])·`upper_bound`; the exact-LP path reports it
-    /// too (λ equals its bound).
+    /// too (λ equals its bound), and so does a star.
     pub stop: Stop,
     /// `true` when the FPTAS step budget ([`ThroughputOptions::max_steps`])
     /// tripped before λ reached (1 − 3ε)·`upper_bound`: `lambda` is then
-    /// only a lower bound. Always `false` on the exact-LP path. Surface
+    /// only a lower bound. Always `false` on the exact paths. Surface
     /// this to users (see [`crate::report::budget_warning`]) instead of
     /// presenting λ as final.
     pub budget_exhausted: bool,
@@ -122,6 +128,19 @@ pub struct ThroughputResult {
 }
 
 impl ThroughputResult {
+    /// An exact λ over `commodities` switch pairs, proven by `upper_bound`.
+    fn exact(lambda: f64, upper_bound: f64, commodities: usize) -> Self {
+        ThroughputResult {
+            lambda,
+            exact: true,
+            commodities,
+            upper_bound,
+            stop: Stop::Gap,
+            budget_exhausted: false,
+            aggregated: None,
+        }
+    }
+
     /// The result of an FPTAS solve over `commodities` switch pairs.
     fn from_fptas(sol: McfSolution, commodities: usize, aggregated: Option<usize>) -> Self {
         ThroughputResult {
@@ -164,33 +183,30 @@ pub fn throughput_on_commodities(
     let sg = net.switch_graph();
     let cg = CapGraph::from_graph(&sg, 1.0);
     if commodities.is_empty() {
-        return Ok(ThroughputResult {
-            lambda: f64::INFINITY,
-            exact: true,
-            commodities: 0,
-            upper_bound: f64::INFINITY,
-            stop: Stop::Gap,
-            budget_exhausted: false,
-            aggregated: None,
-        });
-    }
-    let lp_vars = commodities.len() * cg.arc_count();
-    if lp_vars <= opts.exact_threshold {
-        let lambda = max_concurrent_flow_exact(&cg, commodities)?;
-        return Ok(ThroughputResult {
-            lambda,
-            exact: true,
-            commodities: commodities.len(),
-            upper_bound: lambda,
-            stop: Stop::Gap,
-            budget_exhausted: false,
-            aggregated: None,
-        });
+        return Ok(ThroughputResult::exact(f64::INFINITY, f64::INFINITY, 0));
     }
     let fopts = FptasOptions {
         epsilon: opts.epsilon,
         max_steps: opts.max_steps,
     };
+    // A star's optimum is a cut that max-flow proves. A bad ε skips the
+    // stage, so that the FPTAS still reports it.
+    if let Some(star) = fopts
+        .check()
+        .ok()
+        .and_then(|()| star_exact(&cg, commodities))
+    {
+        return Ok(ThroughputResult::exact(
+            star.lambda,
+            star.upper_bound,
+            commodities.len(),
+        ));
+    }
+    let lp_vars = commodities.len() * cg.arc_count();
+    if lp_vars <= opts.exact_threshold {
+        let lambda = max_concurrent_flow_exact(&cg, commodities)?;
+        return Ok(ThroughputResult::exact(lambda, lambda, commodities.len()));
+    }
     let wrap = |sol: McfSolution, aggregated: Option<usize>| {
         ThroughputResult::from_fptas(sol, commodities.len(), aggregated)
     };

@@ -716,6 +716,36 @@ mod tests {
     }
 
     #[test]
+    fn throughput_hotspot_is_exact_only_as_one_cluster() {
+        let field = |reply: &str, key: &str| {
+            let v = reply
+                .split_whitespace()
+                .find_map(|t| t.strip_prefix(key)?.strip_prefix('='));
+            v.unwrap_or_else(|| panic!("no {key} in {reply}"))
+                .to_string()
+        };
+        // one 1000-server cluster spans the k = 4 fabric: a star, solved
+        // exactly by max-flow
+        let (reply, _) = Service::run(cfg(), |h| {
+            h.request("throughput pattern=hotspot cluster=1000 seed=2")
+        })
+        .unwrap();
+        assert_eq!(field(&reply, "exact"), "true", "{reply}");
+        assert_eq!(field(&reply, "stop"), "gap", "{reply}");
+        let lambda: f64 = field(&reply, "lambda").parse().unwrap();
+        let upper: f64 = field(&reply, "upper_bound").parse().unwrap();
+        assert!(lambda > 0.0 && (upper - lambda).abs() <= 1e-6, "{reply}");
+        // the default 16-server clusters put 8 hot spots on k = 8: the
+        // FPTAS solves them
+        let (reply, _) = Service::run(ServeConfig::for_k(8), |h| {
+            h.request("throughput pattern=hotspot eps=0.3 seed=2")
+        })
+        .unwrap();
+        assert!(reply.starts_with("OK throughput "), "{reply}");
+        assert_eq!(field(&reply, "exact"), "false", "{reply}");
+    }
+
+    #[test]
     fn throughput_aggregated_solver_engages_and_exposes_gauge() {
         let ((reply, metrics), _) = Service::run(cfg(), |h| {
             // cluster=16 spans every server of the k = 4 network: the demand

@@ -123,7 +123,8 @@ bench times the hot-path kernels (CSR BFS-APSP sequential vs parallel,
 the FPTAS's shortest-path tree kernel, the source-batched FPTAS
 throughput solve, and a
 ft-des event storm reporting engine-only events/s plus solver_ms) on
-fixed seeds at k ∈ {8, 16, 32}, Yen's 8 shortest paths between the
+fixed seeds at k ∈ {8, 16, 32}, the exact max-flow star solve of the
+same hot-spot instance, Yen's 8 shortest paths between the
 global-RG flat-tree's server switches and 1 000 ECMP path walks on the
 fat-tree at k ∈ {8, 16}, plus scale tiers:
 the k = 64 symmetry-aggregated all-to-all FPTAS (quick runs too,

@@ -7,7 +7,8 @@ use crate::control::{EcmpRoutes, KspRoutes};
 use crate::core::{PodMode, Topology};
 use crate::graph::{par, Csr, DistMatrix, EdgeId, NodeId};
 use crate::mcf::{
-    aggregate_commodities, max_concurrent_flow, CapGraph, DijkstraScratch, FptasOptions, Nodes,
+    aggregate_commodities, max_concurrent_flow, star_exact, CapGraph, Commodity, DijkstraScratch,
+    FptasOptions, Nodes,
 };
 use crate::metrics::throughput::{throughput_all_to_all, SolverKind, ThroughputOptions};
 use crate::sim::{flows_with_arrivals, DesSimulator, RouterPolicy};
@@ -219,23 +220,28 @@ fn bench_dijkstra(k: usize, entries: &mut Vec<BenchEntry>) -> Result<(), CliErro
     Ok(())
 }
 
-/// End-to-end source-batched FPTAS throughput solve on the k flat-tree in
-/// global random-graph mode under the paper's hot-spot workload, with a
-/// step cap so the bench stays bounded even if convergence regresses. λ,
-/// steps, and phases are recorded alongside the timing: they are
-/// deterministic for the fixed seed. A tripped budget is recorded in the
-/// entry and surfaced as a warning line — never a silent λ = 0.
+/// The paper's hot-spot workload on the k flat-tree in global random-graph
+/// mode, as switch-level commodities on the unit-capacity switch graph.
+fn hotspot_instance(k: usize) -> Result<(CapGraph, Vec<Commodity>), CliError> {
+    let net = Topology::FlatTree(PodMode::GlobalRandom).build(k, 0)?;
+    let tm = generate(&net, &WorkloadSpec::hotspot(Locality::None), BENCH_SEED);
+    let commodities = aggregate_commodities(tm.switch_triples(&net));
+    Ok((CapGraph::from_graph(&net.switch_graph(), 1.0), commodities))
+}
+
+/// End-to-end source-batched FPTAS throughput solve on the
+/// [`hotspot_instance`], with a step cap so the bench stays bounded even
+/// if convergence regresses. λ, steps, and phases are recorded alongside
+/// the timing: they are deterministic for the fixed seed. A tripped budget
+/// is recorded in the entry and surfaced as a warning line — never a
+/// silent λ = 0.
 fn bench_fptas(
     k: usize,
     quick: bool,
     entries: &mut Vec<BenchEntry>,
     warnings: &mut Vec<String>,
 ) -> Result<(), CliError> {
-    let net = Topology::FlatTree(PodMode::GlobalRandom).build(k, 0)?;
-    let tm = generate(&net, &WorkloadSpec::hotspot(Locality::None), BENCH_SEED);
-    let commodities = aggregate_commodities(tm.switch_triples(&net));
-    let sg = net.switch_graph();
-    let g = CapGraph::from_graph(&sg, 1.0);
+    let (g, commodities) = hotspot_instance(k)?;
     let max_steps = if quick { 500 } else { 3_000 };
     let opts = FptasOptions {
         epsilon: 0.15,
@@ -261,6 +267,34 @@ fn bench_fptas(
             ("phases", sol.phases.to_string()),
             ("commodities", commodities.len().to_string()),
             ("budget_exhausted", sol.budget_exhausted.to_string()),
+        ],
+    });
+    Ok(())
+}
+
+/// The exact star solve ([`star_exact`]) of the same [`hotspot_instance`],
+/// at the k where it is one hot-spot cluster: Newton steps over Dinic
+/// max-flows until the flow and a cut agree. This is what a Fig. 7 solve
+/// runs instead of the FPTAS. λ is deterministic and gate-compared
+/// exactly.
+fn bench_star(k: usize, entries: &mut Vec<BenchEntry>) -> Result<(), CliError> {
+    let (g, commodities) = hotspot_instance(k)?;
+    let (star, ms) = time_ms(|| star_exact(&g, &commodities));
+    let star = star.ok_or_else(|| {
+        CliError(format!(
+            "bench maxflow/star k={k}: the hot-spot instance is not a star"
+        ))
+    })?;
+    entries.push(BenchEntry {
+        k,
+        kernel: "maxflow",
+        variant: "star",
+        ms,
+        extras: vec![
+            ("lambda", format!("{:.6}", star.lambda)),
+            ("newton_steps", star.steps.to_string()),
+            ("sinks", star.sinks.to_string()),
+            ("commodities", commodities.len().to_string()),
         ],
     });
     Ok(())
@@ -653,8 +687,10 @@ pub(super) fn cmd_bench(inv: &Invocation) -> Result<String, CliError> {
         bench_fptas(k, quick, &mut entries, &mut warnings)?;
         bench_des(k, &mut entries)?;
         // the DES routes with KSP and ECMP on k = 8 fabrics; k = 16 shows
-        // how both scale
+        // how both scale. Up to k = 16 the hot-spot instance is one
+        // cluster, a star.
         if k <= 16 {
+            bench_star(k, &mut entries)?;
             bench_ksp(k, &mut entries)?;
             bench_ecmp(k, &mut entries)?;
         }
@@ -721,8 +757,8 @@ mod tests {
         let path = json.to_str().unwrap();
         let out = run(&inv(&["bench", "--quick", "--json", path])).unwrap();
         for token in [
-            "apsp", "dijkstra", "fptas", "des", "ksp", "ecmp", "seq", "par", "tree", "batched",
-            "storm", "yen", "walk",
+            "apsp", "dijkstra", "fptas", "maxflow", "des", "ksp", "ecmp", "seq", "par", "tree",
+            "batched", "star", "storm", "yen", "walk",
         ] {
             assert!(out.contains(token), "missing {token} in: {out}");
         }
