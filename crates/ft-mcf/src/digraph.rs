@@ -53,10 +53,14 @@ impl CapGraph {
     /// Expands an undirected graph into opposing arc pairs of capacity
     /// `cap_per_direction` each.
     pub fn from_graph(g: &Graph, cap_per_direction: f64) -> Self {
+        let mut span = ft_obs::span!("mcf.capgraph", nodes = g.node_count());
         let mut cg = CapGraph::new(g.node_count());
         for (_, a, b) in g.edges() {
             cg.add_arc(a.index(), b.index(), cap_per_direction);
             cg.add_arc(b.index(), a.index(), cap_per_direction);
+        }
+        if let Some(s) = span.as_mut() {
+            s.field("arcs", cg.arc_count());
         }
         cg
     }
@@ -114,6 +118,30 @@ impl CapGraph {
         })
     }
 
+    /// Hop count of the shortest walk from `root` to every node (from
+    /// every node to `root`, `reversed`), by breadth-first search;
+    /// `u32::MAX` where there is none.
+    fn hops(&self, root: usize, reversed: bool) -> Vec<u32> {
+        let adj = Nodes.arc_lists(self, reversed);
+        let mut hops = vec![u32::MAX; self.node_count()];
+        hops[root] = 0;
+        let mut queue = vec![root];
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            for &a in &adj[v] {
+                let arc = self.arcs[a as usize];
+                let w = if reversed { arc.from } else { arc.to };
+                if hops[w] == u32::MAX {
+                    // bounds: queued nodes have finite hops, below n
+                    hops[w] = hops[v] + 1;
+                    queue.push(w);
+                }
+            }
+        }
+        hops
+    }
+
     /// Sum of capacities leaving `v`.
     pub fn out_capacity(&self, v: usize) -> f64 {
         self.out[v].iter().map(|&a| self.arcs[a as usize].cap).sum()
@@ -153,16 +181,16 @@ impl CapGraph {
     /// On [`Nodes`] this is a plain single-source (or single-sink)
     /// Dijkstra. On the cells of an equitable partition, `root` must be
     /// alone in its cell and `len` constant over the arcs between any two
-    /// cells; expanding a cell then scans the out-arcs (in-arcs for a sink
-    /// tree) of its representative only. That suffices because every
-    /// member of a cell C has the same number of neighbours in each cell
-    /// D, so the cell graph's walks from the root are exactly the
-    /// projections of the full graph's walks, arc class for arc class;
-    /// backwards from any member of D, every cell walk lifts to a real
-    /// walk (DESIGN.md §16.5).
+    /// cells; expanding a cell then scans one arc per neighbouring cell,
+    /// its representative's first (see [`Partition::arc_lists`]). That
+    /// suffices because every member of a cell C has the same number of
+    /// neighbours in each cell D, so the cell graph's walks from the root
+    /// are exactly the projections of the full graph's walks, arc class
+    /// for arc class; backwards from any member of D, every cell walk
+    /// lifts to a real walk (DESIGN.md §16.5).
     ///
     /// Heap ties break by (distance, slot index), parents are arc ids, and
-    /// arcs are relaxed in ascending id order per node, so every tree is a
+    /// arcs are relaxed in ascending id order per slot, so every tree is a
     /// pure function of its inputs.
     pub fn tree<P: Partition>(
         &self,
@@ -172,7 +200,7 @@ impl CapGraph {
         len: impl Fn(usize) -> f64,
         scratch: &mut DijkstraScratch,
     ) {
-        let adj = if reversed { self.in_lists() } else { &self.out };
+        let lists = part.arc_lists(self, reversed);
         let root = part.slot(root);
         scratch.begin(part.slots(self));
         scratch.settle(root, 0.0, u32::MAX);
@@ -183,7 +211,7 @@ impl CapGraph {
             if d > scratch.dist[v] {
                 continue;
             }
-            for &ai in &adj[part.rep(v)] {
+            for &ai in &lists[v] {
                 let a = self.arcs[ai as usize];
                 let c = part.slot(if reversed { a.from } else { a.to });
                 let nd = d + len(ai as usize);
@@ -228,7 +256,7 @@ impl CapGraph {
 }
 
 /// Where a [`CapGraph::tree`] runs: a partition of the nodes into slots,
-/// each expanded through one representative node.
+/// each expanded through its own list of arcs.
 pub trait Partition: Copy {
     /// Whether the trees route a symmetry quotient, whose capacitated
     /// elements are arc classes that one tree path can cross several
@@ -241,12 +269,16 @@ pub trait Partition: Copy {
     /// The slot of node `v`.
     fn slot(self, v: usize) -> usize;
 
-    /// The node whose arcs expand slot `s`.
-    fn rep(self, s: usize) -> usize;
+    /// The arcs that expand each slot, one list per slot in ascending arc
+    /// order: arcs out of the slot for a source tree, arcs into it for a
+    /// sink tree (`reversed`).
+    fn arc_lists<'a>(self, g: &'a CapGraph, reversed: bool) -> &'a [Vec<u32>]
+    where
+        Self: 'a;
 }
 
-/// The identity partition: one slot per node. Trees on it are plain
-/// node Dijkstras, and compile to one.
+/// The identity partition: one slot per node, expanded through all its
+/// arcs. Trees on it are plain node Dijkstras, and compile to one.
 #[derive(Clone, Copy, Debug)]
 pub struct Nodes;
 
@@ -262,9 +294,15 @@ impl Partition for Nodes {
         v
     }
 
-    #[inline]
-    fn rep(self, s: usize) -> usize {
-        s
+    fn arc_lists<'a>(self, g: &'a CapGraph, reversed: bool) -> &'a [Vec<u32>]
+    where
+        Self: 'a,
+    {
+        if reversed {
+            g.in_lists()
+        } else {
+            &g.out
+        }
     }
 }
 
@@ -280,26 +318,43 @@ impl Partition for &Cells {
         self.cell(v)
     }
 
-    #[inline]
-    fn rep(self, s: usize) -> usize {
-        // bounds: rep holds one node per cell, and s is a cell index
-        self.rep[s] as usize
+    fn arc_lists<'a>(self, _: &'a CapGraph, reversed: bool) -> &'a [Vec<u32>]
+    where
+        Self: 'a,
+    {
+        if reversed {
+            &self.inn
+        } else {
+            &self.out
+        }
     }
 }
 
 /// A partition of a graph's nodes into cells, numbered by their smallest
-/// node, which is also each cell's representative.
+/// node, which is also each cell's representative, with the arcs that
+/// expand each cell in a tree.
 ///
 /// [`Cells::refine`] makes it *equitable*: every two nodes of a cell have
 /// the same number of out-neighbours, and the same number of
 /// in-neighbours, in every cell (Grohe, Kersting, Mladenov and Selman,
 /// "Dimension Reduction via Colour Refinement", ESA 2014).
+///
+/// A cell's arc lists hold one arc per neighbouring cell: its
+/// representative's first (lowest-id) arc into that cell, or from it. A
+/// tree on the cells needs no other. Its lengths are constant over the
+/// arcs between two cells, so every arc from the representative into one
+/// cell offers the same distance, and relaxation on a strict `<` lets
+/// only the first of them settle the cell (DESIGN.md §16.5).
 #[derive(Debug)]
 pub(crate) struct Cells {
     /// Cell of each node.
     cell_of: Vec<u32>,
-    /// Smallest node of each cell.
-    rep: Vec<u32>,
+    /// Per cell, its representative's first out-arc into each neighbouring
+    /// cell, in ascending arc order.
+    out: Vec<Vec<u32>>,
+    /// Per cell, its representative's first in-arc from each neighbouring
+    /// cell, in ascending arc order.
+    inn: Vec<Vec<u32>>,
 }
 
 impl Cells {
@@ -308,73 +363,96 @@ impl Cells {
     /// every pass splits each cell by its members' sorted out- and
     /// in-neighbour cell lists, until a pass splits nothing.
     pub(crate) fn refine(g: &CapGraph, colours: &[u32]) -> Cells {
+        Cells::refine_from(g, |v, sig| sig.push(colours[v]))
+    }
+
+    /// The coarsest equitable partition that refines this one with `root`
+    /// alone in its cell.
+    ///
+    /// Refinement starts from this partition split by each node's hop
+    /// distance from the root and its hop distance to it, which leaves the
+    /// root alone already. The start changes nothing but the pass count:
+    /// in an equitable partition with the root alone, the nodes within h
+    /// hops of the root form a union of cells (by induction on h, since
+    /// the members of a cell have equally many in-neighbours in each
+    /// cell; out-neighbours for the hops to the root). So the coarsest
+    /// such partition refines the start, and is what refinement from it
+    /// finds (DESIGN.md §16.5).
+    pub(crate) fn individualize(&self, g: &CapGraph, root: usize) -> Cells {
+        let (from, to) = (g.hops(root, false), g.hops(root, true));
+        Cells::refine_from(g, |v, sig| {
+            // bounds: v < n, and every table has one entry per node
+            sig.extend([self.cell_of[v], from[v], to[v]]);
+        })
+    }
+
+    /// Colour refinement from the colouring whose node signatures `colour`
+    /// writes; returns the result with its arc lists.
+    fn refine_from(g: &CapGraph, colour: impl FnMut(usize, &mut Vec<u32>)) -> Cells {
         let n = g.node_count();
         // The first pass only renumbers, by smallest node.
-        let mut cells = Cells::split(n, |v, sig| sig.push(colours[v]));
+        let (mut cell_of, mut count) = split(n, colour);
         // Each node's signature: its cell, its out-neighbours' cells
         // sorted, a separator, its in-neighbours' cells sorted.
         loop {
-            let cell_of = &cells.cell_of;
-            let next = Cells::split(n, |v, sig| {
+            let cell = &cell_of;
+            let (next, next_count) = split(n, |v, sig| {
                 // bounds: v < n, and arcs join nodes < n
-                sig.push(cell_of[v]);
+                sig.push(cell[v]);
                 let out = sig.len();
-                sig.extend(g.out[v].iter().map(|&a| cell_of[g.arcs[a as usize].to]));
+                sig.extend(g.out[v].iter().map(|&a| cell[g.arcs[a as usize].to]));
                 sig[out..].sort_unstable();
                 sig.push(u32::MAX);
                 let inn = sig.len();
-                sig.extend(
-                    g.in_arcs(v)
-                        .iter()
-                        .map(|&a| cell_of[g.arcs[a as usize].from]),
-                );
+                sig.extend(g.in_arcs(v).iter().map(|&a| cell[g.arcs[a as usize].from]));
                 sig[inn..].sort_unstable();
             });
             // a pass only ever splits cells, so an unchanged count means an
             // unchanged partition
-            if next.len() == cells.len() {
-                return next;
+            if next_count == count {
+                return Cells::with_arc_lists(g, next, count);
             }
-            cells = next;
+            (cell_of, count) = (next, next_count);
         }
     }
 
-    /// The coarsest equitable partition that refines this one with `v`
-    /// alone in its cell.
-    pub(crate) fn individualize(&self, g: &CapGraph, v: usize) -> Cells {
-        let mut colours = self.cell_of.clone();
-        colours[v] = id32(self.len());
-        Cells::refine(g, &colours)
-    }
-
-    /// Groups the nodes `0..n` by the signature `sign` writes for each,
-    /// numbering the groups by their smallest node.
-    fn split(n: usize, mut sign: impl FnMut(usize, &mut Vec<u32>)) -> Cells {
-        let mut sig: Vec<u32> = Vec::new();
-        let mut start: Vec<usize> = Vec::with_capacity(n + 1);
-        for v in 0..n {
-            start.push(sig.len());
-            sign(v, &mut sig);
+    /// The `count` cells `cell_of` (numbered by smallest node) with their
+    /// arc lists, in one pass over the representatives' arcs.
+    fn with_arc_lists(g: &CapGraph, cell_of: Vec<u32>, count: usize) -> Cells {
+        // The list that last took an arc into (or from) each cell.
+        let mut taken = vec![usize::MAX; count];
+        let mut list_arcs = Vec::new();
+        let mut firsts = |list: usize, arcs: &[u32], reversed: bool| -> Vec<u32> {
+            list_arcs.clear();
+            for &a in arcs {
+                let arc = g.arcs[a as usize];
+                // bounds: arcs join nodes < n, whose cells are < count
+                let c = cell_of[if reversed { arc.from } else { arc.to }] as usize;
+                if taken[c] != list {
+                    taken[c] = list;
+                    list_arcs.push(a);
+                }
+            }
+            // sized to fit: a quotient solve keeps one partition per root
+            list_arcs.to_vec()
+        };
+        let (mut out, mut inn) = (Vec::with_capacity(count), Vec::with_capacity(count));
+        // cells are numbered by smallest node, so in node order each cell
+        // first shows up at its representative
+        for (v, &c) in cell_of.iter().enumerate() {
+            let c = c as usize;
+            if c == out.len() {
+                // one distinct list id per cell and direction
+                out.push(firsts(2 * c, &g.out[v], false));
+                inn.push(firsts(2 * c + 1, g.in_arcs(v), true));
+            }
         }
-        start.push(sig.len());
-        let mut id: HashMap<&[u32], u32> = HashMap::new();
-        let mut rep: Vec<u32> = Vec::new();
-        let cell_of = start
-            .windows(2)
-            .enumerate()
-            .map(|(v, w)| {
-                *id.entry(&sig[w[0]..w[1]]).or_insert_with(|| {
-                    rep.push(id32(v));
-                    id32(rep.len() - 1)
-                })
-            })
-            .collect();
-        Cells { cell_of, rep }
+        Cells { cell_of, out, inn }
     }
 
     /// Number of cells.
     pub(crate) fn len(&self) -> usize {
-        self.rep.len()
+        self.out.len()
     }
 
     /// The cell of node `v`.
@@ -391,6 +469,28 @@ impl Cells {
         }
         size
     }
+}
+
+/// Groups the nodes `0..n` by the signature `sign` writes for each; returns
+/// each node's group, the groups numbered by their smallest node, and the
+/// group count.
+fn split(n: usize, mut sign: impl FnMut(usize, &mut Vec<u32>)) -> (Vec<u32>, usize) {
+    let mut sig: Vec<u32> = Vec::new();
+    let mut start: Vec<usize> = Vec::with_capacity(n + 1);
+    for v in 0..n {
+        start.push(sig.len());
+        sign(v, &mut sig);
+    }
+    start.push(sig.len());
+    let mut id: HashMap<&[u32], u32> = HashMap::new();
+    let cell_of = start
+        .windows(2)
+        .map(|w| {
+            let next = id32(id.len());
+            *id.entry(&sig[w[0]..w[1]]).or_insert(next)
+        })
+        .collect();
+    (cell_of, id.len())
 }
 
 /// Min-heap entry of [`CapGraph::tree`]: minimum distance first, ties
@@ -599,6 +699,124 @@ pub(crate) mod tests {
             }
             let sum = walk.iter().rev().fold(0.0, |s, &a| s + len[a]);
             assert_eq!(sum.to_bits(), d.to_bits(), "{at}: walk length");
+        }
+    }
+
+    /// The switch graphs of the cell oracles, each with its symmetry
+    /// classes: the fat-tree, the flat-tree's two random modes and
+    /// Jellyfish at k = 4–16.
+    fn class_graphs() -> Vec<(String, CapGraph, Vec<u32>)> {
+        use ft_core::{PodMode, Topology};
+        let mut graphs = Vec::new();
+        for k in [4, 6, 8, 12, 16] {
+            for t in [
+                Topology::FatTree,
+                Topology::FlatTree(PodMode::LocalRandom),
+                Topology::FlatTree(PodMode::GlobalRandom),
+                Topology::RandomGraph,
+            ] {
+                let net = t.build(k, 1).unwrap();
+                let classes = ft_topo::SymmetryClasses::compute(&net);
+                let g = CapGraph::from_graph(&net.switch_graph(), 1.0);
+                graphs.push((format!("{t:?} k={k}"), g, classes.class_slice().to_vec()));
+            }
+        }
+        graphs
+    }
+
+    /// `cells` with each cell expanded through every arc of its
+    /// representative (its smallest node): the full-neighbourhood trees
+    /// that the one-arc-per-cell lists must reproduce.
+    fn full_expansion(g: &CapGraph, cells: &Cells) -> Cells {
+        let mut reps = Vec::new();
+        for (v, &c) in cells.cell_of.iter().enumerate() {
+            if c as usize == reps.len() {
+                reps.push(v);
+            }
+        }
+        Cells {
+            cell_of: cells.cell_of.clone(),
+            out: reps.iter().map(|&r| g.out[r].clone()).collect(),
+            inn: reps.iter().map(|&r| g.in_arcs(r).to_vec()).collect(),
+        }
+    }
+
+    #[test]
+    fn cell_trees_match_the_full_expansion() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let (mut kept, mut full) = (DijkstraScratch::new(), DijkstraScratch::new());
+        for (label, g, class) in class_graphs() {
+            let base = Cells::refine(&g, &class);
+            let size = base.sizes();
+            for root in 0..g.node_count() {
+                // the partition CellTrees gives a tree rooted here
+                let own;
+                let cells = if size[base.cell(root)] == 1 {
+                    &base
+                } else {
+                    own = base.individualize(&g, root);
+                    &own
+                };
+                let expanded = full_expansion(&g, cells);
+                // lengths tied to the arc classes, drawn per root
+                let mut class_len = std::collections::BTreeMap::new();
+                let len: Vec<f64> = g
+                    .arcs()
+                    .iter()
+                    .map(|a| {
+                        *class_len
+                            .entry((class[a.from], class[a.to]))
+                            .or_insert_with(|| DYADIC[rng.random_range(0..DYADIC.len())])
+                    })
+                    .collect();
+                for reversed in [false, true] {
+                    g.tree(cells, root, reversed, |a| len[a], &mut kept);
+                    g.tree(&expanded, root, reversed, |a| len[a], &mut full);
+                    for c in 0..cells.len() {
+                        let at = format!("{label}, root {root}, reversed {reversed}, cell {c}");
+                        let bits = |s: &DijkstraScratch| s.distance(c).map(f64::to_bits);
+                        assert_eq!(bits(&kept), bits(&full), "{at}");
+                        if kept.reached(c) {
+                            assert_eq!(kept.parent[c], full.parent[c], "{at}: parent arc");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A digraph with one-way arcs, a parallel pair, a self-loop and an
+    /// isolated node: node 0's hop distances to and from the other nodes
+    /// differ.
+    fn one_way_digraph() -> CapGraph {
+        let mut g = CapGraph::new(8);
+        let arcs = [(0, 1), (1, 2), (1, 2), (2, 3), (3, 0), (0, 2), (4, 0)];
+        for (a, b) in arcs.into_iter().chain([(2, 5), (5, 5), (5, 6), (6, 4)]) {
+            g.add_arc(a, b, 1.0);
+        }
+        g
+    }
+
+    #[test]
+    fn seeded_individualize_matches_plain_refinement() {
+        let one_way = one_way_digraph();
+        assert_eq!(one_way.hops(0, false), [0, 1, 1, 2, 4, 2, 3, u32::MAX]);
+        assert_eq!(one_way.hops(0, true), [0, 3, 2, 1, 1, 3, 2, u32::MAX]);
+        let mut graphs = class_graphs();
+        graphs.push(("one-way digraph".into(), one_way, vec![0; 8]));
+        for (label, g, class) in graphs {
+            let base = Cells::refine(&g, &class);
+            for root in 0..g.node_count() {
+                let at = format!("{label}, root {root}");
+                // the root recoloured, and refined from there
+                let mut colours = base.cell_of.clone();
+                colours[root] = id32(base.len());
+                let plain = Cells::refine(&g, &colours);
+                let seeded = base.individualize(&g, root);
+                assert_eq!(seeded.cell_of, plain.cell_of, "{at}");
+                assert_eq!(seeded.out, plain.out, "{at}");
+                assert_eq!(seeded.inn, plain.inn, "{at}");
+            }
         }
     }
 

@@ -225,7 +225,8 @@ pub struct McfSolution {
     pub lambda: f64,
     /// Certified upper bound on OPT: the tighter of the cut bound (node
     /// cut, or a quotient's class cut and distance volume) and the best
-    /// dual bound `D(l)/α(l)` the run saw (∞ if neither constrains).
+    /// dual bound `D(l)/α(l)` the run saw (∞ if neither constrains), and
+    /// never below [`McfSolution::lambda`].
     pub upper_bound: f64,
     /// Why the run stopped.
     pub stop: Stop,
@@ -677,6 +678,9 @@ fn run_once(
         })
         .collect();
     let budget_exhausted = st.stop == Stop::Budget && lambda < (1.0 - 3.0 * st.eps) * st.ub;
+    // λ is certified feasible, so it bounds OPT from below; where rounding
+    // left the dual bound an ulp or two under it, λ itself is the bound
+    let upper_bound = st.ub.max(lambda);
 
     // Flush the run's plain-field tallies into the global registry (O(1)
     // atomics per run) and close the run span with its outcome.
@@ -694,7 +698,7 @@ fn run_once(
     }
     if let Some(s) = run_span.as_mut() {
         s.field("lambda", lambda);
-        s.field("upper_bound", st.ub);
+        s.field("upper_bound", upper_bound);
         s.field("stop", st.stop.label());
         s.field("phases", st.phases);
         s.field("steps", st.steps);
@@ -705,7 +709,7 @@ fn run_once(
 
     McfSolution {
         lambda,
-        upper_bound: st.ub,
+        upper_bound,
         stop: st.stop,
         phases: st.phases,
         steps: st.steps,

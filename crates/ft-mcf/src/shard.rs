@@ -50,10 +50,11 @@
 //! the node classes and isolates the tree root, all nodes of a cell are
 //! equally far from (and to) the root. Each tree is a Dijkstra over those
 //! cells, a few per node class (3k/2 + 3 for an edge-switch root of the
-//! k-ary fat-tree, against 5k²/4 switches), and returns exactly the full
-//! graph's distances and the arc classes of a real shortest path
-//! (DESIGN.md §16.5). The kernel is the one [`CapGraph::tree`] that runs
-//! a full instance's trees on the nodes.
+//! k-ary fat-tree, against 5k²/4 switches), that scans one arc per
+//! neighbouring cell, and returns exactly the full graph's distances and
+//! the arc classes of a real shortest path (DESIGN.md §16.5). The kernel
+//! is the one [`CapGraph::tree`] that runs a full instance's trees on the
+//! nodes.
 
 use crate::digraph::{CapGraph, Cells};
 use crate::fptas::{self, max_concurrent_flow, FptasOptions, Group, McfSolution};
@@ -173,7 +174,8 @@ pub(crate) struct Quotient<'a> {
 /// The *base* partition, the coarsest equitable refinement of the node
 /// classes alone, is computed once. Every group whose root is already
 /// alone in a base cell shares it; only the other roots refine it again,
-/// with the root individualized, one partition per distinct root.
+/// with the root individualized ([`Cells::individualize`]), one partition
+/// per distinct root.
 pub(crate) struct CellTrees {
     /// The distinct partitions; the base partition is the first.
     parts: Vec<Cells>,

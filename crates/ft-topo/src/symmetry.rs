@@ -20,12 +20,14 @@
 //!    transposition `(u v)` is an automorphism. This collapses the edge
 //!    switches of one Pod and the core columns.
 //! 2. **Verified Pod block swaps.** For each Pod `p`, the candidate
-//!    permutation exchanging `p`'s contiguous switch-id block with the
+//!    permutation `π` exchanging `p`'s contiguous switch-id block with the
 //!    base Pod's block (element-wise by offset, everything else fixed) is
 //!    checked to be an automorphism by comparing `π(N(v))` against
-//!    `N(π(v))` over the affected nodes — the two blocks and all their
-//!    neighbors; every other node and its whole neighborhood are fixed by
-//!    `π`. This collapses Pods onto the base Pod.
+//!    `N(π(v))` for every node `v` of `p`'s block. That check is exact and
+//!    complete: `π` moves only the adjacency entries that touch a block,
+//!    each of which (the adjacency being symmetric) lies in a block node's
+//!    row, and the base Pod's rows pose the same conditions as `p`'s,
+//!    since `π` is an involution. This collapses Pods onto the base Pod.
 //!
 //! On topologies without the symmetry (global random graphs, hybrid zones
 //! with randomized Pods), verification simply fails and the classes
@@ -116,22 +118,23 @@ fn signatures(csr: &Csr, n: usize) -> Vec<Vec<u32>> {
 }
 
 /// Checks that the candidate Pod swap `π` is an automorphism: for every
-/// node in `affected`, the image of its neighborhood equals the
-/// neighborhood of its image (as multisets).
-fn verify_swap(csr: &Csr, sigs: &[Vec<u32>], swap: PodSwap, affected: &[u32]) -> bool {
+/// node `x` of block `a`, the image of its neighbourhood equals the
+/// neighbourhood of `π(x)` (as multisets).
+///
+/// Those rows are all that need checking. π moves only the adjacency
+/// entries that touch a block, and the adjacency is symmetric, so each
+/// such entry lies in a block node's row. π is an involution, so row
+/// `π(x)`'s condition, `mult(π(x), w) = mult(x, π(w))` for every `w`, is
+/// row `x`'s: `mult(x, w) = mult(π(x), π(w))`.
+fn verify_swap(csr: &Csr, sigs: &[Vec<u32>], swap: PodSwap) -> bool {
     let mut mapped: Vec<u32> = Vec::new();
-    for &v in affected {
-        let image = swap.apply(v) as usize;
+    (swap.a..swap.a + swap.len).all(|x| {
         mapped.clear();
-        mapped.extend(csr.targets(v as usize).iter().map(|&t| swap.apply(t)));
+        mapped.extend(csr.targets(x as usize).iter().map(|&t| swap.apply(t)));
         mapped.sort_unstable();
-        // bounds: affected holds valid switch ids and π maps them to
-        // valid switch ids (block arithmetic stays inside [0, n))
-        if mapped != sigs[image] {
-            return false;
-        }
-    }
-    true
+        // bounds: block ids are switch ids, and π maps them to switch ids
+        mapped == sigs[swap.apply(x) as usize]
+    })
 }
 
 impl SymmetryClasses {
@@ -145,8 +148,8 @@ impl SymmetryClasses {
         let sigs = signatures(&csr, n);
 
         // Mechanism 2 first: per-Pod contiguous switch-id blocks, candidate
-        // swap of each Pod onto the base (lowest-id) Pod, verified over the
-        // blocks and their neighbors.
+        // swap of each Pod onto the base (lowest-id) Pod, verified on the
+        // Pod's block rows.
         let mut pod_blocks: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         for v in 0..n {
             if let Some(p) = net.pod(NodeId(v as u32)) {
@@ -172,17 +175,7 @@ impl SymmetryClasses {
                         b: base_start,
                         len,
                     };
-                    // Affected set: both blocks plus every neighbor of
-                    // either block; all other nodes and their entire
-                    // neighborhoods are fixed points of π.
-                    let mut affected: Vec<u32> = Vec::new();
-                    for &v in base_ids.iter().chain(ids.iter()) {
-                        affected.push(v);
-                        affected.extend_from_slice(csr.targets(v as usize));
-                    }
-                    affected.sort_unstable();
-                    affected.dedup();
-                    if verify_swap(&csr, &sigs, swap, &affected) {
+                    if verify_swap(&csr, &sigs, swap) {
                         pod_swaps.insert(p, swap);
                     }
                 }
@@ -385,6 +378,8 @@ mod tests {
     use super::*;
     use crate::fattree::fat_tree;
     use crate::jellyfish::{jellyfish, JellyfishParams};
+    use crate::network::DeviceKind;
+    use rand::prelude::*;
 
     fn full_table(net: &Network) -> DistMatrix {
         let csr = Csr::from_graph(&net.switch_graph());
@@ -435,6 +430,117 @@ mod tests {
         };
         let net = jellyfish(params, 7).unwrap();
         assert_dedup_exact(&net);
+    }
+
+    /// The k-ary fat-tree after one degree-preserving rewiring: an
+    /// aggregation switch of Pod `p` and one of Pod `q` (neither the base
+    /// Pod, and at different aggregation indices, so in different core
+    /// columns) trade one core link each. Returns the network and `[p, q]`,
+    /// the two Pods whose swaps onto the base Pod the rewiring breaks.
+    fn rewired_fat_tree(k: usize, seed: u64) -> (Network, [u32; 2]) {
+        let mut net = fat_tree(k).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pods = k as u32;
+        let p = rng.random_range(1..pods);
+        let q = 1 + (p + rng.random_range(0..pods - 2)) % (pods - 1);
+        let i = rng.random_range(0..k / 2);
+        let j = (i + rng.random_range(1..k / 2)) % (k / 2);
+        let agg = |pod: u32, index: usize| {
+            net.switches()
+                .filter(|&v| net.pod(v) == Some(pod) && net.kind(v) == DeviceKind::Aggregation)
+                .nth(index)
+                .unwrap()
+        };
+        let (x, y) = (agg(p, i), agg(q, j));
+        let mut core_link = |v: NodeId| {
+            let links: Vec<_> = net
+                .graph()
+                .neighbors(v)
+                .filter(|&(w, _)| net.kind(w) == DeviceKind::Core)
+                .collect();
+            links[rng.random_range(0..links.len())]
+        };
+        let ((cx, ex), (cy, ey)) = (core_link(x), core_link(y));
+        let g = net.graph_mut();
+        assert!(g.remove_edge(ex) && g.remove_edge(ey));
+        g.add_edge(x, cy);
+        g.add_edge(y, cx);
+        (net, [p, q])
+    }
+
+    /// Every Pod pair's block swap, both ways round, on Pods of equal
+    /// contiguous blocks.
+    fn pod_pair_swaps(net: &Network) -> Vec<PodSwap> {
+        let mut blocks: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for v in net.switches() {
+            if let Some(p) = net.pod(v) {
+                blocks.entry(p).or_default().push(v.0);
+            }
+        }
+        let mut swaps = Vec::new();
+        for a in blocks.values() {
+            for b in blocks.values() {
+                if a != b && a.len() == b.len() {
+                    let len = a.len() as u32;
+                    swaps.push(PodSwap {
+                        a: a[0],
+                        b: b[0],
+                        len,
+                    });
+                }
+            }
+        }
+        swaps
+    }
+
+    /// Whether `swap` is an automorphism, checked on every node's row.
+    fn swap_is_automorphism(csr: &Csr, sigs: &[Vec<u32>], swap: PodSwap) -> bool {
+        (0..sigs.len()).all(|v| {
+            let mut mapped: Vec<u32> = csr.targets(v).iter().map(|&t| swap.apply(t)).collect();
+            mapped.sort_unstable();
+            mapped == sigs[swap.apply(v as u32) as usize]
+        })
+    }
+
+    #[test]
+    fn block_rows_decide_every_pod_swap() {
+        let mut verdicts = [0usize; 2];
+        for k in [4, 6, 8] {
+            let rewired = (0..4).map(|seed| rewired_fat_tree(k, seed).0);
+            for net in std::iter::once(fat_tree(k).unwrap()).chain(rewired) {
+                let csr = Csr::from_graph(&net.switch_graph());
+                let sigs = signatures(&csr, net.num_switches());
+                for swap in pod_pair_swaps(&net) {
+                    let all_rows = swap_is_automorphism(&csr, &sigs, swap);
+                    assert_eq!(verify_swap(&csr, &sigs, swap), all_rows, "k={k} {swap:?}");
+                    verdicts[usize::from(all_rows)] += 1;
+                }
+            }
+        }
+        // both verdicts occur, so the agreement is not vacuous
+        assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
+    }
+
+    #[test]
+    fn a_broken_pod_swap_is_refused() {
+        for k in [4, 6, 8] {
+            for seed in 0..6 {
+                let (net, broken) = rewired_fat_tree(k, seed);
+                let classes = SymmetryClasses::compute(&net);
+                let at = format!("k={k} seed={seed} broken Pods {broken:?}");
+                assert!(classes.class_count() > k + 1, "{at}: no class split");
+                for v in net.switches() {
+                    let pod = net.pod(v);
+                    let swapped = classes.col_map(v.index()).swap.is_some();
+                    if pod.is_some_and(|p| broken.contains(&p)) {
+                        assert!(!swapped, "{at}: switch {v:?} swapped onto the base Pod");
+                    } else if pod.is_some_and(|p| p > 0) {
+                        assert!(swapped, "{at}: intact switch {v:?} lost its swap");
+                    }
+                }
+                assert_dedup_exact(&net);
+            }
+        }
     }
 
     #[test]
