@@ -20,6 +20,10 @@
 //! [`star_exact`] goes further on one shape of instance, a hot spot's
 //! broadcast/incast around one hub: there a cut is the optimum, and a
 //! Newton iteration over Dinic max-flows finds and proves it.
+//!
+//! Both read the one capacity of a [`CapGraph`], whose every arc has a
+//! twin: a node can send as much as it can receive, and a star's capacities
+//! are equal both ways without a check.
 
 use crate::digraph::CapGraph;
 use crate::Commodity;
@@ -27,11 +31,11 @@ use ft_graph::FlowNetwork;
 
 /// The node-cut upper bound: for every node `v`, all flow sourced at `v`
 /// must leave through `v`'s outgoing capacity and all flow destined to `v`
-/// must enter through its incoming capacity, so
+/// must enter through its incoming capacity, which is the same
+/// ([`CapGraph::capacity`]), so
 ///
 /// ```text
-/// λ ≤ min_v min( out_cap(v) / Σ_{j: src_j = v} d_j ,
-///                in_cap(v)  / Σ_{j: dst_j = v} d_j )
+/// λ ≤ min_v cap(v) / max( Σ_{j: src_j = v} d_j , Σ_{j: dst_j = v} d_j )
 /// ```
 ///
 /// Returns `f64::INFINITY` when no commodity constrains any node.
@@ -46,10 +50,10 @@ pub fn node_cut_upper_bound(g: &CapGraph, commodities: &[Commodity]) -> f64 {
     let mut bound = f64::INFINITY;
     for v in 0..n {
         if out_dem[v] > 0.0 {
-            bound = bound.min(g.out_capacity(v) / out_dem[v]);
+            bound = bound.min(g.capacity(v) / out_dem[v]);
         }
         if in_dem[v] > 0.0 {
-            bound = bound.min(g.in_capacity(v) / in_dem[v]);
+            bound = bound.min(g.capacity(v) / in_dem[v]);
         }
     }
     bound
@@ -83,13 +87,13 @@ pub struct StarSolution {
 
 /// Exact λ of a *star*: every commodity starts or ends at one hub `h`.
 ///
-/// Applies only when the graph's capacities are equal both ways (every arc
-/// has a reverse twin of the same capacity) and, where both directions
-/// appear, each leaf's demand out of the hub equals its demand into it,
-/// bit for bit. The joint optimum then equals the broadcast optimum: an
-/// optimal broadcast flow with its 2-cycles cancelled, reversed, is a
-/// feasible incast flow beside it. (Incast alone is broadcast on the
-/// reversed graph, which is the same graph.) The broadcast optimum is
+/// Applies when, where both directions appear, each leaf's demand out of
+/// the hub equals its demand into it, bit for bit. Every arc has a twin of
+/// the same capacity, so the joint optimum then equals the broadcast
+/// optimum: an optimal broadcast flow with its 2-cycles cancelled,
+/// reversed, is a feasible incast flow beside it. (Incast alone is
+/// broadcast on the reversed graph, which is the same graph.) The
+/// broadcast optimum is
 ///
 /// ```text
 /// λ* = min over cuts S ∋ h of cap(δ⁺(S)) / (demand of the leaves outside S)
@@ -102,16 +106,12 @@ pub struct StarSolution {
 ///
 /// Returns `None` — and the caller solves the instance some other way —
 /// for anything else: no commodities, an invalid commodity (`src == dst`,
-/// a non-positive or non-finite demand), two hubs, unmirrored demands,
-/// unequal capacities, a non-finite bound, or no agreement between λ and
-/// the cut within 32 Newton steps. A leaf the hub cannot reach gives
-/// λ = UB = 0.
+/// a non-positive or non-finite demand), two hubs, unmirrored demands, a
+/// non-finite bound, or no agreement between λ and the cut within 32
+/// Newton steps. A leaf the hub cannot reach gives λ = UB = 0.
 pub fn star_exact(g: &CapGraph, commodities: &[Commodity]) -> Option<StarSolution> {
     let n = g.node_count();
     let (hub, demand) = star_demands(n, commodities)?;
-    if !symmetric(g) {
-        return None;
-    }
     let sinks: Vec<usize> = (0..n).filter(|&t| demand[t] > 0.0).collect();
     let mut span = ft_obs::span!("mcf.star", hub = hub, sinks = sinks.len());
     let mut ub = node_cut_upper_bound(g, commodities);
@@ -182,22 +182,6 @@ fn star_demands(n: usize, commodities: &[Commodity]) -> Option<(usize, Vec<f64>)
     }
 }
 
-/// Whether every arc has a reverse twin of the same capacity (a multiset
-/// match), so that every ordered node pair has equal capacity both ways.
-fn symmetric(g: &CapGraph) -> bool {
-    let sorted = |flip: bool| {
-        let mut arcs: Vec<(usize, usize, u64)> = (g.arcs().iter())
-            .map(|a| {
-                let (u, v) = if flip { (a.to, a.from) } else { (a.from, a.to) };
-                (u, v, a.cap.to_bits())
-            })
-            .collect();
-        arcs.sort_unstable();
-        arcs
-    };
-    sorted(false) == sorted(true)
-}
-
 /// One Newton step of [`star_exact`]: a max-flow from the hub that asks
 /// `lambda·demand[t]` of every leaf t through a super-sink. Returns the
 /// rate the flow delivers (the minimum of delivered / demand) and the
@@ -214,7 +198,7 @@ fn star_probe(
     let super_sink = g.node_count();
     let mut net = FlowNetwork::new(super_sink + 1);
     for a in g.arcs() {
-        net.add_edge(a.from, a.to, a.cap);
+        net.add_edge(a.from, a.to, g.cap());
     }
     let mut exits = Vec::with_capacity(sinks.len());
     for &t in sinks {
@@ -231,7 +215,7 @@ fn star_probe(
     let side = net.min_cut_source_side(hub);
     let crossing: f64 = (g.arcs().iter())
         .filter(|a| side[a.from] && !side[a.to])
-        .map(|a| a.cap)
+        .map(|_| g.cap())
         .sum();
     let outside: f64 = (sinks.iter())
         .filter(|&&t| !side[t])
@@ -375,17 +359,6 @@ mod tests {
             assert_eq!(star_exact(&g, &[c(0, 2, 1.0), bad]), None, "{bad:?}");
         }
         assert_eq!(star_exact(&g, &[]), None);
-        // unequal directions: the same pairs, one arc of capacity 2
-        let mut lopsided = CapGraph::new(3);
-        lopsided.add_arc(0, 1, 1.0);
-        lopsided.add_arc(1, 0, 2.0);
-        lopsided.add_arc(1, 2, 1.0);
-        lopsided.add_arc(2, 1, 1.0);
-        assert_eq!(star_exact(&lopsided, &[c(0, 2, 1.0)]), None);
-        // a one-way arc
-        let mut one_way = CapGraph::new(2);
-        one_way.add_arc(0, 1, 1.0);
-        assert_eq!(star_exact(&one_way, &[c(0, 1, 1.0)]), None);
     }
 
     #[test]

@@ -1,79 +1,79 @@
-//! Directed capacitated graph used by the flow solvers.
+//! The flow solvers' graph: an undirected graph's twin arcs at one
+//! capacity.
 //!
 //! Undirected data center links are full-duplex: each direction carries the
 //! full link bandwidth independently. [`CapGraph::from_graph`] therefore
-//! expands every undirected edge into two opposing arcs with the given
-//! per-direction capacity — exactly the "all links have one unit bandwidth"
-//! setting of the paper (§3.1).
+//! expands every undirected edge into two opposing arcs of one capacity
+//! per direction — exactly the "all links have one unit bandwidth"
+//! setting of the paper (§3.1). Edge i becomes arcs 2i (in the edge's
+//! stored direction) and 2i + 1 (against it), so the twin of arc a is
+//! `a ^ 1`, and a node's in-arcs are the twins of its out-arcs.
 //!
 //! The FPTAS re-runs Dijkstra under per-*arc* lengths thousands of times,
-//! so this type keeps its own compact arc-indexed adjacency, in both
-//! directions, and one shortest-path tree kernel ([`CapGraph::tree`]),
-//! instead of reusing the undirected `ft-graph` one (whose lengths are per
-//! undirected edge). The kernel runs over a [`Partition`] of the nodes:
-//! the nodes themselves ([`Nodes`]), or, for a symmetry quotient's trees,
-//! the cells of an equitable partition (`Cells`).
+//! so this type keeps its own compact arc-indexed adjacency and one
+//! shortest-path tree kernel ([`CapGraph::tree`]), instead of reusing the
+//! undirected `ft-graph` one (whose lengths are per undirected edge). The
+//! kernel runs over a [`Partition`] of the nodes: the nodes themselves
+//! ([`Nodes`]), or, for a symmetry quotient's trees, the cells of an
+//! equitable partition (`Cells`).
 
 use ft_graph::{id32, Graph};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::OnceLock;
 
-/// A directed arc with capacity.
+/// One direction of an undirected edge.
 #[derive(Clone, Copy, Debug)]
 pub struct Arc {
     /// Tail node.
     pub from: usize,
     /// Head node.
     pub to: usize,
-    /// Capacity (per paper: 1.0 for switch–switch links).
-    pub cap: f64,
 }
 
-/// Directed capacitated multigraph.
+/// The twin arcs of an undirected multigraph, every arc at one capacity.
 #[derive(Clone, Debug)]
 pub struct CapGraph {
     arcs: Vec<Arc>,
+    /// Out-arcs of each node, ascending.
     out: Vec<Vec<u32>>,
-    /// In-arc lists, the mirror of `out`: built on first use, so they do
-    /// not live through graph construction, and reset by `add_arc`.
-    inn: OnceLock<Vec<Vec<u32>>>,
+    cap: f64,
 }
 
 impl CapGraph {
-    /// Creates an empty graph with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        CapGraph {
-            arcs: Vec::new(),
-            out: vec![Vec::new(); n],
-            inn: OnceLock::new(),
-        }
-    }
-
     /// Expands an undirected graph into opposing arc pairs of capacity
-    /// `cap_per_direction` each.
+    /// `cap_per_direction` each: the i-th edge of `g.edges()` becomes arc
+    /// 2i, in its stored direction, and arc 2i + 1 against it.
+    ///
+    /// # Panics
+    /// When `cap_per_direction` is not positive and finite.
     pub fn from_graph(g: &Graph, cap_per_direction: f64) -> Self {
+        assert!(
+            cap_per_direction > 0.0 && cap_per_direction.is_finite(),
+            "capacity must be positive"
+        );
         let mut span = ft_obs::span!("mcf.capgraph", nodes = g.node_count());
-        let mut cg = CapGraph::new(g.node_count());
+        let mut degree = vec![0usize; g.node_count()];
         for (_, a, b) in g.edges() {
-            cg.add_arc(a.index(), b.index(), cap_per_direction);
-            cg.add_arc(b.index(), a.index(), cap_per_direction);
+            degree[a.index()] += 1;
+            degree[b.index()] += 1;
+        }
+        let mut out: Vec<Vec<u32>> = degree.into_iter().map(Vec::with_capacity).collect();
+        let mut arcs = Vec::with_capacity(2 * g.edge_count());
+        for (_, a, b) in g.edges() {
+            let (a, b) = (a.index(), b.index());
+            out[a].push(id32(arcs.len()));
+            arcs.push(Arc { from: a, to: b });
+            out[b].push(id32(arcs.len()));
+            arcs.push(Arc { from: b, to: a });
         }
         if let Some(s) = span.as_mut() {
-            s.field("arcs", cg.arc_count());
+            s.field("arcs", arcs.len());
         }
-        cg
-    }
-
-    /// Adds a directed arc; returns its index.
-    pub fn add_arc(&mut self, from: usize, to: usize, cap: f64) -> usize {
-        assert!(from < self.out.len() && to < self.out.len());
-        assert!(cap > 0.0 && cap.is_finite(), "capacity must be positive");
-        let id = self.arcs.len();
-        self.arcs.push(Arc { from, to, cap });
-        self.out[from].push(id32(id));
-        self.inn.take();
-        id
+        CapGraph {
+            arcs,
+            out,
+            cap: cap_per_direction,
+        }
     }
 
     /// Number of nodes.
@@ -86,6 +86,11 @@ impl CapGraph {
         self.arcs.len()
     }
 
+    /// The capacity of every arc.
+    pub fn cap(&self) -> f64 {
+        self.cap
+    }
+
     /// The arc with the given index.
     pub fn arc(&self, i: usize) -> Arc {
         self.arcs[i]
@@ -96,42 +101,30 @@ impl CapGraph {
         &self.arcs
     }
 
-    /// Arc indices leaving `v`.
+    /// Arc indices leaving `v`, in ascending order.
     pub fn out_arcs(&self, v: usize) -> &[u32] {
         &self.out[v]
     }
 
-    /// Arc indices entering `v`, in ascending order. All nodes' lists are
-    /// built in one `O(arcs)` pass on the first call (or sink tree) and
-    /// kept until the next [`CapGraph::add_arc`].
-    pub fn in_arcs(&self, v: usize) -> &[u32] {
-        &self.in_lists()[v]
+    /// Arc indices entering `v`: the twins of its out-arcs, in the same
+    /// order, which is ascending too. (A self-loop's two arcs are the one
+    /// exception: they are each other's twins, so they come in swapped
+    /// order.)
+    pub fn in_arcs(&self, v: usize) -> impl Iterator<Item = u32> + '_ {
+        self.out[v].iter().map(|&a| a ^ 1)
     }
 
-    fn in_lists(&self) -> &[Vec<u32>] {
-        self.inn.get_or_init(|| {
-            let mut inn = vec![Vec::new(); self.out.len()];
-            for (i, a) in self.arcs.iter().enumerate() {
-                inn[a.to].push(id32(i));
-            }
-            inn
-        })
-    }
-
-    /// Hop count of the shortest walk from `root` to every node (from
-    /// every node to `root`, `reversed`), by breadth-first search;
-    /// `u32::MAX` where there is none.
-    fn hops(&self, root: usize, reversed: bool) -> Vec<u32> {
-        let adj = Nodes.arc_lists(self, reversed);
+    /// Hop count of the shortest walk from `root` to every node, by
+    /// breadth-first search; `u32::MAX` where there is none.
+    fn hops(&self, root: usize) -> Vec<u32> {
         let mut hops = vec![u32::MAX; self.node_count()];
         hops[root] = 0;
         let mut queue = vec![root];
         let mut head = 0;
         while let Some(&v) = queue.get(head) {
             head += 1;
-            for &a in &adj[v] {
-                let arc = self.arcs[a as usize];
-                let w = if reversed { arc.from } else { arc.to };
+            for &a in &self.out[v] {
+                let w = self.arcs[a as usize].to;
                 if hops[w] == u32::MAX {
                     // bounds: queued nodes have finite hops, below n
                     hops[w] = hops[v] + 1;
@@ -142,33 +135,10 @@ impl CapGraph {
         hops
     }
 
-    /// Sum of capacities leaving `v`.
-    pub fn out_capacity(&self, v: usize) -> f64 {
-        self.out[v].iter().map(|&a| self.arcs[a as usize].cap).sum()
-    }
-
-    /// Sum of capacities entering `v`.
-    pub fn in_capacity(&self, v: usize) -> f64 {
-        self.in_arcs(v)
-            .iter()
-            .map(|&a| self.arcs[a as usize].cap)
-            .sum()
-    }
-
-    /// The single capacity shared by every arc, or `None` when arcs
-    /// differ (or the graph is empty). The symmetry-aggregated solver
-    /// requires uniform capacity within each arc class; a graph-wide
-    /// uniform capacity — the unit-capacity switch graphs every
-    /// throughput evaluation builds — certifies that in O(arcs) without
-    /// per-class bookkeeping.
-    pub fn uniform_cap(&self) -> Option<f64> {
-        let first = self.arcs.first()?.cap;
-        // Bitwise comparison, not an epsilon: capacities come from one
-        // constructor constant, and any drift must disable aggregation.
-        self.arcs
-            .iter()
-            .all(|a| a.cap.to_bits() == first.to_bits())
-            .then_some(first)
+    /// Sum of the capacities of `v`'s arcs one way (out of `v`, or into
+    /// it: the same arcs' twins).
+    pub fn capacity(&self, v: usize) -> f64 {
+        self.out[v].iter().map(|_| self.cap).sum()
     }
 
     /// Dijkstra over the slots of `part`: a source tree from `root`
@@ -177,6 +147,10 @@ impl CapGraph {
     /// per slot: [`DijkstraScratch::distance`] of `part.slot(v)` is the
     /// shortest distance of `v` from (or to) the root, and
     /// [`CapGraph::tree_path`] yields the arcs of a tree path.
+    ///
+    /// Both trees expand a slot through the same out-arcs and reach the
+    /// same neighbour, `arcs[x].to`; a sink tree relaxes, charges and
+    /// records the twin `x ^ 1`, the arc from that neighbour back.
     ///
     /// On [`Nodes`] this is a plain single-source (or single-sink)
     /// Dijkstra. On the cells of an equitable partition, `root` must be
@@ -191,7 +165,10 @@ impl CapGraph {
     ///
     /// Heap ties break by (distance, slot index), parents are arc ids, and
     /// arcs are relaxed in ascending id order per slot, so every tree is a
-    /// pure function of its inputs.
+    /// pure function of its inputs. A self-loop's twins are the one pair
+    /// out of that order, which changes nothing: a self-loop never settles
+    /// a slot (its far end is the slot being expanded, whose distance no
+    /// length ≥ 0 can lower), and `NetworkBuilder` refuses self-links.
     pub fn tree<P: Partition>(
         &self,
         part: P,
@@ -200,7 +177,8 @@ impl CapGraph {
         len: impl Fn(usize) -> f64,
         scratch: &mut DijkstraScratch,
     ) {
-        let lists = part.arc_lists(self, reversed);
+        let lists = part.arc_lists(self);
+        let twin = u32::from(reversed);
         let root = part.slot(root);
         scratch.begin(part.slots(self));
         scratch.settle(root, 0.0, u32::MAX);
@@ -211,9 +189,9 @@ impl CapGraph {
             if d > scratch.dist[v] {
                 continue;
             }
-            for &ai in &lists[v] {
-                let a = self.arcs[ai as usize];
-                let c = part.slot(if reversed { a.from } else { a.to });
+            for &x in &lists[v] {
+                let ai = x ^ twin;
+                let c = part.slot(self.arcs[x as usize].to);
                 let nd = d + len(ai as usize);
                 if nd < scratch.dist_of(c) {
                     scratch.settle(c, nd, ai);
@@ -269,10 +247,9 @@ pub trait Partition: Copy {
     /// The slot of node `v`.
     fn slot(self, v: usize) -> usize;
 
-    /// The arcs that expand each slot, one list per slot in ascending arc
-    /// order: arcs out of the slot for a source tree, arcs into it for a
-    /// sink tree (`reversed`).
-    fn arc_lists<'a>(self, g: &'a CapGraph, reversed: bool) -> &'a [Vec<u32>]
+    /// The arcs that expand each slot, one list per slot of arcs out of
+    /// it, in ascending order; a sink tree runs over their twins.
+    fn arc_lists<'a>(self, g: &'a CapGraph) -> &'a [Vec<u32>]
     where
         Self: 'a;
 }
@@ -294,15 +271,11 @@ impl Partition for Nodes {
         v
     }
 
-    fn arc_lists<'a>(self, g: &'a CapGraph, reversed: bool) -> &'a [Vec<u32>]
+    fn arc_lists<'a>(self, g: &'a CapGraph) -> &'a [Vec<u32>]
     where
         Self: 'a,
     {
-        if reversed {
-            g.in_lists()
-        } else {
-            &g.out
-        }
+        &g.out
     }
 }
 
@@ -318,15 +291,11 @@ impl Partition for &Cells {
         self.cell(v)
     }
 
-    fn arc_lists<'a>(self, _: &'a CapGraph, reversed: bool) -> &'a [Vec<u32>]
+    fn arc_lists<'a>(self, _: &'a CapGraph) -> &'a [Vec<u32>]
     where
         Self: 'a,
     {
-        if reversed {
-            &self.inn
-        } else {
-            &self.out
-        }
+        &self.arcs
     }
 }
 
@@ -335,33 +304,32 @@ impl Partition for &Cells {
 /// expand each cell in a tree.
 ///
 /// [`Cells::refine`] makes it *equitable*: every two nodes of a cell have
-/// the same number of out-neighbours, and the same number of
-/// in-neighbours, in every cell (Grohe, Kersting, Mladenov and Selman,
-/// "Dimension Reduction via Colour Refinement", ESA 2014).
+/// the same number of neighbours in every cell (Grohe, Kersting, Mladenov
+/// and Selman, "Dimension Reduction via Colour Refinement", ESA 2014).
+/// Every arc has its twin, so a node's in-neighbours are its
+/// out-neighbours, and one count serves both directions.
 ///
-/// A cell's arc lists hold one arc per neighbouring cell: its
-/// representative's first (lowest-id) arc into that cell, or from it. A
-/// tree on the cells needs no other. Its lengths are constant over the
-/// arcs between two cells, so every arc from the representative into one
-/// cell offers the same distance, and relaxation on a strict `<` lets
-/// only the first of them settle the cell (DESIGN.md §16.5).
+/// A cell's arc list holds one arc per neighbouring cell: its
+/// representative's first (lowest-id) arc into that cell, whose twin is
+/// the representative's first arc from it. A tree on the cells needs no
+/// other. Its lengths are constant over the arcs between two cells, so
+/// every arc from the representative into one cell offers the same
+/// distance, and relaxation on a strict `<` lets only the first of them
+/// settle the cell (DESIGN.md §16.5).
 #[derive(Debug)]
 pub(crate) struct Cells {
     /// Cell of each node.
     cell_of: Vec<u32>,
-    /// Per cell, its representative's first out-arc into each neighbouring
+    /// Per cell, its representative's first arc into each neighbouring
     /// cell, in ascending arc order.
-    out: Vec<Vec<u32>>,
-    /// Per cell, its representative's first in-arc from each neighbouring
-    /// cell, in ascending arc order.
-    inn: Vec<Vec<u32>>,
+    arcs: Vec<Vec<u32>>,
 }
 
 impl Cells {
     /// The coarsest equitable partition that refines the node colouring
     /// `colours` (one entry per node; any values), by colour refinement:
-    /// every pass splits each cell by its members' sorted out- and
-    /// in-neighbour cell lists, until a pass splits nothing.
+    /// every pass splits each cell by its members' sorted neighbour cell
+    /// lists, until a pass splits nothing.
     pub(crate) fn refine(g: &CapGraph, colours: &[u32]) -> Cells {
         Cells::refine_from(g, |v, sig| sig.push(colours[v]))
     }
@@ -370,19 +338,18 @@ impl Cells {
     /// alone in its cell.
     ///
     /// Refinement starts from this partition split by each node's hop
-    /// distance from the root and its hop distance to it, which leaves the
-    /// root alone already. The start changes nothing but the pass count:
-    /// in an equitable partition with the root alone, the nodes within h
-    /// hops of the root form a union of cells (by induction on h, since
-    /// the members of a cell have equally many in-neighbours in each
-    /// cell; out-neighbours for the hops to the root). So the coarsest
-    /// such partition refines the start, and is what refinement from it
-    /// finds (DESIGN.md §16.5).
+    /// distance from the root, which leaves the root alone already. The
+    /// start changes nothing but the pass count: in an equitable partition
+    /// with the root alone, the nodes within h hops of the root form a
+    /// union of cells (by induction on h, since the members of a cell have
+    /// equally many neighbours in each cell). So the coarsest such
+    /// partition refines the start, and is what refinement from it finds
+    /// (DESIGN.md §16.5).
     pub(crate) fn individualize(&self, g: &CapGraph, root: usize) -> Cells {
-        let (from, to) = (g.hops(root, false), g.hops(root, true));
+        let hops = g.hops(root);
         Cells::refine_from(g, |v, sig| {
-            // bounds: v < n, and every table has one entry per node
-            sig.extend([self.cell_of[v], from[v], to[v]]);
+            // bounds: v < n, and both tables have one entry per node
+            sig.extend([self.cell_of[v], hops[v]]);
         })
     }
 
@@ -392,8 +359,8 @@ impl Cells {
         let n = g.node_count();
         // The first pass only renumbers, by smallest node.
         let (mut cell_of, mut count) = split(n, colour);
-        // Each node's signature: its cell, its out-neighbours' cells
-        // sorted, a separator, its in-neighbours' cells sorted.
+        // Each node's signature: its cell, then its neighbours' cells
+        // sorted.
         loop {
             let cell = &cell_of;
             let (next, next_count) = split(n, |v, sig| {
@@ -402,10 +369,6 @@ impl Cells {
                 let out = sig.len();
                 sig.extend(g.out[v].iter().map(|&a| cell[g.arcs[a as usize].to]));
                 sig[out..].sort_unstable();
-                sig.push(u32::MAX);
-                let inn = sig.len();
-                sig.extend(g.in_arcs(v).iter().map(|&a| cell[g.arcs[a as usize].from]));
-                sig[inn..].sort_unstable();
             });
             // a pass only ever splits cells, so an unchanged count means an
             // unchanged partition
@@ -419,40 +382,33 @@ impl Cells {
     /// The `count` cells `cell_of` (numbered by smallest node) with their
     /// arc lists, in one pass over the representatives' arcs.
     fn with_arc_lists(g: &CapGraph, cell_of: Vec<u32>, count: usize) -> Cells {
-        // The list that last took an arc into (or from) each cell.
-        let mut taken = vec![usize::MAX; count];
-        let mut list_arcs = Vec::new();
-        let mut firsts = |list: usize, arcs: &[u32], reversed: bool| -> Vec<u32> {
-            list_arcs.clear();
-            for &a in arcs {
-                let arc = g.arcs[a as usize];
-                // bounds: arcs join nodes < n, whose cells are < count
-                let c = cell_of[if reversed { arc.from } else { arc.to }] as usize;
-                if taken[c] != list {
-                    taken[c] = list;
-                    list_arcs.push(a);
-                }
-            }
-            // sized to fit: a quotient solve keeps one partition per root
-            list_arcs.to_vec()
-        };
-        let (mut out, mut inn) = (Vec::with_capacity(count), Vec::with_capacity(count));
+        // The cell whose list last took an arc into each cell.
+        let mut taken = vec![u32::MAX; count];
+        let mut list = Vec::new();
+        let mut arcs: Vec<Vec<u32>> = Vec::with_capacity(count);
         // cells are numbered by smallest node, so in node order each cell
         // first shows up at its representative
         for (v, &c) in cell_of.iter().enumerate() {
-            let c = c as usize;
-            if c == out.len() {
-                // one distinct list id per cell and direction
-                out.push(firsts(2 * c, &g.out[v], false));
-                inn.push(firsts(2 * c + 1, g.in_arcs(v), true));
+            if c as usize == arcs.len() {
+                list.clear();
+                for &a in &g.out[v] {
+                    // bounds: arcs join nodes < n, whose cells are < count
+                    let d = cell_of[g.arcs[a as usize].to] as usize;
+                    if taken[d] != c {
+                        taken[d] = c;
+                        list.push(a);
+                    }
+                }
+                // sized to fit: a quotient solve keeps one partition per root
+                arcs.push(list.to_vec());
             }
         }
-        Cells { cell_of, out, inn }
+        Cells { cell_of, arcs }
     }
 
     /// Number of cells.
     pub(crate) fn len(&self) -> usize {
-        self.out.len()
+        self.arcs.len()
     }
 
     /// The cell of node `v`.
@@ -470,7 +426,6 @@ impl Cells {
         size
     }
 }
-
 /// Groups the nodes `0..n` by the signature `sign` writes for each; returns
 /// each node's group, the groups numbered by their smallest node, and the
 /// group count.
@@ -736,8 +691,7 @@ pub(crate) mod tests {
         }
         Cells {
             cell_of: cells.cell_of.clone(),
-            out: reps.iter().map(|&r| g.out[r].clone()).collect(),
-            inn: reps.iter().map(|&r| g.in_arcs(r).to_vec()).collect(),
+            arcs: reps.iter().map(|&r| g.out[r].clone()).collect(),
         }
     }
 
@@ -785,27 +739,33 @@ pub(crate) mod tests {
         }
     }
 
-    /// A digraph with one-way arcs, a parallel pair, a self-loop and an
-    /// isolated node: node 0's hop distances to and from the other nodes
-    /// differ.
-    fn one_way_digraph() -> CapGraph {
-        let mut g = CapGraph::new(8);
-        let arcs = [(0, 1), (1, 2), (1, 2), (2, 3), (3, 0), (0, 2), (4, 0)];
-        for (a, b) in arcs.into_iter().chain([(2, 5), (5, 5), (5, 6), (6, 4)]) {
-            g.add_arc(a, b, 1.0);
+    /// Any two nodes of a cell have equally many neighbours in every
+    /// cell.
+    fn assert_equitable(g: &CapGraph, cells: &Cells, at: &str) {
+        let counts = |v: usize| {
+            let mut cs: Vec<usize> = (g.out_arcs(v).iter())
+                .map(|&a| cells.cell(g.arc(a as usize).to))
+                .collect();
+            cs.sort_unstable();
+            cs
+        };
+        let mut rep_counts: HashMap<usize, Vec<usize>> = HashMap::new();
+        for v in 0..g.node_count() {
+            let c = cells.cell(v);
+            let want = rep_counts.entry(c).or_insert_with(|| counts(v));
+            assert_eq!(*want, counts(v), "{at}: node {v} of cell {c}");
         }
-        g
     }
 
     #[test]
     fn seeded_individualize_matches_plain_refinement() {
-        let one_way = one_way_digraph();
-        assert_eq!(one_way.hops(0, false), [0, 1, 1, 2, 4, 2, 3, u32::MAX]);
-        assert_eq!(one_way.hops(0, true), [0, 3, 2, 1, 1, 3, 2, u32::MAX]);
+        let oracle = oracle_graph();
+        assert_eq!(oracle.hops(0), [0, 1, 2, 2, 1, 3, u32::MAX]);
         let mut graphs = class_graphs();
-        graphs.push(("one-way digraph".into(), one_way, vec![0; 8]));
+        graphs.push(("oracle graph".into(), oracle, vec![0; 7]));
         for (label, g, class) in graphs {
             let base = Cells::refine(&g, &class);
+            assert_equitable(&g, &base, &label);
             for root in 0..g.node_count() {
                 let at = format!("{label}, root {root}");
                 // the root recoloured, and refined from there
@@ -814,46 +774,56 @@ pub(crate) mod tests {
                 let plain = Cells::refine(&g, &colours);
                 let seeded = base.individualize(&g, root);
                 assert_eq!(seeded.cell_of, plain.cell_of, "{at}");
-                assert_eq!(seeded.out, plain.out, "{at}");
-                assert_eq!(seeded.inn, plain.inn, "{at}");
+                assert_eq!(seeded.arcs, plain.arcs, "{at}");
+                assert_equitable(&g, &seeded, &at);
             }
         }
     }
 
     #[test]
     fn from_graph_doubles_edges() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
+        let g = Graph::from_edges(3, &[(0, 1), (2, 1)]);
         let cg = CapGraph::from_graph(&g, 1.0);
         assert_eq!(cg.arc_count(), 4);
         assert_eq!(cg.node_count(), 3);
-        assert_eq!(cg.out_capacity(1), 2.0);
-        assert_eq!(cg.in_capacity(1), 2.0);
+        assert_eq!(cg.capacity(1), 2.0);
+        assert_eq!(cg.capacity(2), 1.0);
+        // edge i is arc 2i in its stored direction and 2i + 1 against it
+        let ends: Vec<(usize, usize)> = cg.arcs().iter().map(|a| (a.from, a.to)).collect();
+        assert_eq!(ends, [(0, 1), (1, 0), (2, 1), (1, 2)]);
+        assert_eq!(cg.out_arcs(1), &[1, 3]);
+        assert_eq!(cg.in_arcs(1).collect::<Vec<_>>(), [0, 2]);
     }
 
     #[test]
-    fn in_arcs_mirror_out_arcs_and_follow_add_arc() {
-        let mut cg = CapGraph::new(3);
-        let a01 = cg.add_arc(0, 1, 1.0);
-        let a21 = cg.add_arc(2, 1, 2.0);
-        assert_eq!(cg.in_arcs(1), &[id32(a01), id32(a21)]);
-        assert!(cg.in_arcs(2).is_empty());
-        // an arc added after the lists were built must show up
-        let a12 = cg.add_arc(1, 2, 0.5);
-        assert_eq!(cg.in_arcs(2), &[id32(a12)]);
-        assert_eq!(cg.in_capacity(1), 3.0);
-        assert_eq!(cg.in_capacity(2), 0.5);
+    fn in_arcs_are_the_twins_of_out_arcs() {
+        for g in oracle_graphs() {
+            for v in 0..g.node_count() {
+                // a brute-force ascending scan of the arcs whose head is v
+                let heads: Vec<u32> = (0..g.arc_count())
+                    .filter(|&a| g.arc(a).to == v)
+                    .map(id32)
+                    .collect();
+                assert_eq!(g.in_arcs(v).collect::<Vec<_>>(), heads, "node {v}");
+                assert_eq!(g.capacity(v), heads.len() as f64);
+            }
+        }
     }
 
-    /// A 6-node undirected graph and a 7-node digraph with one-way arcs
-    /// and an unreachable pair, for the oracle tests.
+    /// An undirected graph with parallel edges and an isolated node: the
+    /// cycle 0–1–2–3–4, a second 1–2 edge stored the other way, the detour
+    /// 2–5–3, and node 6.
+    fn oracle_graph() -> CapGraph {
+        let cycle = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)];
+        let edges: Vec<(u32, u32)> = cycle.into_iter().chain([(2, 1), (5, 2), (3, 5)]).collect();
+        CapGraph::from_graph(&Graph::from_edges(7, &edges), 1.0)
+    }
+
+    /// A 6-node graph and [`oracle_graph`], for the oracle tests. Their
+    /// dyadic lengths are drawn per arc, so an arc and its twin differ.
     fn oracle_graphs() -> [CapGraph; 2] {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (2, 5)]);
-        let mut one_way = CapGraph::new(7);
-        let (tails, heads) = ([0, 1, 2, 2, 3, 4, 1, 6], [1, 2, 0, 3, 4, 3, 4, 5]);
-        for (a, b) in tails.into_iter().zip(heads) {
-            one_way.add_arc(a, b, 1.0);
-        }
-        [CapGraph::from_graph(&g, 1.0), one_way]
+        [CapGraph::from_graph(&g, 1.0), oracle_graph()]
     }
 
     /// `trials` seeded dyadic length vectors for `g`.
@@ -940,46 +910,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn shortest_path_weighted_directional() {
-        let mut cg = CapGraph::new(3);
-        let a01 = cg.add_arc(0, 1, 1.0);
-        let a12 = cg.add_arc(1, 2, 1.0);
-        let a02 = cg.add_arc(0, 2, 1.0);
-        let mut len = [0.0; 3];
-        len[a01] = 1.0;
-        len[a12] = 1.0;
-        len[a02] = 5.0;
-        let mut s = DijkstraScratch::new();
-        // a source tree walks destination → source
-        cg.tree(Nodes, 0, false, |a| len[a], &mut s);
-        assert_eq!(s.distance(2), Some(2.0));
-        let walk: Vec<usize> = cg.tree_path(&s, Nodes, 2, false).collect();
-        assert_eq!(walk, vec![a12, a01]);
-        // a sink tree walks source → destination
-        cg.tree(Nodes, 2, true, |a| len[a], &mut s);
-        assert_eq!(s.distance(0), Some(2.0));
-        let walk: Vec<usize> = cg.tree_path(&s, Nodes, 0, true).collect();
-        assert_eq!(walk, vec![a01, a12]);
-    }
-
-    #[test]
-    fn shortest_path_respects_direction() {
-        let mut cg = CapGraph::new(2);
-        cg.add_arc(0, 1, 1.0);
-        let mut s = DijkstraScratch::new();
-        cg.tree(Nodes, 1, false, |_| 1.0, &mut s);
-        assert!(!s.reached(0));
-        cg.tree(Nodes, 0, true, |_| 1.0, &mut s);
-        assert!(!s.reached(1));
-        cg.tree(Nodes, 0, false, |_| 1.0, &mut s);
-        assert_eq!(s.distance(1), Some(1.0));
-        cg.tree(Nodes, 1, true, |_| 1.0, &mut s);
-        assert_eq!(s.distance(0), Some(1.0));
-    }
-
-    #[test]
     fn shortest_path_src_is_dst() {
-        let cg = CapGraph::new(1);
+        let cg = CapGraph::from_graph(&Graph::new(1), 1.0);
         let mut s = DijkstraScratch::new();
         for reversed in [false, true] {
             cg.tree(Nodes, 0, reversed, |_| 1.0, &mut s);
@@ -988,10 +920,14 @@ pub(crate) mod tests {
         }
     }
 
+    /// One edge 0–1 and an isolated node 2.
+    fn edge_and_isolated_node() -> CapGraph {
+        CapGraph::from_graph(&Graph::from_edges(3, &[(0, 1)]), 1.0)
+    }
+
     #[test]
     fn tree_path_unreached_and_root_yield_nothing() {
-        let mut cg = CapGraph::new(3);
-        cg.add_arc(0, 1, 1.0);
+        let cg = edge_and_isolated_node();
         let mut s = DijkstraScratch::new();
         cg.tree(Nodes, 0, false, |_| 1.0, &mut s);
         assert!(s.reached(1) && !s.reached(2));
@@ -1006,8 +942,7 @@ pub(crate) mod tests {
 
     #[test]
     fn scratch_unreachable_then_reachable() {
-        let mut cg = CapGraph::new(3);
-        cg.add_arc(0, 1, 1.0);
+        let cg = edge_and_isolated_node();
         let mut s = DijkstraScratch::new();
         cg.tree(Nodes, 2, false, |_| 1.0, &mut s);
         assert!(!s.reached(0) && !s.reached(1));
@@ -1039,8 +974,7 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
-        let mut cg = CapGraph::new(2);
-        cg.add_arc(0, 1, 0.0);
+        CapGraph::from_graph(&Graph::from_edges(2, &[(0, 1)]), 0.0);
     }
 
     #[test]

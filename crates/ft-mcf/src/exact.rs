@@ -52,7 +52,7 @@ pub fn max_concurrent_flow_exact(g: &CapGraph, commodities: &[Commodity]) -> Res
     // capacity per arc
     for ai in 0..a_cnt {
         let terms: Vec<(Var, f64)> = f.iter().map(|fj| (fj[ai], 1.0)).collect();
-        lp.add_le(&terms, g.arc(ai).cap);
+        lp.add_le(&terms, g.cap());
     }
     // conservation
     for (j, c) in commodities.iter().enumerate() {
@@ -64,7 +64,7 @@ pub fn max_concurrent_flow_exact(g: &CapGraph, commodities: &[Commodity]) -> Res
             for &ai in g.out_arcs(v) {
                 terms.push((f[j][ai as usize], 1.0));
             }
-            for &ai in g.in_arcs(v) {
+            for ai in g.in_arcs(v) {
                 terms.push((f[j][ai as usize], -1.0));
             }
             if v == c.src {

@@ -899,16 +899,13 @@ fn route_reference(st: &mut RunState<'_>, scratch: &mut DijkstraScratch) {
                 path.clear();
                 path.extend(st.g.tree_path(scratch, Nodes, c.dst, false));
                 path.reverse();
-                let bottleneck = path
-                    .iter()
-                    .map(|&a| st.g.arc(a).cap)
-                    .fold(f64::INFINITY, f64::min);
-                let f = rem.min(bottleneck);
+                // every arc is a bottleneck: they share one capacity
+                let cap = st.g.cap();
+                let f = rem.min(cap);
                 rem -= f;
                 st.routed[j] += f;
                 st.pushes += 1;
                 for &a in &path {
-                    let cap = st.g.arc(a).cap;
                     st.flow[a] += f;
                     let old = st.length[a];
                     st.length[a] = old * (1.0 + st.eps * f / cap);

@@ -9,7 +9,8 @@
 //! per direction; server links are uncapacitated (the paper relaxes server
 //! bandwidth to expose switch-level capacity), which this crate models by
 //! aggregating server-pair demands to their attachment switches before
-//! solving.
+//! solving. Every solver runs on a [`CapGraph`]: an undirected switch
+//! graph's edges as twin arcs, one each way, all at one capacity.
 //!
 //! Solvers provided:
 //!
@@ -41,10 +42,10 @@
 //!   routing (§2.6) loses relative to the paper's optimal-routing
 //!   assumption.
 //! * [`bounds::star_exact`] — the exact λ of a *star*, every commodity
-//!   at one hub (a hot spot's broadcast and incast), on capacities equal
-//!   both ways: Newton steps over Dinic max-flows, starting from the node
-//!   cut, until the flow and a cut agree. Fig. 7's single-cluster
-//!   instances take this path instead of the FPTAS.
+//!   at one hub (a hot spot's broadcast and incast): Newton steps over
+//!   Dinic max-flows, starting from the node cut, until the flow and a cut
+//!   agree. Fig. 7's single-cluster instances take this path instead of
+//!   the FPTAS.
 //! * [`bounds`] — cheap cut-based upper bounds used for demand pre-scaling
 //!   and sanity checks.
 

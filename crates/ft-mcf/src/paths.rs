@@ -82,10 +82,10 @@ pub fn max_concurrent_flow_on_paths(
             }
         }
     }
-    for (a, vars) in on_arc.iter().enumerate() {
+    for vars in &on_arc {
         if !vars.is_empty() {
             let terms: Vec<(Var, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-            lp.add_le(&terms, g.arc(a).cap);
+            lp.add_le(&terms, g.cap());
         }
     }
     // demand satisfaction

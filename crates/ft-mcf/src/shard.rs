@@ -23,13 +23,13 @@
 //! Soundness does not rest on the caller's class slice alone:
 //! [`AggregatedInstance::from_commodities`] verifies *closure* — every
 //! orbit must contain exactly `|A| · |{w ∈ B : dist(rep_A, w) = h}|`
-//! commodities of identical demand — and requires graph-wide uniform arc
-//! capacity ([`CapGraph::uniform_cap`]). Any violation yields `None` and
-//! the caller falls back to the full instance. With all-singleton classes
-//! (converted or otherwise asymmetric topologies) the aggregation
-//! degenerates to the identity: the instance is solved exactly as
-//! [`crate::fptas::max_concurrent_flow`] would solve the original
-//! commodity list, bit for bit.
+//! commodities of identical demand. Any violation yields `None` and the
+//! caller falls back to the full instance. Every arc of a [`CapGraph`]
+//! carries its one capacity, so a class of `q` arcs holds `q` times it.
+//! With all-singleton classes (converted or otherwise asymmetric
+//! topologies) the aggregation degenerates to the identity: the instance
+//! is solved exactly as [`crate::fptas::max_concurrent_flow`] would solve
+//! the original commodity list, bit for bit.
 //!
 //! # Distance volume
 //!
@@ -82,7 +82,8 @@ pub(crate) struct ArcModel {
     /// Class id of each arc; empty for the identity model, where arc `a`
     /// is element `a` (a graph without arcs is the same either way).
     class_of: Vec<u32>,
-    /// Total capacity of each class (class size × the uniform arc cap).
+    /// Total capacity of each class (class size × the graph's one arc
+    /// capacity).
     cap: Vec<f64>,
 }
 
@@ -91,20 +92,17 @@ impl ArcModel {
     pub(crate) fn identity(g: &CapGraph) -> ArcModel {
         ArcModel {
             class_of: Vec::new(),
-            cap: g.arcs().iter().map(|a| a.cap).collect(),
+            cap: vec![g.cap(); g.arc_count()],
         }
     }
 
-    /// Groups arcs by (tail class, head class) in first-appearance order.
-    /// Requires graph-wide uniform arc capacity (each class's capacity is
-    /// `size × cap`, which is only the orbit capacity when every member
-    /// has the same cap); returns `None` otherwise.
+    /// Groups arcs by (tail class, head class) in first-appearance order;
+    /// `None` when `node_class` does not have one entry per node.
     fn from_node_classes(g: &CapGraph, node_class: &[u32]) -> Option<ArcModel> {
         use std::collections::HashMap;
         if node_class.len() != g.node_count() {
             return None;
         }
-        let unit = g.uniform_cap()?;
         let mut key_to_class: HashMap<(u32, u32), u32> = HashMap::new();
         let mut class_of = Vec::with_capacity(g.arc_count());
         let mut class_size: Vec<u32> = Vec::new();
@@ -119,7 +117,7 @@ impl ArcModel {
         }
         Some(ArcModel {
             class_of,
-            cap: class_size.iter().map(|&s| f64::from(s) * unit).collect(),
+            cap: class_size.iter().map(|&s| f64::from(s) * g.cap()).collect(),
         })
     }
 
@@ -314,12 +312,12 @@ impl AggregatedInstance {
     /// (class representative, node) pair. The orbit structure is verified
     /// against the representative's distance row — every orbit must be
     /// *closed* (contain exactly `|A| · |{w ∈ B : dist(rep_A, w) = h}|`
-    /// members) and demand-uniform, and the graph must have uniform arc
-    /// capacity. Returns `None` on any violation, or whenever `dist` lacks
-    /// data; callers then solve the original instance instead. Passing
-    /// node classes that do not come from verified automorphisms can
-    /// produce an instance that passes these checks but misreports λ —
-    /// the slice is part of the soundness contract.
+    /// members) and demand-uniform. Returns `None` on any violation, or
+    /// whenever `dist` lacks data; callers then solve the original
+    /// instance instead. Passing node classes that do not come from
+    /// verified automorphisms can produce an instance that passes these
+    /// checks but misreports λ — the slice is part of the soundness
+    /// contract.
     pub fn from_commodities(
         g: &CapGraph,
         node_class: &[u32],
@@ -567,19 +565,18 @@ pub fn max_concurrent_flow_aggregated(
 
 /// Class-granular cut bound, the quotient analogue of
 /// [`crate::node_cut_upper_bound`]: all demand sourced in a node class
-/// must cross the arcs leaving that class (and symmetrically for sinks).
-/// Coincides with the node cut when every class is a singleton.
+/// must cross the arcs leaving that class, and all demand sunk in it the
+/// arcs entering it, their twins. Coincides with the node cut when every
+/// class is a singleton.
 fn class_cut_upper_bound(g: &CapGraph, commodities: &[Commodity], node_class: &[u32]) -> f64 {
     let classes = node_class
         .iter()
         .map(|&c| c as usize + 1)
         .max()
         .unwrap_or(0);
-    let mut out_cap = vec![0.0f64; classes];
-    let mut in_cap = vec![0.0f64; classes];
+    let mut cap = vec![0.0f64; classes];
     for arc in g.arcs() {
-        out_cap[node_class[arc.from] as usize] += arc.cap;
-        in_cap[node_class[arc.to] as usize] += arc.cap;
+        cap[node_class[arc.from] as usize] += g.cap();
     }
     let mut out_dem = vec![0.0f64; classes];
     let mut in_dem = vec![0.0f64; classes];
@@ -590,10 +587,10 @@ fn class_cut_upper_bound(g: &CapGraph, commodities: &[Commodity], node_class: &[
     let mut best = f64::INFINITY;
     for c in 0..classes {
         if out_dem[c] > 0.0 {
-            best = best.min(out_cap[c] / out_dem[c]);
+            best = best.min(cap[c] / out_dem[c]);
         }
         if in_dem[c] > 0.0 {
-            best = best.min(in_cap[c] / in_dem[c]);
+            best = best.min(cap[c] / in_dem[c]);
         }
     }
     best

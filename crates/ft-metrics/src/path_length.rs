@@ -69,26 +69,28 @@ fn source_table(sg: &Graph, sources: &[usize]) -> Option<DistMatrix> {
     DistMatrix::compute_from_csr(&Csr::from_graph(sg), &nodes).ok()
 }
 
-/// The symmetry-deduplicated table of `net`'s switch distances: the
-/// symmetry classes (`metrics.symmetry` span), then one BFS row per class
-/// (`metrics.dedup_apsp` span, `ft_metrics_dedup_apsp_rows_total`
+/// The symmetry-deduplicated table of `net`'s switch distances, over its
+/// switch graph `sg`: the symmetry classes (`metrics.symmetry` span, which
+/// also builds the graph's CSR), then one BFS row per class over the same
+/// CSR (`metrics.dedup_apsp` span, `ft_metrics_dedup_apsp_rows_total`
 /// counter). `metrics.apsp` and its counters stay with the hosting-switch
 /// table of [`SwitchDistances`]. `None` only when a hop count would not
 /// fit the table's `u16` entries.
-pub(crate) fn deduped_apsp(net: &Network) -> Option<DedupedApsp> {
+pub(crate) fn deduped_apsp(net: &Network, sg: &Graph) -> Option<DedupedApsp> {
     let nodes = net.num_switches();
-    let classes = {
+    let (csr, classes) = {
         let mut span = ft_obs::span!("metrics.symmetry", switches = nodes);
-        let classes = SymmetryClasses::compute(net);
+        let csr = Csr::from_graph(sg);
+        let classes = SymmetryClasses::from_csr(net, &csr);
         if let Some(s) = span.as_mut() {
             s.field("classes", classes.class_count());
         }
-        classes
+        (csr, classes)
     };
     let rows = classes.class_count();
     let _span = ft_obs::span!("metrics.dedup_apsp", sources = rows, nodes = nodes);
     obs().dedup_rows.add(rows as u64);
-    DedupedApsp::with_classes(net, classes, ft_graph::par::thread_count()).ok()
+    DedupedApsp::with_classes(&csr, classes, ft_graph::par::thread_count()).ok()
 }
 
 /// Switch-graph distances from every server-hosting switch, computed once

@@ -215,7 +215,7 @@ pub fn throughput_on_commodities(
         SolverKind::Aggregated => {
             // The builder reads symmetry classes and hop distances, both
             // from the deduplicated table.
-            let inst = deduped_apsp(net).and_then(|dd| {
+            let inst = deduped_apsp(net, &sg).and_then(|dd| {
                 let classes = dd.classes().class_slice();
                 AggregatedInstance::from_commodities(&cg, classes, commodities, &hops(&dd))
             });
@@ -250,14 +250,17 @@ pub fn throughput_all_to_all(
 ) -> Result<ThroughputResult, McfError> {
     let counts = net.server_counts();
     if opts.solver == SolverKind::Aggregated {
-        // the distance table is only a builder input, dropped before the solve
-        let quotient = deduped_apsp(net).and_then(|dd| {
-            let cg = CapGraph::from_graph(&net.switch_graph(), 1.0);
+        // the switch graph and the distance table are only builder inputs,
+        // dropped before the solve
+        let sg = net.switch_graph();
+        let quotient = deduped_apsp(net, &sg).and_then(|dd| {
+            let cg = CapGraph::from_graph(&sg, 1.0);
             let weights: Vec<f64> = counts.iter().map(|&c| f64::from(c)).collect();
             let classes = dd.classes().class_slice();
             let inst = AggregatedInstance::all_to_all(&cg, classes, &weights, &hops(&dd))?;
             Some((cg, inst))
         });
+        drop(sg);
         if let Some((cg, inst)) = quotient {
             let sol = max_concurrent_flow_aggregated(
                 &cg,

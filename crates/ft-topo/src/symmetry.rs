@@ -143,9 +143,15 @@ impl SymmetryClasses {
     /// Always succeeds: when no symmetry verifies, every switch is its own
     /// singleton class and [`DedupedApsp`] degenerates to a full APSP.
     pub fn compute(net: &Network) -> SymmetryClasses {
+        Self::from_csr(net, &Csr::from_graph(&net.switch_graph()))
+    }
+
+    /// [`SymmetryClasses::compute`] over `csr`, which must be the [`Csr`]
+    /// of `net`'s switch graph: for callers that build it once for several
+    /// stages.
+    pub fn from_csr(net: &Network, csr: &Csr) -> SymmetryClasses {
         let n = net.num_switches();
-        let csr = Csr::from_graph(&net.switch_graph());
-        let sigs = signatures(&csr, n);
+        let sigs = signatures(csr, n);
 
         // Mechanism 2 first: per-Pod contiguous switch-id blocks, candidate
         // swap of each Pod onto the base (lowest-id) Pod, verified on the
@@ -175,7 +181,7 @@ impl SymmetryClasses {
                         b: base_start,
                         len,
                     };
-                    if verify_swap(&csr, &sigs, swap) {
+                    if verify_swap(csr, &sigs, swap) {
                         pod_swaps.insert(p, swap);
                     }
                 }
@@ -319,20 +325,21 @@ impl DedupedApsp {
 
     /// [`DedupedApsp::compute`] with an explicit worker count.
     pub fn compute_with_threads(net: &Network, threads: usize) -> Result<DedupedApsp, GraphError> {
-        Self::with_classes(net, SymmetryClasses::compute(net), threads)
+        let csr = Csr::from_graph(&net.switch_graph());
+        Self::with_classes(&csr, SymmetryClasses::from_csr(net, &csr), threads)
     }
 
-    /// One representative BFS row per class of `classes`, which must be
-    /// [`SymmetryClasses::compute`] of this same `net`, on `threads`
-    /// workers: for callers that time or trace the two stages apart.
+    /// One representative BFS row per class of `classes` over `csr`, the
+    /// [`Csr`] of a network's switch graph, on `threads` workers;
+    /// `classes` must be [`SymmetryClasses::from_csr`] of the same `csr`.
+    /// For callers that time or trace the two stages apart.
     pub fn with_classes(
-        net: &Network,
+        csr: &Csr,
         classes: SymmetryClasses,
         threads: usize,
     ) -> Result<DedupedApsp, GraphError> {
-        let csr = Csr::from_graph(&net.switch_graph());
         let sources: Vec<NodeId> = classes.reps.iter().map(|&r| NodeId(r)).collect();
-        let matrix = DistMatrix::compute_from_csr_with_threads(&csr, &sources, threads)?;
+        let matrix = DistMatrix::compute_from_csr_with_threads(csr, &sources, threads)?;
         Ok(DedupedApsp { classes, matrix })
     }
 

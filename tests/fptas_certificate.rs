@@ -95,13 +95,12 @@ fn exact_by_source(g: &CapGraph, cs: &[Commodity]) -> f64 {
         .collect();
     for a in 0..g.arc_count() {
         let terms: Vec<(Var, f64)> = flow.iter().map(|f| (f[a], 1.0)).collect();
-        lp.add_le(&terms, g.arc(a).cap);
+        lp.add_le(&terms, g.cap());
     }
     for (f, &s) in flow.iter().zip(&sources) {
         for v in (0..g.node_count()).filter(|&v| v != s) {
             // inflow − outflow = λ·(demand of s at v)
-            let mut terms: Vec<(Var, f64)> =
-                g.in_arcs(v).iter().map(|&a| (f[a as usize], 1.0)).collect();
+            let mut terms: Vec<(Var, f64)> = g.in_arcs(v).map(|a| (f[a as usize], 1.0)).collect();
             terms.extend(g.out_arcs(v).iter().map(|&a| (f[a as usize], -1.0)));
             let demand: f64 = cs
                 .iter()
